@@ -10,8 +10,6 @@ Modules:
   gradient-inner-product and distance-based baselines, fixed schedules).
 - ``engine``: the coupled SGD loop with shared per-iteration noise.
 - ``oracle``: closed-form theory quantities and brute-force estimators.
-- ``harness``: config-driven experiments, replication, CSV/JSON/SVG output.
-- ``cli``: the ``csgd`` command-line entry point.
 """
 
 __version__ = "0.1.0"

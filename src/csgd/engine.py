@@ -10,6 +10,15 @@ Order of events inside iteration k: step both iterates with the current
 stepsize, let the controller observe, then (on a decay decision) update the
 stepsize/threshold and re-initialize the auxiliary iterate before the next
 step begins.
+
+Tokens come from a :class:`TokenBuffer`, which draws up to ``CHUNK`` of
+them at a time from one raw block of the run's stream.  Each problem kind
+spends a fixed number of raw words per token, so a run sees the same tokens
+as if it drew them one by one.  The stream runs ahead of the tokens used by
+at most one block and never past the last iteration.  Where a run leaves
+the token sequence (the degenerate re-arm draw, a divergence stop) the
+buffer is resynced: the stream goes back to the counter that token-by-token
+drawing would have reached, and ``rng.counter`` on return is that counter.
 """
 
 from __future__ import annotations
@@ -21,9 +30,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .controllers import Controller, Observation
+from .errors import ConfigError
 from .numkit import RngStream
 
 D0_REARM_FLOOR_REL = 1e-12
+CHUNK = 256  # tokens decoded per raw block
 
 
 @dataclass
@@ -65,7 +76,6 @@ class CoupledState:
     d0_sq: float | None = None
     history: deque | None = None  # last b+1 auxiliary iterates, newest last
     avg1: np.ndarray | None = None
-    chain_state: object = None
     last_direction: np.ndarray | None = None
 
 
@@ -99,15 +109,66 @@ class RunTrace:
         return asdict(self)
 
 
-def coupled_step(state: CoupledState, problem, gamma: float, rng: RngStream,
-                 batch: int = 1) -> float | None:
+class TokenBuffer:
+    """A run's tokens, drawn up to ``CHUNK`` at a time from one raw block.
+
+    ``remaining`` counts the tokens the run has yet to take, so a refill
+    never draws past the last iteration.  ``sampler_state`` is the problem's
+    sampler state after the last token drawn; set it from ``init_sampler``
+    before the first token.
+    """
+
+    def __init__(self, problem, rng: RngStream, batch: int, remaining: int):
+        self.problem = problem
+        self.rng = rng
+        self.batch = batch
+        self.remaining = remaining
+        self.sampler_state = None
+        self._tokens: list = []
+        self._pos = 0
+        self._block_start = (rng.counter, None)  # stream counter and sampler state
+
+    def next(self):
+        """The run's next token."""
+        if self._pos == len(self._tokens):
+            count = min(CHUNK, self.remaining)
+            self._block_start = (self.rng.counter, self.sampler_state)
+            self._tokens, self.sampler_state = self.problem.draw_tokens(
+                self.rng, self.sampler_state, count, self.batch
+            )
+            self.remaining -= count
+            self._pos = 0
+        token = self._tokens[self._pos]
+        self._pos += 1
+        return token
+
+    def resync(self) -> RngStream:
+        """Drop the tokens not yet taken and rewind the stream to match.
+
+        The stream goes back to the start of the block and redraws the
+        tokens already taken, so both its counter and the sampler state end
+        where token-by-token drawing would have left them.  Returns the
+        stream, ready for an out-of-band draw.
+        """
+        unused = len(self._tokens) - self._pos
+        if unused:
+            counter, sampler_state = self._block_start
+            self.rng.seek(counter)
+            _, self.sampler_state = self.problem.draw_tokens(
+                self.rng, sampler_state, self._pos, self.batch
+            )
+            self.remaining += unused
+        self._tokens, self._pos = [], 0
+        return self.rng
+
+
+def coupled_step(state: CoupledState, problem, gamma: float, token) -> float | None:
     """Advance the pair by one iteration with shared noise.
 
     Returns ||θ1 - θ2||² after the step when coupled, else None.  The same
     token feeds both oracle evaluations, so for additive-noise quadratics
     the difference contracts deterministically.
     """
-    token, state.chain_state = problem.next_token(rng, state.chain_state, batch)
     u1 = problem.step_direction(state.theta1, token)
     state.theta1 = state.theta1 + gamma * u1
     d_sq = None
@@ -122,29 +183,39 @@ def coupled_step(state: CoupledState, problem, gamma: float, rng: RngStream,
     return d_sq
 
 
-def reinit_auxiliary(state: CoupledState, b: int, gamma: float, rng: RngStream) -> float:
-    """Reset θ2 to its value b steps back and re-arm the distance reference.
+def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: float,
+                    tokens: TokenBuffer) -> float:
+    """Set θ2, restart its history and return the new reference ||θ1 - θ2||².
 
-    Uses the oldest stored iterate when fewer than b are available.  If the
-    re-initialized difference is degenerate (below 1e-12·max(1, ||θ1||²)),
-    θ2 is instead perturbed off θ1 by √γ·N(0, I) — the scale of the
-    stationary fluctuation radius — so the diagnostic stays well defined.
-    The history buffer restarts from the new θ2.
+    If that difference is degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is
+    instead perturbed off θ1 by √γ·N(0, I) — the scale of the stationary
+    fluctuation radius — so the diagnostic stays well defined.  The
+    perturbation is drawn out of band, after resyncing the token buffer.
     """
-    hist = state.history
-    idx = 0 if len(hist) <= b else len(hist) - 1 - b
-    theta2 = hist[idx].copy()
     diff = state.theta1 - theta2
     d0_sq = float(diff @ diff)
     floor = D0_REARM_FLOOR_REL * max(1.0, float(state.theta1 @ state.theta1))
-    while d0_sq <= floor:
-        theta2 = state.theta1 + math.sqrt(gamma) * rng.normals(state.theta1.shape[0])
-        diff = state.theta1 - theta2
-        d0_sq = float(diff @ diff)
+    if d0_sq <= floor:
+        rng = tokens.resync()
+        while d0_sq <= floor:
+            theta2 = state.theta1 + math.sqrt(gamma) * rng.normals(state.theta1.shape[0])
+            diff = state.theta1 - theta2
+            d0_sq = float(diff @ diff)
     state.theta2 = theta2
     state.history = deque([theta2], maxlen=b + 1)
     state.d0_sq = d0_sq
     return d0_sq
+
+
+def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenBuffer) -> float:
+    """Reset θ2 to its value b steps back and re-arm the distance reference.
+
+    Uses the oldest stored iterate when fewer than b are available; see
+    :func:`rearm_auxiliary` for the degenerate case.
+    """
+    hist = state.history
+    idx = 0 if len(hist) <= b else len(hist) - 1 - b
+    return rearm_auxiliary(state, hist[idx].copy(), b, gamma, tokens)
 
 
 def update_average(state: CoupledState) -> None:
@@ -157,6 +228,8 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
 
     Bit-deterministic given (problem, controller params, cfg, stream).  On
     divergence the trace collected so far is returned with ``failure`` set.
+    A controller that needs coupling with ``track_coupling=False`` raises
+    ConfigError before the first step.
     """
     d = problem.d
     theta_star = problem.theta_star
@@ -165,29 +238,25 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
         if cfg.track_coupling is not None
         else controller.needs_coupling
     )
+    if controller.needs_coupling and not coupled:
+        raise ConfigError(
+            f"controller {controller.params.kind!r} reads the coupled distance; "
+            "it cannot run with track_coupling=False"
+        )
     b = controller.params.b
 
     theta1 = (
         np.zeros(d) if cfg.init_theta is None else np.asarray(cfg.init_theta, float).copy()
     )
     state = CoupledState(theta1=theta1, theta2=None)
+    tokens = TokenBuffer(problem, rng, cfg.batch_size, cfg.n_iters)
     if coupled:
         offset = cfg.init_offset_scale * rng.normals(d)
-        state.theta2 = state.theta1 + offset
-        state.history = deque([state.theta2], maxlen=b + 1)
-        diff = state.theta1 - state.theta2
-        state.d0_sq = float(diff @ diff)
-        floor = D0_REARM_FLOOR_REL * max(1.0, float(state.theta1 @ state.theta1))
-        while state.d0_sq <= floor:
-            gamma_for_scale = controller.stepsize(1)
-            state.theta2 = state.theta1 + math.sqrt(gamma_for_scale) * rng.normals(d)
-            diff = state.theta1 - state.theta2
-            state.d0_sq = float(diff @ diff)
-            state.history = deque([state.theta2], maxlen=b + 1)
-        controller.rearm(state.d0_sq)
+        d0_sq = rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), tokens)
+        controller.rearm(d0_sq)
     if cfg.averaging:
         state.avg1 = state.theta1.copy()
-    state.chain_state = problem.init_sampler(rng)
+    tokens.sampler_state = problem.init_sampler(rng)
 
     trace = RunTrace()
     restarted_since_record = False
@@ -210,7 +279,7 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
 
     for k in range(1, cfg.n_iters + 1):
         gamma = controller.stepsize(k)
-        d_sq = coupled_step(state, problem, gamma, rng, cfg.batch_size)
+        d_sq = coupled_step(state, problem, gamma, tokens.next())
         if cfg.averaging:
             update_average(state)
 
@@ -218,6 +287,7 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
         if not math.isfinite(norm1_sq) or norm1_sq > cfg.divergence_threshold:
             trace.failure = f"divergence at k={k} (||theta1||^2={norm1_sq:g})"
             record(k, gamma, math.nan, d_sq)
+            tokens.resync()
             break
 
         obs = Observation(
@@ -233,7 +303,7 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
         if decision.decay:
             old_gamma = gamma
             if decision.reinit and coupled:
-                new_d0 = reinit_auxiliary(state, b, decision.new_gamma, rng)
+                new_d0 = reinit_auxiliary(state, b, decision.new_gamma, tokens)
                 controller.rearm(new_d0)
             trace.restart_log.append(
                 RestartEvent(

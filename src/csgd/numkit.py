@@ -93,11 +93,29 @@ class RngStream:
     fixed-consumption Box-Muller transform — exactly ``2*ceil(n/2)`` raw words
     per ``normals(n)`` call, nothing cached — so interleaving calls never
     shifts the mapping from counter to output.
+
+    Chunk contract: every decode here is a pure function of its raw words
+    (:func:`box_muller`, :func:`uniforms_from`, :func:`integers_from`), so a
+    consumer that spends a fixed number of words per item may draw K items'
+    words in one :meth:`raw` call and decode them together, bit for bit as
+    K separate draws.  A consumer that stops part-way through such a block
+    calls :meth:`seek`, so the stream ends at the counter that item-by-item
+    drawing would have left.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
+        self.seek(counter)
+
+    def __repr__(self):
+        return (
+            f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
+            f"counter={self.counter})"
+        )
+
+    def seek(self, counter: int) -> None:
+        """Reposition the stream so the next raw word is word ``counter``."""
         self._bg = np.random.Philox(
             key=np.array([self.seed, self.stream_id], dtype=np.uint64)
         )
@@ -107,12 +125,6 @@ class RngStream:
         if rem:
             self._bg.random_raw(rem)
         self.counter = int(counter)
-
-    def __repr__(self):
-        return (
-            f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
-            f"counter={self.counter})"
-        )
 
     def child(self, stream_id: int) -> "RngStream":
         """Fresh stream with the same seed and a different stream id."""
@@ -125,13 +137,13 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1); one raw word each."""
-        return (self.raw(n) >> np.uint64(11)) * _INV_2_53
+        return uniforms_from(self.raw(n))
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform on [0, bound); one raw word each."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return (self.raw(n) % np.uint64(bound)).astype(np.int64)
+        return integers_from(self.raw(n), bound)
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal draws via pairwise Box-Muller.
@@ -141,16 +153,34 @@ class RngStream:
         """
         if n == 0:
             return np.empty(0)
-        pairs = (int(n) + 1) // 2
-        w = self.raw(2 * pairs)
-        u1 = ((w[0::2] >> np.uint64(11)) + np.uint64(1)) * _INV_2_53  # (0, 1]
-        u2 = (w[1::2] >> np.uint64(11)) * _INV_2_53  # [0, 1)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
-        return z[:n]
+        return box_muller(self.raw(2 * ((int(n) + 1) // 2)))[:n]
+
+
+def uniforms_from(words: np.ndarray) -> np.ndarray:
+    """Doubles uniform on [0, 1), one per raw word."""
+    return (words >> np.uint64(11)) * _INV_2_53
+
+
+def integers_from(words: np.ndarray, bound: int) -> np.ndarray:
+    """Integers uniform on [0, bound), one per raw word."""
+    return (words % np.uint64(bound)).astype(np.int64)
+
+
+def box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normals from raw words, one per word, paired along the last axis.
+
+    Words 2i and 2i+1 of each row give normals 2i and 2i+1; the last axis
+    must have even length.  Every output depends only on its own pair, so
+    decoding a block of rows gives the same bits as decoding each row alone.
+    """
+    u1 = ((words[..., 0::2] >> np.uint64(11)) + np.uint64(1)) * _INV_2_53  # (0, 1]
+    u2 = (words[..., 1::2] >> np.uint64(11)) * _INV_2_53  # [0, 1)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    z = np.empty(words.shape)
+    z[..., 0::2] = radius * np.cos(angle)
+    z[..., 1::2] = radius * np.sin(angle)
+    return z
 
 
 def gaussian(rng: RngStream, d: int, cov) -> np.ndarray:

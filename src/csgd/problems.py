@@ -15,19 +15,34 @@ Each problem kind exposes the same surface:
 Dataset-backed kinds materialize ``X`` (n×d) and ``y`` from the problem
 seed; tokens are then row indices.  Streaming kinds (``n == 0``) draw fresh
 samples from the run's stream inside the token.
+
+Every token costs a fixed number of raw words, ``words_per_token(batch)``,
+so ``draw_tokens`` takes ``count`` tokens from one block of
+``count * words_per_token(batch)`` words and decodes them together.  The
+result is bit-identical to ``count`` single draws; ``next_token`` and
+``draw_token`` are the ``count = 1`` case.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError
-from .numkit import RngStream, gaussian, power_iteration_extreme_eigs
+from .numkit import (  # noqa: F401  (gaussian: bench/perfbench.py times problems.gaussian)
+    RngStream,
+    box_muller,
+    gaussian,
+    integers_from,
+    power_iteration_extreme_eigs,
+    uniforms_from,
+)
 
 # stream ids reserved for problem-owned randomness
 _PARAM_STREAM = 0xA0
@@ -94,11 +109,25 @@ class Problem:
         """Per-run sampling state; None for i.i.d. kinds."""
         return None
 
+    def words_per_token(self, batch: int = 1) -> int:
+        """Raw words one token of ``batch`` samples consumes; fixed per kind."""
+        raise NotImplementedError
+
+    def decode_tokens(self, words: np.ndarray, batch: int) -> list:
+        """Tokens from a (count, words_per_token) block, one per row."""
+        raise NotImplementedError
+
+    def draw_tokens(self, rng: RngStream, sampler_state, count: int, batch: int = 1):
+        """``count`` tokens from one raw block, and the sampler state after them."""
+        w = self.words_per_token(batch)
+        return self.decode_tokens(rng.raw(count * w).reshape(count, w), batch), sampler_state
+
     def next_token(self, rng: RngStream, sampler_state, batch: int = 1):
-        return self.draw_token(rng, batch), sampler_state
+        tokens, sampler_state = self.draw_tokens(rng, sampler_state, 1, batch)
+        return tokens[0], sampler_state
 
     def draw_token(self, rng: RngStream, batch: int = 1):
-        raise NotImplementedError
+        return self.next_token(rng, None, batch)[0]
 
     # --- oracle -----------------------------------------------------------
 
@@ -161,9 +190,29 @@ class _GlmBase(Problem):
             theta_planted = prm.normals(d)
         self.theta_planted = np.asarray(theta_planted, dtype=np.float64)
         self.R_sq = float(self.h_diag.sum())
+        self._sqrt_h = np.sqrt(self.h_diag)
+        self._row_words = 2 * ((d + 1) // 2)  # one Box-Muller row per input
 
-    def _draw_inputs(self, rng: RngStream, batch: int) -> np.ndarray:
-        return np.stack([gaussian(rng, self.d, self.h_diag) for _ in range(batch)])
+    def words_per_token(self, batch=1):
+        if self.n > 0:
+            return batch  # one row index per sample
+        return batch * self._row_words + self._label_words(batch)
+
+    def decode_tokens(self, words, batch):
+        if self.n > 0:
+            idx = integers_from(words, self.n)
+            return idx[:, 0].tolist() if batch == 1 else list(idx)
+        split = batch * self._row_words
+        z = box_muller(words[:, :split]).reshape(len(words), batch, self._row_words)
+        X = z[..., : self.d] * self._sqrt_h  # (count, batch, d) inputs N(0, H)
+        return self._label_tokens(X, words[:, split:], batch)
+
+    def _label_words(self, batch: int) -> int:
+        raise NotImplementedError
+
+    def _label_tokens(self, X: np.ndarray, words: np.ndarray, batch: int) -> list:
+        """Streaming tokens from inputs X (count, batch, d) and the label words."""
+        raise NotImplementedError
 
     def _materialize_inputs(self, count: int) -> np.ndarray:
         data = RngStream(self.seed, _DATA_STREAM)
@@ -194,19 +243,18 @@ class LogisticRegression(_GlmBase):
             self._y = np.where(data.uniforms(n) < probs, 1.0, -1.0)
             self._X = X
 
-    def draw_token(self, rng, batch=1):
-        if self.n > 0:
-            idx = rng.integers(batch, self.n)
-            return int(idx[0]) if batch == 1 else idx
+    def _label_words(self, batch):
+        return batch  # one uniform per label
+
+    def _label_tokens(self, X, words, batch):
+        u = uniforms_from(words)
+        theta = self.theta_planted
         if batch == 1:
-            x = gaussian(rng, self.d, self.h_diag)
-            p = _sigmoid_scalar(float(x @ self.theta_planted))
-            y = 1.0 if float(rng.uniforms(1)[0]) < p else -1.0
-            return (x, y)
-        X = self._draw_inputs(rng, batch)
-        probs = _sigmoid(X @ self.theta_planted)
-        y = np.where(rng.uniforms(batch) < probs, 1.0, -1.0)
-        return (X, y)
+            return [
+                (x, 1.0 if ui < _sigmoid_scalar(float(x @ theta)) else -1.0)
+                for x, ui in zip(X[:, 0], u[:, 0].tolist())
+            ]
+        return [(Xt, np.where(ut < _sigmoid(Xt @ theta), 1.0, -1.0)) for Xt, ut in zip(X, u)]
 
     def _batch(self, token):
         if self.n > 0:
@@ -354,17 +402,17 @@ class LeastSquares(_GlmBase):
             self._y = X @ self.theta_planted + self.noise_sigma * data.normals(n)
             self._X = X
 
-    def draw_token(self, rng, batch=1):
-        if self.n > 0:
-            idx = rng.integers(batch, self.n)
-            return int(idx[0]) if batch == 1 else idx
+    def _label_words(self, batch):
+        return 2 * ((batch + 1) // 2)  # one Box-Muller row of label noise
+
+    def _label_tokens(self, X, words, batch):
+        noise = self.noise_sigma * box_muller(words)[:, :batch]
+        theta = self.theta_planted
         if batch == 1:
-            x = gaussian(rng, self.d, self.h_diag)
-            y = float(x @ self.theta_planted) + self.noise_sigma * float(rng.normals(1)[0])
-            return (x, y)
-        X = self._draw_inputs(rng, batch)
-        y = X @ self.theta_planted + self.noise_sigma * rng.normals(batch)
-        return (X, y)
+            return [
+                (x, float(x @ theta) + e) for x, e in zip(X[:, 0], noise[:, 0].tolist())
+            ]
+        return [(Xt, Xt @ theta + et) for Xt, et in zip(X, noise)]
 
     def _batch(self, token):
         if self.n > 0:
@@ -453,10 +501,6 @@ class Svm(_GlmBase):
             active[:, None], self._y[:, None] * self._X, 0.0
         )
         return float(((per - g_star) ** 2).sum(axis=1).mean())
-
-    def draw_token(self, rng, batch=1):
-        idx = rng.integers(batch, self.n)
-        return int(idx[0]) if batch == 1 else idx
 
     def grad(self, theta, token):
         X, y = self._X[token], self._y[token]
@@ -563,10 +607,6 @@ class Lasso(_GlmBase):
         g_smooth = per.mean(axis=0)
         return float(((per - g_smooth) ** 2).sum(axis=1).mean())
 
-    def draw_token(self, rng, batch=1):
-        idx = rng.integers(batch, self.n)
-        return int(idx[0]) if batch == 1 else idx
-
     def grad(self, theta, token):
         X, y = self._X[token], self._y[token]
         if X.ndim == 1:
@@ -653,10 +693,14 @@ class UniformlyConvex(Problem):
         self.sigma_sq = self.noise_scale**2 * d
         self.R_sq = None
 
-    def draw_token(self, rng, batch=1):
+    def words_per_token(self, batch=1):
+        return 2 * ((self.d * batch + 1) // 2)  # one Box-Muller row for the batch
+
+    def decode_tokens(self, words, batch):
+        z = box_muller(words)[:, : self.d * batch]
         if batch == 1:
-            return self.noise_scale * rng.normals(self.d)
-        return self.noise_scale * rng.normals(self.d * batch).reshape(batch, self.d).mean(axis=0)
+            return list(self.noise_scale * z)
+        return [self.noise_scale * zt.reshape(batch, self.d).mean(axis=0) for zt in z]
 
     def grad(self, theta, token):
         return self.full_grad(theta) + token
@@ -715,16 +759,22 @@ class QuadraticSemiStochastic(Problem):
         if np.any(diag < 0):
             raise ConfigError("noise variances must be >= 0")
         self.noise_diag = diag
+        self._sqrt_noise = np.sqrt(diag)
+        self._row_words = 2 * ((d + 1) // 2)  # one Box-Muller row per sample
         self.L = lam_max
         self.mu = lam_min
         self.sigma_sq = float(diag.sum())
         self.R_sq = float(np.trace(self.H))
 
-    def draw_token(self, rng, batch=1):
+    def words_per_token(self, batch=1):
+        return batch * self._row_words
+
+    def decode_tokens(self, words, batch):
+        z = box_muller(words).reshape(len(words), batch, self._row_words)
+        xi = z[..., : self.d] * self._sqrt_noise  # (count, batch, d)
         if batch == 1:
-            return gaussian(rng, self.d, self.noise_diag)
-        xi = np.stack([gaussian(rng, self.d, self.noise_diag) for _ in range(batch)])
-        return xi.mean(axis=0)
+            return list(xi[:, 0])
+        return [x.mean(axis=0) for x in xi]
 
     def grad(self, theta, token):
         return self.H @ theta + self.a + token
@@ -790,7 +840,7 @@ class LinearStochasticApprox(Problem):
         if not np.all(np.linalg.matrix_power(self.P, N) > 0.0):
             raise ConfigError("chain is not irreducible and aperiodic")
         self.pi_chain = _stationary_distribution(self.P)
-        self._cum_P = np.cumsum(self.P, axis=1)
+        self._cum_P = [row.tolist() for row in np.cumsum(self.P, axis=1)]
 
         M = _random_spd(prm, d, lam_lo=0.5, lam_hi=2.0)
         raw = prm.normals(N * d * d).reshape(N, d, d)
@@ -828,11 +878,17 @@ class LinearStochasticApprox(Problem):
     def init_sampler(self, rng: RngStream):
         return int(rng.integers(1, self.n_states)[0])
 
-    def next_token(self, rng, sampler_state, batch: int = 1):
-        token = sampler_state
-        u = float(rng.uniforms(1)[0])
-        nxt = int(np.searchsorted(self._cum_P[token], u, side="right"))
-        return token, min(nxt, self.n_states - 1)
+    def words_per_token(self, batch=1):
+        return 1  # one uniform per transition; batch is ignored
+
+    def draw_tokens(self, rng, sampler_state, count, batch=1):
+        """The chain's next ``count`` states, and the state after them."""
+        state = sampler_state
+        tokens = []
+        for u in uniforms_from(rng.raw(count)).tolist():
+            tokens.append(state)
+            state = min(bisect_right(self._cum_P[state], u), self.n_states - 1)
+        return tokens, state
 
     def draw_token(self, rng, batch=1):
         raise ConfigError("lsa tokens come from the chain; use next_token")
@@ -930,16 +986,27 @@ def dump_dataset(problem: Problem, path) -> None:
         fh.write(np.asarray(y, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    # checked against the file size first, so a corrupt header cannot ask
+    # read() for an absurd allocation
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < size:
+        raise ConfigError(f"truncated dataset: {what} needs {size} bytes, {left} left")
+    return fh.read(size)
+
+
 def load_dataset(path):
-    """Read a dataset written by :func:`dump_dataset`; returns (X, y)."""
+    """Read a dataset written by :func:`dump_dataset`; returns (X, y).
+
+    A file cut short anywhere raises ConfigError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ConfigError(f"bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version, d, n = struct.unpack("<IQQ", _read_exact(fh, 20, "header"))
         if version != _VERSION:
             raise ConfigError(f"unsupported dataset version {version}")
-        d, n = struct.unpack("<QQ", fh.read(16))
-        X = np.frombuffer(fh.read(8 * d * n), dtype="<f8").reshape(n, d)
-        y = np.frombuffer(fh.read(8 * n), dtype="<f8")
+        X = np.frombuffer(_read_exact(fh, 8 * d * n, "X block"), dtype="<f8").reshape(n, d)
+        y = np.frombuffer(_read_exact(fh, 8 * n, "y block"), dtype="<f8")
     return X.astype(np.float64), y.astype(np.float64)

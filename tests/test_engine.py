@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from csgd.controllers import ControllerParams, make_controller
-from csgd.engine import EngineConfig, run
+from csgd.engine import CHUNK, EngineConfig, TokenBuffer, run
+from csgd.errors import ConfigError
 from csgd.numkit import RngStream
 from csgd.oracle import stationary_error_estimate
 from csgd.problems import make_problem
@@ -216,3 +217,34 @@ def test_golden_cases_are_pinned():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_trace(case):
     assert CASES[case]() == GOLDEN.get(case)
+
+
+# ------------------------------------------------------------ token buffer
+
+
+@pytest.mark.parametrize("name", ["least_squares", "lsa"])
+def test_resync_ends_where_single_draws_end(name):
+    prob = problem(name)
+    rng, single_rng = RngStream(8, 0), RngStream(8, 0)
+    tokens = TokenBuffer(prob, rng, batch=1, remaining=3 * CHUNK)
+    tokens.sampler_state = prob.init_sampler(rng)
+    state = prob.init_sampler(single_rng)
+    for taken in (5, CHUNK - 5, 1):  # resync mid-block, then across a refill
+        for _ in range(taken):
+            token = tokens.next()
+            single, state = prob.next_token(single_rng, state)
+        parts = zip(*(t if isinstance(t, tuple) else (t,) for t in (token, single)))
+        assert all(np.array_equal(a, b) for a, b in parts)
+        assert tokens.resync() is rng
+        assert rng.counter == single_rng.counter
+        assert tokens.sampler_state == state
+    assert tokens.remaining == 3 * CHUNK - CHUNK - 1
+
+
+def test_coupling_controller_without_coupling_fails_before_the_first_step():
+    prob = problem("quadratic")
+    controller = make_controller(ControllerParams(kind="coupling_static"), prob)
+    rng = RngStream(9, 0)
+    with pytest.raises(ConfigError, match="track_coupling"):
+        run(prob, controller, EngineConfig(n_iters=10, track_coupling=False), rng)
+    assert rng.counter == 0

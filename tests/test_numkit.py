@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from csgd.errors import NumericOverflowError
 from csgd.numkit import (
     RngStream,
+    box_muller,
     dot,
     gaussian,
     is_spd,
@@ -138,6 +139,27 @@ def test_normals_fixed_consumption():
         z = s.normals(n)
         assert len(z) == n
         assert s.counter == spent
+
+
+def test_seek_repositions_like_a_fresh_stream():
+    s = RngStream(42, 7)
+    s.raw(10)
+    for counter in (3, 0, 9, 4):
+        s.seek(counter)
+        assert s.counter == counter
+        assert np.array_equal(s.raw(6), RngStream(42, 7, counter=counter).raw(6))
+
+
+def test_box_muller_block_matches_row_draws():
+    # the chunk contract: one decode over a block of rows gives the bits of
+    # one normals() call per row
+    rows, width = 37, 6
+    block = box_muller(RngStream(12, 3).raw(rows * width).reshape(rows, width))
+    s = RngStream(12, 3)
+    single = np.stack([s.normals(width) for _ in range(rows)])
+    assert np.array_equal(block, single)
+    odd = RngStream(12, 3).normals(5)
+    assert np.array_equal(odd, single[0, :5])
 
 
 # ------------------------------------------------------------------ gaussian

@@ -422,6 +422,52 @@ def test_noise_sharing_same_token_identical():
         assert np.array_equal(g1, g2), prob.kind
 
 
+# -------------------------------------------------------------- token plan
+
+
+def _same_token(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same_token(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: LogisticRegression(d=5, n=0, seed=60),
+        lambda: LogisticRegression(d=4, n=30, seed=61),
+        lambda: LeastSquares(d=5, n=0, seed=62),
+        lambda: LeastSquares(d=4, n=30, seed=63),
+        lambda: Svm(d=3, n=30, seed=64),
+        lambda: Lasso(d=6, n=30, seed=65, sparsity=2),
+        lambda: UniformlyConvex(d=3, seed=66),
+        lambda: QuadraticSemiStochastic(d=5, seed=67),
+        lambda: LinearStochasticApprox(d=3, seed=68),
+    ],
+    ids=["logistic", "logistic_data", "least_squares", "least_squares_data", "svm",
+         "lasso", "uniformly_convex", "quadratic", "lsa"],
+)
+def test_draw_tokens_match_single_draws(factory, batch):
+    # one block of count * words_per_token words gives the tokens, sampler
+    # state and counter of count single draws, bit for bit
+    prob = factory()
+    count = 11
+    block_rng, single_rng = RngStream(69, 1), RngStream(69, 1)
+    state = prob.init_sampler(block_rng)
+    assert prob.init_sampler(single_rng) == state
+    tokens, block_state = prob.draw_tokens(block_rng, state, count, batch)
+    assert len(tokens) == count
+    for token in tokens:
+        single, state = prob.next_token(single_rng, state, batch)
+        assert _same_token(token, single)
+    assert block_state == state
+    assert block_rng.counter == single_rng.counter
+    assert block_rng.counter - (1 if prob.kind == "lsa" else 0) == count * prob.words_per_token(batch)
+
+
 # ------------------------------------------------------------- dataset dump
 
 
@@ -440,3 +486,16 @@ def test_dataset_dump_streaming_rejected(tmp_path):
     prob = LeastSquares(d=3, n=0, seed=57)
     with pytest.raises(ConfigError):
         dump_dataset(prob, tmp_path / "x.csgd")
+
+
+def test_load_dataset_rejects_truncated_files(tmp_path):
+    d, n = 3, 50
+    path = tmp_path / "data.csgd"
+    dump_dataset(LeastSquares(d=d, n=n, seed=58), path)
+    raw = path.read_bytes()
+    header = 24
+    assert len(raw) == header + 8 * d * n + 8 * n
+    for cut in (10, header + 8 * d * n - 5, len(raw) - 8):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ConfigError, match="truncated"):
+            load_dataset(path)
