@@ -153,7 +153,12 @@ class RngStream:
         """
         if n == 0:
             return np.empty(0)
-        return box_muller(self.raw(2 * ((int(n) + 1) // 2)))[:n]
+        return box_muller(self.raw(normal_words(n)))[:n]
+
+
+def normal_words(n: int) -> int:
+    """Raw words that ``normals(n)`` consumes: 2*ceil(n/2)."""
+    return 2 * ((int(n) + 1) // 2)
 
 
 def uniforms_from(words: np.ndarray) -> np.ndarray:

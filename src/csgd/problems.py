@@ -40,6 +40,7 @@ from .numkit import (  # noqa: F401  (gaussian: bench/perfbench.py times problem
     box_muller,
     gaussian,
     integers_from,
+    normal_words,
     power_iteration_extreme_eigs,
     uniforms_from,
 )
@@ -191,7 +192,7 @@ class _GlmBase(Problem):
         self.theta_planted = np.asarray(theta_planted, dtype=np.float64)
         self.R_sq = float(self.h_diag.sum())
         self._sqrt_h = np.sqrt(self.h_diag)
-        self._row_words = 2 * ((d + 1) // 2)  # one Box-Muller row per input
+        self._row_words = normal_words(d)  # per input row
 
     def words_per_token(self, batch=1):
         if self.n > 0:
@@ -403,7 +404,7 @@ class LeastSquares(_GlmBase):
             self._X = X
 
     def _label_words(self, batch):
-        return 2 * ((batch + 1) // 2)  # one Box-Muller row of label noise
+        return normal_words(batch)  # label noise
 
     def _label_tokens(self, X, words, batch):
         noise = self.noise_sigma * box_muller(words)[:, :batch]
@@ -694,7 +695,7 @@ class UniformlyConvex(Problem):
         self.R_sq = None
 
     def words_per_token(self, batch=1):
-        return 2 * ((self.d * batch + 1) // 2)  # one Box-Muller row for the batch
+        return normal_words(self.d * batch)  # one normals() call for the batch
 
     def decode_tokens(self, words, batch):
         z = box_muller(words)[:, : self.d * batch]
@@ -760,7 +761,7 @@ class QuadraticSemiStochastic(Problem):
             raise ConfigError("noise variances must be >= 0")
         self.noise_diag = diag
         self._sqrt_noise = np.sqrt(diag)
-        self._row_words = 2 * ((d + 1) // 2)  # one Box-Muller row per sample
+        self._row_words = normal_words(d)  # per sample
         self.L = lam_max
         self.mu = lam_min
         self.sigma_sq = float(diag.sum())

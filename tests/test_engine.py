@@ -233,8 +233,8 @@ def test_resync_ends_where_single_draws_end(name):
         for _ in range(taken):
             token = tokens.next()
             single, state = prob.next_token(single_rng, state)
-        parts = zip(*(t if isinstance(t, tuple) else (t,) for t in (token, single)))
-        assert all(np.array_equal(a, b) for a, b in parts)
+            parts = zip(*(t if isinstance(t, tuple) else (t,) for t in (token, single)))
+            assert all(np.array_equal(a, b) for a, b in parts)
         assert tokens.resync() is rng
         assert rng.counter == single_rng.counter
         assert tokens.sampler_state == state
