@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from csgd.controllers import ControllerParams, make_controller
-from csgd.engine import CHUNK, EngineConfig, TokenBuffer, run
-from csgd.errors import ConfigError
+from csgd.engine import EngineConfig, run
 from csgd.numkit import RngStream
 from csgd.oracle import stationary_error_estimate
 from csgd.problems import make_problem
+from csgd.engine import CHUNK, TokenBuffer
+from csgd.errors import ConfigError
 
 # ------------------------------------------------------------ golden traces
 #
