@@ -56,9 +56,9 @@ class ControllerParams:
     beta0: float = 1e-2
     eta: float = 0.75
     check_every: int = 1
-    # steps before the diagnostic may fire: from k = 0 for coupling, from
-    # each phase start for pflug and distance.  None: Pflug auto 2/(γ0 μ)
-    # capped at 1e4, 0 for the others.  Given the problem's μ, distance
+    # steps before the diagnostic may fire, counted from each phase start
+    # (k = 0, then the k of each decay).  None: Pflug auto 2/(γ0 μ) capped
+    # at 1e4, 0 for the others.  Given the problem's μ, distance
     # also waits 2/(γ_m μ) in phase m (see DistanceController).
     burn_in: int | None = 0
     patience: int = 1
@@ -154,7 +154,9 @@ class CouplingController(Controller):
     The reference ||D_0||² is phase-initial by default: the engine re-arms
     it after every re-initialization of the auxiliary iterate.  The
     adaptive variant also shrinks the threshold by η at each decay.  The
-    trigger uses a strict inequality; ties continue.
+    trigger uses a strict inequality; ties continue.  The burn-in counts
+    from the start of each phase; the ``check_every`` cadence runs on the
+    absolute k.
     """
 
     needs_coupling = True
@@ -164,6 +166,7 @@ class CouplingController(Controller):
         self.adaptive = adaptive
         self.d0_sq: float | None = None
         self._hits = 0
+        self._phase_start = 0
 
     @property
     def beta(self) -> float:
@@ -183,7 +186,7 @@ class CouplingController(Controller):
             )
         stat = obs.d_sq / self.d0_sq
         p = self.params
-        if obs.k <= p.burn_in or obs.k % p.check_every != 0:
+        if obs.k - self._phase_start <= p.burn_in or obs.k % p.check_every != 0:
             return Decision.go(stat)
         if stat < self.beta:
             self._hits += 1
@@ -193,6 +196,7 @@ class CouplingController(Controller):
             return Decision.go(stat)
         self._hits = 0
         self.phase_index += 1
+        self._phase_start = obs.k
         return Decision(decay=True, new_gamma=self.gamma, reinit=True, statistic=stat)
 
 

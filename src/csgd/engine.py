@@ -19,13 +19,30 @@ at most one block and never past the last iteration.  Where a run leaves
 the token sequence (the degenerate re-arm draw, a divergence stop) the
 buffer is resynced: the stream goes back to the counter that token-by-token
 drawing would have reached, and ``rng.counter`` on return is that counter.
+
+:func:`run_replicates` runs several uncoupled chains in lockstep, as one
+(reps, d) iterate array updated once per step.  The contract:
+
+- one schedule: the replicates share one fixed-schedule controller, asked
+  for each stepsize once and shown the whole stack once per step; a decay
+  decision raises ConfigError, since it cannot apply to one chain alone;
+- per-replicate streams: each chain keeps its own stream and token buffer,
+  and its blocks are stacked along a replicate axis for one oracle call;
+- per-replicate divergence: a chain that diverges gets the failure text and
+  final record ``run`` gives it, its buffer is resynced, and the others go
+  on;
+- traces equal to ``run``: every column, the summary and ``rng.counter`` of
+  each chain are bit for bit what ``run`` returns for that stream.  The
+  stacked arithmetic is per-row arithmetic: elementwise operations, and
+  ``np.matmul`` forms that make one BLAS call per row, as ``H @ θ`` and
+  ``x @ θ`` do.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +68,11 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.n_iters < 0:
-            raise ValueError("n_iters must be >= 0")
+            raise ConfigError("n_iters must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.trace_stride < 1:
-            raise ValueError("trace_stride must be >= 1")
+            raise ConfigError("trace_stride must be >= 1")
 
 
 @dataclass
@@ -95,18 +112,42 @@ class RunTrace:
     summary: dict = field(default_factory=dict)
     failure: str | None = None
 
-    def metrics(self) -> dict[str, list[float]]:
-        """Metric name -> per-record values (only populated metrics)."""
-        out = {"err": self.errs, "gamma": self.gammas, "stat": self.stats}
-        if any(not math.isnan(v) for v in self.d_sqs):
-            out["d_sq"] = self.d_sqs
-        if self.avg_errs:
-            out["avg_err"] = self.avg_errs
-            out["avg_fgap"] = self.avg_fgaps
-        return out
+    def record(self, problem, k: int, gamma: float, stat: float, theta1: np.ndarray,
+               avg1: np.ndarray | None, d_sq: float | None = None,
+               restarted: bool = False) -> None:
+        """Append one record of the iterate and, when kept, its running average."""
+        theta_star = problem.theta_star
+        diff = theta1 - theta_star
+        self.ks.append(k)
+        self.gammas.append(gamma)
+        self.stats.append(stat)
+        self.errs.append(float(diff @ diff))
+        self.d_sqs.append(math.nan if d_sq is None else d_sq)
+        if avg1 is not None:
+            adiff = avg1 - theta_star
+            self.avg_errs.append(float(adiff @ adiff))
+            self.avg_fgaps.append(problem.loss(avg1) - problem.f_star)
+        self.restart_flags.append(restarted)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def summarize(self, problem, cfg: EngineConfig, k: int, final_gamma: float,
+                  theta1: np.ndarray, avg1: np.ndarray | None, tail_sum: float,
+                  tail_count: int) -> None:
+        """Fill ``summary`` from the run's end state."""
+        theta_star = problem.theta_star
+        final_diff = theta1 - theta_star
+        self.summary = {
+            "k": k,
+            "final_gamma": final_gamma,
+            "final_err": float(final_diff @ final_diff),
+            "n_restarts": len(self.restart_log),
+            "first_restart_k": self.restart_log[0].k if self.restart_log else None,
+            "diverged": self.failure is not None,
+        }
+        if avg1 is not None:
+            adiff = avg1 - theta_star
+            self.summary["final_avg_err"] = float(adiff @ adiff)
+        if cfg.tail_from is not None:
+            self.summary["tail_mean_err"] = tail_sum / max(tail_count, 1)
 
 
 class TokenBuffer:
@@ -128,28 +169,45 @@ class TokenBuffer:
         self._pos = 0
         self._block_start = (rng.counter, None)  # stream counter and sampler state
 
+    def _refill(self) -> None:
+        count = min(CHUNK, self.remaining)
+        self._block_start = (self.rng.counter, self.sampler_state)
+        self._tokens, self.sampler_state = self.problem.draw_tokens(
+            self.rng, self.sampler_state, count, self.batch
+        )
+        self.remaining -= count
+        self._pos = 0
+
     def next(self):
         """The run's next token."""
         if self._pos == len(self._tokens):
-            count = min(CHUNK, self.remaining)
-            self._block_start = (self.rng.counter, self.sampler_state)
-            self._tokens, self.sampler_state = self.problem.draw_tokens(
-                self.rng, self.sampler_state, count, self.batch
-            )
-            self.remaining -= count
-            self._pos = 0
+            self._refill()
         token = self._tokens[self._pos]
         self._pos += 1
         return token
 
-    def resync(self) -> RngStream:
-        """Drop the tokens not yet taken and rewind the stream to match.
+    def take_block(self) -> list:
+        """The tokens left in the current block, refilled first if it is used up.
 
-        The stream goes back to the start of the block and redraws the
-        tokens already taken, so both its counter and the sampler state end
-        where token-by-token drawing would have left them.  Returns the
-        stream, ready for an out-of-band draw.
+        All of them count as taken; a run that stops part-way through them
+        hands the rest back with ``resync(returned)``.
         """
+        if self._pos == len(self._tokens):
+            self._refill()
+        block = self._tokens[self._pos:]
+        self._pos = len(self._tokens)
+        return block
+
+    def resync(self, returned: int = 0) -> RngStream:
+        """Drop the tokens not yet used and rewind the stream to match.
+
+        ``returned`` counts the tokens handed out but not used.  The stream
+        goes back to the start of the block and redraws the tokens used, so
+        both its counter and the sampler state end where token-by-token
+        drawing would have left them.  Returns the stream, ready for an
+        out-of-band draw.
+        """
+        self._pos -= returned
         unused = len(self._tokens) - self._pos
         if unused:
             counter, sampler_state = self._block_start
@@ -218,9 +276,9 @@ def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenBuf
     return rearm_auxiliary(state, hist[idx].copy(), b, gamma, tokens)
 
 
-def update_average(state: CoupledState) -> None:
-    """Numerically stable running mean over the first k iterates."""
-    state.avg1 += (state.theta1 - state.avg1) / state.k
+def update_average(avg1: np.ndarray, theta1: np.ndarray, k: int) -> None:
+    """Numerically stable running mean over the first k iterates, in place."""
+    avg1 += (theta1 - avg1) / k
 
 
 def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> RunTrace:
@@ -264,29 +322,16 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
     tail_sum = 0.0
     tail_count = 0
 
-    def record(k: int, gamma: float, stat: float, d_sq: float | None):
-        diff = state.theta1 - theta_star
-        trace.ks.append(k)
-        trace.gammas.append(gamma)
-        trace.stats.append(stat)
-        trace.errs.append(float(diff @ diff))
-        trace.d_sqs.append(math.nan if d_sq is None else d_sq)
-        if cfg.averaging:
-            adiff = state.avg1 - theta_star
-            trace.avg_errs.append(float(adiff @ adiff))
-            trace.avg_fgaps.append(problem.loss(state.avg1) - problem.f_star)
-        trace.restart_flags.append(restarted_since_record)
-
     for k in range(1, cfg.n_iters + 1):
         gamma = controller.stepsize(k)
         d_sq = coupled_step(state, problem, gamma, tokens.next())
         if cfg.averaging:
-            update_average(state)
+            update_average(state.avg1, state.theta1, state.k)
 
         norm1_sq = float(state.theta1 @ state.theta1)
         if not math.isfinite(norm1_sq) or norm1_sq > cfg.divergence_threshold:
-            trace.failure = f"divergence at k={k} (||theta1||^2={norm1_sq:g})"
-            record(k, gamma, math.nan, d_sq)
+            trace.failure = _divergence_failure(k, norm1_sq)
+            trace.record(problem, k, gamma, math.nan, state.theta1, state.avg1, d_sq)
             tokens.resync()
             break
 
@@ -321,21 +366,136 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
             tail_count += 1
 
         if k % cfg.trace_stride == 0 or k == cfg.n_iters:
-            record(k, gamma, decision.statistic, d_sq)
+            trace.record(problem, k, gamma, decision.statistic, state.theta1, state.avg1, d_sq,
+                         restarted_since_record)
             restarted_since_record = False
 
-    final_diff = state.theta1 - theta_star
-    trace.summary = {
-        "k": state.k,
-        "final_gamma": controller.stepsize(max(state.k, 1)),
-        "final_err": float(final_diff @ final_diff),
-        "n_restarts": len(trace.restart_log),
-        "first_restart_k": trace.restart_log[0].k if trace.restart_log else None,
-        "diverged": trace.failure is not None,
-    }
-    if cfg.averaging:
-        adiff = state.avg1 - theta_star
-        trace.summary["final_avg_err"] = float(adiff @ adiff)
-    if cfg.tail_from is not None:
-        trace.summary["tail_mean_err"] = tail_sum / max(tail_count, 1)
+    trace.summarize(problem, cfg, state.k, controller.stepsize(max(state.k, 1)),
+                    state.theta1, state.avg1, tail_sum, tail_count)
     return trace
+
+
+def _divergence_failure(k: int, norm1_sq: float) -> str:
+    return f"divergence at k={k} (||theta1||^2={norm1_sq:g})"
+
+
+def _row_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row: one ddot per row, as ``float(θ @ θ)`` makes."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _stack_tokens(blocks: list[list]):
+    """Per-replicate token lists as one array with a leading (count, reps) shape.
+
+    Tuple tokens give a tuple of such arrays, one per part.
+    """
+    first = blocks[0][0]
+    if isinstance(first, tuple):
+        return tuple(
+            _stack_tokens([[token[part] for token in block] for block in blocks])
+            for part in range(len(first))
+        )
+    return np.stack([np.asarray(block) for block in blocks], axis=1)
+
+
+def _select_rows(stack, rows: np.ndarray):
+    """The replicates ``rows`` of a token stack."""
+    if isinstance(stack, tuple):
+        return tuple(part[:, rows] for part in stack)
+    return stack[:, rows]
+
+
+def _step_tokens(stack) -> list:
+    """A token stack split by step: one (reps, ...) token stack per step."""
+    return list(zip(*stack)) if isinstance(stack, tuple) else list(stack)
+
+
+def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> list[RunTrace]:
+    """Run one uncoupled chain per stream, in lockstep under one fixed schedule.
+
+    Returns one trace per stream, each equal to what :func:`run` returns
+    for that stream, and leaves each stream's counter where ``run`` leaves
+    it; see the module docstring.  A controller other than a fixed
+    schedule, ``track_coupling=True`` or no streams raise ConfigError
+    before any draw.
+    """
+    rngs = list(rngs)
+    if not rngs:
+        raise ConfigError("run_replicates needs at least one stream")
+    kind = controller.params.kind
+    if kind != "fixed":
+        raise ConfigError(
+            f"lockstep replicates share one fixed schedule; controller {kind!r} adapts it"
+        )
+    if cfg.track_coupling:
+        raise ConfigError("lockstep replicates are uncoupled; track_coupling=True is not allowed")
+    n_iters = cfg.n_iters
+    theta_star = problem.theta_star
+    theta0 = np.zeros(problem.d) if cfg.init_theta is None else np.asarray(cfg.init_theta, float)
+    theta = np.tile(theta0, (len(rngs), 1))
+    avg = theta.copy() if cfg.averaging else None
+    buffers = []
+    for rng in rngs:
+        tokens = TokenBuffer(problem, rng, cfg.batch_size, n_iters)
+        tokens.sampler_state = problem.init_sampler(rng)
+        buffers.append(tokens)
+
+    traces = [RunTrace() for _ in rngs]
+    ends: list = [None] * len(rngs)  # per replicate: k, θ, θ̄, tail sum and count at its end
+    active = list(range(len(rngs)))  # the replicate in each row of theta
+    tail_sum = np.zeros(len(rngs))
+    tail_count = 0
+    k = 0
+    while k < n_iters and active:
+        stack = _stack_tokens([buffers[r].take_block() for r in active])
+        steps = _step_tokens(stack)
+        count = len(steps)
+        for i in range(count):
+            k += 1
+            gamma = controller.stepsize(k)
+            theta = theta + gamma * problem.step_direction(theta, steps[i])
+            if avg is not None:
+                update_average(avg, theta, k)
+
+            norms = _row_sq(theta)
+            top = float(norms.max())  # nan if any row is nan
+            if not math.isfinite(top) or top > cfg.divergence_threshold:
+                diverged = ~np.isfinite(norms) | (norms > cfg.divergence_threshold)
+                for row in np.flatnonzero(diverged):
+                    r = active[row]
+                    row_avg = None if avg is None else avg[row]
+                    traces[r].failure = _divergence_failure(k, float(norms[row]))
+                    traces[r].record(problem, k, gamma, math.nan, theta[row], row_avg)
+                    buffers[r].resync(count - 1 - i)
+                    ends[r] = (k, theta[row], row_avg, float(tail_sum[row]), tail_count)
+                keep = np.flatnonzero(~diverged)
+                active = [active[row] for row in keep]
+                if not active:
+                    break
+                # indexing copies, so the rows kept in ``ends`` stay as they are
+                theta, tail_sum = theta[keep], tail_sum[keep]
+                if avg is not None:
+                    avg = avg[keep]
+                stack = _select_rows(stack, keep)
+                steps = _step_tokens(stack)
+
+            decision = controller.observe(Observation(k=k, theta1=theta))
+            if decision.decay:
+                raise ConfigError(
+                    f"controller decayed at k={k}; lockstep replicates share one schedule"
+                )
+            if cfg.tail_from is not None and k >= cfg.tail_from:
+                tail_sum += _row_sq(theta - theta_star)
+                tail_count += 1
+            if k % cfg.trace_stride == 0 or k == n_iters:
+                for row, r in enumerate(active):
+                    row_avg = None if avg is None else avg[row]
+                    traces[r].record(problem, k, gamma, decision.statistic, theta[row], row_avg)
+
+    for row, r in enumerate(active):
+        ends[r] = (k, theta[row], None if avg is None else avg[row], float(tail_sum[row]),
+                   tail_count)
+    for trace, (k_end, theta1, avg1, t_sum, t_count) in zip(traces, ends):
+        trace.summarize(problem, cfg, k_end, controller.stepsize(max(k_end, 1)),
+                        theta1, avg1, t_sum, t_count)
+    return traces

@@ -164,13 +164,14 @@ def stationary_error_estimate(
 ) -> StationaryEstimate:
     """Estimate the stationary E||θ - θ*||² by long constant-stepsize runs.
 
-    Runs ``reps`` independent chains, averages the squared error over the
-    final ``tail_frac`` of iterations of each, and aggregates across chains.
+    Runs ``reps`` independent chains in lockstep (``engine.run_replicates``),
+    averages the squared error over the final ``tail_frac`` of iterations of
+    each, and aggregates across chains.
     Requires a strongly convex problem and a horizon long enough that the
     certified contraction rate flushes the transient before the tail starts.
     """
     from .controllers import ControllerParams, make_controller
-    from .engine import EngineConfig, run
+    from .engine import EngineConfig, run_replicates
     from .numkit import RngStream
 
     if problem.mu <= 0.0:
@@ -182,18 +183,15 @@ def stationary_error_estimate(
             f"rho={rho:.6g} over {burn} burn-in iterations leaves "
             f"{rho**burn:.3g} > 1e-3 of the transient"
         )
-    params = ControllerParams(kind="fixed", schedule=("constant", gamma))
+    controller = make_controller(ControllerParams(kind="fixed", schedule=("constant", gamma)))
     cfg = EngineConfig(
         n_iters=horizon,
         trace_stride=horizon,  # only the tail accumulator matters
         tail_from=burn + 1,
     )
-    per_rep = []
-    for rep in range(reps):
-        controller = make_controller(params)
-        rng = RngStream(seed, stream_base + rep)
-        trace = run(problem, controller, cfg, rng)
-        per_rep.append(trace.summary["tail_mean_err"])
+    rngs = [RngStream(seed, stream_base + rep) for rep in range(reps)]
+    traces = run_replicates(problem, controller, cfg, rngs)
+    per_rep = [trace.summary["tail_mean_err"] for trace in traces]
     arr = np.asarray(per_rep)
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

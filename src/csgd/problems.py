@@ -92,8 +92,6 @@ class Problem:
     """Shared surface for all kinds; see module docstring."""
 
     kind: str = "?"
-    is_smooth = True
-    is_markovian = False
 
     def __init__(self, d: int, n: int, seed: int):
         if d <= 0:
@@ -136,8 +134,18 @@ class Problem:
         raise NotImplementedError
 
     def step_direction(self, theta: np.ndarray, token) -> np.ndarray:
-        """Update direction u in θ ← θ + γu; gradient kinds descend."""
-        return -self.grad(theta, token)
+        """Update direction u in θ ← θ + γu; gradient kinds descend.
+
+        Also takes a (reps, d) stack of iterates with a token stack, whose
+        arrays have a leading reps axis (a tuple of them for tuple tokens),
+        and returns the (reps, d) stack of directions, each row bit for bit
+        the single-iterate direction.  Here by a row loop; kinds with a
+        stacked form override it.
+        """
+        if theta.ndim == 1:
+            return -self.grad(theta, token)
+        rows = zip(*token) if isinstance(token, tuple) else token
+        return np.stack([self.step_direction(t, tok) for t, tok in zip(theta, rows)])
 
     def full_grad(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -427,6 +435,16 @@ class LeastSquares(_GlmBase):
         resid = X @ theta - y
         return X.T @ resid / X.shape[0]
 
+    def step_direction(self, theta, token):
+        if theta.ndim == 1:
+            return -self.grad(theta, token)
+        X, y = self._batch(token)
+        if X.ndim == 3:  # a batch per iterate: the row loop
+            return super().step_direction(theta, token)
+        # one sample per iterate: one ddot per row, as x @ θ makes
+        resid = np.matmul(X[:, None, :], theta[:, :, None])[:, 0, 0] - y
+        return -(resid[:, None] * X)
+
     def full_grad(self, theta):
         # population gradient H(θ - θ_planted)
         return self.h_diag * (theta - self.theta_planted)
@@ -472,7 +490,6 @@ class Svm(_GlmBase):
     """
 
     kind = "svm"
-    is_smooth = False
 
     def __init__(self, d, n, seed=0, lam_reg=0.1, sigma_input=1.0):
         if n <= 0:
@@ -576,7 +593,6 @@ class Lasso(_GlmBase):
     """(1/n) Σ (y - ⟨x, θ⟩)² + λ||θ||₁ with an s-sparse planted vector."""
 
     kind = "lasso"
-    is_smooth = False
 
     def __init__(self, d, n, seed=0, lam_reg=1e-4, sparsity=60, noise_sigma=1.0, h_diag=None):
         if n <= 0:
@@ -780,6 +796,11 @@ class QuadraticSemiStochastic(Problem):
     def grad(self, theta, token):
         return self.H @ theta + self.a + token
 
+    def step_direction(self, theta, token):
+        if theta.ndim == 2:  # one gemv per row, as H @ θ makes
+            return -(np.matmul(self.H, theta[:, :, None])[:, :, 0] + self.a + token)
+        return -self.grad(theta, token)
+
     def full_grad(self, theta):
         return self.H @ theta + self.a
 
@@ -823,7 +844,6 @@ class LinearStochasticApprox(Problem):
     """
 
     kind = "lsa"
-    is_markovian = True
 
     def __init__(self, d, n=0, seed=0, n_states=8, perturb_scale=0.5):
         if n != 0:
@@ -901,6 +921,8 @@ class LinearStochasticApprox(Problem):
         return self.A_table[state] @ theta + self.b_table[state]
 
     def step_direction(self, theta, token):
+        if theta.ndim == 2:
+            return super().step_direction(theta, token)
         return self.direction(theta, token)
 
     def grad(self, theta, token):

@@ -112,6 +112,18 @@ def test_coupling_respects_burn_in_and_cadence():
     assert fired == [56]  # first multiple of 7 past the burn-in
 
 
+def test_coupling_burn_in_restarts_with_each_phase():
+    ctrl = coupling(burn_in=50, check_every=7)
+    fired = []
+    for k in range(1, 200):
+        if ctrl.observe(obs(k, d_sq=1e-9)).decay:
+            fired.append(k)
+            ctrl.rearm(1.0)
+    # phase 2 starts at k = 56 and waits 50 steps; the cadence stays on the
+    # absolute k, so the next check past k = 106 is k = 112
+    assert fired == [56, 112, 168]
+
+
 def test_coupling_patience():
     ctrl = coupling(patience=3)
     decays = [ctrl.observe(obs(k, d_sq=1e-9)).decay for k in range(1, 5)]

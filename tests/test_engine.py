@@ -13,6 +13,9 @@ from csgd.oracle import stationary_error_estimate
 from csgd.problems import make_problem
 from csgd.engine import CHUNK, TokenBuffer
 from csgd.errors import ConfigError
+from csgd.controllers import Decision, FixedScheduleController
+from csgd.engine import run_replicates
+from csgd.oracle import dk_closed_form_series
 
 # ------------------------------------------------------------ golden traces
 #
@@ -249,3 +252,136 @@ def test_coupling_controller_without_coupling_fails_before_the_first_step():
     with pytest.raises(ConfigError, match="track_coupling"):
         run(prob, controller, EngineConfig(n_iters=10, track_coupling=False), rng)
     assert rng.counter == 0
+
+
+@pytest.mark.parametrize(
+    "bad", [dict(n_iters=-1), dict(n_iters=10, batch_size=0), dict(n_iters=10, trace_stride=0)]
+)
+def test_engine_config_rejects_bad_values_with_config_error(bad):
+    with pytest.raises(ConfigError):
+        EngineConfig(**bad)
+
+
+# ------------------------------------------------------- coupling identity
+
+
+def test_coupled_distance_follows_the_closed_form_on_quadratic():
+    # additive noise cancels in θ1 - θ2, so within the first phase
+    # D_k = (I - γH)^k D_0 with D_0 minus the initial offset, the first
+    # normals(d) of the run's stream
+    prob = problem("quadratic")
+    controller = make_controller(ControllerParams(kind="coupling_static", beta0=1e-6), prob)
+    trace = run(prob, controller, EngineConfig(n_iters=300, trace_stride=1), RngStream(7, 40))
+    first = trace.restart_log[0].k
+    assert first >= 20
+    d0 = -RngStream(7, 40).normals(prob.d)
+    want = dk_closed_form_series(prob.H, controller.params.gamma0, d0, trace.ks[:first])
+    got = trace.d_sqs[:first]
+    assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-12
+
+
+# ---------------------------------------------------------------- lockstep
+
+
+def lockstep_matches_run(name, params, streams=(300, 301, 302), **cfg):
+    """Run the streams in lockstep and one by one; the digests must agree."""
+    prob = problem(name)
+    cfg = EngineConfig(trace_stride=7, **cfg)
+    rngs = [RngStream(7, s) for s in streams]
+    traces = run_replicates(prob, make_controller(params, prob), cfg, rngs)
+    want = []
+    for s in streams:
+        rng = RngStream(7, s)
+        want.append(trace_digest(run(prob, make_controller(params, prob), cfg, rng), rng))
+    assert [trace_digest(t, rng) for t, rng in zip(traces, rngs)] == want
+    return traces
+
+
+def fixed(name, schedule, gamma=None):
+    return ControllerParams(
+        kind="fixed", schedule=(schedule, gamma or problem(name).default_gamma0())
+    )
+
+
+@pytest.mark.parametrize("n_iters", [0, 257, 600])
+@pytest.mark.parametrize("schedule", ["constant", "inv_sqrt"])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_lockstep_traces_equal_run(name, schedule, n_iters):
+    lockstep_matches_run(name, fixed(name, schedule), n_iters=n_iters)
+
+
+LOCKSTEP_VARIANTS = {"tail": dict(tail_from=301), "averaging": dict(averaging=True),
+                     "batch3": dict(batch_size=3)}
+
+
+@pytest.mark.parametrize(
+    "name, variant",
+    [(n, v) for n in sorted(PROBLEMS) for v in ("tail", "averaging")]
+    + [(n, "batch3") for n in STREAMING + ("logistic_data",)],
+)
+def test_lockstep_variants_equal_run(name, variant):
+    lockstep_matches_run(name, fixed(name, "inv_sqrt"), n_iters=600,
+                         **LOCKSTEP_VARIANTS[variant])
+
+
+@pytest.mark.parametrize("case", ["quadratic", "least_squares", "least_squares/mixed"])
+def test_lockstep_divergence_is_per_replicate(case):
+    # the fixed-schedule forms of the two diverging golden cases (streams
+    # 113 and 114), and a schedule under which only some chains diverge
+    if case == "quadratic":
+        params, streams = fixed(case, "constant", 2.05 / problem(case).L), range(111, 116)
+    elif case == "least_squares":
+        params, streams = fixed(case, "constant", 2.5), range(112, 117)
+    else:
+        params, streams = fixed("least_squares", "inv_sqrt", 6.0), range(110, 122)
+    traces = lockstep_matches_run(case.split("/")[0], params, streams, n_iters=600,
+                                  tail_from=11)
+    diverged = [t.failure is not None for t in traces]
+    assert any(diverged)
+    assert all(diverged) == (case != "least_squares/mixed")
+    assert len({t.summary["k"] for t in traces}) > 1
+
+
+@pytest.mark.parametrize("d", [5, 100])
+@pytest.mark.parametrize("name", ["quadratic", "least_squares", "least_squares/data"])
+def test_stacked_oracle_matches_rows_bitwise(name, d):
+    kind, _, data = name.partition("/")
+    prob = make_problem(kind, d=d, n=60 if data else 0, seed=d)
+    gen = np.random.default_rng(d)
+    reps = 9
+    for trial in range(20):
+        theta = gen.standard_normal((reps, d)) * 10.0 ** gen.uniform(-3, 3, (reps, 1))
+        tokens, _ = prob.draw_tokens(RngStream(trial, d), None, reps)
+        if kind == "least_squares" and not data:
+            stack = (np.stack([x for x, _ in tokens]), np.array([y for _, y in tokens]))
+        else:
+            stack = np.array(tokens)
+        rows = np.stack([prob.step_direction(t, tok) for t, tok in zip(theta, tokens)])
+        assert np.array_equal(prob.step_direction(theta, stack), rows)
+
+
+class _DecaysAtFive(FixedScheduleController):
+    def observe(self, obs):
+        return Decision(decay=obs.k == 5, new_gamma=self.gamma)
+
+
+@pytest.mark.parametrize("case", ["coupling", "pflug", "track_coupling", "no_streams"])
+def test_lockstep_rejects_before_any_draw(case):
+    prob = problem("quadratic")
+    params = fixed("quadratic", "constant")
+    cfg = EngineConfig(n_iters=10)
+    if case in ("coupling", "pflug"):
+        params = controller_params("coupling_static" if case == "coupling" else "pflug", prob)
+    if case == "track_coupling":
+        cfg = EngineConfig(n_iters=10, track_coupling=True)
+    rngs = [] if case == "no_streams" else [RngStream(9, 0), RngStream(9, 1)]
+    with pytest.raises(ConfigError):
+        run_replicates(prob, make_controller(params, prob), cfg, rngs)
+    assert all(rng.counter == 0 for rng in rngs)
+
+
+def test_lockstep_rejects_a_decay_decision():
+    controller = _DecaysAtFive(fixed("quadratic", "constant"))
+    rngs = [RngStream(9, 0), RngStream(9, 1)]
+    with pytest.raises(ConfigError, match="k=5"):
+        run_replicates(problem("quadratic"), controller, EngineConfig(n_iters=10), rngs)
