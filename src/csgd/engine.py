@@ -441,7 +441,6 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
         buffers.append(tokens)
 
     traces = [RunTrace() for _ in rngs]
-    ends: list = [None] * len(rngs)  # per replicate: k, θ, θ̄, tail sum and count at its end
     active = list(range(len(rngs)))  # the replicate in each row of theta
     tail_sum = np.zeros(len(rngs))
     tail_count = 0
@@ -462,17 +461,17 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
             if not math.isfinite(top) or top > cfg.divergence_threshold:
                 diverged = ~np.isfinite(norms) | (norms > cfg.divergence_threshold)
                 for row in np.flatnonzero(diverged):
-                    r = active[row]
+                    trace = traces[active[row]]
                     row_avg = None if avg is None else avg[row]
-                    traces[r].failure = _divergence_failure(k, float(norms[row]))
-                    traces[r].record(problem, k, gamma, math.nan, theta[row], row_avg)
-                    buffers[r].resync(count - 1 - i)
-                    ends[r] = (k, theta[row], row_avg, float(tail_sum[row]), tail_count)
+                    trace.failure = _divergence_failure(k, float(norms[row]))
+                    trace.record(problem, k, gamma, math.nan, theta[row], row_avg)
+                    trace.summarize(problem, cfg, k, controller.stepsize(k), theta[row], row_avg,
+                                    float(tail_sum[row]), tail_count)
+                    buffers[active[row]].resync(count - 1 - i)
                 keep = np.flatnonzero(~diverged)
                 active = [active[row] for row in keep]
                 if not active:
                     break
-                # indexing copies, so the rows kept in ``ends`` stay as they are
                 theta, tail_sum = theta[keep], tail_sum[keep]
                 if avg is not None:
                     avg = avg[keep]
@@ -493,9 +492,6 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                     traces[r].record(problem, k, gamma, decision.statistic, theta[row], row_avg)
 
     for row, r in enumerate(active):
-        ends[r] = (k, theta[row], None if avg is None else avg[row], float(tail_sum[row]),
-                   tail_count)
-    for trace, (k_end, theta1, avg1, t_sum, t_count) in zip(traces, ends):
-        trace.summarize(problem, cfg, k_end, controller.stepsize(max(k_end, 1)),
-                        theta1, avg1, t_sum, t_count)
+        traces[r].summarize(problem, cfg, k, controller.stepsize(max(k, 1)), theta[row],
+                            None if avg is None else avg[row], float(tail_sum[row]), tail_count)
     return traces
