@@ -331,7 +331,8 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
         norm1_sq = float(state.theta1 @ state.theta1)
         if not math.isfinite(norm1_sq) or norm1_sq > cfg.divergence_threshold:
             trace.failure = _divergence_failure(k, norm1_sq)
-            trace.record(problem, k, gamma, math.nan, state.theta1, state.avg1, d_sq)
+            trace.record(problem, k, gamma, math.nan, state.theta1, state.avg1, d_sq,
+                         restarted_since_record)
             tokens.resync()
             break
 

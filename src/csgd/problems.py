@@ -136,16 +136,24 @@ class Problem:
     def step_direction(self, theta: np.ndarray, token) -> np.ndarray:
         """Update direction u in θ ← θ + γu; gradient kinds descend.
 
-        Also takes a (reps, d) stack of iterates with a token stack, whose
-        arrays have a leading reps axis (a tuple of them for tuple tokens),
-        and returns the (reps, d) stack of directions, each row bit for bit
-        the single-iterate direction.  Here by a row loop; kinds with a
+        A (reps, d) stack of iterates goes to :meth:`step_directions`; a
+        kind that overrides this method passes a stack on the same way, so
+        both engine loops reach the oracle through this one entry.
+        """
+        if theta.ndim == 2:
+            return self.step_directions(theta, token)
+        return -self.grad(theta, token)
+
+    def step_directions(self, thetas: np.ndarray, tokens) -> np.ndarray:
+        """Directions of a (reps, d) stack of iterates, one row per iterate.
+
+        ``tokens`` has a leading reps axis (a tuple of such arrays for tuple
+        tokens).  Each row is bit for bit what :meth:`step_direction` gives
+        that iterate and its token.  Here by a row loop; kinds with a
         stacked form override it.
         """
-        if theta.ndim == 1:
-            return -self.grad(theta, token)
-        rows = zip(*token) if isinstance(token, tuple) else token
-        return np.stack([self.step_direction(t, tok) for t, tok in zip(theta, rows)])
+        rows = zip(*tokens) if isinstance(tokens, tuple) else tokens
+        return np.stack([self.step_direction(t, tok) for t, tok in zip(thetas, rows)])
 
     def full_grad(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -435,14 +443,12 @@ class LeastSquares(_GlmBase):
         resid = X @ theta - y
         return X.T @ resid / X.shape[0]
 
-    def step_direction(self, theta, token):
-        if theta.ndim == 1:
-            return -self.grad(theta, token)
-        X, y = self._batch(token)
+    def step_directions(self, thetas, tokens):
+        X, y = self._batch(tokens)
         if X.ndim == 3:  # a batch per iterate: the row loop
-            return super().step_direction(theta, token)
+            return super().step_directions(thetas, tokens)
         # one sample per iterate: one ddot per row, as x @ θ makes
-        resid = np.matmul(X[:, None, :], theta[:, :, None])[:, 0, 0] - y
+        resid = np.matmul(X[:, None, :], thetas[:, :, None])[:, 0, 0] - y
         return -(resid[:, None] * X)
 
     def full_grad(self, theta):
@@ -796,10 +802,9 @@ class QuadraticSemiStochastic(Problem):
     def grad(self, theta, token):
         return self.H @ theta + self.a + token
 
-    def step_direction(self, theta, token):
-        if theta.ndim == 2:  # one gemv per row, as H @ θ makes
-            return -(np.matmul(self.H, theta[:, :, None])[:, :, 0] + self.a + token)
-        return -self.grad(theta, token)
+    def step_directions(self, thetas, tokens):
+        # one gemv per row, as H @ θ makes
+        return -(np.matmul(self.H, thetas[:, :, None])[:, :, 0] + self.a + tokens)
 
     def full_grad(self, theta):
         return self.H @ theta + self.a
@@ -921,8 +926,9 @@ class LinearStochasticApprox(Problem):
         return self.A_table[state] @ theta + self.b_table[state]
 
     def step_direction(self, theta, token):
+        # the direction itself rather than -grad, which would negate twice
         if theta.ndim == 2:
-            return super().step_direction(theta, token)
+            return self.step_directions(theta, token)
         return self.direction(theta, token)
 
     def grad(self, theta, token):

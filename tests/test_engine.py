@@ -385,3 +385,13 @@ def test_lockstep_rejects_a_decay_decision():
     rngs = [RngStream(9, 0), RngStream(9, 1)]
     with pytest.raises(ConfigError, match="k=5"):
         run_replicates(problem("quadratic"), controller, EngineConfig(n_iters=10), rngs)
+
+
+def test_divergence_record_keeps_the_restart_flag():
+    # a restart at k=5, then divergence before the next stride record
+    prob = problem("quadratic")
+    controller = _DecaysAtFive(fixed("quadratic", "constant", 3.0 / prob.L))
+    trace = run(prob, controller, EngineConfig(n_iters=600, trace_stride=100), RngStream(9, 0))
+    assert trace.failure is not None
+    assert [event.k for event in trace.restart_log] == [5]
+    assert trace.ks[-1] < 100 and trace.restart_flags == [True]
