@@ -5,16 +5,8 @@ class ConfigError(ValueError):
     """A configuration file or parameter block failed validation."""
 
 
-class NumericOverflowError(ArithmeticError):
-    """An operation produced a non-finite value."""
-
-
 class NonConvergenceError(RuntimeError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
-
-
-class DivergenceError(RuntimeError):
-    """An SGD run blew up (iterate norm past the divergence threshold)."""
 
 
 class DegenerateDiagnosticError(RuntimeError):

@@ -9,11 +9,9 @@ stream ids give statistically independent streams from one master seed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NonConvergenceError, NumericOverflowError
+from .errors import NonConvergenceError
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
@@ -37,52 +35,6 @@ def as_mat(x, shape: tuple[int, int] | None = None) -> np.ndarray:
     if shape is not None and m.shape != shape:
         raise ValueError(f"expected shape {shape}, got {m.shape}")
     return m
-
-
-def check_finite(arr, what: str = "result"):
-    """Raise NumericOverflowError when any element is NaN or infinite."""
-    if not np.all(np.isfinite(arr)):
-        raise NumericOverflowError(f"{what} contains non-finite values")
-    return arr
-
-
-def dot(a, b) -> float:
-    """Compensated inner product Σ aᵢbᵢ.
-
-    Accumulates with ``math.fsum`` so the value is correctly rounded and
-    exactly symmetric in its arguments.
-    """
-    av, bv = as_vec(a), as_vec(b)
-    if av.shape[0] != bv.shape[0]:
-        raise ValueError(f"length mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = math.fsum(av * bv)
-    if not math.isfinite(out):
-        raise NumericOverflowError("dot product overflowed")
-    return out
-
-
-def matvec(M, v) -> np.ndarray:
-    """Matrix-vector product Mv with shape validation."""
-    Mm, vv = as_mat(M), as_vec(v)
-    if Mm.shape[1] != vv.shape[0]:
-        raise ValueError(f"shape mismatch: {Mm.shape} @ ({vv.shape[0]},)")
-    return check_finite(Mm @ vv, "matvec")
-
-
-def is_spd(M, tol: float = 1e-10) -> bool:
-    """Certify symmetric positive definiteness: symmetry plus Cholesky success."""
-    Mm = as_mat(M)
-    if Mm.shape[0] != Mm.shape[1]:
-        return False
-    scale = max(1.0, float(np.abs(Mm).max()))
-    if np.abs(Mm - Mm.T).max() > tol * scale:
-        return False
-    try:
-        np.linalg.cholesky(Mm)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 class RngStream:
@@ -251,16 +203,8 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
     )
 
 
-def power_iteration_extreme_eigs(M, tol: float = 1e-10, max_iters: int = 100_000):
-    """Extreme eigenvalues of a symmetric matrix, plus the top eigenvector.
-
-    Returns ``(lam_min, lam_max, q_max)`` where ``q_max`` is a unit
-    eigenvector for ``lam_max``.  Both extremes come from power iteration
-    on shifted PSD matrices (shift = spectral-radius estimate), so no
-    general eigensolver is involved.  Eigenpairs are accepted when the
-    residual ||Mq - λq|| falls below ``tol * max(1, ||M||₂)``; by Weyl's
-    bound the eigenvalues then carry the same absolute accuracy.
-    """
+def _top_pass(M, tol: float, max_iters: int):
+    """Validated matrix, residual tolerance and signed top eigenpair of M."""
     Mm = as_mat(M)
     d = Mm.shape[0]
     if Mm.shape[0] != Mm.shape[1]:
@@ -272,18 +216,41 @@ def power_iteration_extreme_eigs(M, tol: float = 1e-10, max_iters: int = 100_000
     rho = _spectral_radius_estimate(Mm)
     tol_resid = tol * max(1.0, rho)
     shift = 1.05 * rho + 1e-9 * max(1.0, rho)
-    eye = np.eye(d)
-
-    top, q_max = _power_top(Mm + shift * eye, tol_resid, max_iters)
-    lam_max = top - shift
-    # second pass from the exact top: B = (λ_max + pad)I - M is PSD with its
-    # own top at λ_max - λ_min, so the bottom eigenvalue converges fast
-    pad = max(10.0 * tol_resid, 1e-9 * max(1.0, abs(lam_max)))
-    bottom, _ = _power_top((lam_max + pad) * eye - Mm, tol_resid, max_iters)
-    lam_min = lam_max + pad - bottom
+    top, q_max = _power_top(Mm + shift * np.eye(d), tol_resid, max_iters)
 
     # deterministic sign convention: largest-magnitude component positive
     pivot = int(np.argmax(np.abs(q_max)))
     if q_max[pivot] < 0:
         q_max = -q_max
+    return Mm, tol_resid, top - shift, q_max
+
+
+def power_iteration_top(M, tol: float = 1e-10, max_iters: int = 100_000):
+    """Largest eigenvalue of a symmetric matrix and a unit eigenvector for it.
+
+    Returns ``(lam_max, q_max)``, bit for bit the last two values of
+    :func:`power_iteration_extreme_eigs` with the same arguments, without
+    its λ_min pass.
+    """
+    _, _, lam_max, q_max = _top_pass(M, tol, max_iters)
+    return lam_max, q_max
+
+
+def power_iteration_extreme_eigs(M, tol: float = 1e-10, max_iters: int = 100_000):
+    """Extreme eigenvalues of a symmetric matrix, plus the top eigenvector.
+
+    Returns ``(lam_min, lam_max, q_max)`` where ``q_max`` is a unit
+    eigenvector for ``lam_max``.  Both extremes come from power iteration
+    on shifted PSD matrices (shift = spectral-radius estimate), so no
+    general eigensolver is involved.  Eigenpairs are accepted when the
+    residual ||Mq - λq|| falls below ``tol * max(1, ||M||₂)``; by Weyl's
+    bound the eigenvalues then carry the same absolute accuracy.  Callers
+    that read only ``lam_max`` or ``q_max`` use :func:`power_iteration_top`.
+    """
+    Mm, tol_resid, lam_max, q_max = _top_pass(M, tol, max_iters)
+    # second pass from the exact top: B = (λ_max + pad)I - M is PSD with its
+    # own top at λ_max - λ_min, so the bottom eigenvalue converges fast
+    pad = max(10.0 * tol_resid, 1e-9 * max(1.0, abs(lam_max)))
+    bottom, _ = _power_top((lam_max + pad) * np.eye(Mm.shape[0]) - Mm, tol_resid, max_iters)
+    lam_min = lam_max + pad - bottom
     return lam_min, lam_max, q_max

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDirectionError, HorizonTooShortError
-from .numkit import as_mat, as_vec, power_iteration_extreme_eigs
+from .numkit import as_mat, as_vec, power_iteration_extreme_eigs, power_iteration_top
 
 D0_PROJECTION_FLOOR = 1e-12
 
@@ -56,7 +56,7 @@ def dk_closed_form_series(H, gamma: float, D0, ks) -> list[float]:
     """``dk_closed_form`` evaluated incrementally at ascending iterations."""
     Hm = as_mat(H)
     v = as_vec(D0, Hm.shape[0]).copy()
-    _, lam_max, _ = power_iteration_extreme_eigs(Hm, tol=1e-12)
+    lam_max, _ = power_iteration_top(Hm, tol=1e-12)
     if not 0.0 < gamma < 1.0 / lam_max:
         raise ValueError(f"gamma={gamma} outside (0, 1/L) with L={lam_max}")
     ks = list(ks)
@@ -128,9 +128,7 @@ def proximity_ratio_quadratic(H, gamma: float, D0, k: int) -> float:
     d = Hm.shape[0]
     # tol well below the 1e-12 projection floor so eigenvector noise cannot
     # mask exact orthogonality
-    _, _, q_max = power_iteration_extreme_eigs(
-        np.eye(d) - gamma * Hm, tol=1e-14
-    )
+    _, q_max = power_iteration_top(np.eye(d) - gamma * Hm, tol=1e-14)
     proj = float(D0v @ q_max)
     if abs(proj) <= D0_PROJECTION_FLOOR * float(np.linalg.norm(D0v)):
         raise DegenerateDirectionError(

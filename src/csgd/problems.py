@@ -9,7 +9,7 @@ Each problem kind exposes the same surface:
 - ``full_grad`` / ``loss``: the deterministic objective the stochastic
   oracle is unbiased for (empirical mean for dataset-backed kinds,
   population form for streaming kinds).
-- certified constants ``L``, ``mu``, ``sigma_sq``, ``R_sq`` and a lazily
+- certified constants ``L``, ``mu``, ``R_sq`` and a lazily
   solved :class:`ReferenceSolution`.
 
 Dataset-backed kinds materialize ``X`` (n×d) and ``y`` from the problem
@@ -42,6 +42,7 @@ from .numkit import (  # noqa: F401  (gaussian: bench/perfbench.py times problem
     integers_from,
     normal_words,
     power_iteration_extreme_eigs,
+    power_iteration_top,
     uniforms_from,
 )
 
@@ -317,7 +318,7 @@ class LogisticRegression(_GlmBase):
     def L(self) -> float:
         X, _ = self._calibration_data
         gram = X.T @ X / X.shape[0]
-        _, lam_max, _ = power_iteration_extreme_eigs(gram, tol=1e-10)
+        lam_max, _ = power_iteration_top(gram, tol=1e-10)
         return lam_max / 4.0
 
     @cached_property
@@ -335,12 +336,6 @@ class LogisticRegression(_GlmBase):
             lam, _, _ = power_iteration_extreme_eigs(self._hessian(p), tol=1e-8)
             lam_mins.append(lam)
         return 0.8 * min(lam_mins)  # 0.8 guards the between-sample minimum
-
-    @cached_property
-    def sigma_sq(self) -> float:
-        X, y = self._calibration_data
-        coef = -y * _sigmoid(-y * (X @ self.theta_star))
-        return float((coef**2 * (X**2).sum(axis=1)).mean())
 
     def _solve_reference(self):
         if self.n == 0:
@@ -413,7 +408,6 @@ class LeastSquares(_GlmBase):
         # population constants are exact for the diagonal input covariance
         self.L = float(self.h_diag.max())
         self.mu = float(self.h_diag.min())
-        self.sigma_sq = self.noise_sigma**2 * self.R_sq
         if n > 0:
             X, data = self._materialize_inputs(n)
             self._y = X @ self.theta_planted + self.noise_sigma * data.normals(n)
@@ -516,16 +510,6 @@ class Svm(_GlmBase):
         # is nonsmooth
         self.L = self.lam_reg + self.R_sq
 
-    @cached_property
-    def sigma_sq(self) -> float:
-        g_star = self.full_grad(self.theta_star)
-        margins = self._y * (self._X @ self.theta_star)
-        active = margins < 1.0
-        per = self.lam_reg * self.theta_star - np.where(
-            active[:, None], self._y[:, None] * self._X, 0.0
-        )
-        return float(((per - g_star) ** 2).sum(axis=1).mean())
-
     def grad(self, theta, token):
         X, y = self._X[token], self._y[token]
         if X.ndim == 1:
@@ -561,29 +545,33 @@ class Svm(_GlmBase):
         return 4.0 / self.R_sq
 
 
-def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=400):
+def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
     """Deterministic cyclic dual coordinate ascent for hinge + ridge.
 
     Primal θ = (1/λn) Σ αᵢ yᵢ xᵢ with α ∈ [0, 1]ⁿ; each coordinate update is
-    an exact 1-D maximization.  Stops on the relative duality gap.
+    an exact 1-D maximization.  Stops on the relative duality gap.  The
+    coordinate loop runs on Python floats and row views, which round as the
+    NumPy scalars would; only θ and the per-epoch gap are array work.
     """
     n, d = X.shape
-    alpha = np.zeros(n)
+    rows = list(X)
+    labels = y.tolist()
+    sq = ((X**2).sum(axis=1) / (lam * n)).tolist()
+    alpha = [0.0] * n
     theta = np.zeros(d)
-    sq = (X**2).sum(axis=1) / (lam * n)
     for _ in range(max_epochs):
-        for i in range(n):
-            m = y[i] * float(X[i] @ theta)
-            if sq[i] == 0.0:
+        for i, (x, yi, sq_i) in enumerate(zip(rows, labels, sq)):
+            m = yi * float(x @ theta)
+            if sq_i == 0.0:
                 continue
-            a_new = min(1.0, max(0.0, alpha[i] + (1.0 - m) / sq[i]))
+            a_new = min(1.0, max(0.0, alpha[i] + (1.0 - m) / sq_i))
             delta = a_new - alpha[i]
             if delta != 0.0:
-                theta += (delta * y[i] / (lam * n)) * X[i]
+                theta += (delta * yi / (lam * n)) * x
                 alpha[i] = a_new
         margins = y * (X @ theta)
         primal = np.maximum(0.0, 1.0 - margins).mean() + 0.5 * lam * float(theta @ theta)
-        dual = alpha.mean() - 0.5 * lam * float(theta @ theta)
+        dual = np.array(alpha).mean() - 0.5 * lam * float(theta @ theta)
         gap = primal - dual
         if gap <= gap_tol_rel * max(1.0, abs(primal)):
             return theta, gap
@@ -623,13 +611,6 @@ class Lasso(_GlmBase):
         self.mu = 2.0 * float(self.h_diag.min())
         self.L = 2.0 * float(self.h_diag.max()) + self.lam_reg  # surrogate scale
 
-    @cached_property
-    def sigma_sq(self) -> float:
-        resid = self._y - self._X @ self.theta_star
-        per = -2.0 * resid[:, None] * self._X
-        g_smooth = per.mean(axis=0)
-        return float(((per - g_smooth) ** 2).sum(axis=1).mean())
-
     def grad(self, theta, token):
         X, y = self._X[token], self._y[token]
         if X.ndim == 1:
@@ -664,7 +645,7 @@ def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     n, d = X.shape
     gram = 2.0 * X.T @ X / n
     lin = 2.0 * X.T @ y / n
-    _, lam_max, _ = power_iteration_extreme_eigs(gram, tol=1e-12)
+    lam_max, _ = power_iteration_top(gram, tol=1e-12)
     t_step = 1.0 / lam_max
 
     def prox_grad(v):
@@ -713,7 +694,6 @@ class UniformlyConvex(Problem):
         self.ball_radius = float(ball_radius)
         self.L = (self.p_exp - 1.0) * self.ball_radius ** (self.p_exp - 2.0)
         self.mu = 0.0
-        self.sigma_sq = self.noise_scale**2 * d
         self.R_sq = None
 
     def words_per_token(self, batch=1):
@@ -786,7 +766,6 @@ class QuadraticSemiStochastic(Problem):
         self._row_words = normal_words(d)  # per sample
         self.L = lam_max
         self.mu = lam_min
-        self.sigma_sq = float(diag.sum())
         self.R_sq = float(np.trace(self.H))
 
     def words_per_token(self, batch=1):
@@ -876,7 +855,7 @@ class LinearStochasticApprox(Problem):
             A_table = -(M + scale * centered)
             A_bar = np.tensordot(self.pi_chain, A_table, axes=1)
             sym = 0.5 * (A_bar + A_bar.T)
-            _, lam_max_sym, _ = power_iteration_extreme_eigs(sym, tol=1e-10)
+            lam_max_sym, _ = power_iteration_top(sym, tol=1e-10)
             if lam_max_sym < -0.1:
                 break
             scale *= 0.5
@@ -887,19 +866,9 @@ class LinearStochasticApprox(Problem):
         self.b_table = prm.normals(N * d).reshape(N, d)
         self.b_bar = self.pi_chain @ self.b_table
 
-        lam_min_M, lam_max_M, _ = power_iteration_extreme_eigs(M, tol=1e-10)
         self.mu = -lam_max_sym
-        self.L = lam_max_M
+        self.L, _ = power_iteration_top(M, tol=1e-10)
         self.R_sq = None
-        self.sigma_sq = float(
-            self.pi_chain
-            @ np.array(
-                [
-                    float(np.linalg.norm(self.A_table[s] @ self.theta_star + self.b_table[s]) ** 2)
-                    for s in range(N)
-                ]
-            )
-        )
 
     def init_sampler(self, rng: RngStream):
         return int(rng.integers(1, self.n_states)[0])

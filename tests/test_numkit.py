@@ -1,81 +1,14 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from csgd.errors import NumericOverflowError
 from csgd.numkit import (
     RngStream,
     box_muller,
-    dot,
     gaussian,
-    is_spd,
-    matvec,
     power_iteration_extreme_eigs,
+    power_iteration_top,
 )
-
-
-# ---------------------------------------------------------------- dot / matvec
-
-
-def test_dot_orthogonal():
-    assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_dot_direct():
-    assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-
-def test_dot_identity_basis():
-    e1 = [1.0, 0.0, 0.0]
-    assert dot(e1, e1) == 1.0
-
-
-def test_dot_length_mismatch():
-    with pytest.raises(ValueError):
-        dot([1.0, 2.0], [1.0])
-
-
-def test_dot_overflow():
-    big = [1e308, 1e308]
-    with pytest.raises(NumericOverflowError):
-        dot(big, big)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=1,
-        max_size=50,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_dot_symmetry_exact(xs):
-    a = np.array(xs)
-    b = a[::-1].copy()
-    assert dot(a, b) == dot(b, a)
-
-
-def test_matvec_identity():
-    v = np.array([3.0, -1.0, 2.5])
-    assert np.array_equal(matvec(np.eye(3), v), v)
-
-
-def test_matvec_diagonal():
-    out = matvec(np.diag([2.0, 3.0]), [1.0, 1.0])
-    assert np.array_equal(out, [2.0, 3.0])
-
-
-def test_matvec_zero_matrix():
-    out = matvec(np.zeros((3, 3)), [1.0, 2.0, 3.0])
-    assert np.array_equal(out, np.zeros(3))
-
-
-def test_matvec_shape_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.eye(3), [1.0, 2.0])
+from csgd.problems import make_problem
 
 
 # ----------------------------------------------------------------- RngStream
@@ -253,7 +186,37 @@ def test_power_iteration_requires_symmetry():
         power_iteration_extreme_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_is_spd():
-    assert is_spd(np.diag([1.0, 2.0]))
-    assert not is_spd(np.diag([1.0, -2.0]))
-    assert not is_spd(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+def _lasso_gram():
+    prob = make_problem("lasso", d=100, n=1000, seed=1)
+    X = prob.dataset()[0]
+    return 2.0 * X.T @ X / X.shape[0]
+
+
+def _random_spd():
+    A = RngStream(99, 0).normals(25).reshape(5, 5)
+    return A @ A.T + 0.5 * np.eye(5)
+
+
+@pytest.mark.parametrize(
+    "make, tol",
+    [
+        (lambda: np.diag([1.0, 2.0, 3.0]), 1e-10),
+        (lambda: np.eye(4), 1e-10),
+        (lambda: np.array([[0.0, -1.0], [-1.0, 0.0]]), 1e-10),
+        (_random_spd, 1e-12),
+        (_lasso_gram, 1e-12),
+    ],
+    ids=["diagonal", "identity", "antidiagonal", "random_spd", "lasso_gram"],
+)
+def test_power_iteration_top_matches_extreme_eigs_bitwise(make, tol):
+    M = make()
+    lam_max, q_max = power_iteration_top(M, tol=tol)
+    _, want_lam, want_q = power_iteration_extreme_eigs(M, tol=tol)
+    assert float(lam_max).hex() == float(want_lam).hex()
+    assert q_max.tobytes() == want_q.tobytes()
+
+
+def test_power_iteration_top_requires_symmetry():
+    with pytest.raises(ValueError):
+        power_iteration_top(np.array([[0.0, 1.0], [0.0, 0.0]]))
