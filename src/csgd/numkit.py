@@ -37,6 +37,21 @@ def as_mat(x, shape: tuple[int, int] | None = None) -> np.ndarray:
     return m
 
 
+def is_spd(M, tol: float = 1e-10) -> bool:
+    """Certify symmetric positive definiteness: symmetry plus Cholesky success."""
+    Mm = as_mat(M)
+    if Mm.shape[0] != Mm.shape[1]:
+        return False
+    scale = max(1.0, float(np.abs(Mm).max()))
+    if np.abs(Mm - Mm.T).max() > tol * scale:
+        return False
+    try:
+        np.linalg.cholesky(Mm)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class RngStream:
     """Counter-based pseudorandom stream (Philox keyed by seed and stream id).
 

@@ -5,6 +5,7 @@ from csgd.numkit import (
     RngStream,
     box_muller,
     gaussian,
+    is_spd,
     power_iteration_extreme_eigs,
     power_iteration_top,
 )
@@ -185,6 +186,11 @@ def test_power_iteration_requires_symmetry():
     with pytest.raises(ValueError):
         power_iteration_extreme_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+
+def test_is_spd():
+    assert is_spd(np.diag([1.0, 2.0]))
+    assert not is_spd(np.diag([1.0, -2.0]))
+    assert not is_spd(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
 def _lasso_gram():
