@@ -16,6 +16,9 @@ from csgd.errors import ConfigError
 from csgd.controllers import Decision, FixedScheduleController
 from csgd.engine import run_replicates
 from csgd.oracle import dk_closed_form_series
+from collections import deque
+from csgd.engine import CoupledState, reinit_auxiliary
+from csgd.oracle import gamma0_bound, theorem1_floor
 
 # ------------------------------------------------------------ golden traces
 #
@@ -278,6 +281,44 @@ def test_coupled_distance_follows_the_closed_form_on_quadratic():
     want = dk_closed_form_series(prob.H, controller.params.gamma0, d0, trace.ks[:first])
     got = trace.d_sqs[:first]
     assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [16, 3])
+@pytest.mark.parametrize("kind", ["coupling_static", "coupling_adaptive"])
+def test_coupled_statistic_stays_above_the_theorem1_floor(kind, seed):
+    # at γ ≤ gamma0_bound, S is at least ϱ_m^j j steps into a phase run at
+    # γ_m; the statistic recorded at a decay belongs to the phase it ends
+    prob = problem("quadratic")
+    gamma0 = gamma0_bound(prob.L, prob.mu)
+    controller = make_controller(ControllerParams(kind=kind, gamma0=gamma0), prob)
+    trace = run(prob, controller, EngineConfig(n_iters=3000, trace_stride=1), RngStream(seed, 0))
+    assert trace.failure is None and len(trace.restart_log) >= 5
+    starts = [0] + [event.k for event in trace.restart_log]
+    for k, gamma, stat in zip(trace.ks, trace.gammas, trace.stats):
+        start = max(s for s in starts if s < k)
+        assert stat >= theorem1_floor(gamma, prob.L, prob.mu, k - start)
+
+
+# ------------------------------------------------------------------ re-arm
+
+
+@pytest.mark.parametrize(
+    "stored, b, want", [(10, 3, 6), (5, 0, 4), (4, 3, 0), (3, 3, 0), (2, 5, 0)]
+)
+def test_reinit_restores_the_iterate_b_steps_back(stored, b, want):
+    # history[i] is (i + 1)·1, newest last: with more than b stored θ2 is
+    # the iterate b steps back from the newest, with b or fewer the oldest
+    prob = problem("quadratic")
+    history = deque(np.full(prob.d, i + 1.0) for i in range(stored))
+    state = CoupledState(theta1=np.full(prob.d, 0.5), theta2=history[-1], history=history)
+    rng = RngStream(9, 0)
+    d0_sq = reinit_auxiliary(state, b, 0.1, TokenBuffer(prob, rng, batch=1, remaining=10))
+    assert np.array_equal(state.theta2, np.full(prob.d, want + 1.0))
+    assert state.theta2 is not history[want]
+    assert d0_sq == prob.d * (want + 0.5) ** 2  # ||θ1 - θ2||², exact here
+    assert len(state.history) == 1 and state.history[0] is state.theta2
+    assert state.history.maxlen == b + 1
+    assert rng.counter == 0  # a non-degenerate re-arm draws nothing
 
 
 # ---------------------------------------------------------------- lockstep
