@@ -37,21 +37,6 @@ def as_mat(x, shape: tuple[int, int] | None = None) -> np.ndarray:
     return m
 
 
-def is_spd(M, tol: float = 1e-10) -> bool:
-    """Certify symmetric positive definiteness: symmetry plus Cholesky success."""
-    Mm = as_mat(M)
-    if Mm.shape[0] != Mm.shape[1]:
-        return False
-    scale = max(1.0, float(np.abs(Mm).max()))
-    if np.abs(Mm - Mm.T).max() > tol * scale:
-        return False
-    try:
-        np.linalg.cholesky(Mm)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 class RngStream:
     """Counter-based pseudorandom stream (Philox keyed by seed and stream id).
 
@@ -92,10 +77,6 @@ class RngStream:
         if rem:
             self._bg.random_raw(rem)
         self.counter = int(counter)
-
-    def child(self, stream_id: int) -> "RngStream":
-        """Fresh stream with the same seed and a different stream id."""
-        return RngStream(self.seed, stream_id)
 
     def raw(self, n: int) -> np.ndarray:
         """n raw 64-bit words; advances the counter by n."""

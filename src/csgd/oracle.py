@@ -146,10 +146,6 @@ class StationaryEstimate:
     ci_halfwidth: float  # 3 standard errors
     per_rep: list[float] = field(default_factory=list)
 
-    @property
-    def ci(self) -> tuple[float, float]:
-        return (self.mean - self.ci_halfwidth, self.mean + self.ci_halfwidth)
-
 
 def stationary_error_estimate(
     problem,
@@ -209,7 +205,6 @@ class TheoryQuantities:
     varrho: float
     gamma0: float
     k0: float
-    tau: float
     lam_min: float | None = None
     lam_max: float | None = None
 
@@ -218,7 +213,6 @@ def theory_quantities(gamma: float, L: float, mu: float, H=None) -> TheoryQuanti
     lam_min = lam_max = None
     if H is not None:
         lam_min, lam_max, _ = power_iteration_extreme_eigs(as_mat(H))
-    k0 = 4.0 * L / mu if mu > 0 else math.inf
     return TheoryQuantities(
         gamma=gamma,
         L=L,
@@ -226,8 +220,7 @@ def theory_quantities(gamma: float, L: float, mu: float, H=None) -> TheoryQuanti
         rho=contraction_rate(gamma, mu, L),
         varrho=1.0 - 2.0 * gamma * L + gamma**2 * mu**2,
         gamma0=gamma0_bound(L, mu) if mu > 0 else 1.0 / (4.0 * L),
-        k0=k0,
-        tau=k0,
+        k0=4.0 * L / mu if mu > 0 else math.inf,
         lam_min=lam_min,
         lam_max=lam_max,
     )

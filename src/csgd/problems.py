@@ -26,8 +26,6 @@ result is bit-identical to ``count`` single draws; ``next_token`` and
 from __future__ import annotations
 
 import math
-import os
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -237,9 +235,6 @@ class _GlmBase(Problem):
         X = data.normals(count * self.d).reshape(count, self.d)
         X *= np.sqrt(self.h_diag)
         return X, data
-
-    def dataset(self):
-        return self._X, self._y
 
 
 class LogisticRegression(_GlmBase):
@@ -959,52 +954,3 @@ def make_problem(kind: str, d: int, n: int = 0, seed: int = 0, **overrides) -> P
         return _KIND_CLASSES[kind](d=d, n=n, seed=seed, **overrides)
     except TypeError as exc:
         raise ConfigError(f"bad overrides for kind {kind!r}: {exc}") from exc
-
-
-# ------------------------------------------------------- dataset dump/load
-
-_MAGIC = b"CSGD"
-_VERSION = 1
-
-
-def dump_dataset(problem: Problem, path) -> None:
-    """Write the materialized dataset in the little-endian binary layout.
-
-    Header: magic ``CSGD``, version u32, d u64, n u64; then row-major
-    inputs as f64 and outputs as f64.
-    """
-    if problem.n == 0 or not hasattr(problem, "_X"):
-        raise ConfigError("problem has no materialized dataset to dump")
-    X, y = problem._X, problem._y
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<QQ", problem.d, problem.n))
-        fh.write(np.ascontiguousarray(X, dtype="<f8").tobytes())
-        fh.write(np.asarray(y, dtype="<f8").tobytes())
-
-
-def _read_exact(fh, size: int, what: str) -> bytes:
-    # checked against the file size first, so a corrupt header cannot ask
-    # read() for an absurd allocation
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if left < size:
-        raise ConfigError(f"truncated dataset: {what} needs {size} bytes, {left} left")
-    return fh.read(size)
-
-
-def load_dataset(path):
-    """Read a dataset written by :func:`dump_dataset`; returns (X, y).
-
-    A file cut short anywhere raises ConfigError.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ConfigError(f"bad magic {magic!r}")
-        version, d, n = struct.unpack("<IQQ", _read_exact(fh, 20, "header"))
-        if version != _VERSION:
-            raise ConfigError(f"unsupported dataset version {version}")
-        X = np.frombuffer(_read_exact(fh, 8 * d * n, "X block"), dtype="<f8").reshape(n, d)
-        y = np.frombuffer(_read_exact(fh, 8 * n, "y block"), dtype="<f8")
-    return X.astype(np.float64), y.astype(np.float64)

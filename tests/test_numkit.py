@@ -5,7 +5,6 @@ from csgd.numkit import (
     RngStream,
     box_muller,
     gaussian,
-    is_spd,
     power_iteration_extreme_eigs,
     power_iteration_top,
 )
@@ -39,13 +38,6 @@ def test_distinct_streams_differ():
     a = RngStream(42, 0).raw(8)
     b = RngStream(42, 1).raw(8)
     assert not np.array_equal(a, b)
-
-
-def test_child_stream_matches_fresh():
-    parent = RngStream(9, 0)
-    parent.raw(5)
-    child = parent.child(77)
-    assert np.array_equal(child.raw(4), RngStream(9, 77).raw(4))
 
 
 def test_interleaving_never_shifts_streams():
@@ -187,15 +179,9 @@ def test_power_iteration_requires_symmetry():
         power_iteration_extreme_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_is_spd():
-    assert is_spd(np.diag([1.0, 2.0]))
-    assert not is_spd(np.diag([1.0, -2.0]))
-    assert not is_spd(np.array([[1.0, 5.0], [0.0, 1.0]]))
-
-
 def _lasso_gram():
     prob = make_problem("lasso", d=100, n=1000, seed=1)
-    X = prob.dataset()[0]
+    X = prob._X
     return 2.0 * X.T @ X / X.shape[0]
 
 

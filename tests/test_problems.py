@@ -11,8 +11,6 @@ from csgd.problems import (
     QuadraticSemiStochastic,
     Svm,
     UniformlyConvex,
-    dump_dataset,
-    load_dataset,
     make_problem,
 )
 
@@ -103,7 +101,7 @@ def test_ls_single_sample_direct():
 
 def test_ls_reference_normal_equations():
     prob = LeastSquares(d=5, n=4000, seed=12)
-    X, y = prob.dataset()
+    X, y = prob._X, prob._y
     direct = np.linalg.solve(X.T @ X, X.T @ y)
     assert np.allclose(prob.theta_star, direct, atol=1e-10)
 
@@ -473,36 +471,3 @@ def test_draw_tokens_match_single_draws(factory, batch):
     assert block_state == state
     assert block_rng.counter == single_rng.counter
     assert block_rng.counter - (1 if prob.kind == "lsa" else 0) == count * prob.words_per_token(batch)
-
-
-# ------------------------------------------------------------- dataset dump
-
-
-def test_dataset_dump_roundtrip(tmp_path):
-    prob = LeastSquares(d=3, n=50, seed=56)
-    path = tmp_path / "data.csgd"
-    dump_dataset(prob, path)
-    X, y = load_dataset(path)
-    assert np.array_equal(X, prob._X)
-    assert np.array_equal(y, prob._y)
-    raw = path.read_bytes()
-    assert raw[:4] == b"CSGD"
-
-
-def test_dataset_dump_streaming_rejected(tmp_path):
-    prob = LeastSquares(d=3, n=0, seed=57)
-    with pytest.raises(ConfigError):
-        dump_dataset(prob, tmp_path / "x.csgd")
-
-
-def test_load_dataset_rejects_truncated_files(tmp_path):
-    d, n = 3, 50
-    path = tmp_path / "data.csgd"
-    dump_dataset(LeastSquares(d=d, n=n, seed=58), path)
-    raw = path.read_bytes()
-    header = 24
-    assert len(raw) == header + 8 * d * n + 8 * n
-    for cut in (10, header + 8 * d * n - 5, len(raw) - 8):
-        path.write_bytes(raw[:cut])
-        with pytest.raises(ConfigError, match="truncated"):
-            load_dataset(path)
