@@ -1,16 +1,21 @@
 """Stepsize controllers: coupled-distance diagnostics, baselines, schedules.
 
-Each controller is a pure state machine: the engine feeds it one
-:class:`Observation` per iteration and applies the returned
-:class:`Decision`.  Stepsizes after m decays are always computed as
-``gamma0 * r**m`` (and thresholds as ``beta0 * eta**m``), never by
-cumulative multiplication, so phase algebra is exact.
+Each controller is a state machine that the engine shows every
+iteration once, as ``observe(k, theta1, d_sq, direction)``; ``observe``
+returns the step's statistic (nan when there is none).  A decay is a new
+phase: ``observe`` raises ``phase_index`` by one, and the engine, seeing
+it go up, moves to the stepsize ``gamma`` and, for a controller that
+``needs_coupling``, re-initializes θ2.  Stepsizes after m decays are
+always computed as ``gamma0 * r**m`` (and thresholds as
+``beta0 * eta**m``), never by cumulative multiplication, so phase algebra
+is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +31,10 @@ CONTROLLER_KINDS = (
 
 D0_FLOOR = 1e-300  # positivity floor for the coupled-distance reference
 RELAXATION_CAP = 10_000
+
+# fixed schedules and how many constants each takes (see fixed_schedule)
+SCHEDULE_ARITY = {"constant": (1, 1), "inv_sqrt": (1, 1), "inv_mu_k": (1, 1),
+                  "uniform_opt": (1, 2)}
 
 
 def relaxation_steps(gamma: float, mu: float | None) -> int:
@@ -90,35 +99,30 @@ class ControllerParams:
             raise ConfigError("denominator must be 'phase' or 'global'")
         if self.checkpoint_ratio <= 1.0:
             raise ConfigError("checkpoint_ratio must exceed 1")
-        if self.kind == "fixed" and not self.schedule:
-            raise ConfigError("fixed controller needs a schedule")
+        if self.kind == "fixed":
+            self._validate_schedule()
         return self
 
-
-@dataclass(frozen=True)
-class Observation:
-    """Everything a controller may look at after one engine step."""
-
-    k: int
-    theta1: np.ndarray
-    theta2: np.ndarray | None = None
-    d_sq: float | None = None  # ||θ1 - θ2||², when coupled
-    direction: np.ndarray | None = None  # update direction used at step k
-    prev_direction: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Continue, or decay the stepsize (optionally re-initializing θ2)."""
-
-    decay: bool = False
-    new_gamma: float | None = None
-    reinit: bool = False
-    statistic: float = math.nan
-
-    @staticmethod
-    def go(statistic: float = math.nan) -> "Decision":
-        return Decision(statistic=statistic)
+    def _validate_schedule(self):
+        """Known name, right arity, finite positive constants (τ >= 0 for uniform_opt)."""
+        if not self.schedule:
+            raise ConfigError("fixed controller needs a schedule")
+        name, *constants = self.schedule
+        if name not in SCHEDULE_ARITY:
+            raise ConfigError(f"unknown schedule kind {name!r}")
+        low, high = SCHEDULE_ARITY[name]
+        if not low <= len(constants) <= high:
+            raise ConfigError(
+                f"schedule {name!r} takes {low} to {high} constants, got {len(constants)}"
+            )
+        for i, c in enumerate(constants):
+            tau = name == "uniform_opt" and i == 0
+            ok = isinstance(c, numbers.Real) and math.isfinite(c) and (c >= 0 if tau else c > 0)
+            if not ok:
+                raise ConfigError(
+                    f"schedule {name!r} constant {c!r} must be finite and "
+                    + ("non-negative" if tau else "positive")
+                )
 
 
 class Controller:
@@ -141,8 +145,14 @@ class Controller:
         """Stepsize to use for iteration k (1-based)."""
         return self.gamma
 
-    def observe(self, obs: Observation) -> Decision:
-        return Decision.go()
+    def observe(self, k: int, theta1: np.ndarray, d_sq: float | None,
+                direction: np.ndarray | None) -> float:
+        """See step k: θ1 after it, ||θ1 - θ2||² when coupled, the update direction.
+
+        Returns the statistic, nan when there is none; a decay raises
+        ``phase_index`` by one.
+        """
+        return math.nan
 
     def rearm(self, d0_sq: float) -> None:
         """Receive the (re-)initialized coupled-distance reference."""
@@ -179,25 +189,24 @@ class CouplingController(Controller):
             return
         self.d0_sq = d0_sq
 
-    def observe(self, obs: Observation) -> Decision:
+    def observe(self, k, theta1, d_sq, direction):
         if self.d0_sq is None or not self.d0_sq > D0_FLOOR:
             raise DegenerateDiagnosticError(
                 "coupled-distance reference is unset or not positive"
             )
-        stat = obs.d_sq / self.d0_sq
+        stat = d_sq / self.d0_sq
         p = self.params
-        if obs.k - self._phase_start <= p.burn_in or obs.k % p.check_every != 0:
-            return Decision.go(stat)
+        if k - self._phase_start <= p.burn_in or k % p.check_every != 0:
+            return stat
         if stat < self.beta:
             self._hits += 1
         else:
             self._hits = 0
-        if self._hits < p.patience:
-            return Decision.go(stat)
-        self._hits = 0
-        self.phase_index += 1
-        self._phase_start = obs.k
-        return Decision(decay=True, new_gamma=self.gamma, reinit=True, statistic=stat)
+        if self._hits >= p.patience:
+            self._hits = 0
+            self.phase_index += 1
+            self._phase_start = k
+        return stat
 
 
 class PflugController(Controller):
@@ -205,9 +214,11 @@ class PflugController(Controller):
 
     A negative mean signals that successive steps have stopped pointing the
     same way, i.e. the iterates bounce around stationarity.  On decay the
-    accumulator and the burn-in clock reset.  Needs a burn-in: the statistic
-    is extremely noisy early on.  ``burn_in=None`` picks 2/(γμ) capped at
-    1e4 from the problem's certified curvature.
+    accumulator and the burn-in clock reset; the previous direction is kept,
+    so the first step of a phase pairs with the last of the one before.  The
+    first observation has no previous direction and no statistic.  Needs a
+    burn-in: the statistic is extremely noisy early on.  ``burn_in=None``
+    picks 2/(γμ) capped at 1e4 from the problem's certified curvature.
     """
 
     def __init__(self, params: ControllerParams, mu_hint: float | None = None):
@@ -222,25 +233,25 @@ class PflugController(Controller):
         self._sum = 0.0
         self._count = 0
         self._phase_start = 0
+        self._prev: np.ndarray | None = None
 
-    def observe(self, obs: Observation) -> Decision:
-        if obs.prev_direction is None:
-            return Decision.go()
+    def observe(self, k, theta1, d_sq, direction):
+        prev, self._prev = self._prev, direction
+        if prev is None:
+            return math.nan
         # directions are negated gradients, so the inner product matches
-        self._sum += float(obs.direction @ obs.prev_direction)
+        self._sum += float(direction @ prev)
         self._count += 1
         stat = self._sum / self._count
         p = self.params
-        k_rel = obs.k - self._phase_start
-        if k_rel <= p.burn_in or obs.k % p.check_every != 0:
-            return Decision.go(stat)
+        if k - self._phase_start <= p.burn_in or k % p.check_every != 0:
+            return stat
         if stat < 0.0:
             self.phase_index += 1
             self._sum = 0.0
             self._count = 0
-            self._phase_start = obs.k
-            return Decision(decay=True, new_gamma=self.gamma, statistic=stat)
-        return Decision.go(stat)
+            self._phase_start = k
+        return stat
 
 
 class DistanceController(Controller):
@@ -287,22 +298,22 @@ class DistanceController(Controller):
             if cand > k_rel:
                 return cand
 
-    def observe(self, obs: Observation) -> Decision:
+    def observe(self, k, theta1, d_sq, direction):
         if self._anchor is None:
-            self._anchor = obs.theta1.copy()
-            self._phase_start = obs.k
-            return Decision.go()
-        k_rel = obs.k - self._phase_start
+            self._anchor = theta1.copy()
+            self._phase_start = k
+            return math.nan
+        k_rel = k - self._phase_start
         if k_rel < self._next_checkpoint or k_rel <= self._burn_in:
-            return Decision.go(math.nan)
+            return math.nan
         self._next_checkpoint = self._checkpoint_after(k_rel)
-        diff = obs.theta1 - self._anchor
+        diff = theta1 - self._anchor
         omega = float(diff @ diff)
         if omega == 0.0:
-            return Decision.go(math.nan)  # cannot take log; skip checkpoint
+            return math.nan  # cannot take log; skip checkpoint
         if self._prev is None:
             self._prev = (k_rel, omega)
-            return Decision.go(math.nan)
+            return math.nan
         k_prev, omega_prev = self._prev
         slope = (math.log(omega) - math.log(omega_prev)) / (
             math.log(k_rel) - math.log(k_prev)
@@ -312,17 +323,13 @@ class DistanceController(Controller):
             self._hits += 1
         else:
             self._hits = 0
-        if self._hits < self.params.patience:
-            return Decision.go(slope)
-        self._hits = 0
-        self.phase_index += 1
-        self._anchor = obs.theta1.copy()
-        self._phase_start = obs.k
-        self._restart_ladder()
-        return Decision(decay=True, new_gamma=self.gamma, statistic=slope)
-
-
-SCHEDULE_KINDS = ("constant", "inv_sqrt", "inv_mu_k", "uniform_opt")
+        if self._hits >= self.params.patience:
+            self._hits = 0
+            self.phase_index += 1
+            self._anchor = theta1.copy()
+            self._phase_start = k
+            self._restart_ladder()
+        return slope
 
 
 def fixed_schedule(kind: str, k: int, *constants) -> float:
@@ -358,8 +365,6 @@ class FixedScheduleController(Controller):
             params = replace(params, gamma0=1.0)
         super().__init__(params)
         name, *constants = params.schedule
-        if name not in SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind {name!r}")
         self._name = name
         self._constants = constants
 

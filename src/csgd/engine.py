@@ -3,13 +3,15 @@
 Advances one or two iterates; when coupled, both evaluations of an
 iteration share a single token, i.e. the same minibatch or noise draw.
 Maintains the ring buffer of recent auxiliary iterates for backward
-re-initialization, applies controller decisions atomically between steps,
-and records a :class:`RunTrace`.
+re-initialization, applies each decay atomically between steps, and
+records a :class:`RunTrace`.
 
 Order of events inside iteration k: step both iterates with the current
-stepsize, let the controller observe, then (on a decay decision) update the
-stepsize/threshold and re-initialize the auxiliary iterate before the next
-step begins.
+stepsize, then let the controller observe, which returns the statistic.
+If the controller's ``phase_index`` went up, that was a decay: the next
+step runs at the controller's new ``gamma``, and for a controller that
+``needs_coupling`` the auxiliary iterate is re-initialized and the
+controller re-armed before that step begins.
 
 Tokens come from a :class:`TokenBuffer`, which draws up to ``CHUNK`` of
 them at a time from one raw block of the run's stream.  Each problem kind
@@ -25,7 +27,7 @@ drawing would have reached, and ``rng.counter`` on return is that counter.
 
 - one schedule: the replicates share one fixed-schedule controller, asked
   for each stepsize once and shown the whole stack once per step; a decay
-  decision raises ConfigError, since it cannot apply to one chain alone;
+  raises ConfigError, since it cannot apply to one chain alone;
 - per-replicate streams: each chain keeps its own stream and token buffer,
   and its blocks are stacked along a replicate axis for one oracle call;
 - per-replicate divergence: a chain that diverges gets the failure text and
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import Controller, Observation
+from .controllers import Controller
 from .errors import ConfigError
 from .numkit import RngStream
 
@@ -90,7 +92,6 @@ class CoupledState:
     theta1: np.ndarray
     theta2: np.ndarray | None
     k: int = 0
-    d0_sq: float | None = None
     history: deque | None = None  # last b+1 auxiliary iterates, newest last
     avg1: np.ndarray | None = None
     last_direction: np.ndarray | None = None
@@ -261,7 +262,6 @@ def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: floa
             d0_sq = float(diff @ diff)
     state.theta2 = theta2
     state.history = deque([theta2], maxlen=b + 1)
-    state.d0_sq = d0_sq
     return d0_sq
 
 
@@ -310,15 +310,16 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
     tokens = TokenBuffer(problem, rng, cfg.batch_size, cfg.n_iters)
     if coupled:
         offset = cfg.init_offset_scale * rng.normals(d)
-        d0_sq = rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), tokens)
-        controller.rearm(d0_sq)
+        controller.rearm(
+            rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), tokens)
+        )
     if cfg.averaging:
         state.avg1 = state.theta1.copy()
     tokens.sampler_state = problem.init_sampler(rng)
 
     trace = RunTrace()
     restarted_since_record = False
-    prev_direction = None
+    phase = controller.phase_index
     tail_sum = 0.0
     tail_count = 0
 
@@ -336,29 +337,13 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
             tokens.resync()
             break
 
-        obs = Observation(
-            k=k,
-            theta1=state.theta1,
-            theta2=state.theta2,
-            d_sq=d_sq,
-            direction=state.last_direction,
-            prev_direction=prev_direction,
-        )
-        prev_direction = state.last_direction
-        decision = controller.observe(obs)
-        if decision.decay:
-            old_gamma = gamma
-            if decision.reinit and coupled:
-                new_d0 = reinit_auxiliary(state, b, decision.new_gamma, tokens)
-                controller.rearm(new_d0)
-            trace.restart_log.append(
-                RestartEvent(
-                    k=k,
-                    old_gamma=old_gamma,
-                    new_gamma=decision.new_gamma,
-                    statistic=decision.statistic,
-                )
-            )
+        stat = controller.observe(k, state.theta1, d_sq, state.last_direction)
+        if controller.phase_index != phase:
+            phase = controller.phase_index
+            new_gamma = controller.gamma
+            if controller.needs_coupling:
+                controller.rearm(reinit_auxiliary(state, b, new_gamma, tokens))
+            trace.restart_log.append(RestartEvent(k, gamma, new_gamma, stat))
             restarted_since_record = True
 
         if cfg.tail_from is not None and k >= cfg.tail_from:
@@ -367,7 +352,7 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
             tail_count += 1
 
         if k % cfg.trace_stride == 0 or k == cfg.n_iters:
-            trace.record(problem, k, gamma, decision.statistic, state.theta1, state.avg1, d_sq,
+            trace.record(problem, k, gamma, stat, state.theta1, state.avg1, d_sq,
                          restarted_since_record)
             restarted_since_record = False
 
@@ -479,8 +464,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 stack = _select_rows(stack, keep)
                 steps = _step_tokens(stack)
 
-            decision = controller.observe(Observation(k=k, theta1=theta))
-            if decision.decay:
+            stat = controller.observe(k, theta, None, None)
+            if controller.phase_index:
                 raise ConfigError(
                     f"controller decayed at k={k}; lockstep replicates share one schedule"
                 )
@@ -490,7 +475,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
             if k % cfg.trace_stride == 0 or k == n_iters:
                 for row, r in enumerate(active):
                     row_avg = None if avg is None else avg[row]
-                    traces[r].record(problem, k, gamma, decision.statistic, theta[row], row_avg)
+                    traces[r].record(problem, k, gamma, stat, theta[row], row_avg)
 
     for row, r in enumerate(active):
         traces[r].summarize(problem, cfg, k, controller.stepsize(max(k, 1)), theta[row],

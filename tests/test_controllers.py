@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from csgd.controllers import (
     ControllerParams,
     CouplingController,
-    Decision,
     DistanceController,
     FixedScheduleController,
-    Observation,
     PflugController,
     fixed_schedule,
     make_controller,
@@ -19,14 +17,11 @@ from csgd.controllers import (
 from csgd.errors import ConfigError, DegenerateDiagnosticError
 
 
-def obs(k, d_sq=None, theta1=None, direction=None, prev_direction=None):
-    return Observation(
-        k=k,
-        theta1=np.zeros(2) if theta1 is None else theta1,
-        d_sq=d_sq,
-        direction=direction,
-        prev_direction=prev_direction,
-    )
+def observe(ctrl, k, d_sq=None, theta1=None, direction=None):
+    """Show ``ctrl`` step k; returns (decayed, statistic)."""
+    phase = ctrl.phase_index
+    stat = ctrl.observe(k, np.zeros(2) if theta1 is None else theta1, d_sq, direction)
+    return ctrl.phase_index == phase + 1, stat
 
 
 def coupling(adaptive=False, **kw):
@@ -52,6 +47,11 @@ def test_params_validated():
         dict(gamma0=0.1, patience=0),
         dict(gamma0=0.1, denominator="mid"),
         dict(kind="who"),
+        dict(kind="fixed", schedule=("inv_sqrt",)),
+        dict(kind="fixed", schedule=("uniform_opt",)),
+        dict(kind="fixed", schedule=("constant", 0.1, 0.2)),
+        dict(kind="fixed", schedule=("inv_mu_k", 0.0)),
+        dict(kind="fixed", schedule=("constant", -1.0)),
     ]:
         with pytest.raises(ConfigError):
             ControllerParams(**bad).validate()
@@ -71,17 +71,17 @@ def test_phase_algebra_exact_powers(m):
 
 def test_coupling_coincident_iterates_decay():
     ctrl = coupling()
-    dec = ctrl.observe(obs(1, d_sq=0.0))
-    assert dec.decay and dec.reinit
-    assert dec.new_gamma == pytest.approx(0.1)
+    decayed, _ = observe(ctrl, 1, d_sq=0.0)
+    assert decayed and ctrl.needs_coupling
+    assert ctrl.gamma == pytest.approx(0.1)
 
 
 def test_coupling_tie_continues():
     # S == β exactly: strict inequality means Continue
     ctrl = coupling(beta0=0.25, d0_sq=1.0)
-    dec = ctrl.observe(obs(1, d_sq=0.25))
-    assert not dec.decay
-    assert dec.statistic == 0.25
+    decayed, stat = observe(ctrl, 1, d_sq=0.25)
+    assert not decayed
+    assert stat == 0.25
 
 
 def test_coupling_first_decay_matches_closed_form():
@@ -95,8 +95,8 @@ def test_coupling_first_decay_matches_closed_form():
     ctrl = coupling(beta0=beta, gamma0=gamma)
     fired_at = None
     for k in range(1, 100):
-        dec = ctrl.observe(obs(k, d_sq=contraction**k))
-        if dec.decay:
+        decayed, _ = observe(ctrl, k, d_sq=contraction**k)
+        if decayed:
             fired_at = k
             break
     assert fired_at == predicted
@@ -106,7 +106,7 @@ def test_coupling_respects_burn_in_and_cadence():
     ctrl = coupling(burn_in=50, check_every=7)
     fired = []
     for k in range(1, 120):
-        if ctrl.observe(obs(k, d_sq=1e-9)).decay:
+        if observe(ctrl, k, d_sq=1e-9)[0]:
             fired.append(k)
             break
     assert fired == [56]  # first multiple of 7 past the burn-in
@@ -116,7 +116,7 @@ def test_coupling_burn_in_restarts_with_each_phase():
     ctrl = coupling(burn_in=50, check_every=7)
     fired = []
     for k in range(1, 200):
-        if ctrl.observe(obs(k, d_sq=1e-9)).decay:
+        if observe(ctrl, k, d_sq=1e-9)[0]:
             fired.append(k)
             ctrl.rearm(1.0)
     # phase 2 starts at k = 56 and waits 50 steps; the cadence stays on the
@@ -126,15 +126,15 @@ def test_coupling_burn_in_restarts_with_each_phase():
 
 def test_coupling_patience():
     ctrl = coupling(patience=3)
-    decays = [ctrl.observe(obs(k, d_sq=1e-9)).decay for k in range(1, 5)]
+    decays = [observe(ctrl, k, d_sq=1e-9)[0] for k in range(1, 5)]
     assert decays == [False, False, True, False]
 
 
 def test_coupling_adaptive_shrinks_threshold():
     ctrl = coupling(adaptive=True, beta0=1e-2, eta=0.5)
     assert ctrl.beta == 1e-2
-    dec = ctrl.observe(obs(1, d_sq=0.0))
-    assert dec.decay
+    decayed, _ = observe(ctrl, 1, d_sq=0.0)
+    assert decayed
     ctrl.rearm(1.0)
     assert ctrl.beta == 5e-3
 
@@ -146,10 +146,10 @@ def test_coupling_scale_invariance():
     scaled.rearm(1.0 * 2.0**40)
     seq = [0.9, 0.5, 0.4, 0.36, 0.371, 0.2]
     for k, d in enumerate(seq, start=1):
-        d1 = base.observe(obs(k, d_sq=d))
-        d2 = scaled.observe(obs(k, d_sq=d * 2.0**40))
-        assert d1.statistic == d2.statistic
-        assert d1.decay == d2.decay
+        decayed1, stat1 = observe(base, k, d_sq=d)
+        decayed2, stat2 = observe(scaled, k, d_sq=d * 2.0**40)
+        assert stat1 == stat2
+        assert decayed1 == decayed2
 
 
 def test_coupling_degenerate_reference_raises():
@@ -157,10 +157,10 @@ def test_coupling_degenerate_reference_raises():
         ControllerParams(kind="coupling_static", gamma0=0.1), adaptive=False
     )
     with pytest.raises(DegenerateDiagnosticError):
-        ctrl.observe(obs(1, d_sq=0.5))
+        observe(ctrl, 1, d_sq=0.5)
     ctrl.rearm(0.0)
     with pytest.raises(DegenerateDiagnosticError):
-        ctrl.observe(obs(1, d_sq=0.5))
+        observe(ctrl, 1, d_sq=0.5)
 
 
 def test_coupling_global_denominator_keeps_first_reference():
@@ -187,36 +187,33 @@ def test_pflug_positive_products_never_decay():
     ctrl = _pflug()
     g = np.array([1.0, 0.0])
     for k in range(1, 200):
-        dec = ctrl.observe(obs(k, direction=g, prev_direction=g))
-        assert not dec.decay
+        decayed, _ = observe(ctrl, k, direction=g)
+        assert not decayed
 
 
 def test_pflug_negative_running_mean_decays():
     ctrl = _pflug()
     u = np.array([1.0, 0.0])
-    seq = [u, -u, u, -u, -u]  # inner products: -1, -1, -1, +1... construct mean < 0
-    prev = u
+    seq = [u, -u, u, -u, -u]  # inner products from k=2: -1, -1, -1, +1
     fired = None
     for k, cur in enumerate(seq, start=1):
-        dec = ctrl.observe(obs(k, direction=cur, prev_direction=prev))
-        prev = cur
-        if dec.decay:
+        decayed, stat = observe(ctrl, k, direction=cur)
+        if k == 1:
+            assert math.isnan(stat)  # no earlier step, no inner product
+        if decayed:
             fired = k
             break
     assert fired is not None
-    assert not dec.reinit
+    assert not ctrl.needs_coupling
 
 
 def test_pflug_resets_clock_and_sum_on_decay():
     ctrl = _pflug(burn_in=2)
     u = np.array([1.0])
-    neg = [(u, -u), (-u, u), (u, -u), (-u, u), (u, -u)]
     fired = []
     for k in range(1, 12):
-        cur, prev = neg[0]
-        dec = ctrl.observe(obs(k, direction=-u if k % 2 else u,
-                               prev_direction=u if k % 2 else -u))
-        if dec.decay:
+        # alternating directions: every inner product is -1
+        if observe(ctrl, k, direction=-u if k % 2 else u)[0]:
             fired.append(k)
     # after each decay the burn-in clock restarts, spacing decays apart
     assert fired
@@ -238,19 +235,19 @@ def test_distance_linear_growth_continues():
     # Ω growing linearly in k: slope ≈ 1 on log-log axes
     ctrl = DistanceController(ControllerParams(kind="distance", gamma0=0.1))
     anchor = np.zeros(1)
-    ctrl.observe(obs(1, theta1=anchor))
+    observe(ctrl, 1, theta1=anchor)
     for k in range(2, 400):
         theta = np.array([math.sqrt(k)])  # Ω = k
-        assert not ctrl.observe(obs(k, theta1=theta)).decay
+        assert not observe(ctrl, k, theta1=theta)[0]
 
 
 def test_distance_frozen_distance_decays():
     ctrl = DistanceController(ControllerParams(kind="distance", gamma0=0.1))
-    ctrl.observe(obs(1, theta1=np.zeros(1)))
+    observe(ctrl, 1, theta1=np.zeros(1))
     fired = None
     for k in range(2, 100):
         theta = np.array([1.0])  # Ω frozen at 1
-        if ctrl.observe(obs(k, theta1=theta)).decay:
+        if observe(ctrl, k, theta1=theta)[0]:
             fired = k
             break
     assert fired is not None
@@ -258,23 +255,23 @@ def test_distance_frozen_distance_decays():
 
 def test_distance_zero_distance_checkpoint_skipped():
     ctrl = DistanceController(ControllerParams(kind="distance", gamma0=0.1))
-    ctrl.observe(obs(1, theta1=np.zeros(1)))
+    observe(ctrl, 1, theta1=np.zeros(1))
     for k in range(2, 50):
-        dec = ctrl.observe(obs(k, theta1=np.zeros(1)))  # Ω = 0 throughout
-        assert not dec.decay  # cannot take log, checkpoints skipped
+        decayed, _ = observe(ctrl, k, theta1=np.zeros(1))  # Ω = 0 throughout
+        assert not decayed  # cannot take log, checkpoints skipped
 
 
 def test_distance_first_phase_counts_from_anchor():
     # θ moves one unit per step from the anchor at k=1, so Ω = k_rel² and
     # every slope is exactly 2 when k_rel counts steps since the anchor
     ctrl = DistanceController(ControllerParams(kind="distance", gamma0=0.1))
-    ctrl.observe(obs(1, theta1=np.zeros(1)))
+    observe(ctrl, 1, theta1=np.zeros(1))
     slopes = []
     for k in range(2, 60):
-        dec = ctrl.observe(obs(k, theta1=np.array([float(k - 1)])))
-        assert not dec.decay
-        if not math.isnan(dec.statistic):
-            slopes.append(dec.statistic)
+        decayed, stat = observe(ctrl, k, theta1=np.array([float(k - 1)]))
+        assert not decayed
+        if not math.isnan(stat):
+            slopes.append(stat)
     assert slopes and slopes == pytest.approx([2.0] * len(slopes), rel=1e-12)
 
 
@@ -293,13 +290,13 @@ def test_distance_burn_in_restarts_with_each_phase(burn_in, mu_hint, first_slope
         ControllerParams(kind="distance", gamma0=0.1, r=0.5, burn_in=burn_in),
         mu_hint=mu_hint,
     )
-    ctrl.observe(obs(1, theta1=np.zeros(1)))
+    observe(ctrl, 1, theta1=np.zeros(1))
     phase_start, seen = 1, []
     for k in range(2, 200):
         # one unit from each phase's anchor: Ω = 1 and every slope is 0
-        dec = ctrl.observe(obs(k, theta1=np.array([float(len(seen) + 1)])))
-        if not math.isnan(dec.statistic):
-            assert dec.decay
+        decayed, stat = observe(ctrl, k, theta1=np.array([float(len(seen) + 1)]))
+        if not math.isnan(stat):
+            assert decayed
             seen.append(k - phase_start)
             phase_start = k
         if len(seen) == len(first_slopes):
@@ -330,7 +327,7 @@ def test_fixed_controller_stepsize_sequence():
     )
     assert ctrl.stepsize(1) == 2.0
     assert ctrl.stepsize(16) == 0.5
-    assert not ctrl.observe(obs(3)).decay
+    assert not observe(ctrl, 3)[0]
 
 
 def test_make_controller_fills_gamma0_from_problem():

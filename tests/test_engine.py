@@ -13,7 +13,7 @@ from csgd.oracle import stationary_error_estimate
 from csgd.problems import make_problem
 from csgd.engine import CHUNK, TokenBuffer
 from csgd.errors import ConfigError
-from csgd.controllers import Decision, FixedScheduleController
+from csgd.controllers import FixedScheduleController
 from csgd.engine import run_replicates
 from csgd.oracle import dk_closed_form_series
 from collections import deque
@@ -402,8 +402,10 @@ def test_stacked_oracle_matches_rows_bitwise(name, d):
 
 
 class _DecaysAtFive(FixedScheduleController):
-    def observe(self, obs):
-        return Decision(decay=obs.k == 5, new_gamma=self.gamma)
+    def observe(self, k, theta1, d_sq, direction):
+        if k == 5:
+            self.phase_index += 1
+        return super().observe(k, theta1, d_sq, direction)
 
 
 @pytest.mark.parametrize("case", ["coupling", "pflug", "track_coupling", "no_streams"])
