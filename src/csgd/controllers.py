@@ -32,9 +32,9 @@ CONTROLLER_KINDS = (
 D0_FLOOR = 1e-300  # positivity floor for the coupled-distance reference
 RELAXATION_CAP = 10_000
 
-# fixed schedules and how many constants each takes (see fixed_schedule)
-SCHEDULE_ARITY = {"constant": (1, 1), "inv_sqrt": (1, 1), "inv_mu_k": (1, 1),
-                  "uniform_opt": (1, 2)}
+# fixed schedules and the most constants each takes; each takes at least
+# one (see fixed_schedule)
+SCHEDULE_ARITY = {"constant": 1, "inv_sqrt": 1, "inv_mu_k": 1, "uniform_opt": 2}
 
 
 def relaxation_steps(gamma: float, mu: float | None) -> int:
@@ -110,10 +110,10 @@ class ControllerParams:
         name, *constants = self.schedule
         if name not in SCHEDULE_ARITY:
             raise ConfigError(f"unknown schedule kind {name!r}")
-        low, high = SCHEDULE_ARITY[name]
-        if not low <= len(constants) <= high:
+        if not 1 <= len(constants) <= SCHEDULE_ARITY[name]:
             raise ConfigError(
-                f"schedule {name!r} takes {low} to {high} constants, got {len(constants)}"
+                f"schedule {name!r} takes 1 to {SCHEDULE_ARITY[name]} constants, "
+                f"got {len(constants)}"
             )
         for i, c in enumerate(constants):
             tau = name == "uniform_opt" and i == 0
