@@ -31,6 +31,8 @@ CONTROLLER_KINDS = (
 
 D0_FLOOR = 1e-300  # positivity floor for the coupled-distance reference
 RELAXATION_CAP = 10_000
+SLOPE_THRESHOLD = 0.5  # distance: decay below this log-log slope
+CHECKPOINT_RATIO = 1.5  # distance: geometric checkpoint spacing
 
 # fixed schedules and the most constants each takes; each takes at least
 # one (see fixed_schedule)
@@ -41,12 +43,19 @@ def relaxation_steps(gamma: float, mu: float | None) -> int:
     """Steps for the mean of SGD at stepsize γ to relax: 2/(γμ), capped at 1e4.
 
     The slowest mode of the mean contracts like (1 - γμ)^k, so 2/(γμ) steps
-    are two e-folding times.  Without a positive μ the time is unbounded and
+    are two e-folding times.  Without a positive γμ the time is unbounded and
     the cap applies.
     """
-    if mu is None or not mu > 0:
+    if mu is None or not gamma * mu > 0.0:
         return RELAXATION_CAP
-    return min(int(2.0 / (gamma * mu)), RELAXATION_CAP)
+    steps = 2.0 / (gamma * mu)  # inf when γμ is subnormal
+    return int(steps) if steps < RELAXATION_CAP else RELAXATION_CAP
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Raise ConfigError unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,33 +81,28 @@ class ControllerParams:
     burn_in: int | None = 0
     patience: int = 1
     denominator: str = "phase"
-    slope_threshold: float = 0.5
-    checkpoint_ratio: float = 1.5
     schedule: tuple | None = None  # fixed kind: (name, *constants)
 
     def validate(self):
         if self.kind not in CONTROLLER_KINDS:
             raise ConfigError(f"unknown controller kind {self.kind!r}")
-        if self.gamma0 is not None and self.gamma0 <= 0:
-            raise ConfigError("gamma0 must be positive")
+        if self.gamma0 is not None and not (
+            isinstance(self.gamma0, numbers.Real) and 0.0 < self.gamma0 < math.inf
+        ):
+            raise ConfigError(f"gamma0 must be finite and positive, got {self.gamma0!r}")
         if not 0.0 < self.r < 1.0:
             raise ConfigError("r must lie in (0, 1)")
         if not 0.0 < self.beta0 < 1.0:
             raise ConfigError("beta0 must lie in (0, 1)")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("eta must lie in (0, 1]")
-        if self.b < 0:
-            raise ConfigError("b must be >= 0")
-        if self.check_every < 1:
-            raise ConfigError("check_every must be >= 1")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
+        check_int("b", self.b, 0)
+        check_int("check_every", self.check_every, 1)
+        if self.burn_in is not None:
+            check_int("burn_in", self.burn_in, 0)
+        check_int("patience", self.patience, 1)
         if self.denominator not in ("phase", "global"):
             raise ConfigError("denominator must be 'phase' or 'global'")
-        if self.checkpoint_ratio <= 1.0:
-            raise ConfigError("checkpoint_ratio must exceed 1")
         if self.kind == "fixed":
             self._validate_schedule()
         return self
@@ -260,7 +264,7 @@ class DistanceController(Controller):
     While the iterates drift, the squared distance to the phase anchor
     grows roughly linearly (slope ≈ 1 on log-log axes); when it saturates
     the slope collapses.  Decay when the slope between the last two
-    checkpoints drops below ``slope_threshold``; then re-anchor at the
+    checkpoints drops below ``SLOPE_THRESHOLD``; then re-anchor at the
     current iterate and restart the checkpoint ladder.
 
     Every phase, the first included, is anchored at the iterate of its
@@ -291,9 +295,8 @@ class DistanceController(Controller):
             self._burn_in = max(self._burn_in, relaxation_steps(self.gamma, self._mu_hint))
 
     def _checkpoint_after(self, k_rel: int) -> int:
-        q = self.params.checkpoint_ratio
         while True:
-            cand = math.ceil(q**self._j)
+            cand = math.ceil(CHECKPOINT_RATIO**self._j)
             self._j += 1
             if cand > k_rel:
                 return cand
@@ -319,7 +322,7 @@ class DistanceController(Controller):
             math.log(k_rel) - math.log(k_prev)
         )
         self._prev = (k_rel, omega)
-        if slope < self.params.slope_threshold:
+        if slope < SLOPE_THRESHOLD:
             self._hits += 1
         else:
             self._hits = 0

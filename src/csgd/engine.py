@@ -48,11 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import Controller
-from .errors import ConfigError
+from .controllers import Controller, check_int
+from .errors import ConfigError, DegenerateDiagnosticError
 from .numkit import RngStream
 
 D0_REARM_FLOOR_REL = 1e-12
+REARM_DRAWS = 100  # perturbation draws before a re-arm gives up
+DIVERGENCE_THRESHOLD = 1e12  # a run stops once ||θ1||² exceeds this
 CHUNK = 256  # tokens decoded per raw block
 
 
@@ -63,18 +65,17 @@ class EngineConfig:
     averaging: bool = False
     trace_stride: int = 100
     init_offset_scale: float = 1.0
-    init_theta: np.ndarray | None = None
     track_coupling: bool | None = None  # None: follow the controller's need
-    divergence_threshold: float = 1e12
     tail_from: int | None = None  # accumulate mean err over k >= tail_from
 
     def __post_init__(self):
-        if self.n_iters < 0:
-            raise ConfigError("n_iters must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.trace_stride < 1:
-            raise ConfigError("trace_stride must be >= 1")
+        check_int("n_iters", self.n_iters, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("trace_stride", self.trace_stride, 1)
+        if not 0.0 <= self.init_offset_scale < math.inf:
+            raise ConfigError(
+                f"init_offset_scale must be finite and >= 0, got {self.init_offset_scale!r}"
+            )
 
 
 @dataclass
@@ -91,10 +92,7 @@ class CoupledState:
 
     theta1: np.ndarray
     theta2: np.ndarray | None
-    k: int = 0
     history: deque | None = None  # last b+1 auxiliary iterates, newest last
-    avg1: np.ndarray | None = None
-    last_direction: np.ndarray | None = None
 
 
 @dataclass
@@ -157,10 +155,12 @@ class TokenBuffer:
     ``remaining`` counts the tokens the run has yet to take, so a refill
     never draws past the last iteration.  ``sampler_state`` is the problem's
     sampler state after the last token drawn; set it from ``init_sampler``
-    before the first token.
+    before the first token.  A batch size the problem cannot draw raises
+    ConfigError here, before any draw.
     """
 
     def __init__(self, problem, rng: RngStream, batch: int, remaining: int):
+        problem.words_per_token(batch)
         self.problem = problem
         self.rng = rng
         self.batch = batch
@@ -221,12 +221,12 @@ class TokenBuffer:
         return self.rng
 
 
-def coupled_step(state: CoupledState, problem, gamma: float, token) -> float | None:
+def coupled_step(state: CoupledState, problem, gamma: float, token):
     """Advance the pair by one iteration with shared noise.
 
-    Returns ||θ1 - θ2||² after the step when coupled, else None.  The same
-    token feeds both oracle evaluations, so for additive-noise quadratics
-    the difference contracts deterministically.
+    Returns θ1's update direction and ||θ1 - θ2||² after the step (None
+    when uncoupled).  The same token feeds both oracle evaluations, so for
+    additive-noise quadratics the difference contracts deterministically.
     """
     u1 = problem.step_direction(state.theta1, token)
     state.theta1 = state.theta1 + gamma * u1
@@ -237,9 +237,7 @@ def coupled_step(state: CoupledState, problem, gamma: float, token) -> float | N
         state.history.append(state.theta2)
         diff = state.theta1 - state.theta2
         d_sq = float(diff @ diff)
-    state.k += 1
-    state.last_direction = u1
-    return d_sq
+    return u1, d_sq
 
 
 def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: float,
@@ -249,17 +247,24 @@ def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: floa
     If that difference is degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is
     instead perturbed off θ1 by √γ·N(0, I) — the scale of the stationary
     fluctuation radius — so the diagnostic stays well defined.  The
-    perturbation is drawn out of band, after resyncing the token buffer.
+    perturbation is drawn out of band, after resyncing the token buffer; if
+    ``REARM_DRAWS`` draws all stay within the floor (γ too small for it),
+    DegenerateDiagnosticError is raised.
     """
     diff = state.theta1 - theta2
     d0_sq = float(diff @ diff)
     floor = D0_REARM_FLOOR_REL * max(1.0, float(state.theta1 @ state.theta1))
     if d0_sq <= floor:
         rng = tokens.resync()
-        while d0_sq <= floor:
+        for _ in range(REARM_DRAWS):
             theta2 = state.theta1 + math.sqrt(gamma) * rng.normals(state.theta1.shape[0])
             diff = state.theta1 - theta2
             d0_sq = float(diff @ diff)
+            if d0_sq > floor:
+                break
+        else:
+            raise DegenerateDiagnosticError(
+                f"re-arm: {REARM_DRAWS} perturbations at gamma={gamma:g} stay within {floor:g}")
     state.theta2 = theta2
     state.history = deque([theta2], maxlen=b + 1)
     return d0_sq
@@ -303,18 +308,14 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
         )
     b = controller.params.b
 
-    theta1 = (
-        np.zeros(d) if cfg.init_theta is None else np.asarray(cfg.init_theta, float).copy()
-    )
-    state = CoupledState(theta1=theta1, theta2=None)
+    state = CoupledState(theta1=np.zeros(d), theta2=None)
     tokens = TokenBuffer(problem, rng, cfg.batch_size, cfg.n_iters)
     if coupled:
         offset = cfg.init_offset_scale * rng.normals(d)
         controller.rearm(
             rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), tokens)
         )
-    if cfg.averaging:
-        state.avg1 = state.theta1.copy()
+    avg1 = state.theta1.copy() if cfg.averaging else None
     tokens.sampler_state = problem.init_sampler(rng)
 
     trace = RunTrace()
@@ -322,22 +323,23 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
     phase = controller.phase_index
     tail_sum = 0.0
     tail_count = 0
+    k = 0
 
     for k in range(1, cfg.n_iters + 1):
         gamma = controller.stepsize(k)
-        d_sq = coupled_step(state, problem, gamma, tokens.next())
-        if cfg.averaging:
-            update_average(state.avg1, state.theta1, state.k)
+        direction, d_sq = coupled_step(state, problem, gamma, tokens.next())
+        if avg1 is not None:
+            update_average(avg1, state.theta1, k)
 
         norm1_sq = float(state.theta1 @ state.theta1)
-        if not math.isfinite(norm1_sq) or norm1_sq > cfg.divergence_threshold:
+        if not math.isfinite(norm1_sq) or norm1_sq > DIVERGENCE_THRESHOLD:
             trace.failure = _divergence_failure(k, norm1_sq)
-            trace.record(problem, k, gamma, math.nan, state.theta1, state.avg1, d_sq,
+            trace.record(problem, k, gamma, math.nan, state.theta1, avg1, d_sq,
                          restarted_since_record)
             tokens.resync()
             break
 
-        stat = controller.observe(k, state.theta1, d_sq, state.last_direction)
+        stat = controller.observe(k, state.theta1, d_sq, direction)
         if controller.phase_index != phase:
             phase = controller.phase_index
             new_gamma = controller.gamma
@@ -352,12 +354,12 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
             tail_count += 1
 
         if k % cfg.trace_stride == 0 or k == cfg.n_iters:
-            trace.record(problem, k, gamma, stat, state.theta1, state.avg1, d_sq,
+            trace.record(problem, k, gamma, stat, state.theta1, avg1, d_sq,
                          restarted_since_record)
             restarted_since_record = False
 
-    trace.summarize(problem, cfg, state.k, controller.stepsize(max(state.k, 1)),
-                    state.theta1, state.avg1, tail_sum, tail_count)
+    trace.summarize(problem, cfg, k, controller.stepsize(max(k, 1)), state.theta1, avg1,
+                    tail_sum, tail_count)
     return trace
 
 
@@ -417,8 +419,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
         raise ConfigError("lockstep replicates are uncoupled; track_coupling=True is not allowed")
     n_iters = cfg.n_iters
     theta_star = problem.theta_star
-    theta0 = np.zeros(problem.d) if cfg.init_theta is None else np.asarray(cfg.init_theta, float)
-    theta = np.tile(theta0, (len(rngs), 1))
+    theta = np.zeros((len(rngs), problem.d))
     avg = theta.copy() if cfg.averaging else None
     buffers = []
     for rng in rngs:
@@ -444,8 +445,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
 
             norms = _row_sq(theta)
             top = float(norms.max())  # nan if any row is nan
-            if not math.isfinite(top) or top > cfg.divergence_threshold:
-                diverged = ~np.isfinite(norms) | (norms > cfg.divergence_threshold)
+            if not math.isfinite(top) or top > DIVERGENCE_THRESHOLD:
+                diverged = ~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD)
                 for row in np.flatnonzero(diverged):
                     trace = traces[active[row]]
                     row_avg = None if avg is None else avg[row]

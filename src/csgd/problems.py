@@ -2,25 +2,29 @@
 
 Each problem kind exposes the same surface:
 
-- ``grad(theta, token)``: a stochastic (sub)gradient; the token carries all
-  randomness, so the call is a pure function of ``(theta, token)`` and two
-  evaluations with the same token consume identical noise.  That property
-  is what makes coupled runs share their per-iteration randomness.
+- ``direction(theta, token)``: the update direction u in θ ← θ + γu, minus
+  a stochastic (sub)gradient for the gradient kinds.  The token carries
+  all randomness, so the call is a pure function of ``(theta, token)`` and
+  two evaluations with the same token consume identical noise.  That
+  property is what makes coupled runs share their per-iteration
+  randomness.  ``grad`` is ``-direction``, for the gradient checks.
 - ``full_grad`` / ``loss``: the deterministic objective the stochastic
   oracle is unbiased for (empirical mean for dataset-backed kinds,
   population form for streaming kinds).
 - certified constants ``L``, ``mu``, ``R_sq`` and a lazily
   solved :class:`ReferenceSolution`.
 
-Dataset-backed kinds materialize ``X`` (n×d) and ``y`` from the problem
-seed; tokens are then row indices.  Streaming kinds (``n == 0``) draw fresh
-samples from the run's stream inside the token.
+GLM samples are ``(x, y)`` pairs, ``x`` of shape (d,) and ``y`` a float,
+or (batch, d) and (batch,) for a minibatch.  Dataset-backed kinds
+materialize ``X`` (n×d) and ``y`` from the problem seed and decode each
+drawn row index into its row's pair; streaming kinds (``n == 0``) draw
+fresh pairs from the run's stream.  The oracle cannot tell the two apart.
 
 Every token costs a fixed number of raw words, ``words_per_token(batch)``,
 so ``draw_tokens`` takes ``count`` tokens from one block of
 ``count * words_per_token(batch)`` words and decodes them together.  The
-result is bit-identical to ``count`` single draws; ``next_token`` and
-``draw_token`` are the ``count = 1`` case.
+result is bit-identical to ``count`` single draws; ``next_token`` is the
+``count = 1`` case.
 """
 
 from __future__ import annotations
@@ -48,17 +52,6 @@ from .numkit import (  # noqa: F401  (gaussian: bench/perfbench.py times problem
 _PARAM_STREAM = 0xA0
 _DATA_STREAM = 0xD0
 _CALIB_STREAM = 0xCA11B
-
-KINDS = (
-    "logistic",
-    "least_squares",
-    "svm",
-    "lasso",
-    "uniformly_convex",
-    "quadratic",
-    "lsa",
-)
-
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -124,35 +117,35 @@ class Problem:
         tokens, sampler_state = self.draw_tokens(rng, sampler_state, 1, batch)
         return tokens[0], sampler_state
 
-    def draw_token(self, rng: RngStream, batch: int = 1):
-        return self.next_token(rng, None, batch)[0]
-
     # --- oracle -----------------------------------------------------------
 
-    def grad(self, theta: np.ndarray, token) -> np.ndarray:
+    def direction(self, theta: np.ndarray, token) -> np.ndarray:
+        """Update direction u in θ ← θ + γu; gradient kinds return -grad."""
         raise NotImplementedError
 
-    def step_direction(self, theta: np.ndarray, token) -> np.ndarray:
-        """Update direction u in θ ← θ + γu; gradient kinds descend.
+    def grad(self, theta: np.ndarray, token) -> np.ndarray:
+        return -self.direction(theta, token)
 
-        A (reps, d) stack of iterates goes to :meth:`step_directions`; a
-        kind that overrides this method passes a stack on the same way, so
-        both engine loops reach the oracle through this one entry.
+    def step_direction(self, theta: np.ndarray, token) -> np.ndarray:
+        """:meth:`direction` of one iterate, or of a (reps, d) stack of them.
+
+        A stack goes to :meth:`step_directions`, so both engine loops reach
+        the oracle through this one entry.
         """
         if theta.ndim == 2:
             return self.step_directions(theta, token)
-        return -self.grad(theta, token)
+        return self.direction(theta, token)
 
     def step_directions(self, thetas: np.ndarray, tokens) -> np.ndarray:
         """Directions of a (reps, d) stack of iterates, one row per iterate.
 
         ``tokens`` has a leading reps axis (a tuple of such arrays for tuple
-        tokens).  Each row is bit for bit what :meth:`step_direction` gives
-        that iterate and its token.  Here by a row loop; kinds with a
-        stacked form override it.
+        tokens).  Each row is bit for bit what :meth:`direction` gives that
+        iterate and its token.  Here by a row loop; kinds with a stacked
+        form override it.
         """
         rows = zip(*tokens) if isinstance(tokens, tuple) else tokens
-        return np.stack([self.step_direction(t, tok) for t, tok in zip(thetas, rows)])
+        return np.stack([self.direction(t, tok) for t, tok in zip(thetas, rows)])
 
     def full_grad(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -215,9 +208,11 @@ class _GlmBase(Problem):
         return batch * self._row_words + self._label_words(batch)
 
     def decode_tokens(self, words, batch):
-        if self.n > 0:
+        if self.n > 0:  # each row index becomes its row's (x, y) pair
             idx = integers_from(words, self.n)
-            return idx[:, 0].tolist() if batch == 1 else list(idx)
+            if batch == 1:
+                return list(zip(self._X[idx[:, 0]], self._y[idx[:, 0]].tolist()))
+            return list(zip(self._X[idx], self._y[idx]))
         split = batch * self._row_words
         z = box_muller(words[:, :split]).reshape(len(words), batch, self._row_words)
         X = z[..., : self.d] * self._sqrt_h  # (count, batch, d) inputs N(0, H)
@@ -269,17 +264,11 @@ class LogisticRegression(_GlmBase):
             ]
         return [(Xt, np.where(ut < _sigmoid(Xt @ theta), 1.0, -1.0)) for Xt, ut in zip(X, u)]
 
-    def _batch(self, token):
-        if self.n > 0:
-            return self._X[token], self._y[token]
-        return token
-
-    def grad(self, theta, token):
-        X, y = self._batch(token)
+    def direction(self, theta, token):
+        X, y = token
         if X.ndim == 1:  # single-sample fast path
-            m = float(X @ theta)
-            return (-y * _sigmoid_scalar(-y * m)) * X
-        coef = -y * _sigmoid(-y * (X @ theta))
+            return (y * _sigmoid_scalar(-y * float(X @ theta))) * X
+        coef = y * _sigmoid(-y * (X @ theta))
         return X.T @ coef / X.shape[0]
 
     def full_grad(self, theta):
@@ -336,16 +325,12 @@ class LogisticRegression(_GlmBase):
         if self.n == 0:
             # the population optimum of a well-specified logistic model is
             # the planted parameter itself
-            X, y = self._calibration_data
-            return ReferenceSolution(
-                theta_star=self.theta_planted.copy(),
-                f_star=float(np.logaddexp(0.0, -y * (X @ self.theta_planted)).mean()),
-                provenance="closed-form",
-            )
+            theta = self.theta_planted.copy()
+            return ReferenceSolution(theta, self.loss(theta), provenance="closed-form")
         theta, grad_norm = _newton_logistic(self._X, self._y)
         return ReferenceSolution(
             theta_star=theta,
-            f_star=float(np.logaddexp(0.0, -self._y * (self._X @ theta)).mean()),
+            f_star=self.loss(theta),
             provenance="high-accuracy-solve",
             grad_norm=grad_norm,
         )
@@ -420,25 +405,20 @@ class LeastSquares(_GlmBase):
             ]
         return [(Xt, Xt @ theta + et) for Xt, et in zip(X, noise)]
 
-    def _batch(self, token):
-        if self.n > 0:
-            return self._X[token], self._y[token]
-        return token
-
-    def grad(self, theta, token):
-        X, y = self._batch(token)
+    def direction(self, theta, token):
+        X, y = token
         if X.ndim == 1:  # single-sample fast path
-            return (float(X @ theta) - y) * X
-        resid = X @ theta - y
+            return (y - float(X @ theta)) * X
+        resid = y - X @ theta
         return X.T @ resid / X.shape[0]
 
     def step_directions(self, thetas, tokens):
-        X, y = self._batch(tokens)
+        X, y = tokens
         if X.ndim == 3:  # a batch per iterate: the row loop
             return super().step_directions(thetas, tokens)
         # one sample per iterate: one ddot per row, as x @ θ makes
-        resid = np.matmul(X[:, None, :], thetas[:, :, None])[:, 0, 0] - y
-        return -(resid[:, None] * X)
+        resid = y - np.matmul(X[:, None, :], thetas[:, :, None])[:, 0, 0]
+        return resid[:, None] * X
 
     def full_grad(self, theta):
         # population gradient H(θ - θ_planted)
@@ -453,17 +433,12 @@ class LeastSquares(_GlmBase):
 
     def _solve_reference(self):
         if self.n == 0:
-            return ReferenceSolution(
-                theta_star=self.theta_planted.copy(),
-                f_star=0.5 * self.noise_sigma**2,
-                provenance="closed-form",
-            )
-        gram = self._X.T @ self._X
-        theta = np.linalg.solve(gram, self._X.T @ self._y)
-        r = self._y - self._X @ theta
+            theta = self.theta_planted.copy()
+            return ReferenceSolution(theta, self.loss(theta), provenance="closed-form")
+        theta = np.linalg.solve(self._X.T @ self._X, self._X.T @ self._y)
         return ReferenceSolution(
             theta_star=theta,
-            f_star=float(0.5 * (r @ r) / self.n),
+            f_star=self.loss(theta),
             provenance="closed-form",
             grad_norm=float(np.linalg.norm(self._X.T @ (self._X @ theta - self._y) / self.n)),
         )
@@ -505,15 +480,15 @@ class Svm(_GlmBase):
         # is nonsmooth
         self.L = self.lam_reg + self.R_sq
 
-    def grad(self, theta, token):
-        X, y = self._X[token], self._y[token]
+    def direction(self, theta, token):
+        X, y = token
         if X.ndim == 1:
             if y * float(X @ theta) < 1.0:
-                return self.lam_reg * theta - y * X
-            return self.lam_reg * theta
+                return y * X - self.lam_reg * theta
+            return -self.lam_reg * theta
         active = y * (X @ theta) < 1.0
-        hinge = -(np.where(active, y, 0.0) @ X) / X.shape[0]
-        return self.lam_reg * theta + hinge
+        hinge = (np.where(active, y, 0.0) @ X) / X.shape[0]
+        return hinge - self.lam_reg * theta
 
     def full_grad(self, theta):
         active = self._y * (self._X @ theta) < 1.0
@@ -606,13 +581,13 @@ class Lasso(_GlmBase):
         self.mu = 2.0 * float(self.h_diag.min())
         self.L = 2.0 * float(self.h_diag.max()) + self.lam_reg  # surrogate scale
 
-    def grad(self, theta, token):
-        X, y = self._X[token], self._y[token]
+    def direction(self, theta, token):
+        X, y = token
         if X.ndim == 1:
-            return (-2.0 * (y - float(X @ theta))) * X + self.lam_reg * np.sign(theta)
+            return (2.0 * (y - float(X @ theta))) * X - self.lam_reg * np.sign(theta)
         resid = y - X @ theta
-        smooth = -2.0 * (X.T @ resid) / X.shape[0]
-        return smooth + self.lam_reg * np.sign(theta)  # sign(0) = 0
+        smooth = 2.0 * (X.T @ resid) / X.shape[0]
+        return smooth - self.lam_reg * np.sign(theta)  # sign(0) = 0
 
     def full_grad(self, theta):
         resid = self._y - self._X @ theta
@@ -700,8 +675,8 @@ class UniformlyConvex(Problem):
             return list(self.noise_scale * z)
         return [self.noise_scale * zt.reshape(batch, self.d).mean(axis=0) for zt in z]
 
-    def grad(self, theta, token):
-        return self.full_grad(theta) + token
+    def direction(self, theta, token):
+        return -self.full_grad(theta) - token
 
     def full_grad(self, theta):
         norm = float(np.linalg.norm(theta))
@@ -744,6 +719,7 @@ class QuadraticSemiStochastic(Problem):
         self.H = np.asarray(H, dtype=np.float64)
         if self.H.shape != (d, d):
             raise ConfigError("H must be d x d")
+        self._neg_H = -self.H  # (-H) @ θ is -(H @ θ) bit for bit
         lam_min, lam_max, _ = power_iteration_extreme_eigs(self.H, tol=1e-12)
         if lam_min <= 0:
             raise ConfigError("H must be positive definite")
@@ -773,12 +749,12 @@ class QuadraticSemiStochastic(Problem):
             return list(xi[:, 0])
         return [x.mean(axis=0) for x in xi]
 
-    def grad(self, theta, token):
-        return self.H @ theta + self.a + token
+    def direction(self, theta, token):
+        return self._neg_H @ theta - self.a - token
 
     def step_directions(self, thetas, tokens):
-        # one gemv per row, as H @ θ makes
-        return -(np.matmul(self.H, thetas[:, :, None])[:, :, 0] + self.a + tokens)
+        # one gemv per row, as (-H) @ θ makes
+        return np.matmul(self._neg_H, thetas[:, :, None])[:, :, 0] - self.a - tokens
 
     def full_grad(self, theta):
         return self.H @ theta + self.a
@@ -869,34 +845,24 @@ class LinearStochasticApprox(Problem):
         return int(rng.integers(1, self.n_states)[0])
 
     def words_per_token(self, batch=1):
-        return 1  # one uniform per transition; batch is ignored
+        if batch != 1:
+            raise ConfigError("lsa follows one Markov chain; batch_size must be 1")
+        return 1  # one uniform per transition
 
     def draw_tokens(self, rng, sampler_state, count, batch=1):
         """The chain's next ``count`` states, and the state after them."""
         state = sampler_state
         tokens = []
-        for u in uniforms_from(rng.raw(count)).tolist():
+        for u in uniforms_from(rng.raw(count * self.words_per_token(batch))).tolist():
             tokens.append(state)
             state = min(bisect_right(self._cum_P[state], u), self.n_states - 1)
         return tokens, state
-
-    def draw_token(self, rng, batch=1):
-        raise ConfigError("lsa tokens come from the chain; use next_token")
 
     def direction(self, theta, state: int):
         """Per-state update direction A(x)θ + b(x)."""
         if not 0 <= state < self.n_states:
             raise ValueError(f"invalid chain state {state}")
         return self.A_table[state] @ theta + self.b_table[state]
-
-    def step_direction(self, theta, token):
-        # the direction itself rather than -grad, which would negate twice
-        if theta.ndim == 2:
-            return self.step_directions(theta, token)
-        return self.direction(theta, token)
-
-    def grad(self, theta, token):
-        return -self.direction(theta, token)
 
     def full_grad(self, theta):
         return -(self.A_bar @ theta + self.b_bar)

@@ -1,11 +1,15 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csgd import errors
 from csgd.controllers import (
+    CONTROLLER_KINDS,
+    SCHEDULE_ARITY,
     ControllerParams,
     CouplingController,
     DistanceController,
@@ -14,7 +18,10 @@ from csgd.controllers import (
     fixed_schedule,
     make_controller,
 )
+from csgd.engine import EngineConfig, RunTrace, run
 from csgd.errors import ConfigError, DegenerateDiagnosticError
+from csgd.numkit import RngStream
+from csgd.problems import make_problem
 
 
 def observe(ctrl, k, d_sq=None, theta1=None, direction=None):
@@ -52,9 +59,78 @@ def test_params_validated():
         dict(kind="fixed", schedule=("constant", 0.1, 0.2)),
         dict(kind="fixed", schedule=("inv_mu_k", 0.0)),
         dict(kind="fixed", schedule=("constant", -1.0)),
+        dict(kind="pflug", gamma0=math.nan, burn_in=None),
+        dict(kind="distance", gamma0=math.nan),
+        dict(gamma0=math.inf),
+        dict(gamma0=0.1, b=2.5),
+        dict(gamma0=0.1, check_every=1.0),
+        dict(gamma0=0.1, patience=math.inf),
+        dict(gamma0=0.1, burn_in=math.nan),
     ]:
         with pytest.raises(ConfigError):
             ControllerParams(**bad).validate()
+
+
+CSGD_ERRORS = tuple(
+    v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
+)
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf, 2.5, -1.0, 0.0])
+
+
+def _mostly(good):
+    """A draw from ``good`` 19 times in 20, else a NaN, an infinity or a non-integer."""
+    return st.tuples(st.integers(0, 19), good, _ODD).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+def _count(lo, hi):
+    return _mostly(st.integers(lo, hi))
+
+
+def _real(lo, hi):
+    return _mostly(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+
+
+@lru_cache(maxsize=None)
+def _fuzz_problem():
+    return make_problem("quadratic", 3, seed=5)
+
+
+@given(
+    params=st.builds(
+        ControllerParams,
+        kind=st.sampled_from(CONTROLLER_KINDS),
+        gamma0=st.one_of(st.none(), _real(0.0, 10.0)),
+        r=_real(0.0, 1.0),
+        b=_count(0, 20),
+        beta0=_real(0.0, 1.0),
+        eta=_real(0.0, 1.0),
+        check_every=_count(1, 5),
+        burn_in=st.one_of(st.none(), _count(0, 60)),
+        patience=_count(1, 3),
+        denominator=st.sampled_from(["phase", "global"]),
+        schedule=st.tuples(st.sampled_from(sorted(SCHEDULE_ARITY)), _real(0.0, 10.0)),
+    ),
+    cfg=st.fixed_dictionaries(dict(
+        n_iters=_count(0, 50),
+        batch_size=_count(1, 3),
+        averaging=st.booleans(),
+        trace_stride=_count(1, 60),
+        init_offset_scale=_real(0.0, 1e3),
+        track_coupling=st.sampled_from([None, True, False]),
+        tail_from=st.one_of(st.none(), _count(-5, 60)),
+    )),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_configs_fail_with_a_package_error_or_run(params, cfg, seed):
+    prob = _fuzz_problem()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # diverging draws overflow
+            trace = run(prob, make_controller(params, prob), EngineConfig(**cfg),
+                        RngStream(seed, 0))
+    except CSGD_ERRORS:
+        return
+    assert isinstance(trace, RunTrace)
 
 
 @given(st.integers(min_value=0, max_value=40))

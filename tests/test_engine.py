@@ -38,7 +38,8 @@ PROBLEMS = {
     "lsa": dict(d=3, n=0, seed=17),
 }
 KINDS = ("logistic", "least_squares", "svm", "lasso", "uniformly_convex", "quadratic", "lsa")
-STREAMING = ("logistic", "least_squares", "uniformly_convex", "quadratic", "lsa")
+# streaming kinds that draw a minibatch per token; lsa follows one chain
+BATCHED = ("logistic", "least_squares", "uniformly_convex", "quadratic")
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +153,7 @@ CASES.update({
     "stationary/quadratic": lambda: _stationary("quadratic"),
     "stationary/least_squares": lambda: _stationary("least_squares"),
 })
-for _i, _kind in enumerate(STREAMING):
+for _i, _kind in enumerate(BATCHED):
     CASES[f"{_kind}/coupling_static/batch3"] = (
         lambda n=_kind, s=200 + _i: run_case(n, "coupling_static", s, batch_size=3))
 
@@ -184,7 +185,6 @@ GOLDEN = {
     "lsa/coupling_adaptive/zero_offset": "5ea1fb08bc6accbf3fa638ec97205c35d7d7890125a394a3dddf2054076926e8",
     "lsa/coupling_static": "d21fc0a04b6edda522030703694b6d69c1ef4ed15977721dfdf63c770879b31b",
     "lsa/coupling_static/averaging": "211792421fbebe0eb3d50b7c847ed3e555debcdd7d2d5d21f96f6cb18574a3d6",
-    "lsa/coupling_static/batch3": "bff58508cf66131a6107dc4c88534c4d72de87a8756deb1e6c167dd4a498570b",
     "lsa/distance": "ca53f78a11d93b0c9e0bfa927499fa85c8990cb929bdf99f3af3c83b8f3b9775",
     "lsa/fixed": "3c6ae92316a349880dbfd1a32210ae9a27c30cb0f017d6b854443e1cd2710a07",
     "lsa/pflug": "6c46db3382ddfab59ba77a49db3cbd5de6a193231b56fce70b19780abe1b6951",
@@ -263,6 +263,21 @@ def test_coupling_controller_without_coupling_fails_before_the_first_step():
 def test_engine_config_rejects_bad_values_with_config_error(bad):
     with pytest.raises(ConfigError):
         EngineConfig(**bad)
+
+
+@pytest.mark.parametrize("lockstep", [False, True])
+def test_lsa_batch_fails_before_any_draw(lockstep):
+    # one Markov chain has no minibatch; the batch used to be ignored
+    prob = problem("lsa")
+    cfg = EngineConfig(n_iters=10, batch_size=3)
+    rngs = [RngStream(9, 0), RngStream(9, 1)]
+    with pytest.raises(ConfigError, match="batch_size"):
+        if lockstep:
+            run_replicates(prob, make_controller(fixed("lsa", "constant"), prob), cfg, rngs)
+        else:
+            run(prob, make_controller(controller_params("coupling_static", prob), prob), cfg,
+                rngs[0])
+    assert all(rng.counter == 0 for rng in rngs)
 
 
 # ------------------------------------------------------- coupling identity
@@ -358,7 +373,7 @@ LOCKSTEP_VARIANTS = {"tail": dict(tail_from=301), "averaging": dict(averaging=Tr
 @pytest.mark.parametrize(
     "name, variant",
     [(n, v) for n in sorted(PROBLEMS) for v in ("tail", "averaging")]
-    + [(n, "batch3") for n in STREAMING + ("logistic_data",)],
+    + [(n, "batch3") for n in BATCHED + ("logistic_data",)],
 )
 def test_lockstep_variants_equal_run(name, variant):
     lockstep_matches_run(name, fixed(name, "inv_sqrt"), n_iters=600,
@@ -393,7 +408,7 @@ def test_stacked_oracle_matches_rows_bitwise(name, d):
     for trial in range(20):
         theta = gen.standard_normal((reps, d)) * 10.0 ** gen.uniform(-3, 3, (reps, 1))
         tokens, _ = prob.draw_tokens(RngStream(trial, d), None, reps)
-        if kind == "least_squares" and not data:
+        if kind == "least_squares":
             stack = (np.stack([x for x, _ in tokens]), np.array([y for _, y in tokens]))
         else:
             stack = np.array(tokens)

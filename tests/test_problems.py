@@ -65,8 +65,8 @@ def test_logistic_batch_average_linearity():
     rng = RngStream(6, 0)
     idx = rng.integers(16, 500)
     theta = rng.normals(4)
-    batch_g = prob.grad(theta, idx)
-    singles = np.mean([prob.grad(theta, int(i)) for i in idx], axis=0)
+    batch_g = prob.grad(theta, (prob._X[idx], prob._y[idx]))
+    singles = np.mean([prob.grad(theta, (prob._X[i], prob._y[i])) for i in idx], axis=0)
     assert np.allclose(batch_g, singles, atol=1e-14)
 
 
@@ -131,7 +131,7 @@ def test_svm_inactive_hinge():
     i = 0
     prob._X[i] = x
     prob._y[i] = 1.0  # margin 5 > 1
-    g = prob.grad(theta, i)
+    g = prob.grad(theta, (prob._X[i], prob._y[i]))
     assert np.allclose(g, prob.lam_reg * theta)
 
 
@@ -139,7 +139,7 @@ def test_svm_active_hinge_at_origin():
     prob = Svm(d=3, n=200, seed=15, lam_reg=0.1)
     prob._X[1] = np.array([1.0, 0.0, 0.0])
     prob._y[1] = 1.0
-    g = prob.grad(np.zeros(3), 1)
+    g = prob.grad(np.zeros(3), (prob._X[1], prob._y[1]))
     assert g == pytest.approx([-1.0, 0.0, 0.0])
 
 
@@ -148,7 +148,7 @@ def test_svm_margin_tie_takes_ridge_branch():
     prob._X[2] = np.array([1.0, 0.0])
     prob._y[2] = 1.0
     theta = np.array([1.0, 3.0])  # margin exactly 1
-    g = prob.grad(theta, 2)
+    g = prob.grad(theta, (prob._X[2], prob._y[2]))
     assert np.allclose(g, prob.lam_reg * theta)
 
 
@@ -183,7 +183,7 @@ def test_lasso_zero_at_kink():
     prob = Lasso(d=3, n=100, seed=20, lam_reg=0.1, sparsity=2)
     prob._X[0] = np.zeros(3)
     prob._y[0] = 0.0
-    g = prob.grad(np.zeros(3), 0)
+    g = prob.grad(np.zeros(3), (prob._X[0], prob._y[0]))
     assert np.array_equal(g, np.zeros(3))
 
 
@@ -192,7 +192,7 @@ def test_lasso_sign_subgradient():
     theta = np.array([1.0, -1.0])
     prob._X[0] = np.zeros(2)
     prob._y[0] = 0.0  # zero residual contribution
-    g = prob.grad(theta, 0)
+    g = prob.grad(theta, (prob._X[0], prob._y[0]))
     assert np.allclose(g, 0.3 * np.array([1.0, -1.0]))
 
 
@@ -266,7 +266,7 @@ def test_quadratic_coupling_identity():
     prob = QuadraticSemiStochastic(d=4, seed=31)
     rng = RngStream(32, 0)
     t1, t2 = rng.normals(4), rng.normals(4)
-    token = prob.draw_token(rng)
+    token = prob.next_token(rng, None)[0]
     diff = prob.grad(t1, token) - prob.grad(t2, token)
     assert np.allclose(diff, prob.H @ (t1 - t2), atol=1e-12)
 
@@ -280,6 +280,15 @@ def test_quadratic_unbiased():
     grads = prob.full_grad(theta)[None, :] + draws
     se = grads.std(axis=0, ddof=1) / np.sqrt(m)
     assert np.all(np.abs(grads.mean(axis=0) - prob.full_grad(theta)) <= 3 * se + 1e-12)
+
+
+def test_quadratic_mu_on_a_clustered_bottom_spectrum():
+    # the two smallest eigenvalues 1% apart stall the power pass for λ_min
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 20)))
+    spectrum = np.concatenate([[0.01, 0.0101], np.linspace(0.5, 1.0, 18)])
+    prob = make_problem("quadratic", 20, H=(Q * spectrum) @ Q.T)
+    assert prob.mu == pytest.approx(0.01, rel=1e-10)
+    assert prob.L == pytest.approx(1.0, rel=1e-10)
 
 
 def test_quadratic_requires_spd():
@@ -420,7 +429,7 @@ def test_noise_sharing_same_token_identical():
         UniformlyConvex(d=3, seed=54),
     ]:
         rng = RngStream(55, 0)
-        token = prob.draw_token(rng)
+        token = prob.next_token(rng, None)[0]
         theta = np.array([0.5, -1.0, 0.25])
         g1 = prob.grad(theta, token)
         g2 = prob.grad(theta, token)
@@ -438,27 +447,27 @@ def _same_token(a, b):
     return type(a) is type(b) and a == b
 
 
-@pytest.mark.parametrize("batch", [1, 3])
+TOKEN_FACTORIES = {
+    "logistic": lambda: LogisticRegression(d=5, n=0, seed=60),
+    "logistic_data": lambda: LogisticRegression(d=4, n=30, seed=61),
+    "least_squares": lambda: LeastSquares(d=5, n=0, seed=62),
+    "least_squares_data": lambda: LeastSquares(d=4, n=30, seed=63),
+    "svm": lambda: Svm(d=3, n=30, seed=64),
+    "lasso": lambda: Lasso(d=6, n=30, seed=65, sparsity=2),
+    "uniformly_convex": lambda: UniformlyConvex(d=3, seed=66),
+    "quadratic": lambda: QuadraticSemiStochastic(d=5, seed=67),
+    "lsa": lambda: LinearStochasticApprox(d=3, seed=68),
+}
+
+
 @pytest.mark.parametrize(
-    "factory",
-    [
-        lambda: LogisticRegression(d=5, n=0, seed=60),
-        lambda: LogisticRegression(d=4, n=30, seed=61),
-        lambda: LeastSquares(d=5, n=0, seed=62),
-        lambda: LeastSquares(d=4, n=30, seed=63),
-        lambda: Svm(d=3, n=30, seed=64),
-        lambda: Lasso(d=6, n=30, seed=65, sparsity=2),
-        lambda: UniformlyConvex(d=3, seed=66),
-        lambda: QuadraticSemiStochastic(d=5, seed=67),
-        lambda: LinearStochasticApprox(d=3, seed=68),
-    ],
-    ids=["logistic", "logistic_data", "least_squares", "least_squares_data", "svm",
-         "lasso", "uniformly_convex", "quadratic", "lsa"],
+    "name, batch",
+    [(name, batch) for batch in (1, 3) for name in TOKEN_FACTORIES if (name, batch) != ("lsa", 3)],
 )
-def test_draw_tokens_match_single_draws(factory, batch):
+def test_draw_tokens_match_single_draws(name, batch):
     # one block of count * words_per_token words gives the tokens, sampler
     # state and counter of count single draws, bit for bit
-    prob = factory()
+    prob = TOKEN_FACTORIES[name]()
     count = 11
     block_rng, single_rng = RngStream(69, 1), RngStream(69, 1)
     state = prob.init_sampler(block_rng)
