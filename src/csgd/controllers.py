@@ -5,10 +5,10 @@ iteration once, as ``observe(k, theta1, d_sq, direction)``; ``observe``
 returns the step's statistic (nan when there is none).  A decay is a new
 phase: ``observe`` raises ``phase_index`` by one, and the engine, seeing
 it go up, moves to the stepsize ``gamma`` and, for a controller that
-``needs_coupling``, re-initializes θ2.  Stepsizes after m decays are
-always computed as ``gamma0 * r**m`` (and thresholds as
-``beta0 * eta**m``), never by cumulative multiplication, so phase algebra
-is exact.
+``needs_coupling``, re-initializes θ2.  The stepsize after m decays is
+``gamma0 * r**m``, computed once as the phase starts, and the threshold
+``beta0 * eta**m``; neither comes from cumulative multiplication, so phase
+algebra is exact.
 """
 
 from __future__ import annotations
@@ -136,14 +136,22 @@ class Controller:
 
     def __init__(self, params: ControllerParams):
         params.validate()
+        if params.gamma0 is None:
+            raise ConfigError("gamma0 unset; make_controller fills it from a problem")
         if params.burn_in is None and params.kind != "pflug":
             params = replace(params, burn_in=0)
         self.params = params
         self.phase_index = 0
 
     @property
-    def gamma(self) -> float:
-        return self.params.gamma0 * self.params.r**self.phase_index
+    def phase_index(self) -> int:
+        """Decays so far; setting it computes the phase's ``gamma``, once."""
+        return self._phase_index
+
+    @phase_index.setter
+    def phase_index(self, m: int) -> None:
+        self._phase_index = m
+        self.gamma = self.params.gamma0 * self.params.r**m
 
     def stepsize(self, k: int) -> float:
         """Stepsize to use for iteration k (1-based)."""

@@ -14,13 +14,16 @@ step runs at the controller's new ``gamma``, and for a controller that
 controller re-armed before that step begins.
 
 Tokens come from a :class:`TokenBuffer`, which draws up to ``CHUNK`` of
-them at a time from one raw block of the run's stream.  Each problem kind
-spends a fixed number of raw words per token, so a run sees the same tokens
-as if it drew them one by one.  The stream runs ahead of the tokens used by
-at most one block and never past the last iteration.  Where a run leaves
-the token sequence (the degenerate re-arm draw, a divergence stop) the
-buffer is resynced: the stream goes back to the counter that token-by-token
-drawing would have reached, and ``rng.counter`` on return is that counter.
+them at a time from one raw block of the run's stream, as one columnar
+token block (see :mod:`csgd.problems`).  ``run`` takes them one by one,
+split into rows once per block; :func:`run_replicates` takes whole blocks.
+Each problem kind spends a fixed number of raw words per token, so a run
+sees the same tokens as if it drew them one by one.  The stream runs ahead
+of the tokens used by at most one block and never past the last iteration.
+Where a run leaves the token sequence (the degenerate re-arm draw, a
+divergence stop) the buffer is resynced: the stream goes back to the
+counter that token-by-token drawing would have reached, and
+``rng.counter`` on return is that counter.
 
 :func:`run_replicates` runs several uncoupled chains in lockstep, as one
 (reps, d) iterate array updated once per step.  The contract:
@@ -29,7 +32,8 @@ drawing would have reached, and ``rng.counter`` on return is that counter.
   for each stepsize once and shown the whole stack once per step; a decay
   raises ConfigError, since it cannot apply to one chain alone;
 - per-replicate streams: each chain keeps its own stream and token buffer,
-  and its blocks are stacked along a replicate axis for one oracle call;
+  and its blocks are stacked part by part along a replicate axis, so each
+  step's tokens reach one oracle call with no per-token Python;
 - per-replicate divergence: a chain that diverges gets the failure text and
   final record ``run`` gives it, its buffer is resynced, and the others go
   on;
@@ -51,6 +55,7 @@ import numpy as np
 from .controllers import Controller, check_int
 from .errors import ConfigError, DegenerateDiagnosticError
 from .numkit import RngStream
+from .problems import token_rows
 
 D0_REARM_FLOOR_REL = 1e-12
 REARM_DRAWS = 100  # perturbation draws before a re-arm gives up
@@ -66,12 +71,16 @@ class EngineConfig:
     trace_stride: int = 100
     init_offset_scale: float = 1.0
     track_coupling: bool | None = None  # None: follow the controller's need
-    tail_from: int | None = None  # accumulate mean err over k >= tail_from
+    tail_from: int | None = None  # accumulate mean err over k >= tail_from, in 1..n_iters
 
     def __post_init__(self):
         check_int("n_iters", self.n_iters, 0)
         check_int("batch_size", self.batch_size, 1)
         check_int("trace_stride", self.trace_stride, 1)
+        if self.tail_from is not None:
+            check_int("tail_from", self.tail_from, 1)
+            if self.tail_from > self.n_iters:
+                raise ConfigError(f"tail_from={self.tail_from} is past n_iters={self.n_iters}")
         if not 0.0 <= self.init_offset_scale < math.inf:
             raise ConfigError(
                 f"init_offset_scale must be finite and >= 0, got {self.init_offset_scale!r}"
@@ -145,8 +154,8 @@ class RunTrace:
         if avg1 is not None:
             adiff = avg1 - theta_star
             self.summary["final_avg_err"] = float(adiff @ adiff)
-        if cfg.tail_from is not None:
-            self.summary["tail_mean_err"] = tail_sum / max(tail_count, 1)
+        if cfg.tail_from is not None:  # nan when no step reached the tail
+            self.summary["tail_mean_err"] = tail_sum / tail_count if tail_count else math.nan
 
 
 class TokenBuffer:
@@ -166,38 +175,39 @@ class TokenBuffer:
         self.batch = batch
         self.remaining = remaining
         self.sampler_state = None
-        self._tokens: list = []
-        self._pos = 0
+        self._block = None  # the current token block
+        self._rows: list = []  # its tokens one by one, for ``next``
+        self._count = self._pos = 0
         self._block_start = (rng.counter, None)  # stream counter and sampler state
 
     def _refill(self) -> None:
         count = min(CHUNK, self.remaining)
         self._block_start = (self.rng.counter, self.sampler_state)
-        self._tokens, self.sampler_state = self.problem.draw_tokens(
+        self._block, self.sampler_state = self.problem.draw_tokens(
             self.rng, self.sampler_state, count, self.batch
         )
         self.remaining -= count
-        self._pos = 0
+        self._count, self._pos = count, 0
 
     def next(self):
         """The run's next token."""
-        if self._pos == len(self._tokens):
+        if self._pos == self._count:
             self._refill()
-        token = self._tokens[self._pos]
+            self._rows = token_rows(self._block)
+        token = self._rows[self._pos]
         self._pos += 1
         return token
 
-    def take_block(self) -> list:
-        """The tokens left in the current block, refilled first if it is used up.
+    def take_block(self):
+        """The tokens left in the current block, as a block; refilled first if used up.
 
         All of them count as taken; a run that stops part-way through them
         hands the rest back with ``resync(returned)``.
         """
-        if self._pos == len(self._tokens):
+        if self._pos == self._count:
             self._refill()
-        block = self._tokens[self._pos:]
-        self._pos = len(self._tokens)
-        return block
+        start, self._pos = self._pos, self._count
+        return _block_index(self._block, np.s_[start:])
 
     def resync(self, returned: int = 0) -> RngStream:
         """Drop the tokens not yet used and rewind the stream to match.
@@ -209,7 +219,7 @@ class TokenBuffer:
         out-of-band draw.
         """
         self._pos -= returned
-        unused = len(self._tokens) - self._pos
+        unused = self._count - self._pos
         if unused:
             counter, sampler_state = self._block_start
             self.rng.seek(counter)
@@ -217,7 +227,7 @@ class TokenBuffer:
                 self.rng, sampler_state, self._pos, self.batch
             )
             self.remaining += unused
-        self._tokens, self._pos = [], 0
+        self._count = self._pos = 0
         return self.rng
 
 
@@ -372,30 +382,18 @@ def _row_sq(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
-def _stack_tokens(blocks: list[list]):
-    """Per-replicate token lists as one array with a leading (count, reps) shape.
-
-    Tuple tokens give a tuple of such arrays, one per part.
-    """
-    first = blocks[0][0]
-    if isinstance(first, tuple):
-        return tuple(
-            _stack_tokens([[token[part] for token in block] for block in blocks])
-            for part in range(len(first))
-        )
-    return np.stack([np.asarray(block) for block in blocks], axis=1)
+def _stack_tokens(blocks: list):
+    """Per-replicate token blocks as one block with a leading (count, reps) shape."""
+    if isinstance(blocks[0], tuple):
+        return tuple(np.stack(parts, axis=1) for parts in zip(*blocks))
+    return np.stack(blocks, axis=1)
 
 
-def _select_rows(stack, rows: np.ndarray):
-    """The replicates ``rows`` of a token stack."""
-    if isinstance(stack, tuple):
-        return tuple(part[:, rows] for part in stack)
-    return stack[:, rows]
-
-
-def _step_tokens(stack) -> list:
-    """A token stack split by step: one (reps, ...) token stack per step."""
-    return list(zip(*stack)) if isinstance(stack, tuple) else list(stack)
+def _block_index(block, key):
+    """``part[key]`` for each part of a token block."""
+    if isinstance(block, tuple):
+        return tuple(part[key] for part in block)
+    return block[key]
 
 
 def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> list[RunTrace]:
@@ -434,7 +432,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     k = 0
     while k < n_iters and active:
         stack = _stack_tokens([buffers[r].take_block() for r in active])
-        steps = _step_tokens(stack)
+        steps = token_rows(stack)  # one (reps, ...) token stack per step
         count = len(steps)
         for i in range(count):
             k += 1
@@ -462,8 +460,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 theta, tail_sum = theta[keep], tail_sum[keep]
                 if avg is not None:
                     avg = avg[keep]
-                stack = _select_rows(stack, keep)
-                steps = _step_tokens(stack)
+                stack = _block_index(stack, np.s_[:, keep])
+                steps = token_rows(stack)
 
             stat = controller.observe(k, theta, None, None)
             if controller.phase_index:

@@ -22,9 +22,15 @@ fresh pairs from the run's stream.  The oracle cannot tell the two apart.
 
 Every token costs a fixed number of raw words, ``words_per_token(batch)``,
 so ``draw_tokens`` takes ``count`` tokens from one block of
-``count * words_per_token(batch)`` words and decodes them together.  The
-result is bit-identical to ``count`` single draws; ``next_token`` is the
-``count = 1`` case.
+``count * words_per_token(batch)`` words and decodes them together into a
+columnar token block: one array per token part, each with a leading
+``count`` axis.  That is ``(X, y)`` for the GLM kinds, a (count, d) noise
+array for ``quadratic`` and ``uniformly_convex``, and an int array of chain
+states for ``lsa``.  Streaming labels are one ``np.matmul`` per block, one
+ddot per sample at batch 1 as ``x @ θ`` makes.  :func:`token_rows` splits a
+block into tokens, 1-D parts as Python scalars; row i is bit for bit the
+i-th of ``count`` single draws, and ``next_token`` is the ``count = 1``
+case.
 """
 
 from __future__ import annotations
@@ -80,6 +86,13 @@ def _sigmoid_scalar(z: float) -> float:
     return ez / (1.0 + ez)
 
 
+def token_rows(block) -> list:
+    """A token block as a list of tokens, one per row; 1-D parts give Python scalars."""
+    if isinstance(block, tuple):
+        return list(zip(*map(token_rows, block)))
+    return block.tolist() if block.ndim == 1 else list(block)
+
+
 class Problem:
     """Shared surface for all kinds; see module docstring."""
 
@@ -104,18 +117,18 @@ class Problem:
         """Raw words one token of ``batch`` samples consumes; fixed per kind."""
         raise NotImplementedError
 
-    def decode_tokens(self, words: np.ndarray, batch: int) -> list:
-        """Tokens from a (count, words_per_token) block, one per row."""
+    def decode_tokens(self, words: np.ndarray, batch: int):
+        """The token block of a (count, words_per_token) word block, one token per row."""
         raise NotImplementedError
 
     def draw_tokens(self, rng: RngStream, sampler_state, count: int, batch: int = 1):
-        """``count`` tokens from one raw block, and the sampler state after them."""
+        """A block of ``count`` tokens from one raw block, and the sampler state after them."""
         w = self.words_per_token(batch)
         return self.decode_tokens(rng.raw(count * w).reshape(count, w), batch), sampler_state
 
     def next_token(self, rng: RngStream, sampler_state, batch: int = 1):
-        tokens, sampler_state = self.draw_tokens(rng, sampler_state, 1, batch)
-        return tokens[0], sampler_state
+        block, sampler_state = self.draw_tokens(rng, sampler_state, 1, batch)
+        return token_rows(block)[0], sampler_state
 
     # --- oracle -----------------------------------------------------------
 
@@ -210,19 +223,20 @@ class _GlmBase(Problem):
     def decode_tokens(self, words, batch):
         if self.n > 0:  # each row index becomes its row's (x, y) pair
             idx = integers_from(words, self.n)
-            if batch == 1:
-                return list(zip(self._X[idx[:, 0]], self._y[idx[:, 0]].tolist()))
-            return list(zip(self._X[idx], self._y[idx]))
-        split = batch * self._row_words
-        z = box_muller(words[:, :split]).reshape(len(words), batch, self._row_words)
-        X = z[..., : self.d] * self._sqrt_h  # (count, batch, d) inputs N(0, H)
-        return self._label_tokens(X, words[:, split:], batch)
+            X, y = self._X[idx], self._y[idx]
+        else:
+            split = batch * self._row_words
+            z = box_muller(words[:, :split]).reshape(len(words), batch, self._row_words)
+            X = z[..., : self.d] * self._sqrt_h  # (count, batch, d) inputs N(0, H)
+            # ⟨x, θ⟩: one ddot per sample at batch 1, one gemv per token above it
+            y = self._labels(np.matmul(X, self.theta_planted), words[:, split:])
+        return (X[:, 0], y[:, 0]) if batch == 1 else (X, y)
 
     def _label_words(self, batch: int) -> int:
         raise NotImplementedError
 
-    def _label_tokens(self, X: np.ndarray, words: np.ndarray, batch: int) -> list:
-        """Streaming tokens from inputs X (count, batch, d) and the label words."""
+    def _labels(self, margins: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Streaming labels (count, batch) from the margins ⟨x, θ_planted⟩ and label words."""
         raise NotImplementedError
 
     def _materialize_inputs(self, count: int) -> np.ndarray:
@@ -254,15 +268,12 @@ class LogisticRegression(_GlmBase):
     def _label_words(self, batch):
         return batch  # one uniform per label
 
-    def _label_tokens(self, X, words, batch):
-        u = uniforms_from(words)
-        theta = self.theta_planted
-        if batch == 1:
-            return [
-                (x, 1.0 if ui < _sigmoid_scalar(float(x @ theta)) else -1.0)
-                for x, ui in zip(X[:, 0], u[:, 0].tolist())
-            ]
-        return [(Xt, np.where(ut < _sigmoid(Xt @ theta), 1.0, -1.0)) for Xt, ut in zip(X, u)]
+    def _labels(self, margins, words):
+        if margins.shape[1] == 1:  # single samples keep math.exp; np.exp rounds otherwise
+            probs = np.array([_sigmoid_scalar(m) for m in margins[:, 0].tolist()])[:, None]
+        else:
+            probs = _sigmoid(margins)
+        return np.where(uniforms_from(words) < probs, 1.0, -1.0)
 
     def direction(self, theta, token):
         X, y = token
@@ -396,14 +407,8 @@ class LeastSquares(_GlmBase):
     def _label_words(self, batch):
         return normal_words(batch)  # label noise
 
-    def _label_tokens(self, X, words, batch):
-        noise = self.noise_sigma * box_muller(words)[:, :batch]
-        theta = self.theta_planted
-        if batch == 1:
-            return [
-                (x, float(x @ theta) + e) for x, e in zip(X[:, 0], noise[:, 0].tolist())
-            ]
-        return [(Xt, Xt @ theta + et) for Xt, et in zip(X, noise)]
+    def _labels(self, margins, words):
+        return margins + self.noise_sigma * box_muller(words)[:, : margins.shape[1]]
 
     def direction(self, theta, token):
         X, y = token
@@ -670,10 +675,8 @@ class UniformlyConvex(Problem):
         return normal_words(self.d * batch)  # one normals() call for the batch
 
     def decode_tokens(self, words, batch):
-        z = box_muller(words)[:, : self.d * batch]
-        if batch == 1:
-            return list(self.noise_scale * z)
-        return [self.noise_scale * zt.reshape(batch, self.d).mean(axis=0) for zt in z]
+        z = box_muller(words)[:, : self.d * batch].reshape(len(words), batch, self.d)
+        return self.noise_scale * (z[:, 0] if batch == 1 else z.mean(axis=1))
 
     def direction(self, theta, token):
         return -self.full_grad(theta) - token
@@ -745,9 +748,7 @@ class QuadraticSemiStochastic(Problem):
     def decode_tokens(self, words, batch):
         z = box_muller(words).reshape(len(words), batch, self._row_words)
         xi = z[..., : self.d] * self._sqrt_noise  # (count, batch, d)
-        if batch == 1:
-            return list(xi[:, 0])
-        return [x.mean(axis=0) for x in xi]
+        return xi[:, 0] if batch == 1 else xi.mean(axis=1)
 
     def direction(self, theta, token):
         return self._neg_H @ theta - self.a - token
@@ -852,11 +853,11 @@ class LinearStochasticApprox(Problem):
     def draw_tokens(self, rng, sampler_state, count, batch=1):
         """The chain's next ``count`` states, and the state after them."""
         state = sampler_state
-        tokens = []
+        states = []
         for u in uniforms_from(rng.raw(count * self.words_per_token(batch))).tolist():
-            tokens.append(state)
+            states.append(state)
             state = min(bisect_right(self._cum_P[state], u), self.n_states - 1)
-        return tokens, state
+        return np.array(states, dtype=int), state
 
     def direction(self, theta, state: int):
         """Per-state update direction A(x)θ + b(x)."""

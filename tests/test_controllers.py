@@ -71,6 +71,13 @@ def test_params_validated():
             ControllerParams(**bad).validate()
 
 
+def test_controller_without_gamma0_fails_with_config_error():
+    # make_controller fills gamma0 from a problem; a controller built without
+    # one has no stepsize, which surfaced as a TypeError at its first step
+    with pytest.raises(ConfigError, match="gamma0"):
+        CouplingController(ControllerParams(kind="coupling_static"), adaptive=False)
+
+
 CSGD_ERRORS = tuple(
     v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
 )

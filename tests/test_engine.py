@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import asdict, is_dataclass
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ from csgd.oracle import dk_closed_form_series
 from collections import deque
 from csgd.engine import CoupledState, reinit_auxiliary
 from csgd.oracle import gamma0_bound, theorem1_floor
+from csgd.problems import token_rows
 
 # ------------------------------------------------------------ golden traces
 #
@@ -258,7 +260,9 @@ def test_coupling_controller_without_coupling_fails_before_the_first_step():
 
 
 @pytest.mark.parametrize(
-    "bad", [dict(n_iters=-1), dict(n_iters=10, batch_size=0), dict(n_iters=10, trace_stride=0)]
+    "bad", [dict(n_iters=-1), dict(n_iters=10, batch_size=0), dict(n_iters=10, trace_stride=0),
+            dict(n_iters=10, tail_from=0), dict(n_iters=10, tail_from=-3),
+            dict(n_iters=10, tail_from=11), dict(n_iters=10, tail_from=2.5)]
 )
 def test_engine_config_rejects_bad_values_with_config_error(bad):
     with pytest.raises(ConfigError):
@@ -398,6 +402,17 @@ def test_lockstep_divergence_is_per_replicate(case):
     assert len({t.summary["k"] for t in traces}) > 1
 
 
+def test_tail_mean_is_nan_when_no_step_reaches_the_tail():
+    # every chain diverges before k=600, so none has a tail to average; the
+    # mean used to read 0.0
+    params = fixed("quadratic", "constant", 2.05 / problem("quadratic").L)
+    traces = lockstep_matches_run("quadratic", params, range(111, 114), n_iters=600,
+                                  tail_from=600)
+    for trace in traces:  # equal to run's, as lockstep_matches_run checks
+        assert trace.failure is not None and trace.summary["k"] < 600
+        assert math.isnan(trace.summary["tail_mean_err"])
+
+
 @pytest.mark.parametrize("d", [5, 100])
 @pytest.mark.parametrize("name", ["quadratic", "least_squares", "least_squares/data"])
 def test_stacked_oracle_matches_rows_bitwise(name, d):
@@ -407,12 +422,8 @@ def test_stacked_oracle_matches_rows_bitwise(name, d):
     reps = 9
     for trial in range(20):
         theta = gen.standard_normal((reps, d)) * 10.0 ** gen.uniform(-3, 3, (reps, 1))
-        tokens, _ = prob.draw_tokens(RngStream(trial, d), None, reps)
-        if kind == "least_squares":
-            stack = (np.stack([x for x, _ in tokens]), np.array([y for _, y in tokens]))
-        else:
-            stack = np.array(tokens)
-        rows = np.stack([prob.step_direction(t, tok) for t, tok in zip(theta, tokens)])
+        stack, _ = prob.draw_tokens(RngStream(trial, d), None, reps)
+        rows = np.stack([prob.step_direction(t, tok) for t, tok in zip(theta, token_rows(stack))])
         assert np.array_equal(prob.step_direction(theta, stack), rows)
 
 

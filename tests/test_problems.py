@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csgd.errors import ConfigError
-from csgd.numkit import RngStream
+from csgd.numkit import RngStream, box_muller, uniforms_from
 from csgd.problems import (
     Lasso,
     LeastSquares,
@@ -11,7 +11,10 @@ from csgd.problems import (
     QuadraticSemiStochastic,
     Svm,
     UniformlyConvex,
+    _sigmoid,
+    _sigmoid_scalar,
     make_problem,
+    token_rows,
 )
 
 
@@ -330,12 +333,9 @@ def test_lsa_invariants(lsa):
 
 def test_lsa_occupancy_matches_stationary(lsa):
     rng = RngStream(38, 0)
-    state = lsa.init_sampler(rng)
-    counts = np.zeros(lsa.n_states)
     steps = 1_000_000
-    for _ in range(steps):
-        token, state = lsa.next_token(rng, state)
-        counts[token] += 1
+    states, _ = lsa.draw_tokens(rng, lsa.init_sampler(rng), steps)
+    counts = np.bincount(states, minlength=lsa.n_states)
     tv = 0.5 * np.abs(counts / steps - lsa.pi_chain).sum()
     assert tv < 0.01, tv
 
@@ -472,11 +472,48 @@ def test_draw_tokens_match_single_draws(name, batch):
     block_rng, single_rng = RngStream(69, 1), RngStream(69, 1)
     state = prob.init_sampler(block_rng)
     assert prob.init_sampler(single_rng) == state
-    tokens, block_state = prob.draw_tokens(block_rng, state, count, batch)
-    assert len(tokens) == count
-    for token in tokens:
+    block, block_state = prob.draw_tokens(block_rng, state, count, batch)
+    assert all(len(part) == count for part in (block if isinstance(block, tuple) else (block,)))
+    rows = token_rows(block)
+    for i in range(count):
         single, state = prob.next_token(single_rng, state, batch)
-        assert _same_token(token, single)
+        assert _same_token(rows[i], single)
     assert block_state == state
     assert block_rng.counter == single_rng.counter
     assert block_rng.counter - (1 if prob.kind == "lsa" else 0) == count * prob.words_per_token(batch)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("d", [5, 100])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_label_block_matches_scalar_labels(kind, d, batch):
+    # the block's streaming labels equal the per-token forms they replace,
+    # bit for bit: a scalar x @ θ per sample at batch 1, X @ θ per token above
+    prob = make_problem(kind, d=d, seed=d)
+    theta = prob.theta_planted
+    count, w = 200, prob.words_per_token(batch)
+    split = batch * prob._row_words
+    for trial in range(5):
+        words = RngStream(trial, 70).raw(count * w).reshape(count, w)
+        X = prob.decode_tokens(words, batch)[0].reshape(count, batch, d)
+        if batch == 1:
+            margins = np.array([[float(x @ theta)] for x in X[:, 0]])
+        else:
+            margins = np.array([Xt @ theta for Xt in X])
+        label_words = [words[:, split:]]
+        if kind == "least_squares":
+            wants = [margins + prob.noise_sigma * box_muller(label_words[0])[:, :batch]]
+        else:
+            if batch == 1:
+                probs = np.array([[_sigmoid_scalar(m)] for m in margins[:, 0].tolist()])
+            else:
+                probs = np.array([_sigmoid(m) for m in margins])
+            # uniforms on the 2**-53 grid at and just below each probability,
+            # where a probability one ulp off flips the label
+            k = np.maximum(np.floor(probs * 2.0**53), 1.0).astype(np.uint64)
+            label_words += [k << np.uint64(11), (k - np.uint64(1)) << np.uint64(11)]
+            wants = [np.where(uniforms_from(lw) < probs, 1.0, -1.0) for lw in label_words]
+        for lw, want in zip(label_words, wants):
+            _, y = prob.decode_tokens(np.hstack([words[:, :split], lw]), batch)
+            assert y.shape == ((count,) if batch == 1 else (count, batch))
+            assert np.array_equal(y.reshape(count, batch), want)
