@@ -161,9 +161,9 @@ def stationary_error_estimate(
     Runs ``reps`` independent chains in lockstep (``engine.run_replicates``),
     averages the squared error over the final ``tail_frac`` of iterations of
     each, and aggregates across chains.
-    Requires a strongly convex problem, 0 < ``tail_frac`` < 1 and a horizon
-    long enough that the certified contraction rate flushes the transient
-    before the tail starts.
+    Requires a strongly convex problem, a ``tail_frac`` in (0, 1) that leaves
+    at least one step in the tail, and a horizon long enough that the
+    certified contraction rate flushes the transient before the tail starts.
     """
     from .controllers import ControllerParams, make_controller
     from .engine import EngineConfig, run_replicates
@@ -171,10 +171,11 @@ def stationary_error_estimate(
 
     if problem.mu <= 0.0:
         raise ValueError("stationary error estimation needs a strongly convex kind")
-    if not 0.0 < tail_frac < 1.0:
-        raise ValueError(f"tail_frac must lie in (0, 1), got {tail_frac!r}")
+    burn = int(horizon * (1.0 - tail_frac)) if 0.0 < tail_frac < 1.0 else horizon
+    if burn >= horizon:
+        raise ValueError(f"tail_frac={tail_frac!r} leaves no step of the {horizon}-step "
+                         "horizon in the tail; it must lie in (0, 1)")
     rho = contraction_rate(gamma, problem.mu, problem.L)
-    burn = int(horizon * (1.0 - tail_frac))
     if rho ** max(burn, 1) >= 1e-3:
         raise HorizonTooShortError(
             f"rho={rho:.6g} over {burn} burn-in iterations leaves "

@@ -241,9 +241,10 @@ def test_stationary_horizon_guard():
         stationary_error_estimate(prob, gamma=1e-4, horizon=100, reps=2)
 
 
-@pytest.mark.parametrize("tail_frac", [0.0, 1.0, -0.5, 1.5, math.nan])
-def test_stationary_rejects_a_tail_frac_outside_the_unit_interval(tail_frac):
-    # tail_frac=0 used to leave every tail empty and report a mean of 0.0
+@pytest.mark.parametrize("tail_frac", [0.0, 1.0, -0.5, 1.5, math.nan, 1e-17])
+def test_stationary_rejects_a_tail_frac_that_leaves_no_tail(tail_frac):
+    # tail_frac=0 used to leave every tail empty and report a mean of 0.0;
+    # 1e-17 rounds to the same empty tail
     prob = make_problem("quadratic", d=5, seed=4)
     with pytest.raises(ValueError, match="tail_frac"):
         stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000,
