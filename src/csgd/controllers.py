@@ -184,17 +184,16 @@ class CouplingController(Controller):
     needs_coupling = True
 
     def __init__(self, params: ControllerParams, adaptive: bool):
-        super().__init__(params)
         self.adaptive = adaptive
+        super().__init__(params)
         self.d0_sq: float | None = None
         self._hits = 0
         self._phase_start = 0
 
-    @property
-    def beta(self) -> float:
-        if self.adaptive:
-            return self.params.beta0 * self.params.eta**self.phase_index
-        return self.params.beta0
+    @Controller.phase_index.setter
+    def phase_index(self, m: int) -> None:
+        Controller.phase_index.fset(self, m)  # and the phase's threshold, once
+        self.beta = self.params.beta0 * (self.params.eta**m if self.adaptive else 1.0)
 
     def rearm(self, d0_sq: float) -> None:
         if self.params.denominator == "global" and self.d0_sq is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDirectionError, HorizonTooShortError
-from .numkit import as_mat, as_vec, power_iteration_extreme_eigs, power_iteration_top
+from .numkit import as_mat, as_vec, norm, power_iteration_extreme_eigs, power_iteration_top
 
 D0_PROJECTION_FLOOR = 1e-12
 
@@ -130,7 +130,7 @@ def proximity_ratio_quadratic(H, gamma: float, D0, k: int) -> float:
     # mask exact orthogonality
     _, q_max = power_iteration_top(np.eye(d) - gamma * Hm, tol=1e-14)
     proj = float(D0v @ q_max)
-    if abs(proj) <= D0_PROJECTION_FLOOR * float(np.linalg.norm(D0v)):
+    if abs(proj) <= D0_PROJECTION_FLOOR * norm(D0v):
         raise DegenerateDirectionError(
             "initial difference vector is orthogonal to the top eigendirection"
         )

@@ -5,6 +5,7 @@ from csgd.numkit import (
     RngStream,
     box_muller,
     gaussian,
+    norm,
     power_iteration_extreme_eigs,
     power_iteration_top,
 )
@@ -121,6 +122,18 @@ def test_gaussian_covariance_moments():
     assert abs(cov[0, 0] - 1.0) < 0.05
     assert abs(cov[1, 1] - 4.0) < 0.05 * 4.0
     assert abs(cov[0, 1]) < 0.05 * 2.0
+
+
+# ---------------------------------------------------------------------- norm
+
+
+@pytest.mark.parametrize("d", [1, 5, 100, 1000])
+@pytest.mark.parametrize("scale", [1.0, 0.0, 1e150, 1e-150])
+def test_norm_is_np_linalg_norm_bitwise(d, scale):
+    v = scale * RngStream(d, 9).normals(d)
+    got = norm(v)
+    assert type(got) is float
+    assert got.hex() == float(np.linalg.norm(v)).hex()
 
 
 # -------------------------------------------------------------- eigen extremes

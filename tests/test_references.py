@@ -3,7 +3,8 @@
 SHA-256 digests of the bits each value is made of (array bytes, float hex),
 taken before the reference solvers and the eigen path were sped up.  Any
 change in a reference θ*, f*, residual, constant or closed-form series
-changes a digest.
+changes a digest.  The svm solver is also pinned to the row-by-row
+coordinate loop it replaced, kept here as the reference implementation.
 """
 
 import hashlib
@@ -11,9 +12,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from csgd.errors import NonConvergenceError
 from csgd.numkit import RngStream
 from csgd.oracle import dk_closed_form_series, proximity_ratio_quadratic
-from csgd.problems import make_problem
+from csgd.problems import CHUNK, _svm_dual_coordinate_ascent, make_problem
 
 
 def _bits(value):
@@ -86,3 +88,72 @@ CASES = {
 def test_reference_digest_is_golden(name):
     compute, want = CASES[name]
     assert digest(*compute()) == want
+
+
+def _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
+    """The per-coordinate dual ascent the block scan must match bit for bit."""
+    n, d = X.shape
+    rows = list(X)
+    labels = y.tolist()
+    sq = ((X**2).sum(axis=1) / (lam * n)).tolist()
+    alpha = [0.0] * n
+    theta = np.zeros(d)
+    for _ in range(max_epochs):
+        for i, (x, yi, sq_i) in enumerate(zip(rows, labels, sq)):
+            m = yi * float(x @ theta)
+            if sq_i == 0.0:
+                continue
+            a_new = min(1.0, max(0.0, alpha[i] + (1.0 - m) / sq_i))
+            delta = a_new - alpha[i]
+            if delta != 0.0:
+                theta += (delta * yi / (lam * n)) * x
+                alpha[i] = a_new
+        margins = y * (X @ theta)
+        primal = np.maximum(0.0, 1.0 - margins).mean() + 0.5 * lam * float(theta @ theta)
+        dual = np.array(alpha).mean() - 0.5 * lam * float(theta @ theta)
+        gap = primal - dual
+        if gap <= gap_tol_rel * max(1.0, abs(primal)):
+            return theta, gap
+    raise NonConvergenceError(
+        f"svm dual coordinate ascent: duality gap {gap:g} after {max_epochs} epochs"
+    )
+
+
+def _svm_data(d, n, seed, zero_rows=()):
+    prob = make_problem("svm", d, n, seed)
+    X = prob._X.copy()
+    X[list(zero_rows)] = 0.0
+    return X, prob._y, prob.lam_reg
+
+
+SVM_CASES = {
+    "n_below_chunk": (10, CHUNK - 24, 3, ()),
+    "n_not_a_chunk_multiple": (10, 1000, 1, ()),
+    "d20": (20, 5 * CHUNK + 13, 2, ()),
+    "d50": (50, 300, 4, ()),
+    # sq_i == 0, which make_problem never produces: first, mid-block, last
+    "zero_rows": (10, 3 * CHUNK + 7, 5, (0, CHUNK + 5, 2 * CHUNK, 3 * CHUNK + 6)),
+}
+
+
+@pytest.mark.parametrize("name", list(SVM_CASES))
+def test_svm_block_scan_matches_the_scalar_loop(name):
+    d, n, seed, zero_rows = SVM_CASES[name]
+    X, y, lam = _svm_data(d, n, seed, zero_rows)
+    # a zero row keeps αᵢ = 0 and its hinge at 1, so the gap cannot fall
+    # below (zero rows)/n: the tolerance sits 1e-9 above that floor
+    tol = 1e-9 + len(zero_rows) / n
+    want_theta, want_gap = _svm_scalar_loop(X, y, lam, gap_tol_rel=tol)
+    theta, gap = _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=tol)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert float(gap).hex() == float(want_gap).hex()
+
+
+@pytest.mark.parametrize("max_epochs", [1, 3])
+def test_svm_block_scan_fails_to_converge_as_the_scalar_loop(max_epochs):
+    X, y, lam = _svm_data(10, 1000, 1)
+    with pytest.raises(NonConvergenceError) as want:
+        _svm_scalar_loop(X, y, lam, max_epochs=max_epochs)
+    with pytest.raises(NonConvergenceError) as got:
+        _svm_dual_coordinate_ascent(X, y, lam, max_epochs=max_epochs)
+    assert str(got.value) == str(want.value)
