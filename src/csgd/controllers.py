@@ -184,7 +184,7 @@ class CouplingController(Controller):
     needs_coupling = True
 
     def __init__(self, params: ControllerParams, adaptive: bool):
-        self.adaptive = adaptive
+        self.adaptive = adaptive  # before super().__init__: its phase_index = 0 reads it
         super().__init__(params)
         self.d0_sq: float | None = None
         self._hits = 0

@@ -31,7 +31,7 @@ def as_vec(x, d: int | None = None) -> np.ndarray:
 
 def norm(v: np.ndarray) -> float:
     """||v||₂ as ``np.linalg.norm`` computes it, one ddot and a root, minus its
-    wrapper: bit for bit equal on a contiguous v, a strided view may round apart."""
+    wrapper: bit for bit equal on a contiguous v; a strided view may round differently."""
     return math.sqrt(float(v @ v))
 
 

@@ -131,7 +131,7 @@ SVM_CASES = {
     "n_not_a_chunk_multiple": (10, 1000, 1, ()),
     "d20": (20, 5 * CHUNK + 13, 2, ()),
     "d50": (50, 300, 4, ()),
-    # sq_i == 0, which make_problem never produces: first, mid-block, last
+    # sq_i == 0, which make_problem never produces: first, mid-block, a block start, last
     "zero_rows": (10, 3 * CHUNK + 7, 5, (0, CHUNK + 5, 2 * CHUNK, 3 * CHUNK + 6)),
 }
 
