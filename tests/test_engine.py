@@ -100,12 +100,13 @@ def trace_digest(trace, rng):
     )
 
 
-def run_case(name, ctl, stream, n_iters=600, params=None, **cfg):
+def run_case(name, ctl, stream, n_iters=600, params=None, trace_stride=7, **cfg):
     prob = problem(name)
     params = params or controller_params(ctl, prob)
     controller = make_controller(params, prob)
     rng = RngStream(7, stream)
-    trace = run(prob, controller, EngineConfig(n_iters=n_iters, trace_stride=7, **cfg), rng)
+    cfg = EngineConfig(n_iters=n_iters, trace_stride=trace_stride, **cfg)
+    trace = run(prob, controller, cfg, rng)
     return trace_digest(trace, rng)
 
 
@@ -152,6 +153,18 @@ CASES.update({
     "least_squares/fixed/diverges": lambda: run_case(
         "least_squares", "fixed", 114,
         params=ControllerParams(kind="fixed", schedule=("constant", 2.5))),
+    # a record at every step, pinned before records filled their error
+    # columns per block: 600 records cross two blocks of CHUNK
+    "quadratic/coupling_adaptive/dense": lambda: run_case(
+        "quadratic", "coupling_adaptive", 115, averaging=True, trace_stride=1),
+    "lsa/coupling_adaptive/dense": lambda: run_case(
+        "lsa", "coupling_adaptive", 116, averaging=True, trace_stride=1),
+    "lasso/distance/dense": lambda: run_case(
+        "lasso", "distance", 117, averaging=True, trace_stride=1),
+    # diverges near k = 300, inside the second record block
+    "quadratic/coupling_static/diverges/dense": lambda: run_case(
+        "quadratic", "coupling_static", 113, averaging=True, trace_stride=1,
+        params=ControllerParams(kind="coupling_static", gamma0=2.05 / problem("quadratic").L)),
     "stationary/quadratic": lambda: _stationary("quadratic"),
     "stationary/least_squares": lambda: _stationary("least_squares"),
 })
@@ -164,6 +177,7 @@ GOLDEN = {
     "lasso/coupling_static": "356d86b8451cddf68299b6c13bfd826b69afa0a98a541ce5009f21146bc5cdb9",
     "lasso/distance": "650ba4e7e6adfdb366598e82fd8ddeb49e90a357e3baa734e168be6b0c1e0bd2",
     "lasso/distance/averaging": "f206e6c20b71ea0a28b5e077706f36f479f58d2f9d028f8846c92e3bd7f84b91",
+    "lasso/distance/dense": "aa5c6624d3c334f71a0aa67384127bbffeb30d0c12523c249e3e80ad2059c9e6",
     "lasso/fixed": "be9585db12f1c82bc4a08ca4023b1cea5640fba58fdc6f24b8eb222e640202f8",
     "lasso/pflug": "4c1904c30f1016df4aea880fb40bd8d10b3aca920444096f60f6dd19c3eb6117",
     "least_squares/coupling_adaptive": "5e494b20d1115533a103df522e0fc159e5f28c573575276f6c542ce871a7b454",
@@ -184,6 +198,7 @@ GOLDEN = {
     "logistic_data/coupling_static": "4929e43232bd2ed3941de8d718c35d373a90bf8dae7ecde5c37278b9e8835248",
     "logistic_data/coupling_static/batch3": "842edfc2d2211ffac6b436b1d8e3913d27ea44e7faef1817b2b570c96083609a",
     "lsa/coupling_adaptive": "062cbaa1030c97285f92628c19cd62fd27cfdac0e3d1b952b0b59c4fb0db7c1f",
+    "lsa/coupling_adaptive/dense": "dd12a6f89cc4612f2bf44da7a6ab6d9f16317791eacee3183fd5cf0509da0255",
     "lsa/coupling_adaptive/zero_offset": "5ea1fb08bc6accbf3fa638ec97205c35d7d7890125a394a3dddf2054076926e8",
     "lsa/coupling_static": "d21fc0a04b6edda522030703694b6d69c1ef4ed15977721dfdf63c770879b31b",
     "lsa/coupling_static/averaging": "211792421fbebe0eb3d50b7c847ed3e555debcdd7d2d5d21f96f6cb18574a3d6",
@@ -192,10 +207,12 @@ GOLDEN = {
     "lsa/pflug": "6c46db3382ddfab59ba77a49db3cbd5de6a193231b56fce70b19780abe1b6951",
     "quadratic/coupling_adaptive": "6e400ee7e5ea34a2946fb3f70c4f425517ccc85b3903f4bba050480e688fdf25",
     "quadratic/coupling_adaptive/averaging": "164cfa224daf90baefc28afbd05e57d4ddca0bb78d9aafc1e1080a355cbca369",
+    "quadratic/coupling_adaptive/dense": "c872186136999b4f659df6f5576fcbba9321308690c335d37da8e84617024b13",
     "quadratic/coupling_static": "4d9d400999dd1cbef3b184c06480ee1bbfda1c3298586545c7ad8e0c48cf082c",
     "quadratic/coupling_static/b0": "74374edfdd4b551b91663a20448e0626a0a0eca34917b00941c843e854c1b39e",
     "quadratic/coupling_static/batch3": "9be5e575f83b91e0990b0c576633a776f088f877d76777e0c4df64231d5309b2",
     "quadratic/coupling_static/diverges": "0780d18395422ec8427fa5a172710dec8d3fad7258a2270c752b8313d32880e8",
+    "quadratic/coupling_static/diverges/dense": "2a0b3785cc5b7f3f41b101fb4dff69e7f6e14f70f713db186f18552db3b8cda7",
     "quadratic/coupling_static/empty": "60cc375b1753e88336d73f94e89763a18b43d19801d09eee761c06eb933fb81a",
     "quadratic/coupling_static/short": "039eef473b7e205287a4bb9936296cb834f14857418243b3379a7d2655afedea",
     "quadratic/coupling_static/zero_offset": "4b89f56d8f3c90ebf9624966ea6105b7c03418344c0a0338a6edfe621fe8bd09",
@@ -346,7 +363,7 @@ def test_reinit_restores_the_iterate_b_steps_back(stored, b, want):
 def lockstep_matches_run(name, params, streams=(300, 301, 302), **cfg):
     """Run the streams in lockstep and one by one; the digests must agree."""
     prob = problem(name)
-    cfg = EngineConfig(trace_stride=7, **cfg)
+    cfg = EngineConfig(**{"trace_stride": 7, **cfg})
     rngs = [RngStream(7, s) for s in streams]
     traces = run_replicates(prob, make_controller(params, prob), cfg, rngs)
     want = []
@@ -371,12 +388,12 @@ def test_lockstep_traces_equal_run(name, schedule, n_iters):
 
 
 LOCKSTEP_VARIANTS = {"tail": dict(tail_from=301), "averaging": dict(averaging=True),
-                     "batch3": dict(batch_size=3)}
+                     "dense": dict(averaging=True, trace_stride=1), "batch3": dict(batch_size=3)}
 
 
 @pytest.mark.parametrize(
     "name, variant",
-    [(n, v) for n in sorted(PROBLEMS) for v in ("tail", "averaging")]
+    [(n, v) for n in sorted(PROBLEMS) for v in ("tail", "averaging", "dense")]
     + [(n, "batch3") for n in BATCHED + ("logistic_data",)],
 )
 def test_lockstep_variants_equal_run(name, variant):
