@@ -25,6 +25,12 @@ divergence stop) the buffer is resynced: the stream goes back to the
 counter that token-by-token drawing would have reached, and
 ``rng.counter`` on return is that counter.
 
+A record keeps θ1 by reference, since both loops rebind it at every step
+and never write it in place, and a copy of the running average, which is
+updated in place.  :class:`RunTrace` fills the error and loss columns of
+``CHUNK`` such records at a time in one stacked pass, with their bits, and
+those of the rest in ``summarize``.
+
 :func:`run_replicates` runs several uncoupled chains in lockstep, as one
 (reps, d) iterate array updated once per step.  The contract:
 
@@ -54,7 +60,7 @@ import numpy as np
 
 from .controllers import Controller, check_int
 from .errors import ConfigError, DegenerateDiagnosticError
-from .numkit import RngStream
+from .numkit import RngStream, row_sq
 from .problems import token_rows
 
 D0_REARM_FLOOR_REL = 1e-12
@@ -106,7 +112,8 @@ class CoupledState:
 
 @dataclass
 class RunTrace:
-    """Columnar per-stride records plus the restart log and a summary."""
+    """Columnar per-stride records plus the restart log and a summary; the error
+    columns are filled per ``CHUNK`` records and complete once ``summarize`` returns."""
 
     ks: list[int] = field(default_factory=list)
     gammas: list[float] = field(default_factory=list)
@@ -119,28 +126,37 @@ class RunTrace:
     restart_log: list[RestartEvent] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     failure: str | None = None
+    _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def record(self, problem, k: int, gamma: float, stat: float, theta1: np.ndarray,
                avg1: np.ndarray | None, d_sq: float | None = None,
                restarted: bool = False) -> None:
         """Append one record of the iterate and, when kept, its running average."""
-        theta_star = problem.theta_star
-        diff = theta1 - theta_star
         self.ks.append(k)
         self.gammas.append(gamma)
         self.stats.append(stat)
-        self.errs.append(float(diff @ diff))
         self.d_sqs.append(math.nan if d_sq is None else d_sq)
-        if avg1 is not None:
-            adiff = avg1 - theta_star
-            self.avg_errs.append(float(adiff @ adiff))
-            self.avg_fgaps.append(problem.loss(avg1) - problem.f_star)
+        self._kept.append((theta1, None if avg1 is None else avg1.copy()))
         self.restart_flags.append(restarted)
+        if len(self._kept) == CHUNK:
+            self._fill(problem)
+
+    def _fill(self, problem) -> None:
+        """Fill the error columns of the kept records, at least one, in one stacked pass."""
+        thetas, avgs = zip(*self._kept)
+        self._kept = []
+        self.errs.extend(row_sq(np.stack(thetas) - problem.theta_star).tolist())
+        if avgs[0] is not None:
+            avgs = np.stack(avgs)
+            self.avg_errs.extend(row_sq(avgs - problem.theta_star).tolist())
+            self.avg_fgaps.extend((problem.losses(avgs) - problem.f_star).tolist())
 
     def summarize(self, problem, cfg: EngineConfig, k: int, final_gamma: float,
                   theta1: np.ndarray, avg1: np.ndarray | None, tail_sum: float,
                   tail_count: int) -> None:
-        """Fill ``summary`` from the run's end state."""
+        """Fill the kept records' error columns, then ``summary`` from the run's end state."""
+        if self._kept:
+            self._fill(problem)
         theta_star = problem.theta_star
         final_diff = theta1 - theta_star
         self.summary = {
@@ -377,11 +393,6 @@ def _divergence_failure(k: int, norm1_sq: float) -> str:
     return f"divergence at k={k} (||theta1||^2={norm1_sq:g})"
 
 
-def _row_sq(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row: one ddot per row, as ``float(θ @ θ)`` makes."""
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
-
-
 def _stack_tokens(blocks: list):
     """Per-replicate token blocks as one block with a leading (count, reps) shape."""
     if isinstance(blocks[0], tuple):
@@ -441,7 +452,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
             if avg is not None:
                 update_average(avg, theta, k)
 
-            norms = _row_sq(theta)
+            norms = row_sq(theta)
             top = float(norms.max())  # nan if any row is nan
             if not math.isfinite(top) or top > DIVERGENCE_THRESHOLD:
                 diverged = ~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD)
@@ -469,7 +480,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                     f"controller decayed at k={k}; lockstep replicates share one schedule"
                 )
             if cfg.tail_from is not None and k >= cfg.tail_from:
-                tail_sum += _row_sq(theta - theta_star)
+                tail_sum += row_sq(theta - theta_star)
                 tail_count += 1
             if k % cfg.trace_stride == 0 or k == n_iters:
                 for row, r in enumerate(active):

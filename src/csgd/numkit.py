@@ -35,6 +35,11 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
+def row_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row: one ddot per row, as ``float(v @ v)`` makes."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
 def as_mat(x, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Coerce to a 2-D float64 array, optionally checking the shape."""
     m = np.asarray(x, dtype=np.float64)

@@ -52,6 +52,7 @@ from .numkit import (  # noqa: F401  (gaussian: bench/perfbench.py times problem
     normal_words,
     power_iteration_extreme_eigs,
     power_iteration_top,
+    row_sq,
     uniforms_from,
 )
 
@@ -170,6 +171,10 @@ class Problem:
 
     def loss(self, theta: np.ndarray) -> float:
         raise NotImplementedError
+
+    def losses(self, thetas: np.ndarray) -> np.ndarray:
+        """:meth:`loss` of each row of a (reps, d) stack, bit for bit; here a row loop."""
+        return np.array([self.loss(t) for t in thetas])
 
     # --- reference & constants --------------------------------------------
 
@@ -538,7 +543,7 @@ def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
     n, d = X.shape
     sq = (X**2).sum(axis=1) / (lam * n)
     sq[sq == 0.0] = np.inf  # a zero row's step (1 - m)/inf is 0: it never moves
-    alpha = np.zeros(n)
+    alpha = np.where(np.isinf(sq), 1.0, 0.0)  # a zero row's dual term α/n peaks at α = 1
     theta = np.zeros(d)
     for _ in range(max_epochs):
         i = 0
@@ -771,6 +776,11 @@ class QuadraticSemiStochastic(Problem):
     def loss(self, theta):
         return float(0.5 * theta @ (self.H @ theta) + self.a @ theta + self.c)
 
+    def losses(self, thetas):
+        # one gemv and two ddots per row, as loss makes
+        quad = np.matmul(0.5 * thetas[:, None, :], np.matmul(self.H, thetas[:, :, None]))
+        return quad[:, 0, 0] + np.matmul(thetas[:, None, :], self.a[:, None])[:, 0, 0] + self.c
+
     def _solve_reference(self):
         theta = np.linalg.solve(self.H, -self.a)
         return ReferenceSolution(
@@ -880,6 +890,10 @@ class LinearStochasticApprox(Problem):
         """Squared residual of the averaged fixed-point equation."""
         r = self.A_bar @ theta + self.b_bar
         return float(r @ r)
+
+    def losses(self, thetas):
+        # one gemv and one ddot per row, as loss makes
+        return row_sq(np.matmul(self.A_bar, thetas[:, :, None])[:, :, 0] + self.b_bar)
 
     def _solve_reference(self):
         theta = np.linalg.solve(self.A_bar, -self.b_bar)

@@ -21,6 +21,8 @@ from collections import deque
 from csgd.engine import CoupledState, reinit_auxiliary
 from csgd.oracle import gamma0_bound, theorem1_floor
 from csgd.problems import token_rows
+from csgd import engine
+from csgd.engine import RunTrace
 
 # ------------------------------------------------------------ golden traces
 #
@@ -444,6 +446,29 @@ def test_stacked_oracle_matches_rows_bitwise(name, d):
         assert np.array_equal(prob.step_direction(theta, stack), rows)
 
 
+def _iterate(prob, n_steps=50):
+    """θ after a few SGD steps from 0 at the default stepsize."""
+    theta, gamma = np.zeros(prob.d), prob.default_gamma0()
+    rng = RngStream(3, 0)
+    tokens, _ = prob.draw_tokens(rng, prob.init_sampler(rng), n_steps)
+    for token in token_rows(tokens):
+        theta = theta + gamma * prob.step_direction(theta, token)
+    return theta
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS) + ["quadratic/d100", "lsa/d50"])
+def test_stacked_losses_match_loss_bitwise(name):
+    kind, _, size = name.partition("/d")
+    prob = make_problem(kind, d=int(size), seed=5) if size else problem(name)
+    gen = np.random.default_rng(prob.d)
+    iterate = _iterate(prob)
+    stack = np.vstack([np.zeros(prob.d), iterate, 1e6 * iterate,
+                       gen.standard_normal((6, prob.d)) * 10.0 ** gen.uniform(-3, 3, (6, 1))])
+    got = prob.losses(stack)
+    assert got.shape == (len(stack),)
+    assert [float(v).hex() for v in got] == [float(prob.loss(t)).hex() for t in stack]
+
+
 class _DecaysAtFive(FixedScheduleController):
     def observe(self, k, theta1, d_sq, direction):
         if k == 5:
@@ -481,3 +506,112 @@ def test_divergence_record_keeps_the_restart_flag():
     assert trace.failure is not None
     assert [event.k for event in trace.restart_log] == [5]
     assert trace.ks[-1] < 100 and trace.restart_flags == [True]
+
+
+# ----------------------------------------------------------------- records
+
+
+class _OrderedTrace(RunTrace):
+    """A trace that logs every append and extend on its columns, per record call.
+
+    The columns are swapped for list subclasses after ``__init__``, as a
+    tracer that times each record from ``ks`` to ``restart_flags`` does.
+    """
+
+    COLUMNS = ("ks", "gammas", "stats", "errs", "d_sqs", "avg_errs", "avg_fgaps",
+               "restart_flags")
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []  # the (method, column) events of each record call
+        self.outside = []  # events outside any record call
+        self._log = self.outside
+        for name in self.COLUMNS:
+            setattr(self, name, _LoggedColumn(name, lambda event: self._log.append(event)))
+
+    def record(self, *args, **kwargs):
+        self._log = []
+        self.calls.append(self._log)
+        try:
+            super().record(*args, **kwargs)
+        finally:
+            self._log = self.outside
+
+
+class _LoggedColumn(list):
+    def __init__(self, name, log):
+        super().__init__()
+        self.name, self.log = name, log
+
+    def append(self, item):
+        self.log(("append", self.name))
+        super().append(item)
+
+    def extend(self, items):
+        self.log(("extend", self.name))
+        super().extend(items)
+
+
+def _check_record_order(trace):
+    fill = {("extend", name) for name in ("errs", "avg_errs", "avg_fgaps")}
+    for events in trace.calls:
+        appends = [e for e in events if e[0] == "append"]
+        assert appends[0] == ("append", "ks") and appends[-1] == ("append", "restart_flags")
+        assert appends.count(("append", "ks")) == appends.count(("append", "restart_flags")) == 1
+        # a block fill runs after the record's last append, outside its span
+        end = events.index(("append", "restart_flags"))
+        assert all(e[0] == "append" for e in events[:end])
+        assert set(events[end + 1:]) <= fill
+    assert set(trace.outside) <= fill
+    n = len(trace.ks)
+    assert n == len(trace.calls)
+    for name in ("gammas", "stats", "errs", "d_sqs", "restart_flags"):
+        assert len(getattr(trace, name)) == n, name
+    assert len(trace.avg_errs) == len(trace.avg_fgaps) in (0, n)
+
+
+RECORD_CASES = {
+    "dense/averaging": ("quadratic", "coupling_adaptive", dict(trace_stride=1, averaging=True)),
+    "dense": ("lsa", "coupling_adaptive", dict(trace_stride=1)),
+    "stride7/averaging": ("lasso", "distance", dict(trace_stride=7, averaging=True)),
+    # the golden diverging case: k = 294, in the second block
+    "diverges/dense/averaging": ("quadratic", "diverges", dict(trace_stride=1, averaging=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_run_records_keep_the_column_contract(case, monkeypatch):
+    monkeypatch.setattr(engine, "RunTrace", _OrderedTrace)
+    name, ctl, cfg = RECORD_CASES[case]
+    prob = problem(name)
+    if ctl == "diverges":
+        params = ControllerParams(kind="coupling_static", gamma0=2.05 / prob.L)
+    else:
+        params = controller_params(ctl, prob)
+    trace = run(prob, make_controller(params, prob), EngineConfig(n_iters=600, **cfg),
+                RngStream(7, 113))
+    assert isinstance(trace, _OrderedTrace)
+    assert (trace.failure is not None) == (ctl == "diverges")
+    _check_record_order(trace)
+    # a record that completes a block of CHUNK fills it; summarize fills the rest
+    filled = [i for i, events in enumerate(trace.calls) if ("extend", "errs") in events]
+    assert filled == list(range(CHUNK - 1, len(trace.ks), CHUNK))
+
+
+@pytest.mark.parametrize("averaging", [False, True])
+@pytest.mark.parametrize("case", ["least_squares", "quadratic"])
+def test_lockstep_records_keep_the_column_contract(case, averaging, monkeypatch):
+    # least_squares: 7 of 12 chains diverge by k = 66, in the first block, and
+    # 5 run to the end; quadratic: all 12 diverge at k = 273 to 355
+    monkeypatch.setattr(engine, "RunTrace", _OrderedTrace)
+    prob = problem(case)
+    if case == "least_squares":
+        params = fixed(case, "inv_sqrt", 6.0)
+    else:
+        params = fixed(case, "constant", 2.05 / prob.L)
+    cfg = EngineConfig(n_iters=600, trace_stride=1, averaging=averaging)
+    traces = run_replicates(prob, make_controller(params, prob), cfg,
+                            [RngStream(7, s) for s in range(110, 122)])
+    assert any(t.failure is not None for t in traces)
+    for trace in traces:
+        _check_record_order(trace)

@@ -96,7 +96,7 @@ def _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
     rows = list(X)
     labels = y.tolist()
     sq = ((X**2).sum(axis=1) / (lam * n)).tolist()
-    alpha = [0.0] * n
+    alpha = [1.0 if sq_i == 0.0 else 0.0 for sq_i in sq]  # a zero row's α/n peaks at α = 1
     theta = np.zeros(d)
     for _ in range(max_epochs):
         for i, (x, yi, sq_i) in enumerate(zip(rows, labels, sq)):
@@ -140,11 +140,10 @@ SVM_CASES = {
 def test_svm_block_scan_matches_the_scalar_loop(name):
     d, n, seed, zero_rows = SVM_CASES[name]
     X, y, lam = _svm_data(d, n, seed, zero_rows)
-    # a zero row keeps αᵢ = 0 and its hinge at 1, so the gap cannot fall
-    # below (zero rows)/n: the tolerance sits 1e-9 above that floor
-    tol = 1e-9 + len(zero_rows) / n
-    want_theta, want_gap = _svm_scalar_loop(X, y, lam, gap_tol_rel=tol)
-    theta, gap = _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=tol)
+    # both converge at the default tolerance, zero rows included: a zero
+    # row's hinge term 1 is matched by its dual term αᵢ = 1
+    want_theta, want_gap = _svm_scalar_loop(X, y, lam)
+    theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
     assert theta.tobytes() == want_theta.tobytes()
     assert float(gap).hex() == float(want_gap).hex()
 
