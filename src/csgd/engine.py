@@ -66,7 +66,7 @@ from .problems import token_rows
 D0_REARM_FLOOR_REL = 1e-12
 REARM_DRAWS = 100  # perturbation draws before a re-arm gives up
 DIVERGENCE_THRESHOLD = 1e12  # a run stops once ||θ1||² exceeds this
-CHUNK = 256  # tokens decoded per raw block
+CHUNK = 256  # tokens decoded per raw block, and records per error-column fill
 
 
 @dataclass
