@@ -144,6 +144,14 @@ CASES.update({
     "quadratic/coupling_static/b0": lambda: run_case(
         "quadratic", "coupling_static", 110,
         params=ControllerParams(kind="coupling_static", b=0, beta0=1e-3, r=0.9)),
+    # the same on lsa: three degenerate re-arms in mid-block, on a Markov
+    # token, so the resync must restore the chain state
+    "lsa/coupling_static/b0": lambda: run_case(
+        "lsa", "coupling_static", 118,
+        params=ControllerParams(kind="coupling_static", b=0, beta0=1e-3, r=0.9)),
+    "lsa/coupling_static/b0/dense": lambda: run_case(
+        "lsa", "coupling_static", 118, averaging=True, trace_stride=1,
+        params=ControllerParams(kind="coupling_static", b=0, beta0=1e-3, r=0.9)),
     "quadratic/coupling_static/zero_offset": lambda: run_case(
         "quadratic", "coupling_static", 111, init_offset_scale=0.0),
     "lsa/coupling_adaptive/zero_offset": lambda: run_case(
@@ -204,6 +212,8 @@ GOLDEN = {
     "lsa/coupling_adaptive/zero_offset": "5ea1fb08bc6accbf3fa638ec97205c35d7d7890125a394a3dddf2054076926e8",
     "lsa/coupling_static": "d21fc0a04b6edda522030703694b6d69c1ef4ed15977721dfdf63c770879b31b",
     "lsa/coupling_static/averaging": "211792421fbebe0eb3d50b7c847ed3e555debcdd7d2d5d21f96f6cb18574a3d6",
+    "lsa/coupling_static/b0": "aea51e42bcee6e6ae001eb1c33175dccc08ec731fb8682937579eaf85012e920",
+    "lsa/coupling_static/b0/dense": "60bb1a300f28528f26f0ec6976b0a39882c07d8d4ed0309f4a75a8d0d00928ab",
     "lsa/distance": "ca53f78a11d93b0c9e0bfa927499fa85c8990cb929bdf99f3af3c83b8f3b9775",
     "lsa/fixed": "3c6ae92316a349880dbfd1a32210ae9a27c30cb0f017d6b854443e1cd2710a07",
     "lsa/pflug": "6c46db3382ddfab59ba77a49db3cbd5de6a193231b56fce70b19780abe1b6951",
