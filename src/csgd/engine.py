@@ -175,12 +175,13 @@ class RunTrace:
 
 
 class TokenBuffer:
-    """A run's tokens, drawn up to ``CHUNK`` at a time from one raw block.
+    """A run's tokens, handed out in blocks of up to ``CHUNK`` from one raw block.
 
-    ``remaining`` counts the tokens the run has yet to take, so a refill
-    never draws past the last iteration.  ``sampler_state`` is the problem's
+    ``remaining`` counts the tokens the run has yet to take, so a block
+    never runs past the last iteration.  ``sampler_state`` is the problem's
     sampler state after the last token drawn; set it from ``init_sampler``
-    before the first token.  A batch size the problem cannot draw raises
+    before the first block.  ``taken`` counts the tokens of the current
+    block, 0 once resynced.  A batch size the problem cannot draw raises
     ConfigError here, before any draw.
     """
 
@@ -191,59 +192,39 @@ class TokenBuffer:
         self.batch = batch
         self.remaining = remaining
         self.sampler_state = None
-        self._block = None  # the current token block
-        self._rows: list = []  # its tokens one by one, for ``next``
-        self._count = self._pos = 0
+        self.taken = 0
         self._block_start = (rng.counter, None)  # stream counter and sampler state
 
-    def _refill(self) -> None:
-        count = min(CHUNK, self.remaining)
-        self._block_start = (self.rng.counter, self.sampler_state)
-        self._block, self.sampler_state = self.problem.draw_tokens(
-            self.rng, self.sampler_state, count, self.batch
-        )
-        self.remaining -= count
-        self._count, self._pos = count, 0
-
-    def next(self):
-        """The run's next token."""
-        if self._pos == self._count:
-            self._refill()
-            self._rows = token_rows(self._block)
-        token = self._rows[self._pos]
-        self._pos += 1
-        return token
-
     def take_block(self):
-        """The tokens left in the current block, as a block; refilled first if used up.
+        """The next ``min(CHUNK, remaining)`` tokens, as a block.
 
         All of them count as taken; a run that stops part-way through them
         hands the rest back with ``resync(returned)``.
         """
-        if self._pos == self._count:
-            self._refill()
-        start, self._pos = self._pos, self._count
-        return _block_index(self._block, np.s_[start:])
+        self.taken = min(CHUNK, self.remaining)
+        self._block_start = (self.rng.counter, self.sampler_state)
+        block, self.sampler_state = self.problem.draw_tokens(
+            self.rng, self.sampler_state, self.taken, self.batch
+        )
+        self.remaining -= self.taken
+        return block
 
     def resync(self, returned: int = 0) -> RngStream:
-        """Drop the tokens not yet used and rewind the stream to match.
+        """Give back the last ``returned`` tokens taken and rewind the stream to match.
 
-        ``returned`` counts the tokens handed out but not used.  The stream
-        goes back to the start of the block and redraws the tokens used, so
-        both its counter and the sampler state end where token-by-token
-        drawing would have left them.  Returns the stream, ready for an
-        out-of-band draw.
+        The stream goes back to the start of the block and redraws the tokens
+        used, so both its counter and the sampler state end where drawing
+        only those tokens would have left them.  Returns the stream, ready
+        for an out-of-band draw.
         """
-        self._pos -= returned
-        unused = self._count - self._pos
-        if unused:
+        if returned:
             counter, sampler_state = self._block_start
             self.rng.seek(counter)
             _, self.sampler_state = self.problem.draw_tokens(
-                self.rng, sampler_state, self._pos, self.batch
+                self.rng, sampler_state, self.taken - returned, self.batch
             )
-            self.remaining += unused
-        self._count = self._pos = 0
+            self.remaining += returned
+        self.taken = 0
         return self.rng
 
 
@@ -267,13 +248,14 @@ def coupled_step(state: CoupledState, problem, gamma: float, token):
 
 
 def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: float,
-                    tokens: TokenBuffer) -> float:
+                    tokens: TokenBuffer, returned: int = 0) -> float:
     """Set θ2, restart its history and return the new reference ||θ1 - θ2||².
 
     If that difference is degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is
     instead perturbed off θ1 by √γ·N(0, I) — the scale of the stationary
     fluctuation radius — so the diagnostic stays well defined.  The
-    perturbation is drawn out of band, after resyncing the token buffer; if
+    perturbation is drawn out of band, after resyncing the token buffer,
+    which gives back the ``returned`` tokens of its block not yet used; if
     ``REARM_DRAWS`` draws all stay within the floor (γ too small for it),
     DegenerateDiagnosticError is raised.
     """
@@ -281,7 +263,7 @@ def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: floa
     d0_sq = float(diff @ diff)
     floor = D0_REARM_FLOOR_REL * max(1.0, float(state.theta1 @ state.theta1))
     if d0_sq <= floor:
-        rng = tokens.resync()
+        rng = tokens.resync(returned)
         for _ in range(REARM_DRAWS):
             theta2 = state.theta1 + math.sqrt(gamma) * rng.normals(state.theta1.shape[0])
             diff = state.theta1 - theta2
@@ -296,7 +278,8 @@ def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: floa
     return d0_sq
 
 
-def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenBuffer) -> float:
+def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenBuffer,
+                     returned: int = 0) -> float:
     """Reset θ2 to its value b steps back and re-arm the distance reference.
 
     Uses the oldest stored iterate when fewer than b are available; see
@@ -304,7 +287,7 @@ def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenBuf
     """
     hist = state.history
     idx = 0 if len(hist) <= b else len(hist) - 1 - b
-    return rearm_auxiliary(state, hist[idx].copy(), b, gamma, tokens)
+    return rearm_auxiliary(state, hist[idx].copy(), b, gamma, tokens, returned)
 
 
 def update_average(avg1: np.ndarray, theta1: np.ndarray, k: int) -> None:
@@ -315,78 +298,13 @@ def update_average(avg1: np.ndarray, theta1: np.ndarray, k: int) -> None:
 def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> RunTrace:
     """Execute n_iters coupled-SGD iterations under one controller.
 
-    Bit-deterministic given (problem, controller params, cfg, stream).  On
-    divergence the trace collected so far is returned with ``failure`` set.
-    A controller that needs coupling with ``track_coupling=False`` raises
-    ConfigError before the first step.
+    :func:`run_replicates` with the one stream ``rng``.  Bit-deterministic
+    given (problem, controller params, cfg, stream).  On divergence the
+    trace collected so far is returned with ``failure`` set.  A controller
+    that needs coupling with ``track_coupling=False`` raises ConfigError
+    before the first step.
     """
-    d = problem.d
-    theta_star = problem.theta_star
-    coupled = (
-        cfg.track_coupling
-        if cfg.track_coupling is not None
-        else controller.needs_coupling
-    )
-    if controller.needs_coupling and not coupled:
-        raise ConfigError(
-            f"controller {controller.params.kind!r} reads the coupled distance; "
-            "it cannot run with track_coupling=False"
-        )
-    b = controller.params.b
-
-    state = CoupledState(theta1=np.zeros(d), theta2=None)
-    tokens = TokenBuffer(problem, rng, cfg.batch_size, cfg.n_iters)
-    if coupled:
-        offset = cfg.init_offset_scale * rng.normals(d)
-        controller.rearm(
-            rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), tokens)
-        )
-    avg1 = state.theta1.copy() if cfg.averaging else None
-    tokens.sampler_state = problem.init_sampler(rng)
-
-    trace = RunTrace()
-    restarted_since_record = False
-    phase = controller.phase_index
-    tail_sum = 0.0
-    tail_count = 0
-    k = 0
-
-    for k in range(1, cfg.n_iters + 1):
-        gamma = controller.stepsize(k)
-        direction, d_sq = coupled_step(state, problem, gamma, tokens.next())
-        if avg1 is not None:
-            update_average(avg1, state.theta1, k)
-
-        norm1_sq = float(state.theta1 @ state.theta1)
-        if not math.isfinite(norm1_sq) or norm1_sq > DIVERGENCE_THRESHOLD:
-            trace.failure = _divergence_failure(k, norm1_sq)
-            trace.record(problem, k, gamma, math.nan, state.theta1, avg1, d_sq,
-                         restarted_since_record)
-            tokens.resync()
-            break
-
-        stat = controller.observe(k, state.theta1, d_sq, direction)
-        if controller.phase_index != phase:
-            phase = controller.phase_index
-            new_gamma = controller.gamma
-            if controller.needs_coupling:
-                controller.rearm(reinit_auxiliary(state, b, new_gamma, tokens))
-            trace.restart_log.append(RestartEvent(k, gamma, new_gamma, stat))
-            restarted_since_record = True
-
-        if cfg.tail_from is not None and k >= cfg.tail_from:
-            diff = state.theta1 - theta_star
-            tail_sum += float(diff @ diff)
-            tail_count += 1
-
-        if k % cfg.trace_stride == 0 or k == cfg.n_iters:
-            trace.record(problem, k, gamma, stat, state.theta1, avg1, d_sq,
-                         restarted_since_record)
-            restarted_since_record = False
-
-    trace.summarize(problem, cfg, k, controller.stepsize(max(k, 1)), state.theta1, avg1,
-                    tail_sum, tail_count)
-    return trace
+    return run_replicates(problem, controller, cfg, [rng])[0]
 
 
 def _divergence_failure(k: int, norm1_sq: float) -> str:
@@ -400,94 +318,128 @@ def _stack_tokens(blocks: list):
     return np.stack(blocks, axis=1)
 
 
-def _block_index(block, key):
-    """``part[key]`` for each part of a token block."""
-    if isinstance(block, tuple):
-        return tuple(part[key] for part in block)
-    return block[key]
+def _rows(a: np.ndarray | None, n: int):
+    """The ``n`` iterates in ``a``: its rows, ``(a,)`` for one iterate, n Nones for None."""
+    if a is None:
+        return (None,) * n
+    return (a,) if a.ndim == 1 else a
 
 
 def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> list[RunTrace]:
-    """Run one uncoupled chain per stream, in lockstep under one fixed schedule.
+    """Run one chain per stream, in lockstep; the loop behind :func:`run`.
 
     Returns one trace per stream, each equal to what :func:`run` returns
-    for that stream, and leaves each stream's counter where ``run`` leaves
-    it; see the module docstring.  A controller other than a fixed
-    schedule, ``track_coupling=True`` or no streams raise ConfigError
-    before any draw.
+    for that stream alone, and leaves each stream's counter where ``run``
+    leaves it; see the module docstring.  With several streams the chains
+    are uncoupled under one fixed schedule: another controller kind or
+    ``track_coupling=True`` raises ConfigError before any draw, and so does
+    an empty list of streams.
     """
     rngs = list(rngs)
     if not rngs:
         raise ConfigError("run_replicates needs at least one stream")
     kind = controller.params.kind
-    if kind != "fixed":
+    coupled = controller.needs_coupling if cfg.track_coupling is None else cfg.track_coupling
+    if controller.needs_coupling and not coupled:
+        raise ConfigError(
+            f"controller {kind!r} reads the coupled distance; "
+            "it cannot run with track_coupling=False"
+        )
+    single = len(rngs) == 1
+    if not single and kind != "fixed":
         raise ConfigError(
             f"lockstep replicates share one fixed schedule; controller {kind!r} adapts it"
         )
-    if cfg.track_coupling:
+    if not single and coupled:
         raise ConfigError("lockstep replicates are uncoupled; track_coupling=True is not allowed")
-    n_iters = cfg.n_iters
+    n_iters, d, b = cfg.n_iters, problem.d, controller.params.b
     theta_star = problem.theta_star
-    theta = np.zeros((len(rngs), problem.d))
-    avg = theta.copy() if cfg.averaging else None
-    buffers = []
-    for rng in rngs:
-        tokens = TokenBuffer(problem, rng, cfg.batch_size, n_iters)
+    state = CoupledState(theta1=np.zeros(d if single else (len(rngs), d)), theta2=None)
+    buffers = [TokenBuffer(problem, rng, cfg.batch_size, n_iters) for rng in rngs]
+    if coupled:
+        offset = cfg.init_offset_scale * rngs[0].normals(d)
+        controller.rearm(
+            rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), buffers[0])
+        )
+    avg1 = state.theta1.copy() if cfg.averaging else None
+    for tokens, rng in zip(buffers, rngs):
         tokens.sampler_state = problem.init_sampler(rng)
-        buffers.append(tokens)
 
     traces = [RunTrace() for _ in rngs]
-    active = list(range(len(rngs)))  # the replicate in each row of theta
+    active = list(range(len(rngs)))  # the stream of each row of θ1
+    restarted_since_record = False
+    phase = controller.phase_index
     tail_sum = np.zeros(len(rngs))
     tail_count = 0
     k = 0
     while k < n_iters and active:
-        stack = _stack_tokens([buffers[r].take_block() for r in active])
-        steps = token_rows(stack)  # one (reps, ...) token stack per step
+        blocks = [buffers[r].take_block() for r in active]
+        steps = token_rows(blocks[0] if single else _stack_tokens(blocks))
         count = len(steps)
         for i in range(count):
             k += 1
             gamma = controller.stepsize(k)
-            theta = theta + gamma * problem.step_direction(theta, steps[i])
-            if avg is not None:
-                update_average(avg, theta, k)
+            direction, d_sq = coupled_step(state, problem, gamma, steps[i])
+            theta1 = state.theta1
+            if avg1 is not None:
+                update_average(avg1, theta1, k)
 
-            norms = row_sq(theta)
-            top = float(norms.max())  # nan if any row is nan
-            if not math.isfinite(top) or top > DIVERGENCE_THRESHOLD:
-                diverged = ~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD)
+            # the flat sum of squares bounds every row's; rounding aside, a
+            # row can pass the threshold only when the sum comes near it
+            if not float(np.vdot(theta1, theta1)) <= DIVERGENCE_THRESHOLD * (1.0 - 1e-9):
+                norms = row_sq(theta1.reshape(-1, d))
+                diverged = ~(norms <= DIVERGENCE_THRESHOLD)  # nan diverges too
+                rows, avgs = _rows(theta1, len(active)), _rows(avg1, len(active))
                 for row in np.flatnonzero(diverged):
                     trace = traces[active[row]]
-                    row_avg = None if avg is None else avg[row]
                     trace.failure = _divergence_failure(k, float(norms[row]))
-                    trace.record(problem, k, gamma, math.nan, theta[row], row_avg)
-                    trace.summarize(problem, cfg, k, controller.stepsize(k), theta[row], row_avg,
-                                    float(tail_sum[row]), tail_count)
+                    trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq,
+                                 restarted_since_record)
+                    trace.summarize(problem, cfg, k, controller.stepsize(k), rows[row],
+                                    avgs[row], float(tail_sum[row]), tail_count)
                     buffers[active[row]].resync(count - 1 - i)
-                keep = np.flatnonzero(~diverged)
-                active = [active[row] for row in keep]
-                if not active:
-                    break
-                theta, tail_sum = theta[keep], tail_sum[keep]
-                if avg is not None:
-                    avg = avg[keep]
-                stack = _block_index(stack, np.s_[:, keep])
-                steps = token_rows(stack)
+                if diverged.any():
+                    keep = np.flatnonzero(~diverged)
+                    active = [active[row] for row in keep]
+                    if not active:
+                        break
+                    theta1 = state.theta1 = theta1[keep]
+                    tail_sum = tail_sum[keep]
+                    if avg1 is not None:
+                        avg1 = avg1[keep]
+                    blocks = [blocks[row] for row in keep]
+                    steps = token_rows(_stack_tokens(blocks))
 
-            stat = controller.observe(k, theta, None, None)
-            if controller.phase_index:
-                raise ConfigError(
-                    f"controller decayed at k={k}; lockstep replicates share one schedule"
-                )
+            stat = controller.observe(k, theta1, d_sq, direction)
+            refill = False
+            if controller.phase_index != phase:
+                if not single:
+                    raise ConfigError(
+                        f"controller decayed at k={k}; lockstep replicates share one schedule"
+                    )
+                phase = controller.phase_index
+                new_gamma = controller.gamma
+                if controller.needs_coupling:
+                    controller.rearm(
+                        reinit_auxiliary(state, b, new_gamma, buffers[0], count - 1 - i))
+                    refill = not buffers[0].taken  # a degenerate re-arm gave the rest back
+                traces[0].restart_log.append(RestartEvent(k, gamma, new_gamma, stat))
+                restarted_since_record = True
+
             if cfg.tail_from is not None and k >= cfg.tail_from:
-                tail_sum += row_sq(theta - theta_star)
+                tail_sum += row_sq((theta1 - theta_star).reshape(-1, d))
                 tail_count += 1
-            if k % cfg.trace_stride == 0 or k == n_iters:
-                for row, r in enumerate(active):
-                    row_avg = None if avg is None else avg[row]
-                    traces[r].record(problem, k, gamma, stat, theta[row], row_avg)
 
+            if k % cfg.trace_stride == 0 or k == n_iters:
+                for r, row, avg_row in zip(active, _rows(theta1, len(active)), _rows(avg1, len(active))):
+                    traces[r].record(problem, k, gamma, stat, row, avg_row, d_sq,
+                                     restarted_since_record)
+                restarted_since_record = False
+            if refill:
+                break
+
+    rows, avgs = _rows(state.theta1, len(active)), _rows(avg1, len(active))
     for row, r in enumerate(active):
-        traces[r].summarize(problem, cfg, k, controller.stepsize(max(k, 1)), theta[row],
-                            None if avg is None else avg[row], float(tail_sum[row]), tail_count)
+        traces[r].summarize(problem, cfg, k, controller.stepsize(max(k, 1)), rows[row],
+                            avgs[row], float(tail_sum[row]), tail_count)
     return traces

@@ -267,13 +267,15 @@ def test_resync_ends_where_single_draws_end(name):
     tokens = TokenBuffer(prob, rng, batch=1, remaining=3 * CHUNK)
     tokens.sampler_state = prob.init_sampler(rng)
     state = prob.init_sampler(single_rng)
-    for taken in (5, CHUNK - 5, 1):  # resync mid-block, then across a refill
-        for _ in range(taken):
-            token = tokens.next()
+    for used in (5, CHUNK - 5, 1):  # resync mid-block, then across a refill
+        rows = token_rows(tokens.take_block())
+        assert len(rows) == tokens.taken == CHUNK
+        for token in rows[:used]:
             single, state = prob.next_token(single_rng, state)
             parts = zip(*(t if isinstance(t, tuple) else (t,) for t in (token, single)))
             assert all(np.array_equal(a, b) for a, b in parts)
-        assert tokens.resync() is rng
+        assert tokens.resync(CHUNK - used) is rng
+        assert tokens.taken == 0
         assert rng.counter == single_rng.counter
         assert tokens.sampler_state == state
     assert tokens.remaining == 3 * CHUNK - CHUNK - 1
@@ -429,6 +431,23 @@ def test_lockstep_divergence_is_per_replicate(case):
     assert any(diverged)
     assert all(diverged) == (case != "least_squares/mixed")
     assert len({t.summary["k"] for t in traces}) > 1
+
+
+def test_divergence_precheck_firing_on_the_stack_alone_stops_no_chain(monkeypatch):
+    # θ* = 0 here, so errs is ||θ1||²; with the threshold just above every
+    # chain's largest, the stack's flat sum of squares passes it while no
+    # row does, and the per-row check must let every chain go on
+    prob = problem("quadratic")
+    assert not prob.theta_star.any()
+    params, streams = fixed("quadratic", "constant"), range(300, 312)
+    cfg = EngineConfig(n_iters=600, trace_stride=1)
+    errs = np.array([run(prob, make_controller(params, prob), cfg, RngStream(7, s)).errs
+                     for s in streams])
+    threshold = 1.01 * errs.max()
+    assert errs.sum(axis=0).max() > threshold
+    monkeypatch.setattr(engine, "DIVERGENCE_THRESHOLD", threshold)
+    traces = lockstep_matches_run("quadratic", params, streams, n_iters=600, trace_stride=1)
+    assert all(trace.failure is None for trace in traces)
 
 
 def test_tail_mean_is_nan_when_no_step_reaches_the_tail():
