@@ -235,12 +235,7 @@ class PflugController(Controller):
     def __init__(self, params: ControllerParams, mu_hint: float | None = None):
         super().__init__(params)
         if params.burn_in is None:
-            burn = (
-                RELAXATION_CAP
-                if params.gamma0 is None
-                else relaxation_steps(params.gamma0, mu_hint)
-            )
-            self.params = replace(params, burn_in=burn)
+            self.params = replace(params, burn_in=relaxation_steps(params.gamma0, mu_hint))
         self._sum = 0.0
         self._count = 0
         self._phase_start = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDirectionError, HorizonTooShortError
-from .numkit import as_mat, as_vec, norm, power_iteration_extreme_eigs, power_iteration_top
+from .numkit import as_mat, as_vec, norm, power_iteration_top
 
 D0_PROJECTION_FLOOR = 1e-12
 
@@ -197,34 +197,3 @@ def stationary_error_estimate(
         mean=mean, stderr=stderr, ci_halfwidth=3.0 * stderr, per_rep=per_rep
     )
 
-
-@dataclass(frozen=True)
-class TheoryQuantities:
-    """Bundle of the closed-form rate quantities for one (problem, stepsize)."""
-
-    gamma: float
-    L: float
-    mu: float
-    rho: float
-    varrho: float
-    gamma0: float
-    k0: float
-    lam_min: float | None = None
-    lam_max: float | None = None
-
-
-def theory_quantities(gamma: float, L: float, mu: float, H=None) -> TheoryQuantities:
-    lam_min = lam_max = None
-    if H is not None:
-        lam_min, lam_max, _ = power_iteration_extreme_eigs(as_mat(H))
-    return TheoryQuantities(
-        gamma=gamma,
-        L=L,
-        mu=mu,
-        rho=contraction_rate(gamma, mu, L),
-        varrho=1.0 - 2.0 * gamma * L + gamma**2 * mu**2,
-        gamma0=gamma0_bound(L, mu) if mu > 0 else 1.0 / (4.0 * L),
-        k0=4.0 * L / mu if mu > 0 else math.inf,
-        lam_min=lam_min,
-        lam_max=lam_max,
-    )

@@ -14,7 +14,6 @@ from csgd.oracle import (
     proximity_ratio_quadratic,
     stationary_error_estimate,
     theorem1_floor,
-    theory_quantities,
 )
 from csgd.problems import make_problem
 
@@ -250,15 +249,3 @@ def test_stationary_rejects_a_tail_frac_that_leaves_no_tail(tail_frac):
         stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000,
                                   tail_frac=tail_frac, reps=2)
 
-
-# ------------------------------------------------------------------- bundle
-
-
-def test_theory_quantities_bundle():
-    tq = theory_quantities(0.05, L=2.0, mu=0.5, H=np.diag([0.5, 2.0]))
-    assert tq.rho == pytest.approx(contraction_rate(0.05, 0.5, 2.0))
-    assert tq.varrho == pytest.approx(1.0 - 2 * 0.05 * 2.0 + 0.05**2 * 0.25)
-    assert tq.k0 == pytest.approx(16.0)
-    assert tq.lam_min == pytest.approx(0.5, abs=1e-8)
-    assert tq.lam_max == pytest.approx(2.0, abs=1e-8)
-    assert math.isfinite(tq.gamma0)
