@@ -167,6 +167,12 @@ def gaussian(rng: RngStream, d: int, cov) -> np.ndarray:
     return rng.normals(d) * np.sqrt(diag)
 
 
+# power iterations between checks of the residual's decay rate: over the
+# converging passes of the test suite, the rate seen in any such window
+# reaches the tolerance in under half the iterations left
+STALL_WINDOW = 1000
+
+
 def _graded_start(d: int) -> np.ndarray:
     # grading breaks exact symmetries that would trap the all-ones vector
     # in an invariant subspace
@@ -194,14 +200,29 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
     """Top eigenpair of a symmetric PSD matrix by power iteration.
 
     Converges when the eigen-residual ||Mv - λv|| drops below tol_resid;
-    for a degenerate top eigenspace any unit vector in it qualifies.
+    for a degenerate top eigenspace any unit vector in it qualifies.  Every
+    ``STALL_WINDOW`` iterations the residual's decay over the last window
+    is extrapolated geometrically to ``max_iters``; when even that stays
+    above tol_resid, the pass gives up then rather than at ``max_iters``.
     """
     v = _graded_start(M.shape[0])
-    for _ in range(max_iters):
+    checkpoint = math.inf  # the residual STALL_WINDOW iterations back
+    for i in range(max_iters):
         w = M @ v
         lam = float(v @ w)
-        if norm(w - lam * v) <= tol_resid:
+        resid = norm(w - lam * v)
+        if resid <= tol_resid:
             return lam, v
+        if i % STALL_WINDOW == 0:
+            if resid < checkpoint and (
+                (max_iters - i) * math.log(checkpoint / resid)
+                < STALL_WINDOW * math.log(resid / tol_resid)
+            ):
+                raise NonConvergenceError(
+                    f"power iteration stalled at {i} iterations: residual {resid:g} "
+                    f"cannot reach {tol_resid:g} by {max_iters}"
+                )
+            checkpoint = resid
         norm_w = norm(w)
         if norm_w == 0.0:
             return 0.0, v
@@ -255,7 +276,8 @@ def power_iteration_extreme_eigs(M, tol: float = 1e-10, max_iters: int = 100_000
     ``tol * max(1, ||M||₂)``; by Weyl's bound the eigenvalues then carry the
     same absolute accuracy.  The λ_min pass converges at the rate
     (λ_max - λ₂)/(λ_max - λ_min), λ₂ the second smallest, which stalls on a
-    clustered bottom; where it does not converge, λ_min comes from
+    clustered bottom; where it does not converge, or its residual decays
+    too slowly to (see ``_power_top``), λ_min comes from
     ``numpy.linalg.eigvalsh``.  Callers that read only ``lam_max`` or
     ``q_max`` use :func:`power_iteration_top`.
     """
