@@ -13,41 +13,45 @@ step runs at the controller's new ``gamma``, and for a controller that
 ``needs_coupling`` the auxiliary iterate is re-initialized and the
 controller re-armed before that step begins.
 
-Tokens come from a :class:`TokenBuffer`, which draws up to ``CHUNK`` of
-them at a time from one raw block of the run's stream, as one columnar
-token block (see :mod:`csgd.problems`).  ``run`` takes them one by one,
-split into rows once per block; :func:`run_replicates` takes whole blocks.
-Each problem kind spends a fixed number of raw words per token, so a run
-sees the same tokens as if it drew them one by one.  The stream runs ahead
-of the tokens used by at most one block and never past the last iteration.
-Where a run leaves the token sequence (the degenerate re-arm draw, a
-divergence stop) the buffer is resynced: the stream goes back to the
-counter that token-by-token drawing would have reached, and
-``rng.counter`` on return is that counter.
+There is one loop, :func:`run_replicates`; :func:`run` is that loop with
+one stream.  The number of streams picks the data shape:
 
-A record keeps θ1 by reference, since both loops rebind it at every step
-and never write it in place, and a copy of the running average, which is
+- one stream: θ1 (and θ2 when coupled) is a 1-D iterate and each token a
+  row of its block, so the oracle sees exactly what a lone run gives it;
+- several streams: the chains run in lockstep as one (reps, d) stack of θ1
+  updated once per step.  They share one fixed-schedule controller, asked
+  for each stepsize once and shown the whole stack once per step; a decay
+  or coupling raises ConfigError, since it cannot apply to one chain alone.
+  Each chain keeps its own stream and token buffer, and its blocks are
+  stacked part by part along a replicate axis, so each step's tokens reach
+  one oracle call with no per-token Python.  The stacked arithmetic is
+  per-row arithmetic: elementwise operations, and ``np.matmul`` forms that
+  make one BLAS call per row, as ``H @ θ`` and ``x @ θ`` do, so each
+  chain's trace and ``rng.counter`` are bit for bit what ``run`` returns
+  for its stream.
+
+Tokens come from a :class:`TokenBuffer`, which hands them out as whole
+blocks of up to ``CHUNK``, drawn from one raw block of the run's stream as
+one columnar token block (see :mod:`csgd.problems`).  Each problem kind
+spends a fixed number of raw words per token, so a run sees the same tokens
+as if it drew them one by one.  The stream runs ahead of the tokens used by
+at most one block and never past the last iteration.  Where a run leaves
+the token sequence in mid-block (the degenerate re-arm draw, a divergence
+stop) it gives the rest of the block back and the buffer is resynced: the
+stream goes back to the counter that token-by-token drawing would have
+reached, and ``rng.counter`` on return is that counter.
+
+Divergence is checked per stream: a chain stops once ||θ1||² exceeds
+``DIVERGENCE_THRESHOLD`` or is not finite, gets a failure text and a final
+record, and the others go on.  Each step makes one ddot over the whole
+stack, the sum of the chains' ||θ1||²; only when that comes near the
+threshold are the rows' norms computed.
+
+A record keeps θ1 by reference, since the loop rebinds it at every step
+and never writes it in place, and a copy of the running average, which is
 updated in place.  :class:`RunTrace` fills the error and loss columns of
 ``CHUNK`` such records at a time in one stacked pass, with their bits, and
 those of the rest in ``summarize``.
-
-:func:`run_replicates` runs several uncoupled chains in lockstep, as one
-(reps, d) iterate array updated once per step.  The contract:
-
-- one schedule: the replicates share one fixed-schedule controller, asked
-  for each stepsize once and shown the whole stack once per step; a decay
-  raises ConfigError, since it cannot apply to one chain alone;
-- per-replicate streams: each chain keeps its own stream and token buffer,
-  and its blocks are stacked part by part along a replicate axis, so each
-  step's tokens reach one oracle call with no per-token Python;
-- per-replicate divergence: a chain that diverges gets the failure text and
-  final record ``run`` gives it, its buffer is resynced, and the others go
-  on;
-- traces equal to ``run``: every column, the summary and ``rng.counter`` of
-  each chain are bit for bit what ``run`` returns for that stream.  The
-  stacked arithmetic is per-row arithmetic: elementwise operations, and
-  ``np.matmul`` forms that make one BLAS call per row, as ``H @ θ`` and
-  ``x @ θ`` do.
 """
 
 from __future__ import annotations
@@ -307,10 +311,6 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
     return run_replicates(problem, controller, cfg, [rng])[0]
 
 
-def _divergence_failure(k: int, norm1_sq: float) -> str:
-    return f"divergence at k={k} (||theta1||^2={norm1_sq:g})"
-
-
 def _stack_tokens(blocks: list):
     """Per-replicate token blocks as one block with a leading (count, reps) shape."""
     if isinstance(blocks[0], tuple):
@@ -318,11 +318,11 @@ def _stack_tokens(blocks: list):
     return np.stack(blocks, axis=1)
 
 
-def _rows(a: np.ndarray | None, n: int):
-    """The ``n`` iterates in ``a``: its rows, ``(a,)`` for one iterate, n Nones for None."""
-    if a is None:
-        return (None,) * n
-    return (a,) if a.ndim == 1 else a
+def _rows(theta1: np.ndarray, avg1: np.ndarray | None, n: int):
+    """θ1 and its running average (or None) for each of the ``n`` active streams."""
+    if theta1.ndim == 1:
+        return (theta1,), (avg1,)
+    return theta1, (None,) * n if avg1 is None else avg1
 
 
 def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> list[RunTrace]:
@@ -346,12 +346,9 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
             "it cannot run with track_coupling=False"
         )
     single = len(rngs) == 1
-    if not single and kind != "fixed":
-        raise ConfigError(
-            f"lockstep replicates share one fixed schedule; controller {kind!r} adapts it"
-        )
-    if not single and coupled:
-        raise ConfigError("lockstep replicates are uncoupled; track_coupling=True is not allowed")
+    if not single and (kind != "fixed" or coupled):
+        raise ConfigError("lockstep replicates run uncoupled under one fixed schedule; "
+                          f"got controller {kind!r} with track_coupling={coupled}")
     n_iters, d, b = cfg.n_iters, problem.d, controller.params.b
     theta_star = problem.theta_star
     state = CoupledState(theta1=np.zeros(d if single else (len(rngs), d)), theta2=None)
@@ -384,15 +381,16 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
             if avg1 is not None:
                 update_average(avg1, theta1, k)
 
-            # the flat sum of squares bounds every row's; rounding aside, a
-            # row can pass the threshold only when the sum comes near it
-            if not float(np.vdot(theta1, theta1)) <= DIVERGENCE_THRESHOLD * (1.0 - 1e-9):
+            # one ddot over the stack sums the rows' squared norms, so no row
+            # passes the threshold until the sum comes within rounding of it
+            flat = theta1.ravel()
+            if not flat.dot(flat) <= DIVERGENCE_THRESHOLD * (1.0 - 1e-9):
                 norms = row_sq(theta1.reshape(-1, d))
                 diverged = ~(norms <= DIVERGENCE_THRESHOLD)  # nan diverges too
-                rows, avgs = _rows(theta1, len(active)), _rows(avg1, len(active))
+                rows, avgs = _rows(theta1, avg1, len(active))
                 for row in np.flatnonzero(diverged):
                     trace = traces[active[row]]
-                    trace.failure = _divergence_failure(k, float(norms[row]))
+                    trace.failure = f"divergence at k={k} (||theta1||^2={norms[row]:g})"
                     trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq,
                                  restarted_since_record)
                     trace.summarize(problem, cfg, k, controller.stepsize(k), rows[row],
@@ -431,14 +429,15 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 tail_count += 1
 
             if k % cfg.trace_stride == 0 or k == n_iters:
-                for r, row, avg_row in zip(active, _rows(theta1, len(active)), _rows(avg1, len(active))):
+                rows, avgs = _rows(theta1, avg1, len(active))
+                for r, row, avg_row in zip(active, rows, avgs):
                     traces[r].record(problem, k, gamma, stat, row, avg_row, d_sq,
                                      restarted_since_record)
                 restarted_since_record = False
             if refill:
                 break
 
-    rows, avgs = _rows(state.theta1, len(active)), _rows(avg1, len(active))
+    rows, avgs = _rows(state.theta1, avg1, len(active))
     for row, r in enumerate(active):
         traces[r].summarize(problem, cfg, k, controller.stepsize(max(k, 1)), rows[row],
                             avgs[row], float(tail_sum[row]), tail_count)
