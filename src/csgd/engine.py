@@ -429,10 +429,12 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 tail_count += 1
 
             if k % cfg.trace_stride == 0 or k == n_iters:
-                rows, avgs = _rows(theta1, avg1, len(active))
-                for r, row, avg_row in zip(active, rows, avgs):
-                    traces[r].record(problem, k, gamma, stat, row, avg_row, d_sq,
+                if single:  # directly: the row loop costs ~3% of a step on dense traces
+                    traces[0].record(problem, k, gamma, stat, theta1, avg1, d_sq,
                                      restarted_since_record)
+                else:
+                    for r, row, avg_row in zip(active, *_rows(theta1, avg1, len(active))):
+                        traces[r].record(problem, k, gamma, stat, row, avg_row)
                 restarted_since_record = False
             if refill:
                 break
