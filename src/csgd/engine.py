@@ -326,12 +326,15 @@ def _rows(theta1: np.ndarray, avg1: np.ndarray | None, n: int):
 
 
 def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> list[RunTrace]:
-    """Run one chain per stream, in lockstep; the loop behind :func:`run`.
+    """Run one chain per stream, in lockstep; the one loop, behind :func:`run`.
 
-    Returns one trace per stream, each equal to what :func:`run` returns
-    for that stream alone, and leaves each stream's counter where ``run``
-    leaves it; see the module docstring.  With several streams the chains
-    are uncoupled under one fixed schedule: another controller kind or
+    One stream steps 1-D iterates on row tokens, several an (R, d) stack
+    on stacked token blocks; both take whole blocks from their buffers and
+    gate the per-row divergence check on one ddot (see the module
+    docstring).  Returns one trace per stream, each equal to what
+    :func:`run` returns for that stream alone, and leaves each stream's
+    counter where ``run`` leaves it.  With several streams the chains are
+    uncoupled under one fixed schedule: another controller kind or
     ``track_coupling=True`` raises ConfigError before any draw, and so does
     an empty list of streams.
     """

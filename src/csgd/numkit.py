@@ -206,14 +206,14 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
     above tol_resid, the pass gives up then rather than at ``max_iters``.
     """
     v = _graded_start(M.shape[0])
-    checkpoint = math.inf  # the residual STALL_WINDOW iterations back
+    checkpoint, check_at = math.inf, 0  # the residual at the last check; the next check
     for i in range(max_iters):
         w = M @ v
         lam = float(v @ w)
         resid = norm(w - lam * v)
         if resid <= tol_resid:
             return lam, v
-        if i % STALL_WINDOW == 0:
+        if i == check_at:
             if resid < checkpoint and (
                 (max_iters - i) * math.log(checkpoint / resid)
                 < STALL_WINDOW * math.log(resid / tol_resid)
@@ -222,7 +222,7 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
                     f"power iteration stalled at {i} iterations: residual {resid:g} "
                     f"cannot reach {tol_resid:g} by {max_iters}"
                 )
-            checkpoint = resid
+            checkpoint, check_at = resid, i + STALL_WINDOW
         norm_w = norm(w)
         if norm_w == 0.0:
             return 0.0, v

@@ -196,4 +196,3 @@ def stationary_error_estimate(
     return StationaryEstimate(
         mean=mean, stderr=stderr, ci_halfwidth=3.0 * stderr, per_rep=per_rep
     )
-

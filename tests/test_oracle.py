@@ -248,4 +248,3 @@ def test_stationary_rejects_a_tail_frac_that_leaves_no_tail(tail_frac):
     with pytest.raises(ValueError, match="tail_frac"):
         stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000,
                                   tail_frac=tail_frac, reps=2)
-
