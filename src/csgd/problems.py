@@ -631,7 +631,9 @@ class Lasso(_GlmBase):
 def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     """FISTA with gradient-mapping stopping for the lasso reference solve."""
     n, d = X.shape
-    gram = 2.0 * X.T @ X / n
+    # one gemv per column: a dgemm X.T @ X sums in a different order on one
+    # BLAS thread than on two, and so moves θ* in its last bits
+    gram = 2.0 * np.stack([X.T @ X[:, j] for j in range(d)], axis=1) / n
     lin = 2.0 * X.T @ y / n
     lam_max, _ = power_iteration_top(gram, tol=1e-12)
     t_step = 1.0 / lam_max

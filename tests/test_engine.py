@@ -183,13 +183,13 @@ for _i, _kind in enumerate(BATCHED):
         lambda n=_kind, s=200 + _i: run_case(n, "coupling_static", s, batch_size=3))
 
 GOLDEN = {
-    "lasso/coupling_adaptive": "3f4d5074467ace3383d2218e7fc2c6d5115a383d5216ac0471fdd3bcf118ed11",
-    "lasso/coupling_static": "356d86b8451cddf68299b6c13bfd826b69afa0a98a541ce5009f21146bc5cdb9",
-    "lasso/distance": "650ba4e7e6adfdb366598e82fd8ddeb49e90a357e3baa734e168be6b0c1e0bd2",
-    "lasso/distance/averaging": "f206e6c20b71ea0a28b5e077706f36f479f58d2f9d028f8846c92e3bd7f84b91",
-    "lasso/distance/dense": "aa5c6624d3c334f71a0aa67384127bbffeb30d0c12523c249e3e80ad2059c9e6",
-    "lasso/fixed": "be9585db12f1c82bc4a08ca4023b1cea5640fba58fdc6f24b8eb222e640202f8",
-    "lasso/pflug": "4c1904c30f1016df4aea880fb40bd8d10b3aca920444096f60f6dd19c3eb6117",
+    "lasso/coupling_adaptive": "fa25956d3a2ad86c2de02331a77cf801349933e4e219a1c4070d126a45055561",
+    "lasso/coupling_static": "7bdabe2f60abeae664e6e7cbae19f803ecc0ad21e8fb0974d4d4169da0ea1115",
+    "lasso/distance": "954f4a70567407506a4df0d4eba7a4a698830a34e7092682b15091b620c8053a",
+    "lasso/distance/averaging": "fbb3e76ca0dc647c386796ea1e840c32dbaed56f027ec43ccedd808842f4c4b5",
+    "lasso/distance/dense": "7ceef520669dff6ab65f616aa1ff50b8572fb900ae3c77d2ea638dbaee953925",
+    "lasso/fixed": "891ff5b97a881dd75373a6e3bc237d23e6e687bd69321aed5600f03507ca2fae",
+    "lasso/pflug": "36e33d32e5bf80eacd87c1f1bf70568ff9f11db754c6cba3de7434d55819afb0",
     "least_squares/coupling_adaptive": "5e494b20d1115533a103df522e0fc159e5f28c573575276f6c542ce871a7b454",
     "least_squares/coupling_static": "967464522af4ab50231ff0dae84baa0cfc237958243b46e9f9b84e8306f47cc5",
     "least_squares/coupling_static/batch3": "1e8bd572ae57ae1b1e6f24c9468967951173beb9c8f4d5ca0d77fd26de32ad8d",

@@ -8,6 +8,10 @@ coordinate loop it replaced, kept here as the reference implementation.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,10 +66,10 @@ CASES = {
         "e881b9e62a7549afad434d89b35328fba45ca847ee8718a1a7c33ac54cff1dc0"),
     "lasso_100_1000_s1": (
         lambda: _reference("lasso", 100, 1000, 1),
-        "1eeb58e264ad5fec9ba5a9de228bb2c614bfffcb31d8ef708b78fc67633371ce"),
+        "9dd17db5e4aac62d0d222e96b86357435d56bd861f3ea8a758b4386b14bcd560"),
     "lasso_100_300_s3": (
         lambda: _reference("lasso", 100, 300, 3),
-        "de4b008923ac7c307e8f6a3e456c0cccb15bea32861dae84a30bec1be8a5b381"),
+        "580610995c20d8a2a0c38238937a2e0a5c2bb38b5e2326aecb58d731b52e5760"),
     "logistic_10_1000_s1": (
         lambda: _constants(10, 1000, 1),
         "7af964ee2479e17321f25c2cd701f2eebe9f16fe933631fa400222baa28ef28b"),
@@ -88,6 +92,28 @@ CASES = {
 def test_reference_digest_is_golden(name):
     compute, want = CASES[name]
     assert digest(*compute()) == want
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_CASES = ("lasso_100_1000_s1", "lasso_100_300_s3", "logistic_10_1000_s1")
+
+
+def _digests_on(threads):
+    """The THREAD_CASES digests, computed in a fresh interpreter on ``threads`` BLAS threads."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads)),
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = ("import test_references as t\n"
+            f"for name in {THREAD_CASES!r}: print(t.digest(*t.CASES[name][0]()))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.split()
+
+
+def test_reference_digests_do_not_depend_on_the_blas_thread_count():
+    # the thread count is read when NumPy loads, so each count needs its own process
+    assert _digests_on(1) == _digests_on(2) == [CASES[name][1] for name in THREAD_CASES]
 
 
 def _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
