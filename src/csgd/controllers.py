@@ -60,11 +60,12 @@ def check_int(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Knobs shared by all controller kinds; unused fields are ignored.
+    """Knobs of every controller kind; each kind reads only some of them.
 
-    ``denominator`` selects whether the coupled-distance statistic is
-    normalized by the phase-initial difference (re-armed at every restart)
-    or by the global initial difference.
+    Every kind but ``fixed`` reads ``gamma0``, ``r`` and ``burn_in``;
+    ``fixed`` reads ``schedule`` alone.  The coupling kinds read ``beta0``,
+    and ``coupling_adaptive`` also ``eta``.  The engine reads ``b``, the
+    steps back θ2 restarts from, in any run that tracks the coupling.
     """
 
     kind: str = "coupling_static"
@@ -73,14 +74,11 @@ class ControllerParams:
     b: int = 100
     beta0: float = 1e-2
     eta: float = 0.75
-    check_every: int = 1
     # steps before the diagnostic may fire, counted from each phase start
     # (k = 0, then the k of each decay).  None: Pflug auto 2/(γ0 μ) capped
     # at 1e4, 0 for the others.  Given the problem's μ, distance
     # also waits 2/(γ_m μ) in phase m (see DistanceController).
     burn_in: int | None = 0
-    patience: int = 1
-    denominator: str = "phase"
     schedule: tuple | None = None  # fixed kind: (name, *constants)
 
     def validate(self):
@@ -97,12 +95,8 @@ class ControllerParams:
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("eta must lie in (0, 1]")
         check_int("b", self.b, 0)
-        check_int("check_every", self.check_every, 1)
         if self.burn_in is not None:
             check_int("burn_in", self.burn_in, 0)
-        check_int("patience", self.patience, 1)
-        if self.denominator not in ("phase", "global"):
-            raise ConfigError("denominator must be 'phase' or 'global'")
         if self.kind == "fixed":
             self._validate_schedule()
         return self
@@ -173,31 +167,27 @@ class Controller:
 class CouplingController(Controller):
     """Coupled-distance diagnostic: decay when S = ||D_k||²/||D_0||² < β.
 
-    The reference ||D_0||² is phase-initial by default: the engine re-arms
-    it after every re-initialization of the auxiliary iterate.  The
-    adaptive variant also shrinks the threshold by η at each decay.  The
-    trigger uses a strict inequality; ties continue.  The burn-in counts
-    from the start of each phase; the ``check_every`` cadence runs on the
-    absolute k.
+    The reference ||D_0||² is phase-initial: the engine re-arms it after
+    every re-initialization of the auxiliary iterate.  The adaptive variant
+    (``coupling_adaptive``) also shrinks the threshold by η at each decay.
+    The trigger uses a strict inequality; ties continue.  The burn-in counts
+    from the start of each phase.
     """
 
     needs_coupling = True
 
-    def __init__(self, params: ControllerParams, adaptive: bool):
-        self.adaptive = adaptive  # before super().__init__: its phase_index = 0 reads it
+    def __init__(self, params: ControllerParams):
         super().__init__(params)
         self.d0_sq: float | None = None
-        self._hits = 0
         self._phase_start = 0
 
     @Controller.phase_index.setter
     def phase_index(self, m: int) -> None:
         Controller.phase_index.fset(self, m)  # and the phase's threshold, once
-        self.beta = self.params.beta0 * (self.params.eta**m if self.adaptive else 1.0)
+        adaptive = self.params.kind == "coupling_adaptive"
+        self.beta = self.params.beta0 * (self.params.eta**m if adaptive else 1.0)
 
     def rearm(self, d0_sq: float) -> None:
-        if self.params.denominator == "global" and self.d0_sq is not None:
-            return
         self.d0_sq = d0_sq
 
     def observe(self, k, theta1, d_sq, direction):
@@ -206,15 +196,7 @@ class CouplingController(Controller):
                 "coupled-distance reference is unset or not positive"
             )
         stat = d_sq / self.d0_sq
-        p = self.params
-        if k - self._phase_start <= p.burn_in or k % p.check_every != 0:
-            return stat
-        if stat < self.beta:
-            self._hits += 1
-        else:
-            self._hits = 0
-        if self._hits >= p.patience:
-            self._hits = 0
+        if k - self._phase_start > self.params.burn_in and stat < self.beta:
             self.phase_index += 1
             self._phase_start = k
         return stat
@@ -249,10 +231,7 @@ class PflugController(Controller):
         self._sum += float(direction @ prev)
         self._count += 1
         stat = self._sum / self._count
-        p = self.params
-        if k - self._phase_start <= p.burn_in or k % p.check_every != 0:
-            return stat
-        if stat < 0.0:
+        if k - self._phase_start > self.params.burn_in and stat < 0.0:
             self.phase_index += 1
             self._sum = 0.0
             self._count = 0
@@ -285,7 +264,6 @@ class DistanceController(Controller):
         self._mu_hint = mu_hint
         self._anchor: np.ndarray | None = None
         self._phase_start = 0
-        self._hits = 0
         self._restart_ladder()
 
     def _restart_ladder(self) -> None:
@@ -325,11 +303,6 @@ class DistanceController(Controller):
         )
         self._prev = (k_rel, omega)
         if slope < SLOPE_THRESHOLD:
-            self._hits += 1
-        else:
-            self._hits = 0
-        if self._hits >= self.params.patience:
-            self._hits = 0
             self.phase_index += 1
             self._anchor = theta1.copy()
             self._phase_start = k
@@ -391,10 +364,8 @@ def make_controller(
         if problem is None:
             raise ConfigError("gamma0 unset and no problem to derive it from")
         params = replace(params, gamma0=problem.default_gamma0())
-    if params.kind == "coupling_static":
-        return CouplingController(params, adaptive=False)
-    if params.kind == "coupling_adaptive":
-        return CouplingController(params, adaptive=True)
+    if params.kind in ("coupling_static", "coupling_adaptive"):
+        return CouplingController(params)
     if params.kind == "pflug":
         return PflugController(params, mu_hint=getattr(problem, "mu", None))
     if params.kind == "distance":

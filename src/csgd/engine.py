@@ -133,9 +133,11 @@ class RunTrace:
     _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def record(self, problem, k: int, gamma: float, stat: float, theta1: np.ndarray,
-               avg1: np.ndarray | None, d_sq: float | None = None,
-               restarted: bool = False) -> None:
-        """Append one record of the iterate and, when kept, its running average."""
+               avg1: np.ndarray | None, d_sq: float | None = None) -> None:
+        """Append one record of the iterate and, when kept, its running average; its
+        restart flag is set when the restart log's last event came after the last record."""
+        log = self.restart_log
+        restarted = bool(log) and (not self.ks or log[-1].k > self.ks[-1])
         self.ks.append(k)
         self.gammas.append(gamma)
         self.stats.append(stat)
@@ -367,7 +369,6 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
 
     traces = [RunTrace() for _ in rngs]
     active = list(range(len(rngs)))  # the stream of each row of θ1
-    restarted_since_record = False
     phase = controller.phase_index
     tail_sum = np.zeros(len(rngs))
     tail_count = 0
@@ -394,8 +395,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 for row in np.flatnonzero(diverged):
                     trace = traces[active[row]]
                     trace.failure = f"divergence at k={k} (||theta1||^2={norms[row]:g})"
-                    trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq,
-                                 restarted_since_record)
+                    trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq)
                     trace.summarize(problem, cfg, k, controller.stepsize(k), rows[row],
                                     avgs[row], float(tail_sum[row]), tail_count)
                     buffers[active[row]].resync(count - 1 - i)
@@ -425,7 +425,6 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                         reinit_auxiliary(state, b, new_gamma, buffers[0], count - 1 - i))
                     refill = not buffers[0].taken  # a degenerate re-arm gave the rest back
                 traces[0].restart_log.append(RestartEvent(k, gamma, new_gamma, stat))
-                restarted_since_record = True
 
             if cfg.tail_from is not None and k >= cfg.tail_from:
                 tail_sum += row_sq((theta1 - theta_star).reshape(-1, d))
@@ -433,12 +432,10 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
 
             if k % cfg.trace_stride == 0 or k == n_iters:
                 if single:  # directly: the row loop costs ~3% of a step on dense traces
-                    traces[0].record(problem, k, gamma, stat, theta1, avg1, d_sq,
-                                     restarted_since_record)
+                    traces[0].record(problem, k, gamma, stat, theta1, avg1, d_sq)
                 else:
                     for r, row, avg_row in zip(active, *_rows(theta1, avg1, len(active))):
                         traces[r].record(problem, k, gamma, stat, row, avg_row)
-                restarted_since_record = False
             if refill:
                 break
 

@@ -148,8 +148,8 @@ class Problem:
     def step_direction(self, theta: np.ndarray, token) -> np.ndarray:
         """:meth:`direction` of one iterate, or of a (reps, d) stack of them.
 
-        A stack goes to :meth:`step_directions`, so both engine loops reach
-        the oracle through this one entry.
+        A stack goes to :meth:`step_directions`, so the engine loop reaches
+        the oracle through this one entry with one stream or several.
         """
         if theta.ndim == 2:
             return self.step_directions(theta, token)
@@ -631,8 +631,7 @@ class Lasso(_GlmBase):
 def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     """FISTA with gradient-mapping stopping for the lasso reference solve."""
     n, d = X.shape
-    # one gemv per column: a dgemm X.T @ X sums in a different order on one
-    # BLAS thread than on two, and so moves θ* in its last bits
+    # one gemv per column: a dgemm's summation order, so θ*, varies with BLAS threads
     gram = 2.0 * np.stack([X.T @ X[:, j] for j in range(d)], axis=1) / n
     lin = 2.0 * X.T @ y / n
     lam_max, _ = power_iteration_top(gram, tol=1e-12)

@@ -35,7 +35,7 @@ def coupling(adaptive=False, **kw):
     kw.setdefault("kind", "coupling_adaptive" if adaptive else "coupling_static")
     kw.setdefault("gamma0", 0.2)
     d0_sq = kw.pop("d0_sq", 1.0)
-    ctrl = CouplingController(ControllerParams(**kw), adaptive=adaptive)
+    ctrl = CouplingController(ControllerParams(**kw))
     ctrl.rearm(d0_sq)
     return ctrl
 
@@ -50,9 +50,6 @@ def test_params_validated():
         dict(gamma0=0.1, beta0=0.0),
         dict(gamma0=0.1, eta=1.5),
         dict(gamma0=0.1, b=-1),
-        dict(gamma0=0.1, check_every=0),
-        dict(gamma0=0.1, patience=0),
-        dict(gamma0=0.1, denominator="mid"),
         dict(kind="who"),
         dict(kind="fixed", schedule=("inv_sqrt",)),
         dict(kind="fixed", schedule=("uniform_opt",)),
@@ -63,8 +60,6 @@ def test_params_validated():
         dict(kind="distance", gamma0=math.nan),
         dict(gamma0=math.inf),
         dict(gamma0=0.1, b=2.5),
-        dict(gamma0=0.1, check_every=1.0),
-        dict(gamma0=0.1, patience=math.inf),
         dict(gamma0=0.1, burn_in=math.nan),
     ]:
         with pytest.raises(ConfigError):
@@ -75,7 +70,7 @@ def test_controller_without_gamma0_fails_with_config_error():
     # make_controller fills gamma0 from a problem; a controller built without
     # one has no stepsize, which surfaced as a TypeError at its first step
     with pytest.raises(ConfigError, match="gamma0"):
-        CouplingController(ControllerParams(kind="coupling_static"), adaptive=False)
+        CouplingController(ControllerParams(kind="coupling_static"))
 
 
 CSGD_ERRORS = tuple(
@@ -111,10 +106,7 @@ def _fuzz_problem():
         b=_count(0, 20),
         beta0=_real(0.0, 1.0),
         eta=_real(0.0, 1.0),
-        check_every=_count(1, 5),
         burn_in=st.one_of(st.none(), _count(0, 60)),
-        patience=_count(1, 3),
-        denominator=st.sampled_from(["phase", "global"]),
         schedule=st.tuples(st.sampled_from(sorted(SCHEDULE_ARITY)), _real(0.0, 10.0)),
     ),
     cfg=st.fixed_dictionaries(dict(
@@ -185,32 +177,25 @@ def test_coupling_first_decay_matches_closed_form():
     assert fired_at == predicted
 
 
-def test_coupling_respects_burn_in_and_cadence():
-    ctrl = coupling(burn_in=50, check_every=7)
+def test_coupling_respects_burn_in():
+    ctrl = coupling(burn_in=50)
     fired = []
     for k in range(1, 120):
         if observe(ctrl, k, d_sq=1e-9)[0]:
             fired.append(k)
             break
-    assert fired == [56]  # first multiple of 7 past the burn-in
+    assert fired == [51]  # the first step past the burn-in
 
 
 def test_coupling_burn_in_restarts_with_each_phase():
-    ctrl = coupling(burn_in=50, check_every=7)
+    ctrl = coupling(burn_in=50)
     fired = []
     for k in range(1, 200):
         if observe(ctrl, k, d_sq=1e-9)[0]:
             fired.append(k)
             ctrl.rearm(1.0)
-    # phase 2 starts at k = 56 and waits 50 steps; the cadence stays on the
-    # absolute k, so the next check past k = 106 is k = 112
-    assert fired == [56, 112, 168]
-
-
-def test_coupling_patience():
-    ctrl = coupling(patience=3)
-    decays = [observe(ctrl, k, d_sq=1e-9)[0] for k in range(1, 5)]
-    assert decays == [False, False, True, False]
+    # phase 2 starts at k = 51 and waits 50 steps, so it fires at k = 102
+    assert fired == [51, 102, 153]
 
 
 def test_coupling_adaptive_shrinks_threshold():
@@ -236,24 +221,12 @@ def test_coupling_scale_invariance():
 
 
 def test_coupling_degenerate_reference_raises():
-    ctrl = CouplingController(
-        ControllerParams(kind="coupling_static", gamma0=0.1), adaptive=False
-    )
+    ctrl = CouplingController(ControllerParams(kind="coupling_static", gamma0=0.1))
     with pytest.raises(DegenerateDiagnosticError):
         observe(ctrl, 1, d_sq=0.5)
     ctrl.rearm(0.0)
     with pytest.raises(DegenerateDiagnosticError):
         observe(ctrl, 1, d_sq=0.5)
-
-
-def test_coupling_global_denominator_keeps_first_reference():
-    ctrl = CouplingController(
-        ControllerParams(kind="coupling_static", gamma0=0.1, denominator="global"),
-        adaptive=False,
-    )
-    ctrl.rearm(4.0)
-    ctrl.rearm(0.01)  # ignored under the global convention
-    assert ctrl.d0_sq == 4.0
 
 
 # ----------------------------------------------------------------------- pflug
