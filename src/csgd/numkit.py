@@ -169,8 +169,14 @@ def gaussian(rng: RngStream, d: int, cov) -> np.ndarray:
 
 # power iterations between checks of the residual's decay rate: over the
 # converging passes of the test suite, the rate seen in any such window
-# reaches the tolerance in under half the iterations left
+# reaches the tolerance in under half the iterations left.  The checks fall
+# on iterations 0, STALL_WINDOW, 2·STALL_WINDOW, …; _power_top's block scan
+# makes each one when it reaches that iteration's residual.
 STALL_WINDOW = 1000
+
+# power iterations per block: each iteration runs one gemv, one ddot and one
+# divide; each block's Rayleigh quotients and residuals come in one stacked pass
+POWER_BLOCK = 64
 
 
 def _graded_start(d: int) -> np.ndarray:
@@ -204,29 +210,58 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
     ``STALL_WINDOW`` iterations the residual's decay over the last window
     is extrapolated geometrically to ``max_iters``; when even that stays
     above tol_resid, the pass gives up then rather than at ``max_iters``.
+
+    Per iteration: w = Mv into a row of W, ||w|| as the root of one ddot,
+    and v ← w/||w|| into the next row of V (``M.dot`` and ``w.dot`` call
+    the gemv and ddot that ``@`` calls, with less wrapping).  Per block of
+    ``POWER_BLOCK`` iterations (fewer at ``max_iters``): one stacked pass
+    gives every λᵢ = vᵢ·wᵢ and residual ||wᵢ - λᵢvᵢ||, and a scan in order
+    stops at the first residual within tol_resid and makes any stall check
+    that falls in the block.  The results are the bits of a loop that
+    checks every iteration: λᵢ and the squared residual are one ddot per
+    row (``np.matmul`` on stacked rows, as ``float(v @ w)`` makes), the
+    scale and subtract are elementwise, and the scan keeps that loop's
+    order: convergence test, then stall check, then the ``||w|| == 0``
+    exit, which ends its block before the divide.
     """
-    v = _graded_start(M.shape[0])
+    d = M.shape[0]
+    V = np.empty((POWER_BLOCK + 1, d))
+    W = np.empty((POWER_BLOCK, d))
+    vs, ws = list(V), list(W)  # row views, made once
+    vs[0][:] = _graded_start(d)
     checkpoint, check_at = math.inf, 0  # the residual at the last check; the next check
-    for i in range(max_iters):
-        w = M @ v
-        lam = float(v @ w)
-        resid = norm(w - lam * v)
-        if resid <= tol_resid:
-            return lam, v
-        if i == check_at:
-            if resid < checkpoint and (
-                (max_iters - i) * math.log(checkpoint / resid)
-                < STALL_WINDOW * math.log(resid / tol_resid)
+    for start in range(0, max_iters, POWER_BLOCK):
+        n = min(POWER_BLOCK, max_iters - start)
+        zero_w = False
+        for j in range(n):
+            w = ws[j]
+            M.dot(vs[j], out=w)
+            norm_w = math.sqrt(w.dot(w))
+            if norm_w == 0.0:
+                n, zero_w = j + 1, True
+                break
+            np.divide(w, norm_w, out=vs[j + 1])
+        lam = np.matmul(V[:n, None, :], W[:n, :, None])[:, 0, 0]
+        resid = np.sqrt(row_sq(W[:n] - lam[:, None] * V[:n]))
+        hits = np.flatnonzero(resid <= tol_resid)
+        stop = int(hits[0]) if hits.size else n
+        while check_at < start + stop:
+            i = check_at
+            r = float(resid[i - start])
+            if r < checkpoint and (
+                (max_iters - i) * math.log(checkpoint / r)
+                < STALL_WINDOW * math.log(r / tol_resid)
             ):
                 raise NonConvergenceError(
-                    f"power iteration stalled at {i} iterations: residual {resid:g} "
+                    f"power iteration stalled at {i} iterations: residual {r:g} "
                     f"cannot reach {tol_resid:g} by {max_iters}"
                 )
-            checkpoint, check_at = resid, i + STALL_WINDOW
-        norm_w = norm(w)
-        if norm_w == 0.0:
-            return 0.0, v
-        v = w / norm_w
+            checkpoint, check_at = r, i + STALL_WINDOW
+        if stop < n:
+            return float(lam[stop]), V[stop].copy()
+        if zero_w:
+            return 0.0, V[n - 1].copy()
+        vs[0][:] = vs[n]
     raise NonConvergenceError(
         f"power iteration did not converge in {max_iters} iterations "
         f"(residual tolerance {tol_resid:g})"
@@ -278,8 +313,10 @@ def power_iteration_extreme_eigs(M, tol: float = 1e-10, max_iters: int = 100_000
     (λ_max - λ₂)/(λ_max - λ_min), λ₂ the second smallest, which stalls on a
     clustered bottom; where it does not converge, or its residual decays
     too slowly to (see ``_power_top``), λ_min comes from
-    ``numpy.linalg.eigvalsh``.  Callers that read only ``lam_max`` or
-    ``q_max`` use :func:`power_iteration_top`.
+    ``numpy.linalg.eigvalsh``.  Each pass costs one gemv, one ddot and one
+    divide per iteration, plus one stacked residual pass per
+    ``POWER_BLOCK`` iterations (see ``_power_top``).  Callers that read only
+    ``lam_max`` or ``q_max`` use :func:`power_iteration_top`.
     """
     Mm, tol_resid, lam_max, q_max = _top_pass(M, tol, max_iters)
     # second pass from the exact top: B = (λ_max + pad)I - M is PSD with its

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from csgd import numkit
+from csgd.errors import NonConvergenceError
 from csgd.numkit import (
+    STALL_WINDOW,
     RngStream,
     box_muller,
     gaussian,
+    _graded_start,
     norm,
     power_iteration_extreme_eigs,
     power_iteration_top,
@@ -225,3 +231,103 @@ def test_power_iteration_top_matches_extreme_eigs_bitwise(make, tol):
 def test_power_iteration_top_requires_symmetry():
     with pytest.raises(ValueError):
         power_iteration_top(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# ------------------------------------------------ power pass: block vs scalar
+
+
+def _power_top_scalar(M, tol_resid, max_iters):
+    """The per-iteration power loop the block scan must match bit for bit."""
+    v = _graded_start(M.shape[0])
+    checkpoint, check_at = math.inf, 0
+    for i in range(max_iters):
+        w = M @ v
+        lam = float(v @ w)
+        resid = norm(w - lam * v)
+        if resid <= tol_resid:
+            return lam, v
+        if i == check_at:
+            if resid < checkpoint and (
+                (max_iters - i) * math.log(checkpoint / resid)
+                < STALL_WINDOW * math.log(resid / tol_resid)
+            ):
+                raise NonConvergenceError(
+                    f"power iteration stalled at {i} iterations: residual {resid:g} "
+                    f"cannot reach {tol_resid:g} by {max_iters}"
+                )
+            checkpoint, check_at = resid, i + STALL_WINDOW
+        norm_w = norm(w)
+        if norm_w == 0.0:
+            return 0.0, v
+        v = w / norm_w
+    raise NonConvergenceError(
+        f"power iteration did not converge in {max_iters} iterations "
+        f"(residual tolerance {tol_resid:g})"
+    )
+
+
+def _outcome(power_top, M, tol_resid, max_iters):
+    """λ's hex and q's bytes, or the NonConvergenceError text."""
+    try:
+        lam, q = power_top(M, tol_resid, max_iters)
+    except NonConvergenceError as err:
+        return str(err)
+    return float(lam).hex(), q.tobytes()
+
+
+def _passes(monkeypatch, build):
+    """The (M, tol_resid, max_iters) of every power pass that ``build()`` runs."""
+    seen = []
+    real = numkit._power_top
+
+    def spy(M, tol_resid, max_iters):
+        seen.append((M.copy(), tol_resid, max_iters))
+        return real(M, tol_resid, max_iters)
+
+    with monkeypatch.context() as m:
+        m.setattr(numkit, "_power_top", spy)
+        build()
+    assert seen
+    return seen
+
+
+def _clustered_bottom_h():
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 20)))
+    spectrum = np.concatenate([[0.01, 0.0101], np.linspace(0.5, 1.0, 18)])
+    return (Q * spectrum) @ Q.T
+
+
+_PASS_BUILDS = {
+    "identity": lambda: power_iteration_extreme_eigs(np.eye(4)),
+    "d1": lambda: power_iteration_extreme_eigs(np.array([[2.5]])),
+    "quadratic_5_s1": lambda: make_problem("quadratic", 5, seed=1),
+    "lsa_5_s1": lambda: make_problem("lsa", 5, seed=1),
+    "logistic_hessians": lambda: make_problem("logistic", 5, n=200, seed=1).mu,
+    "clustered_bottom": lambda: make_problem("quadratic", 20, H=_clustered_bottom_h()),
+    "lasso_gram": lambda: power_iteration_top(_lasso_gram(), tol=1e-12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PASS_BUILDS))
+def test_power_block_scan_matches_the_scalar_loop(monkeypatch, case):
+    passes = _passes(monkeypatch, _PASS_BUILDS[case])
+    for M, tol_resid, max_iters in passes:
+        want = _outcome(_power_top_scalar, M, tol_resid, max_iters)
+        assert _outcome(numkit._power_top, M, tol_resid, max_iters) == want
+    if case == "clustered_bottom":  # the λ_min pass stalls, the λ_max pass converges
+        assert [isinstance(_outcome(_power_top_scalar, *p), str) for p in passes] == [False, True]
+
+
+@pytest.mark.parametrize("max_iters", [1, 63, 64, 65])
+@pytest.mark.parametrize("case", ["quadratic_5_s1", "d1"])
+def test_power_block_scan_stops_at_max_iters_as_the_scalar_loop(monkeypatch, case, max_iters):
+    for M, tol_resid, _ in _passes(monkeypatch, _PASS_BUILDS[case]):
+        want = _outcome(_power_top_scalar, M, tol_resid, max_iters)
+        assert _outcome(numkit._power_top, M, tol_resid, max_iters) == want
+
+
+def test_power_block_scan_on_a_zero_matrix():
+    # ||w|| = 0 ends the block before its divide, which would warn 0/0
+    M = np.zeros((3, 3))
+    want = _outcome(_power_top_scalar, M, 1e-10, 100)
+    assert _outcome(numkit._power_top, M, 1e-10, 100) == want

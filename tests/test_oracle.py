@@ -234,6 +234,32 @@ def test_stationary_matches_ar1_closed_form():
     assert abs(est.mean - exact) <= est.ci_halfwidth, (est.mean, exact, est.ci_halfwidth)
 
 
+def _stationary_error_closed_form(H, noise_cov, gamma):
+    """E||θ - θ*||² = tr C for constant-step SGD on ½θᵀHθ with additive noise.
+
+    C = (I - γH)C(I - γH) + γ²Σ; in H's eigenbasis (H = QΛQᵀ, Σ̃ = QᵀΣQ)
+    each entry solves alone: C̃ᵢⱼ = γ²Σ̃ᵢⱼ / (1 - (1 - γλᵢ)(1 - γλⱼ)).
+    """
+    lams, Q = np.linalg.eigh(H)
+    contract = 1.0 - gamma * lams
+    C_tilde = gamma**2 * (Q.T @ noise_cov @ Q) / (1.0 - np.outer(contract, contract))
+    return float(np.trace(C_tilde))
+
+
+def test_stationary_closed_form_reduces_to_the_ar1_formula():
+    h, c, d, gamma = 1.0, 0.5, 4, 0.01
+    got = _stationary_error_closed_form(h * np.eye(d), c**2 * np.eye(d), gamma)
+    assert got == pytest.approx(d * gamma * c**2 / (2 * h - gamma * h**2), rel=1e-12)
+
+
+def test_stationary_matches_closed_form_on_a_random_h():
+    prob = make_problem("quadratic", d=5, seed=1)
+    gamma = prob.default_gamma0()
+    est = stationary_error_estimate(prob, gamma, horizon=20_000, reps=10, seed=11)
+    exact = _stationary_error_closed_form(prob.H, np.diag(prob.noise_diag), gamma)
+    assert abs(est.mean - exact) <= est.ci_halfwidth, (est.mean, exact, est.ci_halfwidth)
+
+
 def test_stationary_horizon_guard():
     prob = make_problem("quadratic", d=2, seed=3, H=np.eye(2))
     with pytest.raises(HorizonTooShortError):
