@@ -232,13 +232,12 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
     checkpoint, check_at = math.inf, 0  # the residual at the last check; the next check
     for start in range(0, max_iters, POWER_BLOCK):
         n = min(POWER_BLOCK, max_iters - start)
-        zero_w = False
         for j in range(n):
             w = ws[j]
             M.dot(vs[j], out=w)
             norm_w = math.sqrt(w.dot(w))
             if norm_w == 0.0:
-                n, zero_w = j + 1, True
+                n = j + 1
                 break
             np.divide(w, norm_w, out=vs[j + 1])
         lam = np.matmul(V[:n, None, :], W[:n, :, None])[:, 0, 0]
@@ -259,7 +258,7 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
             checkpoint, check_at = r, i + STALL_WINDOW
         if stop < n:
             return float(lam[stop]), V[stop].copy()
-        if zero_w:
+        if norm_w == 0.0:
             return 0.0, V[n - 1].copy()
         vs[0][:] = vs[n]
     raise NonConvergenceError(
