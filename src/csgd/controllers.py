@@ -14,12 +14,11 @@ algebra is exact.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDiagnosticError
+from .errors import ConfigError, DegenerateDiagnosticError, check_int, check_real
 
 CONTROLLER_KINDS = (
     "coupling_static",
@@ -52,12 +51,6 @@ def relaxation_steps(gamma: float, mu: float | None) -> int:
     return int(steps) if steps < RELAXATION_CAP else RELAXATION_CAP
 
 
-def check_int(name: str, value, least: int) -> None:
-    """Raise ConfigError unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ControllerParams:
     """Knobs of every controller kind; each kind reads only some of them.
@@ -84,10 +77,8 @@ class ControllerParams:
     def validate(self):
         if self.kind not in CONTROLLER_KINDS:
             raise ConfigError(f"unknown controller kind {self.kind!r}")
-        if self.gamma0 is not None and not (
-            isinstance(self.gamma0, numbers.Real) and 0.0 < self.gamma0 < math.inf
-        ):
-            raise ConfigError(f"gamma0 must be finite and positive, got {self.gamma0!r}")
+        if self.gamma0 is not None:
+            check_real("gamma0", self.gamma0, 0.0, strict=True)
         if not 0.0 < self.r < 1.0:
             raise ConfigError("r must lie in (0, 1)")
         if not 0.0 < self.beta0 < 1.0:
@@ -115,12 +106,7 @@ class ControllerParams:
             )
         for i, c in enumerate(constants):
             tau = name == "uniform_opt" and i == 0
-            ok = isinstance(c, numbers.Real) and math.isfinite(c) and (c >= 0 if tau else c > 0)
-            if not ok:
-                raise ConfigError(
-                    f"schedule {name!r} constant {c!r} must be finite and "
-                    + ("non-negative" if tau else "positive")
-                )
+            check_real(f"schedule {name!r} constant {i}", c, 0.0, strict=not tau)
 
 
 class Controller:

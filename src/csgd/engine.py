@@ -62,8 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import Controller, check_int
-from .errors import ConfigError, DegenerateDiagnosticError
+from .controllers import Controller
+from .errors import ConfigError, DegenerateDiagnosticError, check_int, check_real
 from .numkit import RngStream, row_sq
 from .problems import token_rows
 
@@ -80,7 +80,7 @@ class EngineConfig:
     averaging: bool = False
     trace_stride: int = 100
     init_offset_scale: float = 1.0
-    track_coupling: bool | None = None  # None: follow the controller's need
+    track_coupling: bool = False  # also couple a controller that does not need it
     tail_from: int | None = None  # accumulate mean err over k >= tail_from, in 1..n_iters
 
     def __post_init__(self):
@@ -91,10 +91,9 @@ class EngineConfig:
             check_int("tail_from", self.tail_from, 1)
             if self.tail_from > self.n_iters:
                 raise ConfigError(f"tail_from={self.tail_from} is past n_iters={self.n_iters}")
-        if not 0.0 <= self.init_offset_scale < math.inf:
-            raise ConfigError(
-                f"init_offset_scale must be finite and >= 0, got {self.init_offset_scale!r}"
-            )
+        check_real("init_offset_scale", self.init_offset_scale, 0.0)
+        if not isinstance(self.track_coupling, bool):
+            raise ConfigError(f"track_coupling must be a bool, got {self.track_coupling!r}")
 
 
 @dataclass
@@ -306,9 +305,7 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
 
     :func:`run_replicates` with the one stream ``rng``.  Bit-deterministic
     given (problem, controller params, cfg, stream).  On divergence the
-    trace collected so far is returned with ``failure`` set.  A controller
-    that needs coupling with ``track_coupling=False`` raises ConfigError
-    before the first step.
+    trace collected so far is returned with ``failure`` set.
     """
     return run_replicates(problem, controller, cfg, [rng])[0]
 
@@ -344,12 +341,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     if not rngs:
         raise ConfigError("run_replicates needs at least one stream")
     kind = controller.params.kind
-    coupled = controller.needs_coupling if cfg.track_coupling is None else cfg.track_coupling
-    if controller.needs_coupling and not coupled:
-        raise ConfigError(
-            f"controller {kind!r} reads the coupled distance; "
-            "it cannot run with track_coupling=False"
-        )
+    coupled = controller.needs_coupling or cfg.track_coupling
     single = len(rngs) == 1
     if not single and (kind != "fixed" or coupled):
         raise ConfigError("lockstep replicates run uncoupled under one fixed schedule; "

@@ -269,6 +269,8 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
 
 def _top_pass(M, tol: float, max_iters: int):
     """Validated matrix, residual tolerance and signed top eigenpair of M."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     Mm = as_mat(M)
     d = Mm.shape[0]
     if Mm.shape[0] != Mm.shape[1]:

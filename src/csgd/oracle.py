@@ -16,6 +16,7 @@ from .errors import DegenerateDirectionError, HorizonTooShortError
 from .numkit import as_mat, as_vec, norm, power_iteration_top
 
 D0_PROJECTION_FLOOR = 1e-12
+STREAM_BASE = 0x5EA7  # stationary_error_estimate: the stream id of its first chain
 
 
 def contraction_rate(gamma: float, mu: float, L: float) -> float:
@@ -154,13 +155,13 @@ def stationary_error_estimate(
     tail_frac: float = 0.2,
     reps: int = 10,
     seed: int = 0,
-    stream_base: int = 0x5EA7,
 ) -> StationaryEstimate:
     """Estimate the stationary E||θ - θ*||² by long constant-stepsize runs.
 
     Runs ``reps`` independent chains in lockstep (``engine.run_replicates``),
-    averages the squared error over the final ``tail_frac`` of iterations of
-    each, and aggregates across chains.
+    chain i on stream ``STREAM_BASE + i`` of ``seed``, averages the squared
+    error over the final ``tail_frac`` of iterations of each, and aggregates
+    across chains.
     Requires a strongly convex problem, a ``tail_frac`` in (0, 1) that leaves
     at least one step in the tail, and a horizon long enough that the
     certified contraction rate flushes the transient before the tail starts.
@@ -187,7 +188,7 @@ def stationary_error_estimate(
         trace_stride=horizon,  # only the tail accumulator matters
         tail_from=burn + 1,
     )
-    rngs = [RngStream(seed, stream_base + rep) for rep in range(reps)]
+    rngs = [RngStream(seed, STREAM_BASE + rep) for rep in range(reps)]
     traces = run_replicates(problem, controller, cfg, rngs)
     per_rep = [trace.summary["tail_mean_err"] for trace in traces]
     arr = np.asarray(per_rep)

@@ -11,8 +11,15 @@ Each problem kind exposes the same surface:
 - ``full_grad`` / ``loss``: the deterministic objective the stochastic
   oracle is unbiased for (empirical mean for dataset-backed kinds,
   population form for streaming kinds).
-- certified constants ``L``, ``mu``, ``R_sq`` and a lazily
-  solved :class:`ReferenceSolution`.
+- certified constants ``L`` and ``mu`` (and ``R_sq``, the trace of the
+  input covariance, on the GLM kinds) and a lazily solved
+  :class:`ReferenceSolution`.
+
+:func:`make_problem` builds a kind from ``d``, ``n``, ``seed`` and nine
+kind-specific overrides, each checked as the problem is built (ConfigError):
+``noise_sigma`` (least_squares), ``lam_reg`` (svm, lasso), ``sparsity``
+(lasso), ``p_exp`` and ``noise_scale`` (uniformly_convex), ``H`` and
+``noise_diag`` (quadratic), ``n_states`` (lsa).
 
 GLM samples are ``(x, y)`` pairs, ``x`` of shape (d,) and ``y`` a float,
 or (batch, d) and (batch,) for a minibatch.  Dataset-backed kinds
@@ -42,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError, NonConvergenceError, check_int, check_real
 from .numkit import (  # noqa: F401  (gaussian: bench/perfbench.py times problems.gaussian)
     RngStream,
     box_muller,
@@ -60,6 +67,9 @@ from .numkit import (  # noqa: F401  (gaussian: bench/perfbench.py times problem
 _PARAM_STREAM = 0xA0
 _DATA_STREAM = 0xD0
 _CALIB_STREAM = 0xCA11B
+
+BALL_RADIUS = 4.0  # uniformly_convex: L is certified on the ball ||θ|| <= BALL_RADIUS
+PERTURB_SCALE = 0.5  # lsa: the first scale of the per-state perturbations S(x)
 
 # rows per svm-scan block: 64-128 ran the solve 2.4-5x faster than a row loop
 # for (d, n) in (5, 200)..(50, 2000) on a 2-core Xeon; epoch-long blocks, 1.5x
@@ -105,10 +115,8 @@ class Problem:
     kind: str = "?"
 
     def __init__(self, d: int, n: int, seed: int):
-        if d <= 0:
-            raise ConfigError("dimension must be positive")
-        if n < 0:
-            raise ConfigError("dataset size must be >= 0")
+        check_int("d", d, 1)
+        check_int("n", n, 0)
         self.d = int(d)
         self.n = int(n)
         self.seed = int(seed)
@@ -206,21 +214,17 @@ class Problem:
 class _GlmBase(Problem):
     """Shared machinery for kinds with N(0, H) inputs, H diagonal.
 
-    Default spectrum h_j = 1/j, a standard ill-conditioned synthetic choice;
-    override with ``h_diag``.
+    The spectrum is h_j = 1/j, a standard ill-conditioned synthetic choice,
+    and the planted parameter a N(0, I) draw fixed by the seed.  A subclass
+    may fix either to one value for every coordinate instead: svm takes
+    h_j = 1 and θ_planted = 0, lasso θ_planted = 0.
     """
 
     def __init__(self, d, n, seed, h_diag=None, theta_planted=None):
         super().__init__(d, n, seed)
-        if h_diag is None:
-            h_diag = 1.0 / np.arange(1, d + 1)
-        self.h_diag = np.asarray(h_diag, dtype=np.float64)
-        if self.h_diag.shape != (d,) or np.any(self.h_diag <= 0):
-            raise ConfigError("h_diag must be length-d and positive")
+        self.h_diag = 1.0 / np.arange(1, d + 1) if h_diag is None else np.full(d, h_diag)
         prm = RngStream(self.seed, _PARAM_STREAM)
-        if theta_planted is None:
-            theta_planted = prm.normals(d)
-        self.theta_planted = np.asarray(theta_planted, dtype=np.float64)
+        self.theta_planted = prm.normals(d) if theta_planted is None else np.full(d, theta_planted)
         self.R_sq = float(self.h_diag.sum())
         self._sqrt_h = np.sqrt(self.h_diag)
         self._row_words = normal_words(d)  # per input row
@@ -249,11 +253,10 @@ class _GlmBase(Problem):
         """Streaming labels (count, batch) from the margins ⟨x, θ_planted⟩ and label words."""
         raise NotImplementedError
 
-    def _materialize_inputs(self, count: int) -> np.ndarray:
-        data = RngStream(self.seed, _DATA_STREAM)
-        X = data.normals(count * self.d).reshape(count, self.d)
-        X *= np.sqrt(self.h_diag)
-        return X, data
+    def _materialize_inputs(self, count: int, stream_id: int = _DATA_STREAM):
+        """``count`` input rows N(0, H) from stream ``stream_id``, and that stream after them."""
+        data = RngStream(self.seed, stream_id)
+        return data.normals(count * self.d).reshape(count, self.d) * self._sqrt_h, data
 
 
 class LogisticRegression(_GlmBase):
@@ -267,13 +270,16 @@ class LogisticRegression(_GlmBase):
 
     kind = "logistic"
 
-    def __init__(self, d, n=0, seed=0, h_diag=None, theta_planted=None):
-        super().__init__(d, n, seed, h_diag, theta_planted)
+    def __init__(self, d, n=0, seed=0):
+        super().__init__(d, n, seed)
         if n > 0:
-            X, data = self._materialize_inputs(n)
-            probs = _sigmoid(X @ self.theta_planted)
-            self._y = np.where(data.uniforms(n) < probs, 1.0, -1.0)
-            self._X = X
+            self._X, self._y = self._sample(n, _DATA_STREAM)
+
+    def _sample(self, count, stream_id):
+        """``count`` inputs and their labels under the planted model, from one stream."""
+        X, data = self._materialize_inputs(count, stream_id)
+        probs = _sigmoid(X @ self.theta_planted)
+        return X, np.where(data.uniforms(count) < probs, 1.0, -1.0)
 
     def _label_words(self, batch):
         return batch  # one uniform per label
@@ -306,12 +312,7 @@ class LogisticRegression(_GlmBase):
         """Full dataset, or a frozen sample pool standing in for the population."""
         if self.n > 0:
             return self._X, self._y
-        calib = RngStream(self.seed, _CALIB_STREAM)
-        m = 20_000
-        X = calib.normals(m * self.d).reshape(m, self.d) * np.sqrt(self.h_diag)
-        probs = _sigmoid(X @ self.theta_planted)
-        y = np.where(calib.uniforms(m) < probs, 1.0, -1.0)
-        return X, y
+        return self._sample(20_000, _CALIB_STREAM)
 
     def _hessian(self, theta):
         X, y = self._calibration_data
@@ -401,18 +402,16 @@ class LeastSquares(_GlmBase):
 
     kind = "least_squares"
 
-    def __init__(self, d, n=0, seed=0, h_diag=None, theta_planted=None, noise_sigma=1.0):
-        super().__init__(d, n, seed, h_diag, theta_planted)
-        if noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+    def __init__(self, d, n=0, seed=0, noise_sigma=1.0):
+        super().__init__(d, n, seed)
+        check_real("noise_sigma", noise_sigma, 0.0)
         self.noise_sigma = float(noise_sigma)
         # population constants are exact for the diagonal input covariance
         self.L = float(self.h_diag.max())
         self.mu = float(self.h_diag.min())
         if n > 0:
-            X, data = self._materialize_inputs(n)
-            self._y = X @ self.theta_planted + self.noise_sigma * data.normals(n)
-            self._X = X
+            self._X, data = self._materialize_inputs(n)
+            self._y = self._X @ self.theta_planted + self.noise_sigma * data.normals(n)
 
     def _label_words(self, batch):
         return normal_words(batch)  # label noise
@@ -468,28 +467,22 @@ class LeastSquares(_GlmBase):
 class Svm(_GlmBase):
     """Hinge loss plus ridge: E max(0, 1 - y⟨x, θ⟩) + (λ/2)||θ||².
 
-    Inputs are isotropic N(0, σ²I); labels follow the sign of the first
-    coordinate observed through noise.  Margin ties (exactly 1) take the
-    zero-hinge subgradient so runs stay deterministic.  Strong convexity
-    comes from the ridge term: mu = λ exactly.
+    Inputs are N(0, I); labels are the sign of the first coordinate plus
+    N(0, 1) noise.  Margin ties (exactly 1) take the zero-hinge subgradient
+    so runs stay deterministic.  Strong convexity comes from the ridge
+    term: mu = λ exactly.
     """
 
     kind = "svm"
 
-    def __init__(self, d, n, seed=0, lam_reg=0.1, sigma_input=1.0):
-        if n <= 0:
+    def __init__(self, d, n, seed=0, lam_reg=0.1):
+        super().__init__(d, n, seed, h_diag=1.0, theta_planted=0.0)
+        if n == 0:
             raise ConfigError("svm needs a finite dataset (n > 0)")
-        if lam_reg <= 0:
-            raise ConfigError("lam_reg must be positive")
-        h_diag = np.full(d, float(sigma_input) ** 2)
-        super().__init__(d, n, seed, h_diag=h_diag, theta_planted=np.zeros(d))
+        check_real("lam_reg", lam_reg, 0.0, strict=True)
         self.lam_reg = float(lam_reg)
-        self.sigma_input = float(sigma_input)
-        X, data = self._materialize_inputs(n)
-        z = self.sigma_input * data.normals(n)
-        raw = X[:, 0] + z
-        self._y = np.where(raw >= 0.0, 1.0, -1.0)
-        self._X = X
+        self._X, data = self._materialize_inputs(n)
+        self._y = np.where(self._X[:, 0] + data.normals(n) >= 0.0, 1.0, -1.0)
         self.mu = self.lam_reg
         # surrogate smoothness scale for schedule defaults; the hinge itself
         # is nonsmooth
@@ -572,19 +565,23 @@ def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
 
 
 class Lasso(_GlmBase):
-    """(1/n) Σ (y - ⟨x, θ⟩)² + λ||θ||₁ with an s-sparse planted vector."""
+    """(1/n) Σ (y - ⟨x, θ⟩)² + λ||θ||₁ with an s-sparse planted vector.
+
+    Outputs are y = ⟨x, θ_sparse⟩ + N(0, 1).
+    """
 
     kind = "lasso"
 
-    def __init__(self, d, n, seed=0, lam_reg=1e-4, sparsity=60, noise_sigma=1.0, h_diag=None):
-        if n <= 0:
+    def __init__(self, d, n, seed=0, lam_reg=1e-4, sparsity=60):
+        super().__init__(d, n, seed, theta_planted=0.0)
+        if n == 0:
             raise ConfigError("lasso needs a finite dataset (n > 0)")
-        if not 0 < sparsity <= d:
+        check_int("sparsity", sparsity, 1)
+        if sparsity > d:
             raise ConfigError(f"sparsity s={sparsity} must be in 1..d={d}")
-        super().__init__(d, n, seed, h_diag=h_diag, theta_planted=np.zeros(d))
+        check_real("lam_reg", lam_reg, 0.0)
         self.lam_reg = float(lam_reg)
         self.sparsity = int(sparsity)
-        self.noise_sigma = float(noise_sigma)
         prm = RngStream(self.seed, _PARAM_STREAM + 2)
         order = np.argsort(prm.uniforms(d))
         support = np.sort(order[: self.sparsity])
@@ -593,9 +590,8 @@ class Lasso(_GlmBase):
         sparse = np.zeros(d)
         sparse[support] = values
         self.theta_sparse = sparse
-        X, data = self._materialize_inputs(n)
-        self._y = X @ sparse + self.noise_sigma * data.normals(n)
-        self._X = X
+        self._X, data = self._materialize_inputs(n)
+        self._y = self._X @ sparse + data.normals(n)
         self.mu = 2.0 * float(self.h_diag.min())
         self.L = 2.0 * float(self.h_diag.max()) + self.lam_reg  # surrogate scale
 
@@ -665,25 +661,27 @@ def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
 class UniformlyConvex(Problem):
     """f(θ) = (1/p)||θ||ᵖ with p > 2 and additive N(0, I) gradient noise.
 
-    Not strongly convex (mu = 0); smoothness is certified on a ball of
-    radius ``ball_radius`` since the gradient is only locally Lipschitz.
+    Not strongly convex (mu = 0); smoothness is certified on the ball of
+    radius ``BALL_RADIUS`` since the gradient is only locally Lipschitz.
     """
 
     kind = "uniformly_convex"
 
-    def __init__(self, d, n=0, seed=0, p_exp=2.5, noise_scale=1.0, ball_radius=4.0):
+    def __init__(self, d, n=0, seed=0, p_exp=2.5, noise_scale=1.0):
+        super().__init__(d, n, seed)
         if n != 0:
             raise ConfigError("uniformly_convex is streaming-only (n = 0)")
-        if p_exp <= 2.0:
-            raise ConfigError("p_exp must exceed 2")
-        super().__init__(d, 0, seed)
+        check_real("p_exp", p_exp, 2.0, strict=True)
+        check_real("noise_scale", noise_scale, 0.0)
         self.p_exp = float(p_exp)
-        self.tau_exp = 1.0 - 2.0 / self.p_exp
         self.noise_scale = float(noise_scale)
-        self.ball_radius = float(ball_radius)
-        self.L = (self.p_exp - 1.0) * self.ball_radius ** (self.p_exp - 2.0)
+        try:
+            self.L = (self.p_exp - 1.0) * BALL_RADIUS ** (self.p_exp - 2.0)
+        except OverflowError:
+            self.L = math.inf
+        if self.L == math.inf:
+            raise ConfigError(f"p_exp={p_exp!r} is too large for a finite L")
         self.mu = 0.0
-        self.R_sq = None
 
     def words_per_token(self, batch=1):
         return normal_words(self.d * batch)  # one normals() call for the batch
@@ -705,9 +703,7 @@ class UniformlyConvex(Problem):
         return norm(theta) ** self.p_exp / self.p_exp
 
     def _solve_reference(self):
-        return ReferenceSolution(
-            theta_star=np.zeros(self.d), f_star=0.0, provenance="closed-form"
-        )
+        return ReferenceSolution(np.zeros(self.d), 0.0, provenance="closed-form")
 
     def default_gamma0(self):
         return 1.0 / (4.0 * self.L)
@@ -717,44 +713,44 @@ class UniformlyConvex(Problem):
 
 
 class QuadraticSemiStochastic(Problem):
-    """f(θ) = ½θᵀHθ + aᵀθ + c with additive noise independent of θ.
+    """f(θ) = ½θᵀHθ with additive noise independent of θ; θ* = 0 and f* = 0.
 
-    The gradient oracle Hθ + a + ξ shares ξ across evaluations with the
-    same token, which makes the difference of two coupled evaluations
-    exactly H(θ₁ - θ₂) up to rounding: the coupling identity.
+    The gradient oracle Hθ + ξ, ξ ~ N(0, diag(noise_diag)), shares ξ across
+    evaluations with the same token, which makes the difference of two
+    coupled evaluations exactly H(θ₁ - θ₂) up to rounding: the coupling
+    identity.  H is a random SPD matrix with spectrum in [0.2, 1] unless
+    given; ``noise_diag`` is one variance for every coordinate or one per
+    coordinate, 0.01 unless given.
     """
 
     kind = "quadratic"
 
-    def __init__(self, d, n=0, seed=0, H=None, a=None, c=0.0, noise_diag=None):
+    def __init__(self, d, n=0, seed=0, H=None, noise_diag=0.01):
+        super().__init__(d, n, seed)
         if n != 0:
             raise ConfigError("quadratic is streaming-only (n = 0)")
-        super().__init__(d, 0, seed)
-        prm = RngStream(self.seed, _PARAM_STREAM)
         if H is None:
-            H = _random_spd(prm, d, lam_lo=0.2, lam_hi=1.0)
+            H = _random_spd(RngStream(self.seed, _PARAM_STREAM), d, lam_lo=0.2, lam_hi=1.0)
         self.H = np.asarray(H, dtype=np.float64)
-        if self.H.shape != (d, d):
-            raise ConfigError("H must be d x d")
+        if self.H.shape != (d, d) or not np.isfinite(self.H).all():
+            raise ConfigError("H must be a finite d x d matrix")
         self._neg_H = -self.H  # (-H) @ θ is -(H @ θ) bit for bit
-        lam_min, lam_max, _ = power_iteration_extreme_eigs(self.H, tol=1e-12)
+        try:
+            lam_min, lam_max, _ = power_iteration_extreme_eigs(self.H, tol=1e-12)
+        except ValueError as exc:  # numkit's symmetry check
+            raise ConfigError(f"H: {exc}") from None
         if lam_min <= 0:
             raise ConfigError("H must be positive definite")
-        self.a = np.zeros(d) if a is None else np.asarray(a, dtype=np.float64)
-        self.c = float(c)
-        if noise_diag is None:
-            noise_diag = np.full(d, 0.01)
         diag = np.asarray(noise_diag, dtype=np.float64)
         if diag.ndim == 0:
             diag = np.full(d, float(diag))
-        if np.any(diag < 0):
-            raise ConfigError("noise variances must be >= 0")
+        if diag.shape != (d,) or not (np.isfinite(diag).all() and (diag >= 0).all()):
+            raise ConfigError("noise_diag must be one finite variance >= 0, or d of them")
         self.noise_diag = diag
         self._sqrt_noise = np.sqrt(diag)
         self._row_words = normal_words(d)  # per sample
         self.L = lam_max
         self.mu = lam_min
-        self.R_sq = float(np.trace(self.H))
 
     def words_per_token(self, batch=1):
         return batch * self._row_words
@@ -765,31 +761,24 @@ class QuadraticSemiStochastic(Problem):
         return xi[:, 0] if batch == 1 else xi.mean(axis=1)
 
     def direction(self, theta, token):
-        return self._neg_H @ theta - self.a - token
+        return self._neg_H @ theta - token
 
     def step_directions(self, thetas, tokens):
         # one gemv per row, as (-H) @ θ makes
-        return np.matmul(self._neg_H, thetas[:, :, None])[:, :, 0] - self.a - tokens
+        return np.matmul(self._neg_H, thetas[:, :, None])[:, :, 0] - tokens
 
     def full_grad(self, theta):
-        return self.H @ theta + self.a
+        return self.H @ theta
 
     def loss(self, theta):
-        return float(0.5 * theta @ (self.H @ theta) + self.a @ theta + self.c)
+        return float(0.5 * theta @ (self.H @ theta))
 
     def losses(self, thetas):
-        # one gemv and two ddots per row, as loss makes
+        # one gemv and one ddot per row, as loss makes
         quad = np.matmul(0.5 * thetas[:, None, :], np.matmul(self.H, thetas[:, :, None]))
-        return quad[:, 0, 0] + np.matmul(thetas[:, None, :], self.a[:, None])[:, 0, 0] + self.c
+        return quad[:, 0, 0]
 
-    def _solve_reference(self):
-        theta = np.linalg.solve(self.H, -self.a)
-        return ReferenceSolution(
-            theta_star=theta,
-            f_star=self.loss(theta),
-            provenance="closed-form",
-            grad_norm=norm(self.H @ theta + self.a),
-        )
+    _solve_reference = UniformlyConvex._solve_reference  # θ* = 0 and f* = 0
 
     def default_gamma0(self):
         return 1.0 / (2.0 * self.L)
@@ -812,18 +801,20 @@ class LinearStochasticApprox(Problem):
     """Linear iteration θ ← θ + γ(A(x)θ + b(x)) driven by a Markov chain.
 
     The chain has ``n_states`` states with Dirichlet(1,…,1) transition rows.
-    Per-state maps are A(x) = -(M + 0.5·S(x)) with M a fixed random SPD
+    Per-state maps are A(x) = -(M + s·S(x)) with M a fixed random SPD
     matrix (spectrum in [0.5, 2]) and S(x) perturbations centered under the
     stationary law, so the averaged map is exactly -M and the fixed point
-    solves Āθ* + b̄ = 0.
+    solves Āθ* + b̄ = 0.  The scale s is ``PERTURB_SCALE``, halved until
+    the averaged map's symmetric part is certified contracting.
     """
 
     kind = "lsa"
 
-    def __init__(self, d, n=0, seed=0, n_states=8, perturb_scale=0.5):
+    def __init__(self, d, n=0, seed=0, n_states=8):
+        super().__init__(d, n, seed)
         if n != 0:
             raise ConfigError("lsa is streaming-only (n = 0)")
-        super().__init__(d, 0, seed)
+        check_int("n_states", n_states, 1)
         self.n_states = int(n_states)
         prm = RngStream(self.seed, _PARAM_STREAM)
         N = self.n_states
@@ -841,7 +832,7 @@ class LinearStochasticApprox(Problem):
         M = _random_spd(prm, d, lam_lo=0.5, lam_hi=2.0)
         raw = prm.normals(N * d * d).reshape(N, d, d)
         centered = raw - np.tensordot(self.pi_chain, raw, axes=1)
-        scale = float(perturb_scale)
+        scale = PERTURB_SCALE
         for _ in range(60):
             A_table = -(M + scale * centered)
             A_bar = np.tensordot(self.pi_chain, A_table, axes=1)
@@ -859,7 +850,6 @@ class LinearStochasticApprox(Problem):
 
         self.mu = -lam_max_sym
         self.L, _ = power_iteration_top(M, tol=1e-10)
-        self.R_sq = None
 
     def init_sampler(self, rng: RngStream):
         return int(rng.integers(1, self.n_states)[0])

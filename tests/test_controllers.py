@@ -115,7 +115,7 @@ def _fuzz_problem():
         averaging=st.booleans(),
         trace_stride=_count(1, 60),
         init_offset_scale=_real(0.0, 1e3),
-        track_coupling=st.sampled_from([None, True, False]),
+        track_coupling=st.booleans(),
         tail_from=st.one_of(st.none(), _count(-5, 60)),
     )),
     seed=st.integers(0, 3),

@@ -281,19 +281,19 @@ def test_resync_ends_where_single_draws_end(name):
     assert tokens.remaining == 3 * CHUNK - CHUNK - 1
 
 
-def test_coupling_controller_without_coupling_fails_before_the_first_step():
-    prob = problem("quadratic")
-    controller = make_controller(ControllerParams(kind="coupling_static"), prob)
-    rng = RngStream(9, 0)
-    with pytest.raises(ConfigError, match="track_coupling"):
-        run(prob, controller, EngineConfig(n_iters=10, track_coupling=False), rng)
-    assert rng.counter == 0
+@pytest.mark.parametrize("track", [False, True])
+def test_track_coupling_leaves_a_coupling_controller_coupled(track):
+    # track_coupling only couples a controller that does not need it; the
+    # golden case is the same run with the default, False
+    digest = run_case("quadratic", "coupling_static", 50, track_coupling=track)
+    assert digest == GOLDEN["quadratic/coupling_static"]
 
 
 @pytest.mark.parametrize(
     "bad", [dict(n_iters=-1), dict(n_iters=10, batch_size=0), dict(n_iters=10, trace_stride=0),
             dict(n_iters=10, tail_from=0), dict(n_iters=10, tail_from=-3),
-            dict(n_iters=10, tail_from=11), dict(n_iters=10, tail_from=2.5)]
+            dict(n_iters=10, tail_from=11), dict(n_iters=10, tail_from=2.5),
+            dict(n_iters=True), dict(n_iters=10, track_coupling=None)]
 )
 def test_engine_config_rejects_bad_values_with_config_error(bad):
     with pytest.raises(ConfigError):

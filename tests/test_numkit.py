@@ -233,6 +233,15 @@ def test_power_iteration_top_requires_symmetry():
         power_iteration_top(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("power", [power_iteration_top, power_iteration_extreme_eigs])
+def test_power_iteration_requires_a_finite_positive_tol(power, tol):
+    # tol 0 and nan divided by zero, a negative tol took a log of it, and
+    # tol = inf returned λ_max 2.000001 where it is 3
+    with pytest.raises(ValueError, match="tol"):
+        power(np.diag([1.0, 2.0, 3.0]), tol=tol)
+
+
 # ------------------------------------------------ power pass: block vs scalar
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgd.errors import ConfigError
 from csgd.numkit import RngStream, box_muller, uniforms_from
@@ -39,13 +43,128 @@ def test_make_problem_lasso_exact_sparsity():
     assert int(np.count_nonzero(prob.theta_sparse)) == 60
 
 
-def test_make_problem_rejects_bad_overrides():
-    with pytest.raises(ConfigError):
-        make_problem("lasso", d=10, n=100, sparsity=60)  # s > d
-    with pytest.raises(ConfigError):
-        make_problem("nope", d=3)
-    with pytest.raises(ConfigError):
-        make_problem("svm", d=5, n=0)
+_NAN, _INF = math.nan, math.inf
+_ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+# (kind, make_problem arguments, text the ConfigError must contain)
+BAD_ARGUMENTS = {
+    "unknown_kind": ("nope", dict(d=3), "unknown problem kind"),
+    "svm_without_data": ("svm", dict(d=5, n=0), "finite dataset"),
+    # the settings that are constants now
+    "logistic_h_diag": ("logistic", dict(d=2, h_diag=np.ones(2)), "bad overrides"),
+    "logistic_theta_planted": ("logistic", dict(d=2, theta_planted=np.ones(2)), "bad overrides"),
+    "least_squares_h_diag": ("least_squares", dict(d=2, h_diag=np.ones(2)), "bad overrides"),
+    "least_squares_theta_planted": (
+        "least_squares", dict(d=2, theta_planted=np.ones(2)), "bad overrides"),
+    "lasso_h_diag": ("lasso", dict(d=2, n=10, sparsity=1, h_diag=np.ones(2)), "bad overrides"),
+    "lasso_noise_sigma": ("lasso", dict(d=2, n=10, sparsity=1, noise_sigma=1.0),
+                          "bad overrides"),
+    "svm_sigma_input": ("svm", dict(d=2, n=10, sigma_input=1.0), "bad overrides"),
+    "uniformly_convex_ball_radius": ("uniformly_convex", dict(d=2, ball_radius=4.0),
+                                     "bad overrides"),
+    "quadratic_a": ("quadratic", dict(d=2, a=np.zeros(2)), "bad overrides"),
+    "quadratic_c": ("quadratic", dict(d=2, c=0.0), "bad overrides"),
+    "lsa_perturb_scale": ("lsa", dict(d=2, perturb_scale=0.5), "bad overrides"),
+    # sizes
+    "d_zero": ("quadratic", dict(d=0), "d must be an integer >= 1"),
+    "d_fraction": ("uniformly_convex", dict(d=2.5), "d must be an integer >= 1"),
+    "d_fraction_glm": ("logistic", dict(d=2.5), "d must be an integer >= 1"),
+    "n_negative": ("least_squares", dict(d=2, n=-1), "n must be an integer >= 0"),
+    "n_fraction": ("svm", dict(d=2, n=10.5), "n must be an integer >= 0"),
+    "lsa_no_states": ("lsa", dict(d=2, n_states=0), "n_states"),
+    "lsa_fraction_states": ("lsa", dict(d=2, n_states=2.5), "n_states"),
+    "lasso_sparsity_above_d": ("lasso", dict(d=10, n=100, sparsity=60), "sparsity"),
+    "lasso_fraction_sparsity": ("lasso", dict(d=4, n=10, sparsity=2.5), "sparsity"),
+    "lasso_bool_sparsity": ("lasso", dict(d=4, n=10, sparsity=True), "sparsity"),
+    # real-valued settings
+    "lasso_negative_lam_reg": ("lasso", dict(d=4, n=10, sparsity=2, lam_reg=-1.0), "lam_reg"),
+    "lasso_nan_lam_reg": ("lasso", dict(d=4, n=10, sparsity=2, lam_reg=_NAN), "lam_reg"),
+    "svm_zero_lam_reg": ("svm", dict(d=2, n=10, lam_reg=0.0), "lam_reg"),
+    "svm_nan_lam_reg": ("svm", dict(d=2, n=10, lam_reg=_NAN), "lam_reg"),
+    "svm_inf_lam_reg": ("svm", dict(d=2, n=10, lam_reg=_INF), "lam_reg"),
+    "uniformly_convex_p_exp_two": ("uniformly_convex", dict(d=2, p_exp=2.0), "p_exp"),
+    "uniformly_convex_nan_p_exp": ("uniformly_convex", dict(d=2, p_exp=_NAN), "p_exp"),
+    "uniformly_convex_inf_p_exp": ("uniformly_convex", dict(d=2, p_exp=_INF), "p_exp"),
+    "uniformly_convex_huge_p_exp": ("uniformly_convex", dict(d=2, p_exp=1e4), "p_exp"),
+    "uniformly_convex_negative_noise": (
+        "uniformly_convex", dict(d=2, noise_scale=-1.0), "noise_scale"),
+    "uniformly_convex_nan_noise": ("uniformly_convex", dict(d=2, noise_scale=_NAN), "noise_scale"),
+    "least_squares_nan_noise": ("least_squares", dict(d=2, noise_sigma=_NAN), "noise_sigma"),
+    "least_squares_negative_noise": ("least_squares", dict(d=2, noise_sigma=-1.0), "noise_sigma"),
+    "quadratic_nan_noise": ("quadratic", dict(d=2, noise_diag=_NAN), "noise_diag"),
+    "quadratic_negative_noise": ("quadratic", dict(d=2, noise_diag=[0.1, -0.1]), "noise_diag"),
+    "quadratic_noise_length": ("quadratic", dict(d=2, noise_diag=[0.1, 0.1, 0.1]), "noise_diag"),
+    "quadratic_asymmetric_h": ("quadratic", dict(d=2, H=_ASYMMETRIC), "symmetric"),
+    "quadratic_nan_h": ("quadratic", dict(d=2, H=np.full((2, 2), _NAN)), "finite"),
+    "quadratic_h_shape": ("quadratic", dict(d=2, H=np.eye(3)), "d x d"),
+    "quadratic_indefinite_h": ("quadratic", dict(d=2, H=np.diag([1.0, -1.0])), "definite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_make_problem_rejects_bad_overrides(case):
+    kind, kwargs, text = BAD_ARGUMENTS[case]
+    with pytest.raises(ConfigError, match=text):
+        make_problem(kind, **kwargs)
+
+
+def _or_odd(good):
+    """A draw from ``good``, or a NaN, an infinity, a negative, a zero or a fraction."""
+    return st.one_of(good, st.sampled_from([_NAN, _INF, -_INF, -1.0, 0.0, 2.5]))
+
+
+# each kind's overrides, as strategies given d; the good ranges keep each solve
+# under about 50 ms
+FUZZED_H = {
+    "default": lambda d: None,
+    "spd": lambda d: np.diag(np.linspace(0.5, 1.0, d)),
+    "indefinite": lambda d: np.diag(np.linspace(-1.0, 1.0, d)),
+    "asymmetric": lambda d: np.eye(d) + np.triu(np.ones((d, d)), 1),
+    "nan": lambda d: np.full((d, d), _NAN),
+    "wrong_shape": lambda d: np.eye(d + 1),
+}
+FUZZED_OVERRIDES = {
+    "logistic": {},
+    "least_squares": {"noise_sigma": lambda d: _or_odd(st.floats(0.0, 10.0))},
+    "svm": {"lam_reg": lambda d: _or_odd(st.floats(0.1, 10.0))},
+    "lasso": {"lam_reg": lambda d: _or_odd(st.floats(0.0, 10.0)),
+              "sparsity": lambda d: st.one_of(st.integers(-1, d + 1), _or_odd(st.just(1)))},
+    "uniformly_convex": {"p_exp": lambda d: _or_odd(st.floats(2.0, 600.0)),
+                         "noise_scale": lambda d: _or_odd(st.floats(0.0, 10.0))},
+    "quadratic": {
+        "H": lambda d: st.sampled_from(sorted(FUZZED_H)).map(lambda name: FUZZED_H[name](d)),
+        "noise_diag": lambda d: st.one_of(
+            _or_odd(st.floats(0.0, 1.0)),
+            st.lists(_or_odd(st.floats(0.0, 1.0)), min_size=d, max_size=d + 1)),
+    },
+    "lsa": {"n_states": lambda d: st.one_of(st.integers(-1, 6), _or_odd(st.just(1)))},
+}
+
+
+FUZZED_N = {"logistic": [0, 100], "svm": [100], "lasso": [100]}  # the others: [0]
+
+
+@st.composite
+def _problem_arguments(draw):
+    """A kind, d, n, and some of the kind's overrides."""
+    kind = draw(st.sampled_from(sorted(FUZZED_OVERRIDES)))
+    d = draw(st.integers(1, 4))
+    n = draw(st.sampled_from(FUZZED_N.get(kind, [0])))
+    strategies = FUZZED_OVERRIDES[kind]
+    names = draw(st.sets(st.sampled_from(sorted(strategies)))) if strategies else ()
+    return kind, d, n, {name: draw(strategies[name](d)) for name in names}
+
+
+@given(_problem_arguments(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_overrides_fail_with_config_error_or_build(arguments, seed):
+    kind, d, n, overrides = arguments
+    try:
+        prob = make_problem(kind, d, n, seed, **overrides)
+    except ConfigError:
+        return
+    assert math.isfinite(prob.L) and math.isfinite(prob.mu)
+    assert np.isfinite(prob.theta_star).all()
 
 
 # ------------------------------------------------------------------- logistic
@@ -252,7 +371,6 @@ def test_uconvex_reference_is_origin():
     prob = UniformlyConvex(d=7, seed=29)
     assert np.array_equal(prob.theta_star, np.zeros(7))
     assert prob.f_star == 0.0
-    assert prob.tau_exp == pytest.approx(1.0 - 2.0 / 2.5)
 
 
 # ------------------------------------------------------------------ quadratic
