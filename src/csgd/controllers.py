@@ -214,7 +214,7 @@ class PflugController(Controller):
         if prev is None:
             return math.nan
         # directions are negated gradients, so the inner product matches
-        self._sum += float(direction @ prev)
+        self._sum += float(direction.dot(prev))
         self._count += 1
         stat = self._sum / self._count
         if k - self._phase_start > self.params.burn_in and stat < 0.0:
@@ -277,7 +277,7 @@ class DistanceController(Controller):
             return math.nan
         self._next_checkpoint = self._checkpoint_after(k_rel)
         diff = theta1 - self._anchor
-        omega = float(diff @ diff)
+        omega = float(diff.dot(diff))
         if omega == 0.0:
             return math.nan  # cannot take log; skip checkpoint
         if self._prev is None:

@@ -25,10 +25,10 @@ one stream.  The number of streams picks the data shape:
   Each chain keeps its own stream and token buffer, and its blocks are
   stacked part by part along a replicate axis, so each step's tokens reach
   one oracle call with no per-token Python.  The stacked arithmetic is
-  per-row arithmetic: elementwise operations, and ``np.matmul`` forms that
-  make one BLAS call per row, as ``H @ θ`` and ``x @ θ`` do, so each
-  chain's trace and ``rng.counter`` are bit for bit what ``run`` returns
-  for its stream.
+  per-row arithmetic: elementwise operations, and one BLAS call per row
+  (``np.vecdot`` for a ddot, a stacked ``np.matmul`` for a gemv), as
+  ``x.dot(θ)`` and ``H.dot(θ)`` make for one iterate, so each chain's trace
+  and ``rng.counter`` are bit for bit what ``run`` returns for its stream.
 
 Tokens come from a :class:`TokenBuffer`, which hands them out as whole
 blocks of up to ``CHUNK``, drawn from one raw block of the run's stream as
@@ -248,7 +248,7 @@ def coupled_step(state: CoupledState, problem, gamma: float, token):
         state.theta2 = state.theta2 + gamma * u2
         state.history.append(state.theta2)
         diff = state.theta1 - state.theta2
-        d_sq = float(diff @ diff)
+        d_sq = float(diff.dot(diff))
     return u1, d_sq
 
 

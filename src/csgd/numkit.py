@@ -30,14 +30,14 @@ def as_vec(x, d: int | None = None) -> np.ndarray:
 
 
 def norm(v: np.ndarray) -> float:
-    """||v||₂ as ``np.linalg.norm`` computes it, one ddot and a root, minus its
-    wrapper: bit for bit equal on a contiguous v; a strided view may round differently."""
-    return math.sqrt(float(v @ v))
+    """||v||₂ as ``np.linalg.norm`` computes it, one ddot (``v.dot(v)``) and a root,
+    minus its wrapper: bit for bit equal on a contiguous v; a strided view may round differently."""
+    return math.sqrt(v.dot(v))
 
 
 def row_sq(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row: one ddot per row, as ``float(v @ v)`` makes."""
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+    """Squared norm of each row: one ddot per row (``np.vecdot``), as ``v.dot(v)`` makes."""
+    return np.vecdot(rows, rows)
 
 
 def as_mat(x, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -191,7 +191,7 @@ def _spectral_radius_estimate(M: np.ndarray, iters: int = 100) -> float:
     v = _graded_start(M.shape[0])
     rho = 0.0
     for _ in range(iters):
-        w = M @ v
+        w = M.dot(v)
         norm_w = norm(w)
         if norm_w == 0.0:
             return rho
@@ -212,17 +212,17 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
     above tol_resid, the pass gives up then rather than at ``max_iters``.
 
     Per iteration: w = Mv into a row of W, ||w|| as the root of one ddot,
-    and v ← w/||w|| into the next row of V (``M.dot`` and ``w.dot`` call
-    the gemv and ddot that ``@`` calls, with less wrapping).  Per block of
-    ``POWER_BLOCK`` iterations (fewer at ``max_iters``): one stacked pass
-    gives every λᵢ = vᵢ·wᵢ and residual ||wᵢ - λᵢvᵢ||, and a scan in order
-    stops at the first residual within tol_resid and makes any stall check
-    that falls in the block.  The results are the bits of a loop that
-    checks every iteration: λᵢ and the squared residual are one ddot per
-    row (``np.matmul`` on stacked rows, as ``float(v @ w)`` makes), the
-    scale and subtract are elementwise, and the scan keeps that loop's
-    order: convergence test, then stall check, then the ``||w|| == 0``
-    exit, which ends its block before the divide.
+    and v ← w/||w|| into the next row of V; one BLAS call per product,
+    through ``.dot`` or ``np.vecdot``.  Per block of ``POWER_BLOCK``
+    iterations (fewer at ``max_iters``): one stacked pass gives every
+    λᵢ = vᵢ·wᵢ and residual ||wᵢ - λᵢvᵢ||, and a scan in order stops at the
+    first residual within tol_resid and makes any stall check that falls in
+    the block.  The results are the bits of a loop that checks every
+    iteration: λᵢ and the squared residual are one ddot per row
+    (``np.vecdot``, as ``v.dot(w)`` makes), the scale and subtract are
+    elementwise, and the scan keeps that loop's order: convergence test,
+    then stall check, then the ``||w|| == 0`` exit, which ends its block
+    before the divide.
     """
     d = M.shape[0]
     V = np.empty((POWER_BLOCK + 1, d))
@@ -240,7 +240,7 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
                 n = j + 1
                 break
             np.divide(w, norm_w, out=vs[j + 1])
-        lam = np.matmul(V[:n, None, :], W[:n, :, None])[:, 0, 0]
+        lam = np.vecdot(V[:n], W[:n])
         resid = np.sqrt(row_sq(W[:n] - lam[:, None] * V[:n]))
         hits = np.flatnonzero(resid <= tol_resid)
         stop = int(hits[0]) if hits.size else n

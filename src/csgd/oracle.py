@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, HorizonTooShortError
+from .errors import DegenerateDirectionError, HorizonTooShortError, check_int
 from .numkit import as_mat, as_vec, norm, power_iteration_top
 
 D0_PROJECTION_FLOOR = 1e-12
@@ -170,6 +170,7 @@ def stationary_error_estimate(
     from .engine import EngineConfig, run_replicates
     from .numkit import RngStream
 
+    check_int("reps", reps, 1)
     if problem.mu <= 0.0:
         raise ValueError("stationary error estimation needs a strongly convex kind")
     burn = int(horizon * (1.0 - tail_frac)) if 0.0 < tail_frac < 1.0 else horizon

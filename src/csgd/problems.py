@@ -34,10 +34,10 @@ columnar token block: one array per token part, each with a leading
 ``count`` axis.  That is ``(X, y)`` for the GLM kinds, a (count, d) noise
 array for ``quadratic`` and ``uniformly_convex``, and an int array of chain
 states for ``lsa``.  Streaming labels are one ``np.matmul`` per block, one
-ddot per sample at batch 1 as ``x @ θ`` makes.  :func:`token_rows` splits a
+ddot per sample at batch 1 as ``x.dot(θ)`` makes.  :func:`token_rows` splits a
 block into tokens, 1-D parts as Python scalars; row i is bit for bit the
 i-th of ``count`` single draws, and ``next_token`` is the ``count = 1``
-case.
+case.  An oracle makes one BLAS call per product, through ``.dot`` or ``np.vecdot``.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ class LogisticRegression(_GlmBase):
     def direction(self, theta, token):
         X, y = token
         if X.ndim == 1:  # single-sample fast path
-            return (y * _sigmoid_scalar(-y * float(X @ theta))) * X
+            return (y * _sigmoid_scalar(-y * float(X.dot(theta)))) * X
         coef = y * _sigmoid(-y * (X @ theta))
         return X.T @ coef / X.shape[0]
 
@@ -422,7 +422,7 @@ class LeastSquares(_GlmBase):
     def direction(self, theta, token):
         X, y = token
         if X.ndim == 1:  # single-sample fast path
-            return (y - float(X @ theta)) * X
+            return (y - float(X.dot(theta))) * X
         resid = y - X @ theta
         return X.T @ resid / X.shape[0]
 
@@ -430,8 +430,8 @@ class LeastSquares(_GlmBase):
         X, y = tokens
         if X.ndim == 3:  # a batch per iterate: the row loop
             return super().step_directions(thetas, tokens)
-        # one sample per iterate: one ddot per row, as x @ θ makes
-        resid = y - np.matmul(X[:, None, :], thetas[:, :, None])[:, 0, 0]
+        # one sample per iterate: one ddot per row, as x.dot(θ) makes
+        resid = y - np.vecdot(X, thetas)
         return resid[:, None] * X
 
     def full_grad(self, theta):
@@ -491,7 +491,7 @@ class Svm(_GlmBase):
     def direction(self, theta, token):
         X, y = token
         if X.ndim == 1:
-            if y * float(X @ theta) < 1.0:
+            if y * float(X.dot(theta)) < 1.0:
                 return y * X - self.lam_reg * theta
             return -self.lam_reg * theta
         active = y * (X @ theta) < 1.0
@@ -529,7 +529,7 @@ def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
     Primal θ = (1/λn) Σ αᵢ yᵢ xᵢ with α ∈ [0, 1]ⁿ; each coordinate update is
     an exact 1-D maximization.  Stops on the relative duality gap.  Rows are
     scanned in blocks of ``CHUNK``: one ddot per row from the current θ, as
-    ``float(x @ θ)`` makes, and elementwise clips give the row-by-row loop's
+    ``x.dot(θ)`` makes, and elementwise clips give the row-by-row loop's
     bits up to the first row that moves (about 2% of visits do); that one
     update is applied alone and the scan resumes after it.
     """
@@ -542,7 +542,7 @@ def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
         i = 0
         while i < n:
             j = min(i + CHUNK, n)
-            m = y[i:j] * np.matmul(X[i:j, None, :], theta[:, None])[:, 0, 0]
+            m = y[i:j] * np.vecdot(X[i:j], theta)
             a_new = np.minimum(1.0, np.maximum(0.0, alpha[i:j] + (1.0 - m) / sq[i:j]))
             moved = np.flatnonzero(a_new != alpha[i:j])
             if moved.size:
@@ -598,7 +598,7 @@ class Lasso(_GlmBase):
     def direction(self, theta, token):
         X, y = token
         if X.ndim == 1:
-            return (2.0 * (y - float(X @ theta))) * X - self.lam_reg * np.sign(theta)
+            return (2.0 * (y - float(X.dot(theta)))) * X - self.lam_reg * np.sign(theta)
         resid = y - X @ theta
         smooth = 2.0 * (X.T @ resid) / X.shape[0]
         return smooth - self.lam_reg * np.sign(theta)  # sign(0) = 0
@@ -634,7 +634,7 @@ def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     t_step = 1.0 / lam_max
 
     def prox_grad(v):
-        z = v - t_step * (gram @ v - lin)
+        z = v - t_step * (gram.dot(v) - lin)
         return np.sign(z) * np.maximum(np.abs(z) - t_step * lam, 0.0)
 
     theta = np.zeros(d)
@@ -646,7 +646,7 @@ def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
         resid = norm(theta_new - mom) / t_step
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
         mom = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
-        if float((theta_new - theta) @ (mom - theta_new)) > 0.0:
+        if (theta_new - theta).dot(mom - theta_new) > 0.0:
             mom = theta_new.copy()  # adaptive restart
             t_new = 1.0
         theta, t_acc = theta_new, t_new
@@ -734,7 +734,7 @@ class QuadraticSemiStochastic(Problem):
         self.H = np.asarray(H, dtype=np.float64)
         if self.H.shape != (d, d) or not np.isfinite(self.H).all():
             raise ConfigError("H must be a finite d x d matrix")
-        self._neg_H = -self.H  # (-H) @ θ is -(H @ θ) bit for bit
+        self._neg_H = -self.H  # (-H)θ is -(Hθ) bit for bit
         try:
             lam_min, lam_max, _ = power_iteration_extreme_eigs(self.H, tol=1e-12)
         except ValueError as exc:  # numkit's symmetry check
@@ -761,10 +761,10 @@ class QuadraticSemiStochastic(Problem):
         return xi[:, 0] if batch == 1 else xi.mean(axis=1)
 
     def direction(self, theta, token):
-        return self._neg_H @ theta - token
+        return self._neg_H.dot(theta) - token
 
     def step_directions(self, thetas, tokens):
-        # one gemv per row, as (-H) @ θ makes
+        # one gemv per row, as (-H).dot(θ) makes
         return np.matmul(self._neg_H, thetas[:, :, None])[:, :, 0] - tokens
 
     def full_grad(self, theta):
@@ -775,8 +775,7 @@ class QuadraticSemiStochastic(Problem):
 
     def losses(self, thetas):
         # one gemv and one ddot per row, as loss makes
-        quad = np.matmul(0.5 * thetas[:, None, :], np.matmul(self.H, thetas[:, :, None]))
-        return quad[:, 0, 0]
+        return np.vecdot(0.5 * thetas, np.matmul(self.H, thetas[:, :, None])[:, :, 0])
 
     _solve_reference = UniformlyConvex._solve_reference  # θ* = 0 and f* = 0
 
@@ -872,7 +871,11 @@ class LinearStochasticApprox(Problem):
         """Per-state update direction A(x)θ + b(x)."""
         if not 0 <= state < self.n_states:
             raise ValueError(f"invalid chain state {state}")
-        return self.A_table[state] @ theta + self.b_table[state]
+        return self.A_table[state].dot(theta) + self.b_table[state]
+
+    def step_directions(self, thetas, states):
+        # one gemv per row, as A(x).dot(θ) makes
+        return np.matmul(self.A_table[states], thetas[:, :, None])[:, :, 0] + self.b_table[states]
 
     def full_grad(self, theta):
         return -(self.A_bar @ theta + self.b_bar)

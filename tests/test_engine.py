@@ -462,7 +462,7 @@ def test_tail_mean_is_nan_when_no_step_reaches_the_tail():
 
 
 @pytest.mark.parametrize("d", [5, 100])
-@pytest.mark.parametrize("name", ["quadratic", "least_squares", "least_squares/data"])
+@pytest.mark.parametrize("name", ["quadratic", "least_squares", "least_squares/data", "lsa"])
 def test_stacked_oracle_matches_rows_bitwise(name, d):
     kind, _, data = name.partition("/")
     prob = make_problem(kind, d=d, n=60 if data else 0, seed=d)
@@ -470,7 +470,8 @@ def test_stacked_oracle_matches_rows_bitwise(name, d):
     reps = 9
     for trial in range(20):
         theta = gen.standard_normal((reps, d)) * 10.0 ** gen.uniform(-3, 3, (reps, 1))
-        stack, _ = prob.draw_tokens(RngStream(trial, d), None, reps)
+        rng = RngStream(trial, d)
+        stack, _ = prob.draw_tokens(rng, prob.init_sampler(rng), reps)
         rows = np.stack([prob.step_direction(t, tok) for t, tok in zip(theta, token_rows(stack))])
         assert np.array_equal(prob.step_direction(theta, stack), rows)
 

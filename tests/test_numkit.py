@@ -142,6 +142,40 @@ def test_norm_is_np_linalg_norm_bitwise(d, scale):
     assert got.hex() == float(np.linalg.norm(v)).hex()
 
 
+# ------------------------------------------------------------ product forms
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "stack_rows", "block_slice"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 17, 100, 257])
+def test_hot_path_product_forms_match_the_operator_bitwise(d, layout):
+    # the oracles, the engine and the controllers take a ddot as a.dot(b), a
+    # gemv as M.dot(v) and per-row ddots as np.vecdot; each must give the bits
+    # of the @ form it replaced, on every layout the hot path hands it
+    gen = np.random.default_rng(d)
+    reps = 7
+    T = gen.standard_normal((reps, d)) * 10.0 ** gen.uniform(-3, 3, (reps, 1))
+    if layout == "block_slice":  # the X[:, 0] of a (count, batch, d) decoded block
+        X = gen.standard_normal((reps, 3, d))[:, 0]
+    else:
+        X = gen.standard_normal((reps, d))
+    M = gen.standard_normal((d, d))
+    if layout == "contiguous":
+        xs, ts = [x.copy() for x in X], [t.copy() for t in T]
+    else:
+        xs, ts = list(X), list(T)
+
+    assert _hexes(x.dot(t) for x, t in zip(xs, ts)) == _hexes(x @ t for x, t in zip(xs, ts))
+    for v in xs + ts:
+        assert _hexes(M.dot(v)) == _hexes(M @ v)
+    assert _hexes(np.vecdot(X, T)) == _hexes(x @ t for x, t in zip(xs, ts))
+    theta = ts[0]
+    assert _hexes(np.vecdot(X, theta)) == _hexes(x @ theta for x in xs)
+
+
 # -------------------------------------------------------------- eigen extremes
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from csgd.errors import DegenerateDirectionError, HorizonTooShortError
+from csgd.errors import ConfigError, DegenerateDirectionError, HorizonTooShortError
 from csgd.numkit import RngStream
 from csgd.oracle import (
     contraction_rate,
@@ -274,3 +274,12 @@ def test_stationary_rejects_a_tail_frac_that_leaves_no_tail(tail_frac):
     with pytest.raises(ValueError, match="tail_frac"):
         stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000,
                                   tail_frac=tail_frac, reps=2)
+
+
+@pytest.mark.parametrize("reps", [0, -1, 2.5, "3", True, None])
+def test_stationary_rejects_a_bad_reps_with_config_error(reps):
+    # 2.5 and "3" raised a bare TypeError from range, True ran one chain, and 0
+    # failed inside run_replicates with a message that did not name reps
+    prob = make_problem("quadratic", d=5, seed=4)
+    with pytest.raises(ConfigError, match="reps"):
+        stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000, reps=reps)
