@@ -34,7 +34,7 @@ SLOPE_THRESHOLD = 0.5  # distance: decay below this log-log slope
 CHECKPOINT_RATIO = 1.5  # distance: geometric checkpoint spacing
 
 # fixed schedules and the most constants each takes; each takes at least
-# one (see fixed_schedule)
+# one (see resolve_schedule)
 SCHEDULE_ARITY = {"constant": 1, "inv_sqrt": 1, "inv_mu_k": 1, "uniform_opt": 2}
 
 
@@ -296,44 +296,52 @@ class DistanceController(Controller):
         return slope
 
 
-def fixed_schedule(kind: str, k: int, *constants) -> float:
-    """Scheduled stepsize at iteration k >= 1.
+def resolve_schedule(kind: str, *constants):
+    """The schedule as a function of k >= 1, its constants converted once.
 
     constant(γ); inv_sqrt(C): C/√k; inv_mu_k(μ): 1/(μk);
     uniform_opt(τ[, scale]): scale·k^(-1/(τ+1)).
     """
-    if k < 1:
-        raise ValueError("schedules are defined for k >= 1")
     if kind == "constant":
         (gamma,) = constants
-        return float(gamma)
+        gamma = float(gamma)
+        return lambda k: gamma
     if kind == "inv_sqrt":
         (C,) = constants
-        return float(C) / math.sqrt(k)
+        C = float(C)
+        return lambda k: C / math.sqrt(k)
     if kind == "inv_mu_k":
         (mu,) = constants
-        return 1.0 / (mu * k)
+        return lambda k: 1.0 / (mu * k)
     if kind == "uniform_opt":
         tau, *rest = constants
-        scale = rest[0] if rest else 1.0
-        return float(scale) * k ** (-1.0 / (tau + 1.0))
+        scale = float(rest[0] if rest else 1.0)
+        power = -1.0 / (tau + 1.0)
+        return lambda k: scale * k**power
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
+def fixed_schedule(kind: str, k: int, *constants) -> float:
+    """Scheduled stepsize at iteration k >= 1; see :func:`resolve_schedule`."""
+    if k < 1:
+        raise ValueError("schedules are defined for k >= 1")
+    return resolve_schedule(kind, *constants)(k)
+
+
 class FixedScheduleController(Controller):
-    """Wraps a deterministic stepsize schedule; never decays."""
+    """Wraps a deterministic stepsize schedule, resolved once; never decays."""
 
     def __init__(self, params: ControllerParams):
         # gamma0 is irrelevant here but the base class wants positivity
         if params.gamma0 is None:
             params = replace(params, gamma0=1.0)
         super().__init__(params)
-        name, *constants = params.schedule
-        self._name = name
-        self._constants = constants
+        self._schedule = resolve_schedule(*params.schedule)
 
     def stepsize(self, k: int) -> float:
-        return fixed_schedule(self._name, k, *self._constants)
+        if k < 1:
+            raise ValueError("schedules are defined for k >= 1")
+        return self._schedule(k)
 
 
 def make_controller(

@@ -17,15 +17,18 @@ There is one loop, :func:`run_replicates`; :func:`run` is that loop with
 one stream.  The number of streams picks the data shape:
 
 - one stream: θ1 (and θ2 when coupled) is a 1-D iterate and each token a
-  row of its block, so the oracle sees exactly what a lone run gives it;
+  row of its block, the one column of the stacked draw below, so the
+  oracle sees exactly what a lone run gives it;
 - several streams: the chains run in lockstep as one (reps, d) stack of θ1
   updated once per step.  They share one fixed-schedule controller, asked
   for each stepsize once and shown the whole stack once per step; a decay
   or coupling raises ConfigError, since it cannot apply to one chain alone.
-  Each chain keeps its own stream and token buffer, and its blocks are
-  stacked part by part along a replicate axis, so each step's tokens reach
-  one oracle call with no per-token Python.  The stacked arithmetic is
-  per-row arithmetic: elementwise operations, and one BLAS call per row
+  Each chain keeps its own stream and token buffer.  Per block, each stream
+  makes its one raw call and the problem decodes all their words at once
+  into one block whose parts have a leading (count, reps) shape
+  (``Problem.draw_token_stack``), so each step's tokens reach one oracle
+  call with no per-token Python.  The stacked arithmetic is per-row
+  arithmetic: elementwise operations, and one BLAS call per row
   (``np.vecdot`` for a ddot, a stacked ``np.matmul`` for a gemv), as
   ``x.dot(θ)`` and ``H.dot(θ)`` make for one iterate, so each chain's trace
   and ``rng.counter`` are bit for bit what ``run`` returns for its stream.
@@ -47,11 +50,13 @@ record, and the others go on.  Each step makes one ddot over the whole
 stack, the sum of the chains' ||θ1||²; only when that comes near the
 threshold are the rows' norms computed.
 
-A record keeps θ1 by reference, since the loop rebinds it at every step
-and never writes it in place, and a copy of the running average, which is
-updated in place.  :class:`RunTrace` fills the error and loss columns of
-``CHUNK`` such records at a time in one stacked pass, with their bits, and
-those of the rest in ``summarize``.
+A record keeps θ1 and the running average by reference, since the loop
+rebinds both at every step and writes neither in place.  :class:`RunTrace`
+fills the error and loss columns of ``CHUNK`` such records at a time in one
+stacked pass, with their bits, and those of the rest in ``summarize``.  The
+tail accumulator keeps its steps' θ1 the same way and folds them into each
+chain's sum once per block, and before a divergence stops a chain, adding
+them in step order so the sum has the bits of a per-step ``+=``.
 """
 
 from __future__ import annotations
@@ -115,8 +120,12 @@ class CoupledState:
 
 @dataclass
 class RunTrace:
-    """Columnar per-stride records plus the restart log and a summary; the error
-    columns are filled per ``CHUNK`` records and complete once ``summarize`` returns."""
+    """Columnar per-stride records plus the restart log and a summary.
+
+    A record keeps θ1 and the running average by reference; the error
+    columns are filled from them per ``CHUNK`` records and are complete once
+    ``summarize`` returns.
+    """
 
     ks: list[int] = field(default_factory=list)
     gammas: list[float] = field(default_factory=list)
@@ -141,7 +150,7 @@ class RunTrace:
         self.gammas.append(gamma)
         self.stats.append(stat)
         self.d_sqs.append(math.nan if d_sq is None else d_sq)
-        self._kept.append((theta1, None if avg1 is None else avg1.copy()))
+        self._kept.append((theta1, avg1))
         self.restart_flags.append(restarted)
         if len(self._kept) == CHUNK:
             self._fill(problem)
@@ -149,10 +158,12 @@ class RunTrace:
     def _fill(self, problem) -> None:
         """Fill the error columns of the kept records, at least one, in one stacked pass."""
         thetas, avgs = zip(*self._kept)
+        n = len(thetas)
         self._kept = []
-        self.errs.extend(row_sq(np.stack(thetas) - problem.theta_star).tolist())
+        thetas = np.concatenate(thetas).reshape(n, -1)  # the copy np.stack makes, faster
+        self.errs.extend(row_sq(thetas - problem.theta_star).tolist())
         if avgs[0] is not None:
-            avgs = np.stack(avgs)
+            avgs = np.concatenate(avgs).reshape(n, -1)
             self.avg_errs.extend(row_sq(avgs - problem.theta_star).tolist())
             self.avg_fgaps.extend((problem.losses(avgs) - problem.f_star).tolist())
 
@@ -187,7 +198,9 @@ class TokenBuffer:
     sampler state after the last token drawn; set it from ``init_sampler``
     before the first block.  ``taken`` counts the tokens of the current
     block, 0 once resynced.  A batch size the problem cannot draw raises
-    ConfigError here, before any draw.
+    ConfigError here, before any draw.  Buffers with as many tokens left
+    take their blocks together with :meth:`take_stacked`, one raw call per
+    stream and one decode for all; :meth:`take_block` is its one-buffer case.
     """
 
     def __init__(self, problem, rng: RngStream, batch: int, remaining: int):
@@ -206,12 +219,26 @@ class TokenBuffer:
         All of them count as taken; a run that stops part-way through them
         hands the rest back with ``resync(returned)``.
         """
-        self.taken = min(CHUNK, self.remaining)
-        self._block_start = (self.rng.counter, self.sampler_state)
-        block, self.sampler_state = self.problem.draw_tokens(
-            self.rng, self.sampler_state, self.taken, self.batch
-        )
-        self.remaining -= self.taken
+        return token_columns(TokenBuffer.take_stacked([self]), 0)
+
+    @staticmethod
+    def take_stacked(buffers: list[TokenBuffer]):
+        """Each buffer's next block, stacked: every part has a leading (count, R) shape.
+
+        The buffers have the same ``remaining``, so the blocks are the same
+        length; column r is what ``buffers[r].take_block()`` would return.
+        """
+        first = buffers[0]
+        count = min(CHUNK, first.remaining)
+        for tokens in buffers:
+            tokens.taken = count
+            tokens._block_start = (tokens.rng.counter, tokens.sampler_state)
+            tokens.remaining -= count
+        block, states = first.problem.draw_token_stack(
+            [tokens.rng for tokens in buffers], [tokens.sampler_state for tokens in buffers],
+            count, first.batch)
+        for tokens, state in zip(buffers, states):
+            tokens.sampler_state = state
         return block
 
     def resync(self, returned: int = 0) -> RngStream:
@@ -295,11 +322,6 @@ def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenBuf
     return rearm_auxiliary(state, hist[idx].copy(), b, gamma, tokens, returned)
 
 
-def update_average(avg1: np.ndarray, theta1: np.ndarray, k: int) -> None:
-    """Numerically stable running mean over the first k iterates, in place."""
-    avg1 += (theta1 - avg1) / k
-
-
 def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> RunTrace:
     """Execute n_iters coupled-SGD iterations under one controller.
 
@@ -310,11 +332,25 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
     return run_replicates(problem, controller, cfg, [rng])[0]
 
 
-def _stack_tokens(blocks: list):
-    """Per-replicate token blocks as one block with a leading (count, reps) shape."""
-    if isinstance(blocks[0], tuple):
-        return tuple(np.stack(parts, axis=1) for parts in zip(*blocks))
-    return np.stack(blocks, axis=1)
+def token_columns(block, index):
+    """The replicate column ``index`` (an int, or an index array) of a stacked block."""
+    if isinstance(block, tuple):
+        return tuple(part[:, index] for part in block)
+    return block[:, index]
+
+
+def _fold_tail(tail_sum: np.ndarray, thetas: list, theta_star: np.ndarray) -> np.ndarray:
+    """``tail_sum`` plus each step's per-chain ||θ1 - θ*||², in step order; empties ``thetas``.
+
+    One ``row_sq`` over the (m, R, d) stack of the m steps, then a running
+    sum along the steps, which adds them one at a time as a per-step ``+=``.
+    """
+    if not thetas:
+        return tail_sum
+    errs = row_sq(np.concatenate(thetas).reshape(len(thetas), len(tail_sum), -1) - theta_star)
+    thetas.clear()
+    errs[0] += tail_sum
+    return np.cumsum(errs, axis=0)[-1]
 
 
 def _rows(theta1: np.ndarray, avg1: np.ndarray | None, n: int):
@@ -335,18 +371,21 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     counter where ``run`` leaves it.  With several streams the chains are
     uncoupled under one fixed schedule: another controller kind or
     ``track_coupling=True`` raises ConfigError before any draw, and so does
-    an empty list of streams.
+    an empty list of streams or one stream object given twice (two distinct
+    streams with the same seed and id are two chains).
     """
     rngs = list(rngs)
     if not rngs:
         raise ConfigError("run_replicates needs at least one stream")
+    if len({id(rng) for rng in rngs}) < len(rngs):
+        raise ConfigError("run_replicates got one stream object twice; each chain needs its own")
     kind = controller.params.kind
     coupled = controller.needs_coupling or cfg.track_coupling
     single = len(rngs) == 1
     if not single and (kind != "fixed" or coupled):
         raise ConfigError("lockstep replicates run uncoupled under one fixed schedule; "
                           f"got controller {kind!r} with track_coupling={coupled}")
-    n_iters, d, b = cfg.n_iters, problem.d, controller.params.b
+    n_iters, d, b, tail_from = cfg.n_iters, problem.d, controller.params.b, cfg.tail_from
     theta_star = problem.theta_star
     state = CoupledState(theta1=np.zeros(d if single else (len(rngs), d)), theta2=None)
     buffers = [TokenBuffer(problem, rng, cfg.batch_size, n_iters) for rng in rngs]
@@ -355,7 +394,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
         controller.rearm(
             rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), buffers[0])
         )
-    avg1 = state.theta1.copy() if cfg.averaging else None
+    avg1 = state.theta1 if cfg.averaging else None
     for tokens, rng in zip(buffers, rngs):
         tokens.sampler_state = problem.init_sampler(rng)
 
@@ -363,19 +402,23 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     active = list(range(len(rngs)))  # the stream of each row of θ1
     phase = controller.phase_index
     tail_sum = np.zeros(len(rngs))
+    tail_thetas = []  # θ1 of the tail steps not yet folded into tail_sum
     tail_count = 0
     k = 0
     while k < n_iters and active:
-        blocks = [buffers[r].take_block() for r in active]
-        steps = token_rows(blocks[0] if single else _stack_tokens(blocks))
+        if single:
+            steps = token_rows(buffers[0].take_block())
+        else:
+            block = TokenBuffer.take_stacked([buffers[r] for r in active])
+            steps = token_rows(block)
         count = len(steps)
         for i in range(count):
             k += 1
             gamma = controller.stepsize(k)
             direction, d_sq = coupled_step(state, problem, gamma, steps[i])
             theta1 = state.theta1
-            if avg1 is not None:
-                update_average(avg1, theta1, k)
+            if avg1 is not None:  # rebound, so a record may keep it by reference
+                avg1 = avg1 + (theta1 - avg1) / k
 
             # one ddot over the stack sums the rows' squared norms, so no row
             # passes the threshold until the sum comes within rounding of it
@@ -383,15 +426,16 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
             if not flat.dot(flat) <= DIVERGENCE_THRESHOLD * (1.0 - 1e-9):
                 norms = row_sq(theta1.reshape(-1, d))
                 diverged = ~(norms <= DIVERGENCE_THRESHOLD)  # nan diverges too
-                rows, avgs = _rows(theta1, avg1, len(active))
-                for row in np.flatnonzero(diverged):
-                    trace = traces[active[row]]
-                    trace.failure = f"divergence at k={k} (||theta1||^2={norms[row]:g})"
-                    trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq)
-                    trace.summarize(problem, cfg, k, controller.stepsize(k), rows[row],
-                                    avgs[row], float(tail_sum[row]), tail_count)
-                    buffers[active[row]].resync(count - 1 - i)
                 if diverged.any():
+                    tail_sum = _fold_tail(tail_sum, tail_thetas, theta_star)
+                    rows, avgs = _rows(theta1, avg1, len(active))
+                    for row in np.flatnonzero(diverged):
+                        trace = traces[active[row]]
+                        trace.failure = f"divergence at k={k} (||theta1||^2={norms[row]:g})"
+                        trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq)
+                        trace.summarize(problem, cfg, k, controller.stepsize(k), rows[row],
+                                        avgs[row], float(tail_sum[row]), tail_count)
+                        buffers[active[row]].resync(count - 1 - i)
                     keep = np.flatnonzero(~diverged)
                     active = [active[row] for row in keep]
                     if not active:
@@ -400,8 +444,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                     tail_sum = tail_sum[keep]
                     if avg1 is not None:
                         avg1 = avg1[keep]
-                    blocks = [blocks[row] for row in keep]
-                    steps = token_rows(_stack_tokens(blocks))
+                    block = token_columns(block, keep)
+                    steps = token_rows(block)
 
             stat = controller.observe(k, theta1, d_sq, direction)
             refill = False
@@ -418,8 +462,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                     refill = not buffers[0].taken  # a degenerate re-arm gave the rest back
                 traces[0].restart_log.append(RestartEvent(k, gamma, new_gamma, stat))
 
-            if cfg.tail_from is not None and k >= cfg.tail_from:
-                tail_sum += row_sq((theta1 - theta_star).reshape(-1, d))
+            if tail_from is not None and k >= tail_from:
+                tail_thetas.append(theta1)
                 tail_count += 1
 
             if k % cfg.trace_stride == 0 or k == n_iters:
@@ -430,6 +474,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                         traces[r].record(problem, k, gamma, stat, row, avg_row)
             if refill:
                 break
+        tail_sum = _fold_tail(tail_sum, tail_thetas, theta_star)
 
     rows, avgs = _rows(state.theta1, avg1, len(active))
     for row, r in enumerate(active):

@@ -33,8 +33,12 @@ so ``draw_tokens`` takes ``count`` tokens from one block of
 columnar token block: one array per token part, each with a leading
 ``count`` axis.  That is ``(X, y)`` for the GLM kinds, a (count, d) noise
 array for ``quadratic`` and ``uniformly_convex``, and an int array of chain
-states for ``lsa``.  Streaming labels are one ``np.matmul`` per block, one
-ddot per sample at batch 1 as ``x.dot(θ)`` makes.  :func:`token_rows` splits a
+states for ``lsa``.  ``draw_token_stack`` draws one such block from each of
+R streams, each with its own raw call, and decodes their words in one call
+into parts with a leading (count, R) shape; ``lsa``, whose chain walks one
+state at a time, stacks its per-stream blocks instead.  Streaming labels
+are one ``np.matmul`` per block, one ddot per sample at batch 1 as
+``x.dot(θ)`` makes.  :func:`token_rows` splits a
 block into tokens, 1-D parts as Python scalars; row i is bit for bit the
 i-th of ``count`` single draws, and ``next_token`` is the ``count = 1``
 case.  An oracle makes one BLAS call per product, through ``.dot`` or ``np.vecdot``.
@@ -139,6 +143,24 @@ class Problem:
         """A block of ``count`` tokens from one raw block, and the sampler state after them."""
         w = self.words_per_token(batch)
         return self.decode_tokens(rng.raw(count * w).reshape(count, w), batch), sampler_state
+
+    def draw_token_stack(self, rngs, sampler_states, count: int, batch: int = 1):
+        """Blocks of ``count`` tokens from each stream, stacked along a replicate axis.
+
+        Each stream makes the one raw call :meth:`draw_tokens` makes, and the
+        words of all of them are decoded in one call, so each part has a
+        leading (count, R) shape; column r is bit for bit stream r's
+        :meth:`draw_tokens` block.  Returns the block and the sampler states
+        after it, one per stream.
+        """
+        w = self.words_per_token(batch)
+        words = [rng.raw(count * w).reshape(count, 1, w) for rng in rngs]
+        words = words[0] if len(words) == 1 else np.concatenate(words, axis=1)  # one: no copy
+        block = self.decode_tokens(words.reshape(count * len(rngs), w), batch)
+        shape = (count, len(rngs))
+        if isinstance(block, tuple):
+            return tuple(p.reshape(shape + p.shape[1:]) for p in block), sampler_states
+        return block.reshape(shape + block.shape[1:]), sampler_states
 
     def next_token(self, rng: RngStream, sampler_state, batch: int = 1):
         block, sampler_state = self.draw_tokens(rng, sampler_state, 1, batch)
@@ -866,6 +888,12 @@ class LinearStochasticApprox(Problem):
             states.append(state)
             state = min(bisect_right(self._cum_P[state], u), self.n_states - 1)
         return np.array(states, dtype=int), state
+
+    def draw_token_stack(self, rngs, sampler_states, count, batch=1):
+        """Each stream's chain walks on its own; the blocks are stacked as (count, R)."""
+        blocks, states = zip(*(self.draw_tokens(rng, state, count, batch)
+                               for rng, state in zip(rngs, sampler_states)))
+        return np.stack(blocks, axis=1), list(states)
 
     def direction(self, theta, state: int):
         """Per-state update direction A(x)θ + b(x)."""

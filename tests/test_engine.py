@@ -22,7 +22,7 @@ from csgd.engine import CoupledState, reinit_auxiliary
 from csgd.oracle import gamma0_bound, theorem1_floor
 from csgd.problems import token_rows
 from csgd import engine
-from csgd.engine import RunTrace
+from csgd.engine import RunTrace, token_columns
 
 # ------------------------------------------------------------ golden traces
 #
@@ -281,6 +281,33 @@ def test_resync_ends_where_single_draws_end(name):
     assert tokens.remaining == 3 * CHUNK - CHUNK - 1
 
 
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize(
+    "name, batch",
+    [(n, 1) for n in sorted(PROBLEMS)] + [(n, 3) for n in BATCHED + ("logistic_data",)],
+)
+def test_stacked_token_block_matches_per_stream_draws(name, batch, reps):
+    # column r of each stacked block is stream r's own block, and every
+    # stream and sampler state ends where its own draws leave it; two
+    # blocks, so the second starts from the states the first left
+    prob = problem(name)
+    count = 11
+    rngs = [RngStream(8, s) for s in range(reps)]
+    singles = [RngStream(8, s) for s in range(reps)]
+    states = [prob.init_sampler(rng) for rng in rngs]
+    single_states = [prob.init_sampler(rng) for rng in singles]
+    for _ in range(2):
+        block, states = prob.draw_token_stack(rngs, states, count, batch)
+        for r, rng in enumerate(singles):
+            want, single_states[r] = prob.draw_tokens(rng, single_states[r], count, batch)
+            got = token_columns(block, r)
+            parts = list(zip(*(t if isinstance(t, tuple) else (t,) for t in (got, want))))
+            assert parts and all(a.dtype == b.dtype and a.shape == b.shape
+                                 and np.array_equal(a, b) for a, b in parts)
+            assert rngs[r].counter == rng.counter
+            assert states[r] == single_states[r]
+
+
 @pytest.mark.parametrize("track", [False, True])
 def test_track_coupling_leaves_a_coupling_controller_coupled(track):
     # track_coupling only couples a controller that does not need it; the
@@ -461,6 +488,42 @@ def test_tail_mean_is_nan_when_no_step_reaches_the_tail():
         assert math.isnan(trace.summary["tail_mean_err"])
 
 
+TAIL_CASES = {
+    "one_stream/quadratic": ("quadratic", "constant", None, (300,)),
+    "one_stream/least_squares": ("least_squares", "inv_sqrt", None, (300,)),
+    # every chain diverges at k = 276 to 325, inside the second block
+    "lockstep/diverges": ("quadratic", "constant", 2.05, range(111, 116)),
+    # 7 of 12 chains diverge before the tail starts; the other 5 run on
+    "lockstep/mixed": ("least_squares", "inv_sqrt", 6.0, range(110, 122)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_tail_mean_is_the_step_order_mean_of_the_recorded_errors(case):
+    # independent of the golden digests: the tail mean is a plain left to
+    # right sum of the errs recorded from tail_from on, over their count; a
+    # divergence record is not part of the tail.  From k = 100 to 600 the
+    # tail crosses two block boundaries.
+    name, schedule, gamma, streams = TAIL_CASES[case]
+    prob = problem(name)
+    if name == "quadratic" and gamma is not None:
+        gamma /= prob.L
+    cfg = EngineConfig(n_iters=600, trace_stride=1, tail_from=100)
+    traces = run_replicates(prob, make_controller(fixed(name, schedule, gamma), prob), cfg,
+                            [RngStream(7, s) for s in streams])
+    assert any(t.failure is not None for t in traces) == case.startswith("lockstep")
+    for trace in traces:
+        ks, errs = trace.ks, trace.errs
+        if trace.failure is not None:
+            ks, errs = ks[:-1], errs[:-1]
+        tail = [e for k, e in zip(ks, errs) if k >= cfg.tail_from]
+        total = 0.0
+        for e in tail:
+            total += e
+        want = total / len(tail) if tail else math.nan
+        assert trace.summary["tail_mean_err"].hex() == want.hex()
+
+
 @pytest.mark.parametrize("d", [5, 100])
 @pytest.mark.parametrize("name", ["quadratic", "least_squares", "least_squares/data", "lsa"])
 def test_stacked_oracle_matches_rows_bitwise(name, d):
@@ -506,7 +569,8 @@ class _DecaysAtFive(FixedScheduleController):
         return super().observe(k, theta1, d_sq, direction)
 
 
-@pytest.mark.parametrize("case", ["coupling", "pflug", "track_coupling", "no_streams"])
+@pytest.mark.parametrize("case",
+                         ["coupling", "pflug", "track_coupling", "no_streams", "same_stream"])
 def test_lockstep_rejects_before_any_draw(case):
     prob = problem("quadratic")
     params = fixed("quadratic", "constant")
@@ -516,9 +580,16 @@ def test_lockstep_rejects_before_any_draw(case):
     if case == "track_coupling":
         cfg = EngineConfig(n_iters=10, track_coupling=True)
     rngs = [] if case == "no_streams" else [RngStream(9, 0), RngStream(9, 1)]
+    if case == "same_stream":  # both chains would draw from one stream
+        rngs = [rngs[0], rngs[0]]
     with pytest.raises(ConfigError):
         run_replicates(prob, make_controller(params, prob), cfg, rngs)
     assert all(rng.counter == 0 for rng in rngs)
+
+
+def test_lockstep_takes_two_stream_objects_with_one_seed_and_id():
+    lockstep_matches_run("quadratic", fixed("quadratic", "constant"), streams=(300, 300),
+                         n_iters=300)
 
 
 def test_lockstep_rejects_a_decay_decision():
