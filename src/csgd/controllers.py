@@ -79,12 +79,9 @@ class ControllerParams:
             raise ConfigError(f"unknown controller kind {self.kind!r}")
         if self.gamma0 is not None:
             check_real("gamma0", self.gamma0, 0.0, strict=True)
-        if not 0.0 < self.r < 1.0:
-            raise ConfigError("r must lie in (0, 1)")
-        if not 0.0 < self.beta0 < 1.0:
-            raise ConfigError("beta0 must lie in (0, 1)")
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError("eta must lie in (0, 1]")
+        check_real("r", self.r, 0.0, strict=True, most=1.0, strict_most=True)
+        check_real("beta0", self.beta0, 0.0, strict=True, most=1.0, strict_most=True)
+        check_real("eta", self.eta, 0.0, strict=True, most=1.0)
         check_int("b", self.b, 0)
         if self.burn_in is not None:
             check_int("burn_in", self.burn_in, 0)

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import Controller
-from .errors import ConfigError, DegenerateDiagnosticError, check_int, check_real
+from .errors import ConfigError, DegenerateDiagnosticError, check_bool, check_int, check_real
 from .numkit import RngStream, row_sq
 from .problems import token_rows
 
@@ -97,8 +97,8 @@ class EngineConfig:
             if self.tail_from > self.n_iters:
                 raise ConfigError(f"tail_from={self.tail_from} is past n_iters={self.n_iters}")
         check_real("init_offset_scale", self.init_offset_scale, 0.0)
-        if not isinstance(self.track_coupling, bool):
-            raise ConfigError(f"track_coupling must be a bool, got {self.track_coupling!r}")
+        check_bool("averaging", self.averaging)
+        check_bool("track_coupling", self.track_coupling)
 
 
 @dataclass

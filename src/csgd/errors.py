@@ -30,9 +30,20 @@ def check_int(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def check_real(name: str, value, least: float, strict: bool = False) -> None:
-    """Raise ConfigError unless ``value`` is a finite real >= ``least`` (> when ``strict``)."""
+def check_real(name: str, value, least: float, strict: bool = False,
+               most: float | None = None, strict_most: bool = False) -> None:
+    """Raise ConfigError unless ``value`` is a finite real >= ``least`` (> when ``strict``)
+    and, given ``most``, <= ``most`` (< when ``strict_most``)."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (value > least if strict else value >= least)):
-        raise ConfigError(
-            f"{name} must be finite and {'>' if strict else '>='} {least}, got {value!r}")
+            and (value > least if strict else value >= least)
+            and (most is None or (value < most if strict_most else value <= most))):
+        bounds = f"{'>' if strict else '>='} {least}"
+        if most is not None:
+            bounds += f" and {'<' if strict_most else '<='} {most}"
+        raise ConfigError(f"{name} must be finite and {bounds}, got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a bool."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")

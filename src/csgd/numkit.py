@@ -230,16 +230,17 @@ def _power_top(M: np.ndarray, tol_resid: float, max_iters: int):
     vs, ws = list(V), list(W)  # row views, made once
     vs[0][:] = _graded_start(d)
     checkpoint, check_at = math.inf, 0  # the residual at the last check; the next check
+    mdot, sqrt, divide = M.dot, math.sqrt, np.divide
     for start in range(0, max_iters, POWER_BLOCK):
         n = min(POWER_BLOCK, max_iters - start)
         for j in range(n):
             w = ws[j]
-            M.dot(vs[j], out=w)
-            norm_w = math.sqrt(w.dot(w))
+            mdot(vs[j], w)
+            norm_w = sqrt(w.dot(w))
             if norm_w == 0.0:
                 n = j + 1
                 break
-            np.divide(w, norm_w, out=vs[j + 1])
+            divide(w, norm_w, vs[j + 1])
         lam = np.vecdot(V[:n], W[:n])
         resid = np.sqrt(row_sq(W[:n] - lam[:, None] * V[:n]))
         hits = np.flatnonzero(resid <= tol_resid)

@@ -75,9 +75,10 @@ _CALIB_STREAM = 0xCA11B
 BALL_RADIUS = 4.0  # uniformly_convex: L is certified on the ball ||θ|| <= BALL_RADIUS
 PERTURB_SCALE = 0.5  # lsa: the first scale of the per-state perturbations S(x)
 
-# rows per svm-scan block: 64-128 ran the solve 2.4-5x faster than a row loop
-# for (d, n) in (5, 200)..(50, 2000) on a 2-core Xeon; epoch-long blocks, 1.5x
-CHUNK = 64
+# rows per svm-scan block; the solve's bits do not depend on it.  On a 2-core
+# Xeon, 96-128 ran it fastest for (d, n) = (10, 1000) and (50, 2000), 64 was
+# 2-6% slower and 256 12-14% slower; blocks beat a row loop 2.4-5x
+SVM_BLOCK = 128
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -550,7 +551,7 @@ def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
 
     Primal θ = (1/λn) Σ αᵢ yᵢ xᵢ with α ∈ [0, 1]ⁿ; each coordinate update is
     an exact 1-D maximization.  Stops on the relative duality gap.  Rows are
-    scanned in blocks of ``CHUNK``: one ddot per row from the current θ, as
+    scanned in blocks of ``SVM_BLOCK``: one ddot per row from the current θ, as
     ``x.dot(θ)`` makes, and elementwise clips give the row-by-row loop's
     bits up to the first row that moves (about 2% of visits do); that one
     update is applied alone and the scan resumes after it.
@@ -560,17 +561,21 @@ def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
     sq[sq == 0.0] = np.inf  # a zero row's step (1 - m)/inf is 0: it never moves
     alpha = np.where(np.isinf(sq), 1.0, 0.0)  # a zero row's dual term α/n peaks at α = 1
     theta = np.zeros(d)
+    # yᵢ = ±1, so the ddot of the row yᵢxᵢ is yᵢ·(xᵢ·θ) to the bit
+    Xy = y[:, None] * X
+    vecdot, minimum, maximum, not_equal = np.vecdot, np.minimum, np.maximum, np.not_equal
     for _ in range(max_epochs):
         i = 0
         while i < n:
-            j = min(i + CHUNK, n)
-            m = y[i:j] * np.vecdot(X[i:j], theta)
-            a_new = np.minimum(1.0, np.maximum(0.0, alpha[i:j] + (1.0 - m) / sq[i:j]))
-            moved = np.flatnonzero(a_new != alpha[i:j])
-            if moved.size:
-                k = i + int(moved[0])
-                theta += ((a_new[k - i] - alpha[k]) * y[k] / (lam * n)) * X[k]
-                alpha[k] = a_new[k - i]
+            j = min(i + SVM_BLOCK, n)
+            a_old = alpha[i:j]
+            a_new = minimum(1.0, maximum(0.0, a_old + (1.0 - vecdot(Xy[i:j], theta)) / sq[i:j]))
+            moved = not_equal(a_new, a_old)
+            first = int(moved.argmax())  # the first True, or 0 when none is
+            if moved[first]:
+                k = i + first
+                theta += ((a_new[first] - alpha[k]) * y[k] / (lam * n)) * X[k]
+                alpha[k] = a_new[first]
                 j = k + 1
             i = j
         reg = 0.5 * lam * float(theta @ theta)
@@ -647,29 +652,36 @@ class Lasso(_GlmBase):
 
 
 def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
-    """FISTA with gradient-mapping stopping for the lasso reference solve."""
+    """FISTA with gradient-mapping stopping for the lasso reference solve.
+
+    Adaptive restart resets the momentum when the step and the momentum
+    point apart.  The test is skipped when the momentum coefficient is
+    exactly 0, as on the iteration after each restart: the momentum is then
+    θ_new + 0·step, all ±0 away from θ_new, so the test's ddot is ±0 and
+    cannot fire.
+    """
     n, d = X.shape
     # one gemv per column: a dgemm's summation order, so θ*, varies with BLAS threads
     gram = 2.0 * np.stack([X.T @ X[:, j] for j in range(d)], axis=1) / n
     lin = 2.0 * X.T @ y / n
     lam_max, _ = power_iteration_top(gram, tol=1e-12)
     t_step = 1.0 / lam_max
+    shrink = t_step * lam
+    gram_dot, sign, maximum, absolute, sqrt = gram.dot, np.sign, np.maximum, np.abs, math.sqrt
 
-    def prox_grad(v):
-        z = v - t_step * (gram.dot(v) - lin)
-        return np.sign(z) * np.maximum(np.abs(z) - t_step * lam, 0.0)
-
-    theta = np.zeros(d)
-    mom = theta.copy()
+    theta = mom = np.zeros(d)
     t_acc = 1.0
     tol = tol_rel * max(1.0, norm(lin))
     for _ in range(max_iters):
-        theta_new = prox_grad(mom)
+        z = mom - t_step * (gram_dot(mom) - lin)  # proximal gradient step from mom
+        theta_new = sign(z) * maximum(absolute(z) - shrink, 0.0)
         resid = norm(theta_new - mom) / t_step
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
-        mom = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
-        if (theta_new - theta).dot(mom - theta_new) > 0.0:
-            mom = theta_new.copy()  # adaptive restart
+        t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t_acc**2))
+        coef = (t_acc - 1.0) / t_new
+        step = theta_new - theta
+        mom = theta_new + coef * step
+        if coef != 0.0 and step.dot(mom - theta_new) > 0.0:
+            mom = theta_new  # adaptive restart; no array here is written in place
             t_new = 1.0
         theta, t_acc = theta_new, t_new
         if resid <= tol:

@@ -61,6 +61,9 @@ def test_params_validated():
         dict(gamma0=math.inf),
         dict(gamma0=0.1, b=2.5),
         dict(gamma0=0.1, burn_in=math.nan),
+        dict(gamma0=0.1, r="0.5"),
+        dict(gamma0=0.1, beta0="0.1"),
+        dict(gamma0=0.1, eta=None),
     ]:
         with pytest.raises(ConfigError):
             ControllerParams(**bad).validate()
@@ -76,11 +79,12 @@ def test_controller_without_gamma0_fails_with_config_error():
 CSGD_ERRORS = tuple(
     v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
 )
-_ODD = st.sampled_from([math.nan, math.inf, -math.inf, 2.5, -1.0, 0.0])
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf, 2.5, -1.0, 0.0, None, "0.5"])
 
 
 def _mostly(good):
-    """A draw from ``good`` 19 times in 20, else a NaN, an infinity or a non-integer."""
+    """A draw from ``good`` 19 times in 20, else a NaN, an infinity, a non-integer,
+    None or a numeric string."""
     return st.tuples(st.integers(0, 19), good, _ODD).map(lambda t: t[2] if t[0] == 0 else t[1])
 
 

@@ -320,7 +320,9 @@ def test_track_coupling_leaves_a_coupling_controller_coupled(track):
     "bad", [dict(n_iters=-1), dict(n_iters=10, batch_size=0), dict(n_iters=10, trace_stride=0),
             dict(n_iters=10, tail_from=0), dict(n_iters=10, tail_from=-3),
             dict(n_iters=10, tail_from=11), dict(n_iters=10, tail_from=2.5),
-            dict(n_iters=True), dict(n_iters=10, track_coupling=None)]
+            dict(n_iters=True), dict(n_iters=10, track_coupling=None),
+            dict(n_iters=10, averaging="no"), dict(n_iters=10, averaging=None),
+            dict(n_iters=10, averaging=1)]
 )
 def test_engine_config_rejects_bad_values_with_config_error(bad):
     with pytest.raises(ConfigError):

@@ -4,10 +4,13 @@ SHA-256 digests of the bits each value is made of (array bytes, float hex),
 taken before the reference solvers and the eigen path were sped up.  Any
 change in a reference θ*, f*, residual, constant or closed-form series
 changes a digest.  The svm solver is also pinned to the row-by-row
-coordinate loop it replaced, kept here as the reference implementation.
+coordinate loop it replaced, and the lasso FISTA to its loop before the
+restart test was skipped at a momentum coefficient of 0; both are kept here
+as reference implementations.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -17,9 +20,10 @@ import numpy as np
 import pytest
 
 from csgd.errors import NonConvergenceError
-from csgd.numkit import RngStream
+from csgd import problems
+from csgd.numkit import RngStream, norm, power_iteration_top
 from csgd.oracle import dk_closed_form_series, proximity_ratio_quadratic
-from csgd.problems import CHUNK, _svm_dual_coordinate_ascent, make_problem
+from csgd.problems import _fista_lasso, _svm_dual_coordinate_ascent, make_problem
 
 
 def _bits(value):
@@ -152,13 +156,14 @@ def _svm_data(d, n, seed, zero_rows=()):
     return X, prob._y, prob.lam_reg
 
 
+B = 64  # the cases' edges are drawn on 64-row blocks; 128-row blocks share them
 SVM_CASES = {
-    "n_below_chunk": (10, CHUNK - 24, 3, ()),
+    "n_below_chunk": (10, B - 24, 3, ()),
     "n_not_a_chunk_multiple": (10, 1000, 1, ()),
-    "d20": (20, 5 * CHUNK + 13, 2, ()),
+    "d20": (20, 5 * B + 13, 2, ()),
     "d50": (50, 300, 4, ()),
     # sq_i == 0, which make_problem never produces: first, mid-block, a block start, last
-    "zero_rows": (10, 3 * CHUNK + 7, 5, (0, CHUNK + 5, 2 * CHUNK, 3 * CHUNK + 6)),
+    "zero_rows": (10, 3 * B + 7, 5, (0, B + 5, 2 * B, 3 * B + 6)),
 }
 
 
@@ -181,4 +186,79 @@ def test_svm_block_scan_fails_to_converge_as_the_scalar_loop(max_epochs):
         _svm_scalar_loop(X, y, lam, max_epochs=max_epochs)
     with pytest.raises(NonConvergenceError) as got:
         _svm_dual_coordinate_ascent(X, y, lam, max_epochs=max_epochs)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["n_not_a_chunk_multiple", "zero_rows"])
+@pytest.mark.parametrize("block", [1, 7, 64, 128, "n + 5"])
+def test_svm_scan_bits_do_not_depend_on_the_block_size(name, block, monkeypatch):
+    d, n, seed, zero_rows = SVM_CASES[name]
+    X, y, lam = _svm_data(d, n, seed, zero_rows)
+    monkeypatch.setattr(problems, "SVM_BLOCK", n + 5 if block == "n + 5" else block)
+    want_theta, want_gap = _svm_scalar_loop(X, y, lam)
+    theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert float(gap).hex() == float(want_gap).hex()
+
+
+def _fista_reference_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
+    """The FISTA loop ``_fista_lasso`` must match bit for bit: a prox_grad
+    closure and a restart test on every iteration."""
+    n, d = X.shape
+    gram = 2.0 * np.stack([X.T @ X[:, j] for j in range(d)], axis=1) / n
+    lin = 2.0 * X.T @ y / n
+    lam_max, _ = power_iteration_top(gram, tol=1e-12)
+    t_step = 1.0 / lam_max
+
+    def prox_grad(v):
+        z = v - t_step * (gram.dot(v) - lin)
+        return np.sign(z) * np.maximum(np.abs(z) - t_step * lam, 0.0)
+
+    theta = np.zeros(d)
+    mom = theta.copy()
+    t_acc = 1.0
+    tol = tol_rel * max(1.0, norm(lin))
+    for _ in range(max_iters):
+        theta_new = prox_grad(mom)
+        resid = norm(theta_new - mom) / t_step
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
+        mom = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
+        if (theta_new - theta).dot(mom - theta_new) > 0.0:
+            mom = theta_new.copy()  # adaptive restart
+            t_new = 1.0
+        theta, t_acc = theta_new, t_new
+        if resid <= tol:
+            return theta, resid
+    raise NonConvergenceError(f"lasso reference: gradient mapping {resid:g} > {tol:g}")
+
+
+LASSO_CASES = {  # (d, n, seed, sparsity)
+    "d100_n1000": (100, 1000, 1, 60),
+    "d100_n300": (100, 300, 3, 60),
+    "d20_s5": (20, 200, 2, 5),
+    "d50_s10": (50, 300, 4, 10),
+}
+
+
+def _lasso_data(d, n, seed, sparsity):
+    prob = make_problem("lasso", d, n, seed, sparsity=sparsity)
+    return prob._X, prob._y, prob.lam_reg
+
+
+@pytest.mark.parametrize("name", list(LASSO_CASES))
+def test_fista_matches_its_reference_loop(name):
+    X, y, lam = _lasso_data(*LASSO_CASES[name])
+    want_theta, want_resid = _fista_reference_loop(X, y, lam)
+    theta, resid = _fista_lasso(X, y, lam)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert float(resid).hex() == float(want_resid).hex()
+
+
+@pytest.mark.parametrize("max_iters", [1, 50])
+def test_fista_fails_to_converge_as_its_reference_loop(max_iters):
+    X, y, lam = _lasso_data(*LASSO_CASES["d100_n300"])
+    with pytest.raises(NonConvergenceError) as want:
+        _fista_reference_loop(X, y, lam, max_iters=max_iters)
+    with pytest.raises(NonConvergenceError) as got:
+        _fista_lasso(X, y, lam, max_iters=max_iters)
     assert str(got.value) == str(want.value)
