@@ -318,13 +318,6 @@ def resolve_schedule(kind: str, *constants):
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
-def fixed_schedule(kind: str, k: int, *constants) -> float:
-    """Scheduled stepsize at iteration k >= 1; see :func:`resolve_schedule`."""
-    if k < 1:
-        raise ValueError("schedules are defined for k >= 1")
-    return resolve_schedule(kind, *constants)(k)
-
-
 class FixedScheduleController(Controller):
     """Wraps a deterministic stepsize schedule, resolved once; never decays."""
 

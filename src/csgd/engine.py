@@ -200,7 +200,7 @@ class TokenBuffer:
     block, 0 once resynced.  A batch size the problem cannot draw raises
     ConfigError here, before any draw.  Buffers with as many tokens left
     take their blocks together with :meth:`take_stacked`, one raw call per
-    stream and one decode for all; :meth:`take_block` is its one-buffer case.
+    stream and one decode for all.
     """
 
     def __init__(self, problem, rng: RngStream, batch: int, remaining: int):
@@ -213,20 +213,14 @@ class TokenBuffer:
         self.taken = 0
         self._block_start = (rng.counter, None)  # stream counter and sampler state
 
-    def take_block(self):
-        """The next ``min(CHUNK, remaining)`` tokens, as a block.
-
-        All of them count as taken; a run that stops part-way through them
-        hands the rest back with ``resync(returned)``.
-        """
-        return token_columns(TokenBuffer.take_stacked([self]), 0)
-
     @staticmethod
     def take_stacked(buffers: list[TokenBuffer]):
-        """Each buffer's next block, stacked: every part has a leading (count, R) shape.
+        """Each buffer's next ``min(CHUNK, remaining)`` tokens, stacked: every part
+        has a leading (count, R) shape, and column r is ``buffers[r]``'s block.
 
         The buffers have the same ``remaining``, so the blocks are the same
-        length; column r is what ``buffers[r].take_block()`` would return.
+        length.  All of them count as taken; a run that stops part-way
+        through a block hands the rest back with ``resync(returned)``.
         """
         first = buffers[0]
         count = min(CHUNK, first.remaining)
@@ -406,11 +400,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     tail_count = 0
     k = 0
     while k < n_iters and active:
-        if single:
-            steps = token_rows(buffers[0].take_block())
-        else:
-            block = TokenBuffer.take_stacked([buffers[r] for r in active])
-            steps = token_rows(block)
+        block = TokenBuffer.take_stacked([buffers[r] for r in active])
+        steps = token_rows(token_columns(block, 0) if single else block)
         count = len(steps)
         for i in range(count):
             k += 1

@@ -171,6 +171,7 @@ def stationary_error_estimate(
     from .numkit import RngStream
 
     check_int("reps", reps, 1)
+    check_int("seed", seed, 0)
     if problem.mu <= 0.0:
         raise ValueError("stationary error estimation needs a strongly convex kind")
     burn = int(horizon * (1.0 - tail_frac)) if 0.0 < tail_frac < 1.0 else horizon

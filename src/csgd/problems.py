@@ -122,6 +122,7 @@ class Problem:
     def __init__(self, d: int, n: int, seed: int):
         check_int("d", d, 1)
         check_int("n", n, 0)
+        check_int("seed", seed, 0)
         self.d = int(d)
         self.n = int(n)
         self.seed = int(seed)
@@ -639,7 +640,7 @@ class Lasso(_GlmBase):
         return float((resid @ resid) / self.n + self.lam_reg * np.abs(theta).sum())
 
     def _solve_reference(self):
-        theta, resid_norm = _fista_lasso(self._X, self._y, self.lam_reg)
+        theta, resid_norm = _ista_lasso(self._X, self._y, self.lam_reg)
         return ReferenceSolution(
             theta_star=theta,
             f_star=self.loss(theta),
@@ -651,14 +652,16 @@ class Lasso(_GlmBase):
         return 1.0 / (2.0 * self.R_sq)
 
 
-def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
-    """FISTA with gradient-mapping stopping for the lasso reference solve.
+def _ista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
+    """Proximal gradient (ISTA) with gradient-mapping stopping for the lasso reference solve.
 
-    Adaptive restart resets the momentum when the step and the momentum
-    point apart.  The test is skipped when the momentum coefficient is
-    exactly 0, as on the iteration after each restart: the momentum is then
-    θ_new + 0·step, all ±0 away from θ_new, so the test's ddot is ±0 and
-    cannot fire.
+    This is bit for bit the FISTA loop with adaptive restart that it
+    replaced, whose momentum point ended every iteration equal to θ_new:
+    the restart set it, or its coefficient was 0, or the restart ddot
+    Σ stepᵢ·(momᵢ − θ_newᵢ) was 0.  Rounding is monotone, so each term of
+    that sum is ≥ 0 and a zero sum means every component was equal (short
+    of a product underflowing).  Only the sign of a zero could differ, and
+    the tests pin θ* with its negative zeros against that loop.
     """
     n, d = X.shape
     # one gemv per column: a dgemm's summation order, so θ*, varies with BLAS threads
@@ -667,23 +670,15 @@ def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     lam_max, _ = power_iteration_top(gram, tol=1e-12)
     t_step = 1.0 / lam_max
     shrink = t_step * lam
-    gram_dot, sign, maximum, absolute, sqrt = gram.dot, np.sign, np.maximum, np.abs, math.sqrt
+    gram_dot, sign, maximum, absolute = gram.dot, np.sign, np.maximum, np.abs
 
-    theta = mom = np.zeros(d)
-    t_acc = 1.0
+    theta = np.zeros(d)
     tol = tol_rel * max(1.0, norm(lin))
     for _ in range(max_iters):
-        z = mom - t_step * (gram_dot(mom) - lin)  # proximal gradient step from mom
+        z = theta - t_step * (gram_dot(theta) - lin)
         theta_new = sign(z) * maximum(absolute(z) - shrink, 0.0)
-        resid = norm(theta_new - mom) / t_step
-        t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t_acc**2))
-        coef = (t_acc - 1.0) / t_new
-        step = theta_new - theta
-        mom = theta_new + coef * step
-        if coef != 0.0 and step.dot(mom - theta_new) > 0.0:
-            mom = theta_new  # adaptive restart; no array here is written in place
-            t_new = 1.0
-        theta, t_acc = theta_new, t_new
+        resid = norm(theta_new - theta) / t_step
+        theta = theta_new
         if resid <= tol:
             return theta, resid
     raise NonConvergenceError(f"lasso reference: gradient mapping {resid:g} > {tol:g}")

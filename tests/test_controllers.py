@@ -15,8 +15,8 @@ from csgd.controllers import (
     DistanceController,
     FixedScheduleController,
     PflugController,
-    fixed_schedule,
     make_controller,
+    resolve_schedule,
 )
 from csgd.engine import EngineConfig, RunTrace, run
 from csgd.errors import ConfigError, DegenerateDiagnosticError
@@ -368,17 +368,18 @@ def test_distance_burn_in_restarts_with_each_phase(burn_in, mu_hint, first_slope
 
 
 def test_fixed_schedule_values():
-    assert fixed_schedule("inv_sqrt", 4, 1.0) == 0.5
-    assert fixed_schedule("inv_mu_k", 10, 0.1) == pytest.approx(1.0)
-    assert fixed_schedule("constant", 123, 0.25) == 0.25
+    assert resolve_schedule("inv_sqrt", 1.0)(4) == 0.5
+    assert resolve_schedule("inv_mu_k", 0.1)(10) == pytest.approx(1.0)
+    assert resolve_schedule("constant", 0.25)(123) == 0.25
     # p = 2.5 gives τ = 0.2 and exponent -1/1.2
     tau = 1.0 - 2.0 / 2.5
-    assert fixed_schedule("uniform_opt", 8, tau) == pytest.approx(8 ** (-1.0 / 1.2))
+    assert resolve_schedule("uniform_opt", tau)(8) == pytest.approx(8 ** (-1.0 / 1.2))
 
 
 def test_fixed_schedule_k_zero_rejected():
+    ctrl = FixedScheduleController(ControllerParams(kind="fixed", schedule=("inv_sqrt", 1.0)))
     with pytest.raises(ValueError):
-        fixed_schedule("inv_sqrt", 0, 1.0)
+        ctrl.stepsize(0)
 
 
 def test_fixed_controller_stepsize_sequence():

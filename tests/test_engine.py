@@ -268,7 +268,7 @@ def test_resync_ends_where_single_draws_end(name):
     tokens.sampler_state = prob.init_sampler(rng)
     state = prob.init_sampler(single_rng)
     for used in (5, CHUNK - 5, 1):  # resync mid-block, then across a refill
-        rows = token_rows(tokens.take_block())
+        rows = token_rows(token_columns(TokenBuffer.take_stacked([tokens]), 0))
         assert len(rows) == tokens.taken == CHUNK
         for token in rows[:used]:
             single, state = prob.next_token(single_rng, state)

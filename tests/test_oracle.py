@@ -283,3 +283,11 @@ def test_stationary_rejects_a_bad_reps_with_config_error(reps):
     prob = make_problem("quadratic", d=5, seed=4)
     with pytest.raises(ConfigError, match="reps"):
         stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000, reps=reps)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "abc", True, None])
+def test_stationary_rejects_a_bad_seed_with_config_error(seed):
+    # 1.5 and True ran the chains of seed 1, and -1 those of seed 2**64 - 1
+    prob = make_problem("quadratic", d=5, seed=4)
+    with pytest.raises(ConfigError, match="seed"):
+        stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000, reps=2, seed=seed)

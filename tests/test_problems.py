@@ -76,6 +76,13 @@ BAD_ARGUMENTS = {
     "lasso_sparsity_above_d": ("lasso", dict(d=10, n=100, sparsity=60), "sparsity"),
     "lasso_fraction_sparsity": ("lasso", dict(d=4, n=10, sparsity=2.5), "sparsity"),
     "lasso_bool_sparsity": ("lasso", dict(d=4, n=10, sparsity=True), "sparsity"),
+    # seeds: a float or a bool used to build the seed-1 problem, "abc" raised a
+    # bare ValueError and None a ConfigError that blamed the overrides
+    "seed_fraction": ("quadratic", dict(d=5, seed=1.5), "seed must be an integer >= 0"),
+    "seed_bool": ("quadratic", dict(d=5, seed=True), "seed must be an integer >= 0"),
+    "seed_string": ("quadratic", dict(d=5, seed="abc"), "seed must be an integer >= 0"),
+    "seed_none": ("quadratic", dict(d=5, seed=None), "seed must be an integer >= 0"),
+    "seed_negative": ("logistic", dict(d=2, seed=-1), "seed must be an integer >= 0"),
     # real-valued settings
     "lasso_negative_lam_reg": ("lasso", dict(d=4, n=10, sparsity=2, lam_reg=-1.0), "lam_reg"),
     "lasso_nan_lam_reg": ("lasso", dict(d=4, n=10, sparsity=2, lam_reg=_NAN), "lam_reg"),

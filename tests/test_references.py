@@ -4,9 +4,9 @@ SHA-256 digests of the bits each value is made of (array bytes, float hex),
 taken before the reference solvers and the eigen path were sped up.  Any
 change in a reference θ*, f*, residual, constant or closed-form series
 changes a digest.  The svm solver is also pinned to the row-by-row
-coordinate loop it replaced, and the lasso FISTA to its loop before the
-restart test was skipped at a momentum coefficient of 0; both are kept here
-as reference implementations.
+coordinate loop it replaced, and the lasso proximal-gradient solve to the
+FISTA loop with adaptive restart that it replaced, whose momentum never
+left θ; both old loops are kept here as reference implementations.
 """
 
 import hashlib
@@ -23,7 +23,7 @@ from csgd.errors import NonConvergenceError
 from csgd import problems
 from csgd.numkit import RngStream, norm, power_iteration_top
 from csgd.oracle import dk_closed_form_series, proximity_ratio_quadratic
-from csgd.problems import _fista_lasso, _svm_dual_coordinate_ascent, make_problem
+from csgd.problems import _ista_lasso, _svm_dual_coordinate_ascent, make_problem
 
 
 def _bits(value):
@@ -202,7 +202,7 @@ def test_svm_scan_bits_do_not_depend_on_the_block_size(name, block, monkeypatch)
 
 
 def _fista_reference_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
-    """The FISTA loop ``_fista_lasso`` must match bit for bit: a prox_grad
+    """The FISTA loop ``_ista_lasso`` must match bit for bit: a prox_grad
     closure and a restart test on every iteration."""
     n, d = X.shape
     gram = 2.0 * np.stack([X.T @ X[:, j] for j in range(d)], axis=1) / n
@@ -232,33 +232,42 @@ def _fista_reference_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     raise NonConvergenceError(f"lasso reference: gradient mapping {resid:g} > {tol:g}")
 
 
-LASSO_CASES = {  # (d, n, seed, sparsity)
-    "d100_n1000": (100, 1000, 1, 60),
-    "d100_n300": (100, 300, 3, 60),
-    "d20_s5": (20, 200, 2, 5),
-    "d50_s10": (50, 300, 4, 10),
+LASSO_CASES = {  # (d, n, seed, sparsity, lam_reg)
+    "d100_n1000": (100, 1000, 1, 60, 1e-4),
+    "d100_n300": (100, 300, 3, 60, 1e-4),
+    "d20_s5": (20, 200, 2, 5, 1e-4),
+    "d50_s10": (50, 300, 4, 10, 1e-4),
+    # a large λ leaves exact zeros in θ*, negative ones among them, so the
+    # loops are also compared on the sign of a zero
+    "d100_n1000_lam0.1": (100, 1000, 1, 60, 0.1),
+    "d100_n1000_lam1": (100, 1000, 1, 60, 1.0),
+    "d20_s5_lam0.1": (20, 200, 2, 5, 0.1),
+    "d20_s5_lam1": (20, 200, 2, 5, 1.0),
 }
 
 
-def _lasso_data(d, n, seed, sparsity):
-    prob = make_problem("lasso", d, n, seed, sparsity=sparsity)
+def _lasso_data(d, n, seed, sparsity, lam_reg):
+    prob = make_problem("lasso", d, n, seed, sparsity=sparsity, lam_reg=lam_reg)
     return prob._X, prob._y, prob.lam_reg
 
 
 @pytest.mark.parametrize("name", list(LASSO_CASES))
-def test_fista_matches_its_reference_loop(name):
+def test_ista_matches_the_fista_loop(name):
     X, y, lam = _lasso_data(*LASSO_CASES[name])
     want_theta, want_resid = _fista_reference_loop(X, y, lam)
-    theta, resid = _fista_lasso(X, y, lam)
+    if lam >= 0.1:
+        zeros = want_theta == 0.0
+        assert zeros.any() and np.signbit(want_theta[zeros]).any()
+    theta, resid = _ista_lasso(X, y, lam)
     assert theta.tobytes() == want_theta.tobytes()
     assert float(resid).hex() == float(want_resid).hex()
 
 
 @pytest.mark.parametrize("max_iters", [1, 50])
-def test_fista_fails_to_converge_as_its_reference_loop(max_iters):
+def test_ista_fails_to_converge_as_the_fista_loop(max_iters):
     X, y, lam = _lasso_data(*LASSO_CASES["d100_n300"])
     with pytest.raises(NonConvergenceError) as want:
         _fista_reference_loop(X, y, lam, max_iters=max_iters)
     with pytest.raises(NonConvergenceError) as got:
-        _fista_lasso(X, y, lam, max_iters=max_iters)
+        _ista_lasso(X, y, lam, max_iters=max_iters)
     assert str(got.value) == str(want.value)
