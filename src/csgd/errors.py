@@ -24,17 +24,21 @@ class HorizonTooShortError(ValueError):
     """Requested horizon cannot flush the transient for the certified rate."""
 
 
-def check_int(name: str, value, least: int) -> None:
-    """Raise ConfigError unless ``value`` is an integer, not a bool, >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+def check_int(name: str, value, least: int, most: int | None = None) -> None:
+    """Raise ConfigError unless ``value`` is an integer, not a bool, >= ``least`` and,
+    given ``most``, <= ``most``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
+            or (most is not None and value > most)):
+        bounds = f">= {least}" + ("" if most is None else f" and <= {most}")
+        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def check_real(name: str, value, least: float, strict: bool = False,
                most: float | None = None, strict_most: bool = False) -> None:
-    """Raise ConfigError unless ``value`` is a finite real >= ``least`` (> when ``strict``)
-    and, given ``most``, <= ``most`` (< when ``strict_most``)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+    """Raise ConfigError unless ``value`` is a finite real, not a bool, >= ``least``
+    (> when ``strict``) and, given ``most``, <= ``most`` (< when ``strict_most``)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)
             and (value > least if strict else value >= least)
             and (most is None or (value < most if strict_most else value <= most))):
         bounds = f"{'>' if strict else '>='} {least}"

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, check_int
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
@@ -54,10 +54,11 @@ class RngStream:
     """Counter-based pseudorandom stream (Philox keyed by seed and stream id).
 
     The generator state is fully determined by ``(seed, stream_id, counter)``
-    where ``counter`` counts raw 64-bit words consumed.  Gaussian draws use a
-    fixed-consumption Box-Muller transform — exactly ``2*ceil(n/2)`` raw words
-    per ``normals(n)`` call, nothing cached — so interleaving calls never
-    shifts the mapping from counter to output.
+    where ``counter`` counts raw 64-bit words consumed; seed and stream id are
+    integers in [0, 2⁶⁴) and the counter is >= 0, else ConfigError.  Gaussian
+    draws use a fixed-consumption Box-Muller transform — exactly
+    ``2*ceil(n/2)`` raw words per ``normals(n)`` call, nothing cached — so
+    interleaving calls never shifts the mapping from counter to output.
 
     Chunk contract: every decode here is a pure function of its raw words
     (:func:`box_muller`, :func:`uniforms_from`, :func:`integers_from`), so a
@@ -69,8 +70,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        check_int("seed", seed, 0, _MASK64)
+        check_int("stream_id", stream_id, 0, _MASK64)
+        check_int("counter", counter, 0)
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
         self.seek(counter)
 
     def __repr__(self):

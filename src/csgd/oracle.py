@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, HorizonTooShortError, check_int
+from .errors import DegenerateDirectionError, HorizonTooShortError, check_int, check_real
 from .numkit import as_mat, as_vec, norm, power_iteration_top
 
 D0_PROJECTION_FLOOR = 1e-12
@@ -162,7 +162,8 @@ def stationary_error_estimate(
     chain i on stream ``STREAM_BASE + i`` of ``seed``, averages the squared
     error over the final ``tail_frac`` of iterations of each, and aggregates
     across chains.
-    Requires a strongly convex problem, a ``tail_frac`` in (0, 1) that leaves
+    Requires a strongly convex problem, an integer ``horizon`` >= 1, a real
+    ``gamma`` in (0, 2/L), a ``tail_frac`` in (0, 1) that leaves
     at least one step in the tail, and a horizon long enough that the
     certified contraction rate flushes the transient before the tail starts.
     """
@@ -170,6 +171,8 @@ def stationary_error_estimate(
     from .engine import EngineConfig, run_replicates
     from .numkit import RngStream
 
+    check_int("horizon", horizon, 1)
+    check_real("gamma", gamma, 0.0, strict=True)
     check_int("reps", reps, 1)
     check_int("seed", seed, 0)
     if problem.mu <= 0.0:

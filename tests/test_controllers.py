@@ -64,6 +64,8 @@ def test_params_validated():
         dict(gamma0=0.1, r="0.5"),
         dict(gamma0=0.1, beta0="0.1"),
         dict(gamma0=0.1, eta=None),
+        dict(gamma0=0.1, beta0=True),
+        dict(gamma0=True),
     ]:
         with pytest.raises(ConfigError):
             ControllerParams(**bad).validate()

@@ -183,13 +183,13 @@ for _i, _kind in enumerate(BATCHED):
         lambda n=_kind, s=200 + _i: run_case(n, "coupling_static", s, batch_size=3))
 
 GOLDEN = {
-    "lasso/coupling_adaptive": "fa25956d3a2ad86c2de02331a77cf801349933e4e219a1c4070d126a45055561",
-    "lasso/coupling_static": "7bdabe2f60abeae664e6e7cbae19f803ecc0ad21e8fb0974d4d4169da0ea1115",
-    "lasso/distance": "954f4a70567407506a4df0d4eba7a4a698830a34e7092682b15091b620c8053a",
-    "lasso/distance/averaging": "fbb3e76ca0dc647c386796ea1e840c32dbaed56f027ec43ccedd808842f4c4b5",
-    "lasso/distance/dense": "7ceef520669dff6ab65f616aa1ff50b8572fb900ae3c77d2ea638dbaee953925",
-    "lasso/fixed": "891ff5b97a881dd75373a6e3bc237d23e6e687bd69321aed5600f03507ca2fae",
-    "lasso/pflug": "36e33d32e5bf80eacd87c1f1bf70568ff9f11db754c6cba3de7434d55819afb0",
+    "lasso/coupling_adaptive": "546bbb69b50743d0c95a60857b0dd14e0b3799a8eb2f061a7e74bae1e89e6dde",
+    "lasso/coupling_static": "ddb8f9e46ebd9173a3e568832dfad1822b31af226b3153b470e5f488fd6357f7",
+    "lasso/distance": "c30931f3915e57ce81c7e96553fc6237afbf4e55ef197d883070bcb4c7785843",
+    "lasso/distance/averaging": "8cab858a2dc32b5d570798a826134abb51af22e67423eaf0a4590c21fac4a3ff",
+    "lasso/distance/dense": "ba7828bcf78d8c4169a77164cfc18a0beb8ea02e8df4078d21b7141fc8953d52",
+    "lasso/fixed": "b2e309292572743833687e269072fbe997786ea0345312a475add15892fb6b77",
+    "lasso/pflug": "8b6af0f428a2944568d0ffb12bd8dfb6c8ace4c18fd8fe51eb465425142fa7cb",
     "least_squares/coupling_adaptive": "5e494b20d1115533a103df522e0fc159e5f28c573575276f6c542ce871a7b454",
     "least_squares/coupling_static": "967464522af4ab50231ff0dae84baa0cfc237958243b46e9f9b84e8306f47cc5",
     "least_squares/coupling_static/batch3": "1e8bd572ae57ae1b1e6f24c9468967951173beb9c8f4d5ca0d77fd26de32ad8d",
@@ -255,6 +255,40 @@ def test_golden_cases_are_pinned():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_trace(case):
     assert CASES[case]() == GOLDEN.get(case)
+
+
+def theta_star_free_digest(trace, rng):
+    """``trace_digest`` without what the reference solution feeds (the error
+    columns, ``final_err``, ``final_avg_err`` and ``tail_mean_err``)."""
+    columns = ("ks", "gammas", "stats", "d_sqs", "restart_flags")
+    end = ("k", "final_gamma", "n_restarts", "first_restart_k", "diverged")
+    return digest(
+        {name: getattr(trace, name) for name in columns},
+        trace.restart_log,
+        {key: trace.summary[key] for key in end},
+        trace.failure,
+        rng.counter,
+    )
+
+
+# Taken with the proximal-gradient lasso reference solve, before the
+# accelerated one moved θ* in its last bits: no lasso run reads θ*, so the
+# runs themselves must not move with it.
+LASSO_TRAJECTORIES = {
+    "lasso/coupling_adaptive": "a31ee93cf1bec07a5f2e82637dd86e86c81682a37269e732e1a675edfe7c685c",
+    "lasso/coupling_static": "4e5d6ca9284f812d2e3ad0f3f89499429ce5e5e356a8a9627f0b9a317b739e01",
+    "lasso/distance": "f2e1eed2255f23cfa0937167fe958238042cde1270b9f4b784e1bb78a6fd6647",
+    "lasso/distance/averaging": "42b3cd373fb9764684306cd854bbfd0ccaa0d78158bf29c57b47a88a39db0b7f",
+    "lasso/distance/dense": "137c765f8178f7cc0f16fa2dbefe0f1b88c67474a231a8364f094a98805da5fa",
+    "lasso/fixed": "f24e9a9443c44a32968fefcc63df1416bf20bbbe5592d361fc548713da0f9f08",
+    "lasso/pflug": "183c03e5279c6e36f03fbb87d9d2d6a31e38c1efc59739859c2a47fec69203b0",
+}
+
+
+@pytest.mark.parametrize("case", [case for case in sorted(CASES) if case.startswith("lasso/")])
+def test_lasso_runs_do_not_depend_on_the_reference_solve(case, monkeypatch):
+    monkeypatch.setitem(globals(), "trace_digest", theta_star_free_digest)
+    assert CASES[case]() == LASSO_TRAJECTORIES.get(case)
 
 
 # ------------------------------------------------------------ token buffer

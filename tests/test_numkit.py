@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csgd import numkit
-from csgd.errors import NonConvergenceError
+from csgd.errors import ConfigError, NonConvergenceError
 from csgd.numkit import (
     STALL_WINDOW,
     RngStream,
@@ -81,6 +81,29 @@ def test_seek_repositions_like_a_fresh_stream():
         s.seek(counter)
         assert s.counter == counter
         assert np.array_equal(s.raw(6), RngStream(42, 7, counter=counter).raw(6))
+
+
+@pytest.mark.parametrize("name", ["seed", "stream_id"])
+@pytest.mark.parametrize("bad", [1.5, True, "7", -1, 2**64, None])
+def test_stream_rejects_a_bad_seed_or_stream_id_with_config_error(name, bad):
+    # 1.5 and True gave the stream of 1, "7" that of 7, and -1 that of 2**64 - 1
+    args = {"seed": 3, "stream_id": 4, name: bad}
+    with pytest.raises(ConfigError, match=name):
+        RngStream(**args)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, True, "3", None])
+def test_stream_rejects_a_bad_counter_with_config_error(bad):
+    with pytest.raises(ConfigError, match="counter"):
+        RngStream(3, 4, counter=bad)
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id", [(0, 0), (2**64 - 1, 2**64 - 1), (np.uint64(5), np.int64(6))])
+def test_stream_takes_every_64_bit_seed_and_stream_id(seed, stream_id):
+    s = RngStream(seed, stream_id)
+    assert (s.seed, s.stream_id) == (int(seed), int(stream_id))
+    assert np.array_equal(s.raw(4), RngStream(int(seed), int(stream_id)).raw(4))
 
 
 def test_box_muller_block_matches_row_draws():

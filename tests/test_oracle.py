@@ -291,3 +291,26 @@ def test_stationary_rejects_a_bad_seed_with_config_error(seed):
     prob = make_problem("quadratic", d=5, seed=4)
     with pytest.raises(ConfigError, match="seed"):
         stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000, reps=2, seed=seed)
+
+
+@pytest.mark.parametrize("horizon", ["2000", None, 2000.0, True, 0, -5])
+def test_stationary_rejects_a_bad_horizon_with_config_error(horizon):
+    # "2000" and None raised a bare TypeError from horizon * (1 - tail_frac)
+    prob = make_problem("quadratic", d=5, seed=4)
+    with pytest.raises(ConfigError, match="horizon"):
+        stationary_error_estimate(prob, prob.default_gamma0(), horizon=horizon, reps=2)
+
+
+@pytest.mark.parametrize("gamma", ["0.1", None, True, math.nan, math.inf, 0.0, -0.1])
+def test_stationary_rejects_a_bad_gamma_with_config_error(gamma):
+    # "0.1" and None raised a bare TypeError from the comparison in contraction_rate,
+    # and True ran the chains at γ = 1
+    prob = make_problem("quadratic", d=5, seed=4)
+    with pytest.raises(ConfigError, match="gamma"):
+        stationary_error_estimate(prob, gamma, horizon=2000, reps=2)
+
+
+def test_stationary_keeps_the_contraction_range_message_for_a_large_gamma():
+    prob = make_problem("quadratic", d=5, seed=4)
+    with pytest.raises(ValueError, match=r"outside \(0, 2/L\)"):
+        stationary_error_estimate(prob, 2.0 / prob.L, horizon=2000, reps=2)

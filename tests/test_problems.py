@@ -86,6 +86,7 @@ BAD_ARGUMENTS = {
     # real-valued settings
     "lasso_negative_lam_reg": ("lasso", dict(d=4, n=10, sparsity=2, lam_reg=-1.0), "lam_reg"),
     "lasso_nan_lam_reg": ("lasso", dict(d=4, n=10, sparsity=2, lam_reg=_NAN), "lam_reg"),
+    "lasso_bool_lam_reg": ("lasso", dict(d=4, n=10, sparsity=2, lam_reg=True), "lam_reg"),
     "svm_zero_lam_reg": ("svm", dict(d=2, n=10, lam_reg=0.0), "lam_reg"),
     "svm_nan_lam_reg": ("svm", dict(d=2, n=10, lam_reg=_NAN), "lam_reg"),
     "svm_inf_lam_reg": ("svm", dict(d=2, n=10, lam_reg=_INF), "lam_reg"),

@@ -4,9 +4,10 @@ SHA-256 digests of the bits each value is made of (array bytes, float hex),
 taken before the reference solvers and the eigen path were sped up.  Any
 change in a reference θ*, f*, residual, constant or closed-form series
 changes a digest.  The svm solver is also pinned to the row-by-row
-coordinate loop it replaced, and the lasso proximal-gradient solve to the
-FISTA loop with adaptive restart that it replaced, whose momentum never
-left θ; both old loops are kept here as reference implementations.
+coordinate loop it replaced, kept here as a reference implementation.  The
+restarted FISTA lasso solve is pinned to a plain reference loop and checked
+against proximal gradient (ISTA), the solve it replaced, within the bound
+its stopping rule implies.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from csgd.errors import NonConvergenceError
 from csgd import problems
 from csgd.numkit import RngStream, norm, power_iteration_top
 from csgd.oracle import dk_closed_form_series, proximity_ratio_quadratic
-from csgd.problems import _ista_lasso, _svm_dual_coordinate_ascent, make_problem
+from csgd.problems import _fista_lasso, _svm_dual_coordinate_ascent, make_problem
 
 
 def _bits(value):
@@ -70,10 +71,10 @@ CASES = {
         "e881b9e62a7549afad434d89b35328fba45ca847ee8718a1a7c33ac54cff1dc0"),
     "lasso_100_1000_s1": (
         lambda: _reference("lasso", 100, 1000, 1),
-        "9dd17db5e4aac62d0d222e96b86357435d56bd861f3ea8a758b4386b14bcd560"),
+        "5e51b3e43ddac24b40d791701be19e39f58c2d37bdd6534d7b3cd70402d9b590"),
     "lasso_100_300_s3": (
         lambda: _reference("lasso", 100, 300, 3),
-        "580610995c20d8a2a0c38238937a2e0a5c2bb38b5e2326aecb58d731b52e5760"),
+        "a973c6a7046d9ec497ec6aa51cc8cf7f0b5b2bd08ce697323a6206933c845516"),
     "logistic_10_1000_s1": (
         lambda: _constants(10, 1000, 1),
         "7af964ee2479e17321f25c2cd701f2eebe9f16fe933631fa400222baa28ef28b"),
@@ -201,12 +202,17 @@ def test_svm_scan_bits_do_not_depend_on_the_block_size(name, block, monkeypatch)
     assert float(gap).hex() == float(want_gap).hex()
 
 
-def _fista_reference_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
-    """The FISTA loop ``_ista_lasso`` must match bit for bit: a prox_grad
-    closure and a restart test on every iteration."""
+def _lasso_gram(X, y):
+    """The lasso solve's gram matrix and linear term, built as ``_fista_lasso`` builds them."""
     n, d = X.shape
     gram = 2.0 * np.stack([X.T @ X[:, j] for j in range(d)], axis=1) / n
-    lin = 2.0 * X.T @ y / n
+    return gram, 2.0 * X.T @ y / n
+
+
+def _fista_reference_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
+    """The restarted FISTA loop ``_fista_lasso`` must match bit for bit, written
+    plainly: a prox_grad closure, then the restart test or the momentum step."""
+    gram, lin = _lasso_gram(X, y)
     lam_max, _ = power_iteration_top(gram, tol=1e-12)
     t_step = 1.0 / lam_max
 
@@ -214,19 +220,38 @@ def _fista_reference_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
         z = v - t_step * (gram.dot(v) - lin)
         return np.sign(z) * np.maximum(np.abs(z) - t_step * lam, 0.0)
 
-    theta = np.zeros(d)
+    theta = np.zeros(X.shape[1])
     mom = theta.copy()
     t_acc = 1.0
     tol = tol_rel * max(1.0, norm(lin))
     for _ in range(max_iters):
         theta_new = prox_grad(mom)
         resid = norm(theta_new - mom) / t_step
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
-        mom = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
-        if (theta_new - theta).dot(mom - theta_new) > 0.0:
-            mom = theta_new.copy()  # adaptive restart
-            t_new = 1.0
-        theta, t_acc = theta_new, t_new
+        if resid <= tol:
+            return theta_new, resid
+        if (mom - theta_new).dot(theta_new - theta) > 0.0:  # gradient restart
+            mom = theta_new.copy()
+            t_acc = 1.0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
+            mom = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
+            t_acc = t_new
+        theta = theta_new
+    raise NonConvergenceError(f"lasso reference: gradient mapping {resid:g} > {tol:g}")
+
+
+def _ista_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
+    """Plain proximal gradient (ISTA) with the same step and stopping rule."""
+    gram, lin = _lasso_gram(X, y)
+    lam_max, _ = power_iteration_top(gram, tol=1e-12)
+    t_step = 1.0 / lam_max
+    theta = np.zeros(X.shape[1])
+    tol = tol_rel * max(1.0, norm(lin))
+    for _ in range(max_iters):
+        z = theta - t_step * (gram.dot(theta) - lin)
+        theta_new = np.sign(z) * np.maximum(np.abs(z) - t_step * lam, 0.0)
+        resid = norm(theta_new - theta) / t_step
+        theta = theta_new
         if resid <= tol:
             return theta, resid
     raise NonConvergenceError(f"lasso reference: gradient mapping {resid:g} > {tol:g}")
@@ -252,22 +277,58 @@ def _lasso_data(d, n, seed, sparsity, lam_reg):
 
 
 @pytest.mark.parametrize("name", list(LASSO_CASES))
-def test_ista_matches_the_fista_loop(name):
+def test_fista_matches_its_reference_loop(name):
     X, y, lam = _lasso_data(*LASSO_CASES[name])
     want_theta, want_resid = _fista_reference_loop(X, y, lam)
     if lam >= 0.1:
         zeros = want_theta == 0.0
         assert zeros.any() and np.signbit(want_theta[zeros]).any()
-    theta, resid = _ista_lasso(X, y, lam)
+    theta, resid = _fista_lasso(X, y, lam)
     assert theta.tobytes() == want_theta.tobytes()
     assert float(resid).hex() == float(want_resid).hex()
 
 
 @pytest.mark.parametrize("max_iters", [1, 50])
-def test_ista_fails_to_converge_as_the_fista_loop(max_iters):
+def test_fista_fails_to_converge_as_its_reference_loop(max_iters):
     X, y, lam = _lasso_data(*LASSO_CASES["d100_n300"])
     with pytest.raises(NonConvergenceError) as want:
         _fista_reference_loop(X, y, lam, max_iters=max_iters)
     with pytest.raises(NonConvergenceError) as got:
-        _ista_lasso(X, y, lam, max_iters=max_iters)
+        _fista_lasso(X, y, lam, max_iters=max_iters)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", list(LASSO_CASES))
+def test_fista_agrees_with_ista_within_the_stopping_bound(name):
+    """Both loops stop within 2·tol/μ of θ*, so within 4·tol/μ of each other.
+
+    Write f(θ) = ½θᵀGθ − linᵀθ for the smooth part (G the gram matrix),
+    g = λ‖·‖₁, F = f + g, t = 1/L with L = λ_max(G), and μ = λ_min(G) > 0
+    (every case has n ≥ d).  A loop stops at θ⁺ = prox_tg(v − t∇f(v)) with
+    ‖v − θ⁺‖/t ≤ tol, where v is the momentum point (FISTA) or the last
+    iterate (ISTA).  The prox's optimality condition gives
+    (v − θ⁺)/t − ∇f(v) ∈ ∂g(θ⁺), so s = (v − θ⁺)/t + ∇f(θ⁺) − ∇f(v) is in
+    ∂F(θ⁺), and ‖s‖ ≤ ‖v − θ⁺‖/t + L‖θ⁺ − v‖ = 2‖v − θ⁺‖/t ≤ 2·tol.  F is
+    μ-strongly convex and 0 ∈ ∂F(θ*), so μ‖θ⁺ − θ*‖² ≤ ⟨s, θ⁺ − θ*⟩ and
+    ‖θ⁺ − θ*‖ ≤ ‖s‖/μ ≤ 2·tol/μ.  The triangle inequality gives the bound.
+    The rounding in G, in λ_max and in the residual moves it by a relative
+    1e-12 or so; the measured distances are at most a quarter of it.
+    """
+    X, y, lam = _lasso_data(*LASSO_CASES[name])
+    theta, _ = _fista_lasso(X, y, lam)
+    want, _ = _ista_loop(X, y, lam)
+    support = want != 0.0
+    assert np.array_equal(theta != 0.0, support)
+    assert np.array_equal(np.sign(theta[support]), np.sign(want[support]))
+    gram, lin = _lasso_gram(X, y)
+    mu = np.linalg.eigvalsh(0.5 * (gram + gram.T))[0]
+    tol = 1e-11 * max(1.0, norm(lin))
+    assert norm(theta - want) <= 4.0 * tol / mu
+
+
+def test_fista_accelerates():
+    # restarted FISTA takes 337 iterations here; ISTA takes 2768, and so does
+    # FISTA whose restart test compares with the new momentum point, since
+    # that test fires on every step
+    X, y, lam = _lasso_data(*LASSO_CASES["d100_n1000"])
+    _fista_lasso(X, y, lam, max_iters=600)
