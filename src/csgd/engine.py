@@ -23,26 +23,24 @@ one stream.  The number of streams picks the data shape:
   updated once per step.  They share one fixed-schedule controller, asked
   for each stepsize once and shown the whole stack once per step; a decay
   or coupling raises ConfigError, since it cannot apply to one chain alone.
-  Each chain keeps its own stream and token buffer.  Per block, each stream
-  makes its one raw call and the problem decodes all their words at once
-  into one block whose parts have a leading (count, reps) shape
-  (``Problem.draw_token_stack``), so each step's tokens reach one oracle
-  call with no per-token Python.  The stacked arithmetic is per-row
-  arithmetic: elementwise operations, and one BLAS call per row
-  (``np.vecdot`` for a ddot, a stacked ``np.matmul`` for a gemv), as
-  ``x.dot(θ)`` and ``H.dot(θ)`` make for one iterate, so each chain's trace
-  and ``rng.counter`` are bit for bit what ``run`` returns for its stream.
+  The stacked arithmetic is per-row arithmetic: elementwise operations,
+  and one BLAS call per row (``np.vecdot`` for a ddot, a stacked
+  ``np.matmul`` for a gemv), as ``x.dot(θ)`` and ``H.dot(θ)`` make for one
+  iterate, so each chain's trace and ``rng.counter`` are bit for bit what
+  ``run`` returns for its stream.
 
-Tokens come from a :class:`TokenBuffer`, which hands them out as whole
-blocks of up to ``CHUNK``, drawn from one raw block of the run's stream as
-one columnar token block (see :mod:`csgd.problems`).  Each problem kind
+Tokens come from a :class:`TokenStreams` cursor over the run's streams.
+Each block takes ``min(CHUNK, n_iters - k)`` tokens from every active
+stream: one raw call per stream and one ``Problem.draw_tokens`` decode for
+all of them, into parts with a leading (count, R) shape (see
+:mod:`csgd.problems`); one stream steps on column 0.  Each problem kind
 spends a fixed number of raw words per token, so a run sees the same tokens
-as if it drew them one by one.  The stream runs ahead of the tokens used by
-at most one block and never past the last iteration.  Where a run leaves
-the token sequence in mid-block (the degenerate re-arm draw, a divergence
-stop) it gives the rest of the block back and the buffer is resynced: the
-stream goes back to the counter that token-by-token drawing would have
-reached, and ``rng.counter`` on return is that counter.
+as if it drew them one by one, and no stream is drawn past the last
+iteration.  Where a chain leaves the token sequence in mid-block (the
+degenerate re-arm draw, a divergence stop) it gives the rest of its block
+back and its stream is resynced: it goes back to the counter that
+token-by-token drawing would have reached, and ``rng.counter`` on return is
+that counter.  After a re-arm that perturbed θ2 the loop takes a new block.
 
 Divergence is checked per stream: a chain stops once ||θ1||² exceeds
 ``DIVERGENCE_THRESHOLD`` or is not finite, gets a failure text and a final
@@ -70,7 +68,7 @@ import numpy as np
 from .controllers import Controller
 from .errors import ConfigError, DegenerateDiagnosticError, check_bool, check_int, check_real
 from .numkit import RngStream, row_sq
-from .problems import token_rows
+from .problems import token_columns, token_rows
 
 D0_REARM_FLOOR_REL = 1e-12
 REARM_DRAWS = 100  # perturbation draws before a re-arm gives up
@@ -190,68 +188,50 @@ class RunTrace:
             self.summary["tail_mean_err"] = tail_sum / tail_count if tail_count else math.nan
 
 
-class TokenBuffer:
-    """A run's tokens, handed out in blocks of up to ``CHUNK`` from one raw block.
+class TokenStreams:
+    """The run's streams and their sampler states, drawn one stacked block at a time.
 
-    ``remaining`` counts the tokens the run has yet to take, so a block
-    never runs past the last iteration.  ``sampler_state`` is the problem's
-    sampler state after the last token drawn; set it from ``init_sampler``
-    before the first block.  ``taken`` counts the tokens of the current
-    block, 0 once resynced.  A batch size the problem cannot draw raises
-    ConfigError here, before any draw.  Buffers with as many tokens left
-    take their blocks together with :meth:`take_stacked`, one raw call per
-    stream and one decode for all.
+    Set ``sampler_states`` from ``init_sampler`` before the first block.  A
+    batch size the problem cannot draw raises ConfigError here, before any
+    draw.
     """
 
-    def __init__(self, problem, rng: RngStream, batch: int, remaining: int):
+    def __init__(self, problem, rngs: list[RngStream], batch: int):
         problem.words_per_token(batch)
         self.problem = problem
-        self.rng = rng
+        self.rngs = rngs
         self.batch = batch
-        self.remaining = remaining
-        self.sampler_state = None
-        self.taken = 0
-        self._block_start = (rng.counter, None)  # stream counter and sampler state
+        self.sampler_states = [None] * len(rngs)
+        self._starts = []  # each stream's (counter, sampler state) at the block's start
+        self._count = 0  # tokens per stream in the block
 
-    @staticmethod
-    def take_stacked(buffers: list[TokenBuffer]):
-        """Each buffer's next ``min(CHUNK, remaining)`` tokens, stacked: every part
-        has a leading (count, R) shape, and column r is ``buffers[r]``'s block.
-
-        The buffers have the same ``remaining``, so the blocks are the same
-        length.  All of them count as taken; a run that stops part-way
-        through a block hands the rest back with ``resync(returned)``.
-        """
-        first = buffers[0]
-        count = min(CHUNK, first.remaining)
-        for tokens in buffers:
-            tokens.taken = count
-            tokens._block_start = (tokens.rng.counter, tokens.sampler_state)
-            tokens.remaining -= count
-        block, states = first.problem.draw_token_stack(
-            [tokens.rng for tokens in buffers], [tokens.sampler_state for tokens in buffers],
-            count, first.batch)
-        for tokens, state in zip(buffers, states):
-            tokens.sampler_state = state
+    def take(self, active: list[int], count: int):
+        """The next ``count`` tokens of each stream in ``active``, stacked: column j
+        of each part is stream ``active[j]``'s.  All count as used; a chain that
+        stops in mid-block gives the rest of its block back with :meth:`resync`."""
+        rngs, states = self.rngs, self.sampler_states
+        self._starts = [(rng.counter, state) for rng, state in zip(rngs, states)]
+        self._count = count
+        block, after = self.problem.draw_tokens(
+            [rngs[r] for r in active], [states[r] for r in active], count, self.batch)
+        for r, state in zip(active, after):
+            states[r] = state
         return block
 
-    def resync(self, returned: int = 0) -> RngStream:
-        """Give back the last ``returned`` tokens taken and rewind the stream to match.
+    def resync(self, r: int, returned: int) -> RngStream:
+        """Give back the last ``returned`` tokens of stream r's block; returns the stream.
 
-        The stream goes back to the start of the block and redraws the tokens
-        used, so both its counter and the sampler state end where drawing
-        only those tokens would have left them.  Returns the stream, ready
-        for an out-of-band draw.
+        The stream goes back to the block's start and redraws the tokens used,
+        so its counter and sampler state end where drawing only those would
+        have left them, ready for an out-of-band draw.
         """
+        rng = self.rngs[r]
         if returned:
-            counter, sampler_state = self._block_start
-            self.rng.seek(counter)
-            _, self.sampler_state = self.problem.draw_tokens(
-                self.rng, sampler_state, self.taken - returned, self.batch
-            )
-            self.remaining += returned
-        self.taken = 0
-        return self.rng
+            counter, state = self._starts[r]
+            rng.seek(counter)
+            _, (self.sampler_states[r],) = self.problem.draw_tokens(
+                [rng], [state], self._count - returned, self.batch)
+        return rng
 
 
 def coupled_step(state: CoupledState, problem, gamma: float, token):
@@ -274,22 +254,25 @@ def coupled_step(state: CoupledState, problem, gamma: float, token):
 
 
 def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: float,
-                    tokens: TokenBuffer, returned: int = 0) -> float:
-    """Set θ2, restart its history and return the new reference ||θ1 - θ2||².
+                    tokens: TokenStreams, returned: int = 0) -> tuple[float, bool]:
+    """Set θ2, restart its history and return ``(d0_sq, perturbed)``.
 
-    If that difference is degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is
-    instead perturbed off θ1 by √γ·N(0, I) — the scale of the stationary
-    fluctuation radius — so the diagnostic stays well defined.  The
-    perturbation is drawn out of band, after resyncing the token buffer,
-    which gives back the ``returned`` tokens of its block not yet used; if
+    ``d0_sq`` is the new reference ||θ1 - θ2||².  If the difference is
+    degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is instead perturbed off θ1
+    by √γ·N(0, I) — the scale of the stationary fluctuation radius — so the
+    diagnostic stays well defined, and ``perturbed`` is True.  The
+    perturbation is drawn out of band from the run's one stream (a coupled
+    run has one), after it is resynced, which gives back the ``returned``
+    tokens of its block not yet used; the caller then takes a new block.  If
     ``REARM_DRAWS`` draws all stay within the floor (γ too small for it),
     DegenerateDiagnosticError is raised.
     """
     diff = state.theta1 - theta2
     d0_sq = float(diff @ diff)
     floor = D0_REARM_FLOOR_REL * max(1.0, float(state.theta1 @ state.theta1))
-    if d0_sq <= floor:
-        rng = tokens.resync(returned)
+    perturbed = d0_sq <= floor
+    if perturbed:
+        rng = tokens.resync(0, returned)
         for _ in range(REARM_DRAWS):
             theta2 = state.theta1 + math.sqrt(gamma) * rng.normals(state.theta1.shape[0])
             diff = state.theta1 - theta2
@@ -301,15 +284,15 @@ def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: floa
                 f"re-arm: {REARM_DRAWS} perturbations at gamma={gamma:g} stay within {floor:g}")
     state.theta2 = theta2
     state.history = deque([theta2], maxlen=b + 1)
-    return d0_sq
+    return d0_sq, perturbed
 
 
-def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenBuffer,
-                     returned: int = 0) -> float:
+def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenStreams,
+                     returned: int = 0) -> tuple[float, bool]:
     """Reset θ2 to its value b steps back and re-arm the distance reference.
 
-    Uses the oldest stored iterate when fewer than b are available; see
-    :func:`rearm_auxiliary` for the degenerate case.
+    Uses the oldest stored iterate when fewer than b are available; returns
+    ``(d0_sq, perturbed)`` as :func:`rearm_auxiliary` does.
     """
     hist = state.history
     idx = 0 if len(hist) <= b else len(hist) - 1 - b
@@ -324,13 +307,6 @@ def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> R
     trace collected so far is returned with ``failure`` set.
     """
     return run_replicates(problem, controller, cfg, [rng])[0]
-
-
-def token_columns(block, index):
-    """The replicate column ``index`` (an int, or an index array) of a stacked block."""
-    if isinstance(block, tuple):
-        return tuple(part[:, index] for part in block)
-    return block[:, index]
 
 
 def _fold_tail(tail_sum: np.ndarray, thetas: list, theta_star: np.ndarray) -> np.ndarray:
@@ -358,9 +334,9 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     """Run one chain per stream, in lockstep; the one loop, behind :func:`run`.
 
     One stream steps 1-D iterates on row tokens, several an (R, d) stack
-    on stacked token blocks; both take whole blocks from their buffers and
-    gate the per-row divergence check on one ddot (see the module
-    docstring).  Returns one trace per stream, each equal to what
+    on stacked token blocks; both take whole blocks from one
+    :class:`TokenStreams` and gate the per-row divergence check on one ddot
+    (see the module docstring).  Returns one trace per stream, each equal to what
     :func:`run` returns for that stream alone, and leaves each stream's
     counter where ``run`` leaves it.  With several streams the chains are
     uncoupled under one fixed schedule: another controller kind or
@@ -382,15 +358,13 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     n_iters, d, b, tail_from = cfg.n_iters, problem.d, controller.params.b, cfg.tail_from
     theta_star = problem.theta_star
     state = CoupledState(theta1=np.zeros(d if single else (len(rngs), d)), theta2=None)
-    buffers = [TokenBuffer(problem, rng, cfg.batch_size, n_iters) for rng in rngs]
+    tokens = TokenStreams(problem, rngs, cfg.batch_size)
     if coupled:
         offset = cfg.init_offset_scale * rngs[0].normals(d)
-        controller.rearm(
-            rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), buffers[0])
-        )
+        d0_sq, _ = rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), tokens)
+        controller.rearm(d0_sq)
     avg1 = state.theta1 if cfg.averaging else None
-    for tokens, rng in zip(buffers, rngs):
-        tokens.sampler_state = problem.init_sampler(rng)
+    tokens.sampler_states = [problem.init_sampler(rng) for rng in rngs]
 
     traces = [RunTrace() for _ in rngs]
     active = list(range(len(rngs)))  # the stream of each row of θ1
@@ -400,9 +374,9 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     tail_count = 0
     k = 0
     while k < n_iters and active:
-        block = TokenBuffer.take_stacked([buffers[r] for r in active])
+        count = min(CHUNK, n_iters - k)
+        block = tokens.take(active, count)
         steps = token_rows(token_columns(block, 0) if single else block)
-        count = len(steps)
         for i in range(count):
             k += 1
             gamma = controller.stepsize(k)
@@ -426,7 +400,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                         trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq)
                         trace.summarize(problem, cfg, k, controller.stepsize(k), rows[row],
                                         avgs[row], float(tail_sum[row]), tail_count)
-                        buffers[active[row]].resync(count - 1 - i)
+                        tokens.resync(active[row], count - 1 - i)
                     keep = np.flatnonzero(~diverged)
                     active = [active[row] for row in keep]
                     if not active:
@@ -447,10 +421,9 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                     )
                 phase = controller.phase_index
                 new_gamma = controller.gamma
-                if controller.needs_coupling:
-                    controller.rearm(
-                        reinit_auxiliary(state, b, new_gamma, buffers[0], count - 1 - i))
-                    refill = not buffers[0].taken  # a degenerate re-arm gave the rest back
+                if controller.needs_coupling:  # a perturbed re-arm gave the rest back
+                    d0_sq, refill = reinit_auxiliary(state, b, new_gamma, tokens, count - 1 - i)
+                    controller.rearm(d0_sq)
                 traces[0].restart_log.append(RestartEvent(k, gamma, new_gamma, stat))
 
             if tail_from is not None and k >= tail_from:

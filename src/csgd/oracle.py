@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, HorizonTooShortError, check_int, check_real
+from .errors import (ConfigError, DegenerateDirectionError, HorizonTooShortError, check_int,
+                     check_real)
 from .numkit import as_mat, as_vec, norm, power_iteration_top
 
 D0_PROJECTION_FLOOR = 1e-12
@@ -163,9 +164,10 @@ def stationary_error_estimate(
     error over the final ``tail_frac`` of iterations of each, and aggregates
     across chains.
     Requires a strongly convex problem, an integer ``horizon`` >= 1, a real
-    ``gamma`` in (0, 2/L), a ``tail_frac`` in (0, 1) that leaves
-    at least one step in the tail, and a horizon long enough that the
-    certified contraction rate flushes the transient before the tail starts.
+    ``gamma`` in (0, 2/L) and a real ``tail_frac`` in (0, 1) that leaves at
+    least one step in the tail, or raises ConfigError; and a horizon long
+    enough that the certified contraction rate flushes the transient before
+    the tail starts, or raises HorizonTooShortError.
     """
     from .controllers import ControllerParams, make_controller
     from .engine import EngineConfig, run_replicates
@@ -173,15 +175,19 @@ def stationary_error_estimate(
 
     check_int("horizon", horizon, 1)
     check_real("gamma", gamma, 0.0, strict=True)
+    check_real("tail_frac", tail_frac, 0.0, strict=True, most=1.0, strict_most=True)
     check_int("reps", reps, 1)
     check_int("seed", seed, 0)
     if problem.mu <= 0.0:
-        raise ValueError("stationary error estimation needs a strongly convex kind")
-    burn = int(horizon * (1.0 - tail_frac)) if 0.0 < tail_frac < 1.0 else horizon
+        raise ConfigError("stationary error estimation needs a strongly convex kind")
+    burn = int(horizon * (1.0 - tail_frac))
     if burn >= horizon:
-        raise ValueError(f"tail_frac={tail_frac!r} leaves no step of the {horizon}-step "
-                         "horizon in the tail; it must lie in (0, 1)")
-    rho = contraction_rate(gamma, problem.mu, problem.L)
+        raise ConfigError(f"tail_frac={tail_frac!r} leaves no step of the {horizon}-step "
+                          "horizon in the tail")
+    try:
+        rho = contraction_rate(gamma, problem.mu, problem.L)
+    except ValueError as exc:  # γ >= 2/L, with contraction_rate's message
+        raise ConfigError(str(exc)) from None
     if rho ** max(burn, 1) >= 1e-3:
         raise HorizonTooShortError(
             f"rho={rho:.6g} over {burn} burn-in iterations leaves "

@@ -27,21 +27,21 @@ materialize ``X`` (n×d) and ``y`` from the problem seed and decode each
 drawn row index into its row's pair; streaming kinds (``n == 0``) draw
 fresh pairs from the run's stream.  The oracle cannot tell the two apart.
 
-Every token costs a fixed number of raw words, ``words_per_token(batch)``,
-so ``draw_tokens`` takes ``count`` tokens from one block of
-``count * words_per_token(batch)`` words and decodes them together into a
-columnar token block: one array per token part, each with a leading
-``count`` axis.  That is ``(X, y)`` for the GLM kinds, a (count, d) noise
-array for ``quadratic`` and ``uniformly_convex``, and an int array of chain
-states for ``lsa``.  ``draw_token_stack`` draws one such block from each of
-R streams, each with its own raw call, and decodes their words in one call
-into parts with a leading (count, R) shape; ``lsa``, whose chain walks one
-state at a time, stacks its per-stream blocks instead.  Streaming labels
-are one ``np.matmul`` per block, one ddot per sample at batch 1 as
-``x.dot(θ)`` makes.  :func:`token_rows` splits a
-block into tokens, 1-D parts as Python scalars; row i is bit for bit the
-i-th of ``count`` single draws, and ``next_token`` is the ``count = 1``
-case.  An oracle makes one BLAS call per product, through ``.dot`` or ``np.vecdot``.
+Every token costs a fixed number of raw words, ``words_per_token(batch)``.
+There is one draw, ``draw_tokens(rngs, sampler_states, count, batch)``: each
+of R streams makes one raw call of ``count * words_per_token(batch)`` words,
+and the words of all of them are decoded together into one columnar token
+block.  That is one array per token part, each with a leading (count, R)
+shape: ``(X, y)`` for the GLM kinds, a (count, R, d) noise array for
+``quadratic`` and ``uniformly_convex``, and an int array of chain states for
+``lsa``, which walks each stream's chain on its own.  Streaming labels are
+one ``np.matmul`` per block, one ddot per sample at batch 1 as ``x.dot(θ)``
+makes.  :func:`token_columns` takes stream r's (count, …) block out of a
+stacked one, and :func:`token_rows` splits a block into tokens, 1-D parts
+as Python scalars; token i of column r is bit for bit the i-th of ``count``
+single draws from stream r, and ``next_token`` is the R = 1, ``count = 1``
+case.  An oracle makes one BLAS call per product, through ``.dot`` or
+``np.vecdot``.
 """
 
 from __future__ import annotations
@@ -114,6 +114,13 @@ def token_rows(block) -> list:
     return block.tolist() if block.ndim == 1 else list(block)
 
 
+def token_columns(block, index):
+    """The stream column ``index`` (an int, or an index array) of a stacked block."""
+    if isinstance(block, tuple):
+        return tuple(part[:, index] for part in block)
+    return block[:, index]
+
+
 class Problem:
     """Shared surface for all kinds; see module docstring."""
 
@@ -141,19 +148,13 @@ class Problem:
         """The token block of a (count, words_per_token) word block, one token per row."""
         raise NotImplementedError
 
-    def draw_tokens(self, rng: RngStream, sampler_state, count: int, batch: int = 1):
-        """A block of ``count`` tokens from one raw block, and the sampler state after them."""
-        w = self.words_per_token(batch)
-        return self.decode_tokens(rng.raw(count * w).reshape(count, w), batch), sampler_state
+    def draw_tokens(self, rngs, sampler_states, count: int, batch: int = 1):
+        """Blocks of ``count`` tokens from each of R streams, stacked along a stream axis.
 
-    def draw_token_stack(self, rngs, sampler_states, count: int, batch: int = 1):
-        """Blocks of ``count`` tokens from each stream, stacked along a replicate axis.
-
-        Each stream makes the one raw call :meth:`draw_tokens` makes, and the
-        words of all of them are decoded in one call, so each part has a
-        leading (count, R) shape; column r is bit for bit stream r's
-        :meth:`draw_tokens` block.  Returns the block and the sampler states
-        after it, one per stream.
+        Each stream makes one raw call of ``count * words_per_token(batch)``
+        words, and the words of all of them are decoded in one call, so each
+        part has a leading (count, R) shape; column r is stream r's block.
+        Returns the block and the sampler states after it, one per stream.
         """
         w = self.words_per_token(batch)
         words = [rng.raw(count * w).reshape(count, 1, w) for rng in rngs]
@@ -165,8 +166,9 @@ class Problem:
         return block.reshape(shape + block.shape[1:]), sampler_states
 
     def next_token(self, rng: RngStream, sampler_state, batch: int = 1):
-        block, sampler_state = self.draw_tokens(rng, sampler_state, 1, batch)
-        return token_rows(block)[0], sampler_state
+        """One token from one stream, and the sampler state after it."""
+        block, (sampler_state,) = self.draw_tokens([rng], [sampler_state], 1, batch)
+        return token_rows(token_columns(block, 0))[0], sampler_state
 
     # --- oracle -----------------------------------------------------------
 
@@ -771,7 +773,7 @@ class QuadraticSemiStochastic(Problem):
             raise ConfigError("quadratic is streaming-only (n = 0)")
         if H is None:
             H = _random_spd(RngStream(self.seed, _PARAM_STREAM), d, lam_lo=0.2, lam_hi=1.0)
-        self.H = np.asarray(H, dtype=np.float64)
+        self.H = _float_array("H", H)
         if self.H.shape != (d, d) or not np.isfinite(self.H).all():
             raise ConfigError("H must be a finite d x d matrix")
         self._neg_H = -self.H  # (-H)θ is -(Hθ) bit for bit
@@ -781,7 +783,7 @@ class QuadraticSemiStochastic(Problem):
             raise ConfigError(f"H: {exc}") from None
         if lam_min <= 0:
             raise ConfigError("H must be positive definite")
-        diag = np.asarray(noise_diag, dtype=np.float64)
+        diag = _float_array("noise_diag", noise_diag)
         if diag.ndim == 0:
             diag = np.full(d, float(diag))
         if diag.shape != (d,) or not (np.isfinite(diag).all() and (diag >= 0).all()):
@@ -821,6 +823,14 @@ class QuadraticSemiStochastic(Problem):
 
     def default_gamma0(self):
         return 1.0 / (2.0 * self.L)
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, or ConfigError naming ``name``."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an array of reals ({exc})") from None
 
 
 def _random_spd(rng: RngStream, d: int, lam_lo: float, lam_hi: float) -> np.ndarray:
@@ -898,20 +908,18 @@ class LinearStochasticApprox(Problem):
             raise ConfigError("lsa follows one Markov chain; batch_size must be 1")
         return 1  # one uniform per transition
 
-    def draw_tokens(self, rng, sampler_state, count, batch=1):
-        """The chain's next ``count`` states, and the state after them."""
-        state = sampler_state
-        states = []
-        for u in uniforms_from(rng.raw(count * self.words_per_token(batch))).tolist():
+    def draw_tokens(self, rngs, sampler_states, count, batch=1):
+        """Each stream's chain walks its next ``count`` states on its own; stacked as (count, R)."""
+        w = self.words_per_token(batch)
+        blocks, states = [], []
+        for rng, state in zip(rngs, sampler_states):
+            walk = []
+            for u in uniforms_from(rng.raw(count * w)).tolist():
+                walk.append(state)
+                state = min(bisect_right(self._cum_P[state], u), self.n_states - 1)
+            blocks.append(walk)
             states.append(state)
-            state = min(bisect_right(self._cum_P[state], u), self.n_states - 1)
-        return np.array(states, dtype=int), state
-
-    def draw_token_stack(self, rngs, sampler_states, count, batch=1):
-        """Each stream's chain walks on its own; the blocks are stacked as (count, R)."""
-        blocks, states = zip(*(self.draw_tokens(rng, state, count, batch)
-                               for rng, state in zip(rngs, sampler_states)))
-        return np.stack(blocks, axis=1), list(states)
+        return np.array(blocks, dtype=int).T, states
 
     def direction(self, theta, state: int):
         """Per-state update direction A(x)θ + b(x)."""

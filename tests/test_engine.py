@@ -9,10 +9,10 @@ import pytest
 
 from csgd.controllers import ControllerParams, make_controller
 from csgd.engine import EngineConfig, run
-from csgd.numkit import RngStream
+from csgd.numkit import RngStream, normal_words
 from csgd.oracle import stationary_error_estimate
 from csgd.problems import make_problem
-from csgd.engine import CHUNK, TokenBuffer
+from csgd.engine import CHUNK, TokenStreams
 from csgd.errors import ConfigError
 from csgd.controllers import FixedScheduleController
 from csgd.engine import run_replicates
@@ -20,9 +20,9 @@ from csgd.oracle import dk_closed_form_series
 from collections import deque
 from csgd.engine import CoupledState, reinit_auxiliary
 from csgd.oracle import gamma0_bound, theorem1_floor
-from csgd.problems import token_rows
+from csgd.problems import token_columns, token_rows
 from csgd import engine
-from csgd.engine import RunTrace, token_columns
+from csgd.engine import RunTrace
 
 # ------------------------------------------------------------ golden traces
 #
@@ -298,21 +298,60 @@ def test_lasso_runs_do_not_depend_on_the_reference_solve(case, monkeypatch):
 def test_resync_ends_where_single_draws_end(name):
     prob = problem(name)
     rng, single_rng = RngStream(8, 0), RngStream(8, 0)
-    tokens = TokenBuffer(prob, rng, batch=1, remaining=3 * CHUNK)
-    tokens.sampler_state = prob.init_sampler(rng)
+    tokens = TokenStreams(prob, [rng], batch=1)
+    tokens.sampler_states = [prob.init_sampler(rng)]
     state = prob.init_sampler(single_rng)
     for used in (5, CHUNK - 5, 1):  # resync mid-block, then across a refill
-        rows = token_rows(token_columns(TokenBuffer.take_stacked([tokens]), 0))
-        assert len(rows) == tokens.taken == CHUNK
+        rows = token_rows(token_columns(tokens.take([0], CHUNK), 0))
+        assert len(rows) == CHUNK
         for token in rows[:used]:
             single, state = prob.next_token(single_rng, state)
             parts = zip(*(t if isinstance(t, tuple) else (t,) for t in (token, single)))
             assert all(np.array_equal(a, b) for a, b in parts)
-        assert tokens.resync(CHUNK - used) is rng
-        assert tokens.taken == 0
+        assert tokens.resync(0, CHUNK - used) is rng
         assert rng.counter == single_rng.counter
-        assert tokens.sampler_state == state
-    assert tokens.remaining == 3 * CHUNK - CHUNK - 1
+        assert tokens.sampler_states[0] == state
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("n_iters", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("name", ["least_squares", "lsa"])
+def test_streams_stop_at_the_last_iteration(name, n_iters, reps):
+    # no block is drawn past n_iters: each stream spends exactly its tokens'
+    # words, plus the one word of lsa's init_sampler
+    prob = problem(name)
+    controller = make_controller(
+        ControllerParams(kind="fixed", schedule=("constant", prob.default_gamma0())))
+    rngs = [RngStream(8, s) for s in range(reps)]
+    run_replicates(prob, controller, EngineConfig(n_iters=n_iters), rngs)
+    want = n_iters * prob.words_per_token(1) + (1 if name == "lsa" else 0)
+    assert [rng.counter for rng in rngs] == [want] * reps
+
+
+@pytest.mark.parametrize("name", ["least_squares", "lsa"])
+def test_degenerate_reinit_resyncs_the_stream_and_reports_perturbed(name):
+    # θ2's history equals θ1, so the re-arm perturbs θ2 out of band: the
+    # stream gives back all but 5 tokens of its block, then makes one draw
+    prob = problem(name)
+    rng, twin = RngStream(9, 0), RngStream(9, 0)
+    tokens = TokenStreams(prob, [rng], batch=1)
+    tokens.sampler_states = [prob.init_sampler(rng)]
+    sampler_state = prob.init_sampler(twin)
+    start = rng.counter
+    tokens.take([0], CHUNK)
+    for _ in range(5):
+        _, sampler_state = prob.next_token(twin, sampler_state)
+    theta1, gamma = np.full(prob.d, 0.5), 0.1
+    state = CoupledState(theta1=theta1, theta2=theta1.copy(), history=deque([theta1.copy()]))
+    d0_sq, perturbed = reinit_auxiliary(state, 0, gamma, tokens, CHUNK - 5)
+    assert perturbed is True
+    assert rng.counter == start + 5 * prob.words_per_token(1) + normal_words(prob.d)
+    assert tokens.sampler_states[0] == sampler_state
+    want = theta1 + math.sqrt(gamma) * twin.normals(prob.d)
+    assert rng.counter == twin.counter
+    assert np.array_equal(state.theta2, want)
+    assert d0_sq == float((theta1 - want) @ (theta1 - want))
+    assert list(state.history) == [state.theta2]
 
 
 @pytest.mark.parametrize("reps", [1, 3])
@@ -331,10 +370,10 @@ def test_stacked_token_block_matches_per_stream_draws(name, batch, reps):
     states = [prob.init_sampler(rng) for rng in rngs]
     single_states = [prob.init_sampler(rng) for rng in singles]
     for _ in range(2):
-        block, states = prob.draw_token_stack(rngs, states, count, batch)
+        block, states = prob.draw_tokens(rngs, states, count, batch)
         for r, rng in enumerate(singles):
-            want, single_states[r] = prob.draw_tokens(rng, single_states[r], count, batch)
-            got = token_columns(block, r)
+            want, (single_states[r],) = prob.draw_tokens([rng], [single_states[r]], count, batch)
+            want, got = token_columns(want, 0), token_columns(block, r)
             parts = list(zip(*(t if isinstance(t, tuple) else (t,) for t in (got, want))))
             assert parts and all(a.dtype == b.dtype and a.shape == b.shape
                                  and np.array_equal(a, b) for a, b in parts)
@@ -425,7 +464,8 @@ def test_reinit_restores_the_iterate_b_steps_back(stored, b, want):
     history = deque(np.full(prob.d, i + 1.0) for i in range(stored))
     state = CoupledState(theta1=np.full(prob.d, 0.5), theta2=history[-1], history=history)
     rng = RngStream(9, 0)
-    d0_sq = reinit_auxiliary(state, b, 0.1, TokenBuffer(prob, rng, batch=1, remaining=10))
+    d0_sq, perturbed = reinit_auxiliary(state, b, 0.1, TokenStreams(prob, [rng], batch=1))
+    assert perturbed is False
     assert np.array_equal(state.theta2, np.full(prob.d, want + 1.0))
     assert state.theta2 is not history[want]
     assert d0_sq == prob.d * (want + 0.5) ** 2  # ||θ1 - θ2||², exact here
@@ -570,7 +610,8 @@ def test_stacked_oracle_matches_rows_bitwise(name, d):
     for trial in range(20):
         theta = gen.standard_normal((reps, d)) * 10.0 ** gen.uniform(-3, 3, (reps, 1))
         rng = RngStream(trial, d)
-        stack, _ = prob.draw_tokens(rng, prob.init_sampler(rng), reps)
+        stack, _ = prob.draw_tokens([rng], [prob.init_sampler(rng)], reps)
+        stack = token_columns(stack, 0)
         rows = np.stack([prob.step_direction(t, tok) for t, tok in zip(theta, token_rows(stack))])
         assert np.array_equal(prob.step_direction(theta, stack), rows)
 
@@ -579,8 +620,8 @@ def _iterate(prob, n_steps=50):
     """θ after a few SGD steps from 0 at the default stepsize."""
     theta, gamma = np.zeros(prob.d), prob.default_gamma0()
     rng = RngStream(3, 0)
-    tokens, _ = prob.draw_tokens(rng, prob.init_sampler(rng), n_steps)
-    for token in token_rows(tokens):
+    tokens, _ = prob.draw_tokens([rng], [prob.init_sampler(rng)], n_steps)
+    for token in token_rows(token_columns(tokens, 0)):
         theta = theta + gamma * prob.step_direction(theta, token)
     return theta
 

@@ -271,7 +271,7 @@ def test_stationary_rejects_a_tail_frac_that_leaves_no_tail(tail_frac):
     # tail_frac=0 used to leave every tail empty and report a mean of 0.0;
     # 1e-17 rounds to the same empty tail
     prob = make_problem("quadratic", d=5, seed=4)
-    with pytest.raises(ValueError, match="tail_frac"):
+    with pytest.raises(ConfigError, match="tail_frac"):
         stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000,
                                   tail_frac=tail_frac, reps=2)
 
@@ -301,13 +301,29 @@ def test_stationary_rejects_a_bad_horizon_with_config_error(horizon):
         stationary_error_estimate(prob, prob.default_gamma0(), horizon=horizon, reps=2)
 
 
-@pytest.mark.parametrize("gamma", ["0.1", None, True, math.nan, math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("gamma", ["0.1", None, True, math.nan, math.inf, 0.0, -0.1, 10.0])
 def test_stationary_rejects_a_bad_gamma_with_config_error(gamma):
     # "0.1" and None raised a bare TypeError from the comparison in contraction_rate,
-    # and True ran the chains at γ = 1
+    # True ran the chains at γ = 1, and 10 > 2/L raised a plain ValueError
     prob = make_problem("quadratic", d=5, seed=4)
     with pytest.raises(ConfigError, match="gamma"):
         stationary_error_estimate(prob, gamma, horizon=2000, reps=2)
+
+
+@pytest.mark.parametrize("tail_frac", ["0.2", None, True])
+def test_stationary_rejects_a_non_real_tail_frac_with_config_error(tail_frac):
+    # "0.2" and None raised a bare TypeError from the comparison with 0, and
+    # True a plain ValueError
+    prob = make_problem("quadratic", d=5, seed=4)
+    with pytest.raises(ConfigError, match="tail_frac"):
+        stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000,
+                                  tail_frac=tail_frac, reps=2)
+
+
+def test_stationary_rejects_a_kind_without_strong_convexity_with_config_error():
+    prob = make_problem("uniformly_convex", d=3, seed=4)
+    with pytest.raises(ConfigError, match="strongly convex"):
+        stationary_error_estimate(prob, prob.default_gamma0(), horizon=2000, reps=2)
 
 
 def test_stationary_keeps_the_contraction_range_message_for_a_large_gamma():

@@ -18,6 +18,7 @@ from csgd.problems import (
     _sigmoid,
     _sigmoid_scalar,
     make_problem,
+    token_columns,
     token_rows,
 )
 
@@ -106,6 +107,12 @@ BAD_ARGUMENTS = {
     "quadratic_nan_h": ("quadratic", dict(d=2, H=np.full((2, 2), _NAN)), "finite"),
     "quadratic_h_shape": ("quadratic", dict(d=2, H=np.eye(3)), "d x d"),
     "quadratic_indefinite_h": ("quadratic", dict(d=2, H=np.diag([1.0, -1.0])), "definite"),
+    # values np.asarray cannot convert: a bare ValueError, or "bad overrides" for object()
+    "quadratic_string_h": ("quadratic", dict(d=2, H="abc"), "H must be an array of reals"),
+    "quadratic_ragged_h": ("quadratic", dict(d=2, H=[[1, 2], [3]]), "H must be an array of reals"),
+    "quadratic_object_h": ("quadratic", dict(d=2, H=object()), "H must be an array of reals"),
+    "quadratic_string_noise": ("quadratic", dict(d=5, noise_diag=[1, "x", 1, 1, 1]),
+                               "noise_diag must be an array of reals"),
 }
 
 
@@ -460,7 +467,8 @@ def test_lsa_invariants(lsa):
 def test_lsa_occupancy_matches_stationary(lsa):
     rng = RngStream(38, 0)
     steps = 1_000_000
-    states, _ = lsa.draw_tokens(rng, lsa.init_sampler(rng), steps)
+    states, _ = lsa.draw_tokens([rng], [lsa.init_sampler(rng)], steps)
+    states = token_columns(states, 0)
     counts = np.bincount(states, minlength=lsa.n_states)
     tv = 0.5 * np.abs(counts / steps - lsa.pi_chain).sum()
     assert tv < 0.01, tv
@@ -598,7 +606,8 @@ def test_draw_tokens_match_single_draws(name, batch):
     block_rng, single_rng = RngStream(69, 1), RngStream(69, 1)
     state = prob.init_sampler(block_rng)
     assert prob.init_sampler(single_rng) == state
-    block, block_state = prob.draw_tokens(block_rng, state, count, batch)
+    block, (block_state,) = prob.draw_tokens([block_rng], [state], count, batch)
+    block = token_columns(block, 0)
     assert all(len(part) == count for part in (block if isinstance(block, tuple) else (block,)))
     rows = token_rows(block)
     for i in range(count):
