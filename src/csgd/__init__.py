@@ -3,7 +3,7 @@
 Modules:
 
 - ``numkit``: float64 vectors/matrices, counter-based random streams,
-  power-iteration extreme eigenvalues.
+  extreme eigenvalues of a symmetric matrix.
 - ``problems``: synthetic stochastic objectives with certified constants
   and reference solutions.
 - ``controllers``: stepsize controllers (coupled-distance diagnostics,

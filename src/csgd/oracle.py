@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateDirectionError, HorizonTooShortError, check_int,
                      check_real)
-from .numkit import as_mat, as_vec, norm, power_iteration_top
+from .numkit import as_mat, as_vec, norm, symmetric_eigs
 
 D0_PROJECTION_FLOOR = 1e-12
 STREAM_BASE = 0x5EA7  # stationary_error_estimate: the stream id of its first chain
@@ -58,7 +58,7 @@ def dk_closed_form_series(H, gamma: float, D0, ks) -> list[float]:
     """``dk_closed_form`` evaluated incrementally at ascending iterations."""
     Hm = as_mat(H)
     v = as_vec(D0, Hm.shape[0]).copy()
-    lam_max, _ = power_iteration_top(Hm, tol=1e-12)
+    _, lam_max, _ = symmetric_eigs(Hm)
     if not 0.0 < gamma < 1.0 / lam_max:
         raise ValueError(f"gamma={gamma} outside (0, 1/L) with L={lam_max}")
     ks = list(ks)
@@ -128,9 +128,7 @@ def proximity_ratio_quadratic(H, gamma: float, D0, k: int) -> float:
     Hm = as_mat(H)
     D0v = as_vec(D0, Hm.shape[0])
     d = Hm.shape[0]
-    # tol well below the 1e-12 projection floor so eigenvector noise cannot
-    # mask exact orthogonality
-    _, q_max = power_iteration_top(np.eye(d) - gamma * Hm, tol=1e-14)
+    _, _, q_max = symmetric_eigs(np.eye(d) - gamma * Hm)
     proj = float(D0v @ q_max)
     if abs(proj) <= D0_PROJECTION_FLOOR * norm(D0v):
         raise DegenerateDirectionError(

@@ -7,7 +7,7 @@ Each problem kind exposes the same surface:
   all randomness, so the call is a pure function of ``(theta, token)`` and
   two evaluations with the same token consume identical noise.  That
   property is what makes coupled runs share their per-iteration
-  randomness.  ``grad`` is ``-direction``, for the gradient checks.
+  randomness.
 - ``full_grad`` / ``loss``: the deterministic objective the stochastic
   oracle is unbiased for (empirical mean for dataset-backed kinds,
   population form for streaming kinds).
@@ -61,9 +61,8 @@ from .numkit import (  # noqa: F401  (gaussian: bench/perfbench.py times problem
     integers_from,
     norm,
     normal_words,
-    power_iteration_extreme_eigs,
-    power_iteration_top,
     row_sq,
+    symmetric_eigs,
     uniforms_from,
 )
 
@@ -175,9 +174,6 @@ class Problem:
     def direction(self, theta: np.ndarray, token) -> np.ndarray:
         """Update direction u in θ ← θ + γu; gradient kinds return -grad."""
         raise NotImplementedError
-
-    def grad(self, theta: np.ndarray, token) -> np.ndarray:
-        return -self.direction(theta, token)
 
     def step_direction(self, theta: np.ndarray, token) -> np.ndarray:
         """:meth:`direction` of one iterate, or of a (reps, d) stack of them.
@@ -350,7 +346,7 @@ class LogisticRegression(_GlmBase):
     def L(self) -> float:
         X, _ = self._calibration_data
         gram = X.T @ X / X.shape[0]
-        lam_max, _ = power_iteration_top(gram, tol=1e-10)
+        _, lam_max, _ = symmetric_eigs(gram)
         return lam_max / 4.0
 
     @cached_property
@@ -365,7 +361,7 @@ class LogisticRegression(_GlmBase):
             u /= norm(u)
             points.append(theta_star + radius * u)
         for p in points:
-            lam, _, _ = power_iteration_extreme_eigs(self._hessian(p), tol=1e-8)
+            lam, _, _ = symmetric_eigs(self._hessian(p))
             lam_mins.append(lam)
         return 0.8 * min(lam_mins)  # 0.8 guards the between-sample minimum
 
@@ -671,7 +667,7 @@ def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     # one gemv per column: a dgemm's summation order, so θ*, varies with BLAS threads
     gram = 2.0 * np.stack([X.T @ X[:, j] for j in range(d)], axis=1) / n
     lin = 2.0 * X.T @ y / n
-    lam_max, _ = power_iteration_top(gram, tol=1e-12)
+    _, lam_max, _ = symmetric_eigs(gram)
     t_step = 1.0 / lam_max
     shrink = t_step * lam
     gram_dot, sign, maximum, absolute = gram.dot, np.sign, np.maximum, np.abs
@@ -778,7 +774,7 @@ class QuadraticSemiStochastic(Problem):
             raise ConfigError("H must be a finite d x d matrix")
         self._neg_H = -self.H  # (-H)θ is -(Hθ) bit for bit
         try:
-            lam_min, lam_max, _ = power_iteration_extreme_eigs(self.H, tol=1e-12)
+            lam_min, lam_max, _ = symmetric_eigs(self.H)
         except ValueError as exc:  # numkit's symmetry check
             raise ConfigError(f"H: {exc}") from None
         if lam_min <= 0:
@@ -886,7 +882,7 @@ class LinearStochasticApprox(Problem):
             A_table = -(M + scale * centered)
             A_bar = np.tensordot(self.pi_chain, A_table, axes=1)
             sym = 0.5 * (A_bar + A_bar.T)
-            lam_max_sym, _ = power_iteration_top(sym, tol=1e-10)
+            _, lam_max_sym, _ = symmetric_eigs(sym)
             if lam_max_sym < -0.1:
                 break
             scale *= 0.5
@@ -898,7 +894,7 @@ class LinearStochasticApprox(Problem):
         self.b_bar = self.pi_chain @ self.b_table
 
         self.mu = -lam_max_sym
-        self.L, _ = power_iteration_top(M, tol=1e-10)
+        _, self.L, _ = symmetric_eigs(M)
 
     def init_sampler(self, rng: RngStream):
         return int(rng.integers(1, self.n_states)[0])

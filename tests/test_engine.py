@@ -29,7 +29,9 @@ from csgd.engine import RunTrace
 # SHA-256 digests of whole runs, taken before the token path was chunked:
 # every RunTrace column, the restart log, the summary, the failure text and
 # the stream counter on return.  Any change in the bits a run produces, or
-# in the number of raw words it consumes, changes a digest.
+# in the number of raw words it consumes, changes a digest.  The quadratic
+# and lsa digests were re-taken when L and μ moved to one eigh call; DECISIONS
+# below shows that no restart, divergence or stream position moved with them.
 
 PROBLEMS = {
     "logistic": dict(d=4, n=0, seed=11),
@@ -207,33 +209,33 @@ GOLDEN = {
     "logistic/pflug/averaging": "a0c8de1fdd322a13ce90777a83b26bdb718f29d39591fc1a19397cb8bb8e44c9",
     "logistic_data/coupling_static": "4929e43232bd2ed3941de8d718c35d373a90bf8dae7ecde5c37278b9e8835248",
     "logistic_data/coupling_static/batch3": "842edfc2d2211ffac6b436b1d8e3913d27ea44e7faef1817b2b570c96083609a",
-    "lsa/coupling_adaptive": "062cbaa1030c97285f92628c19cd62fd27cfdac0e3d1b952b0b59c4fb0db7c1f",
-    "lsa/coupling_adaptive/dense": "dd12a6f89cc4612f2bf44da7a6ab6d9f16317791eacee3183fd5cf0509da0255",
-    "lsa/coupling_adaptive/zero_offset": "5ea1fb08bc6accbf3fa638ec97205c35d7d7890125a394a3dddf2054076926e8",
-    "lsa/coupling_static": "d21fc0a04b6edda522030703694b6d69c1ef4ed15977721dfdf63c770879b31b",
-    "lsa/coupling_static/averaging": "211792421fbebe0eb3d50b7c847ed3e555debcdd7d2d5d21f96f6cb18574a3d6",
-    "lsa/coupling_static/b0": "aea51e42bcee6e6ae001eb1c33175dccc08ec731fb8682937579eaf85012e920",
-    "lsa/coupling_static/b0/dense": "60bb1a300f28528f26f0ec6976b0a39882c07d8d4ed0309f4a75a8d0d00928ab",
-    "lsa/distance": "ca53f78a11d93b0c9e0bfa927499fa85c8990cb929bdf99f3af3c83b8f3b9775",
-    "lsa/fixed": "3c6ae92316a349880dbfd1a32210ae9a27c30cb0f017d6b854443e1cd2710a07",
-    "lsa/pflug": "6c46db3382ddfab59ba77a49db3cbd5de6a193231b56fce70b19780abe1b6951",
-    "quadratic/coupling_adaptive": "6e400ee7e5ea34a2946fb3f70c4f425517ccc85b3903f4bba050480e688fdf25",
-    "quadratic/coupling_adaptive/averaging": "164cfa224daf90baefc28afbd05e57d4ddca0bb78d9aafc1e1080a355cbca369",
-    "quadratic/coupling_adaptive/dense": "c872186136999b4f659df6f5576fcbba9321308690c335d37da8e84617024b13",
-    "quadratic/coupling_static": "4d9d400999dd1cbef3b184c06480ee1bbfda1c3298586545c7ad8e0c48cf082c",
-    "quadratic/coupling_static/b0": "74374edfdd4b551b91663a20448e0626a0a0eca34917b00941c843e854c1b39e",
-    "quadratic/coupling_static/batch3": "9be5e575f83b91e0990b0c576633a776f088f877d76777e0c4df64231d5309b2",
-    "quadratic/coupling_static/diverges": "0780d18395422ec8427fa5a172710dec8d3fad7258a2270c752b8313d32880e8",
-    "quadratic/coupling_static/diverges/dense": "2a0b3785cc5b7f3f41b101fb4dff69e7f6e14f70f713db186f18552db3b8cda7",
-    "quadratic/coupling_static/empty": "60cc375b1753e88336d73f94e89763a18b43d19801d09eee761c06eb933fb81a",
-    "quadratic/coupling_static/short": "039eef473b7e205287a4bb9936296cb834f14857418243b3379a7d2655afedea",
-    "quadratic/coupling_static/zero_offset": "4b89f56d8f3c90ebf9624966ea6105b7c03418344c0a0338a6edfe621fe8bd09",
-    "quadratic/distance": "4fd23dbe9980fd3db81756f3bb6c3224d7119c23cb5ba6e5e96319f0d508b015",
-    "quadratic/fixed": "aa29b2ac61c43a912bad05e610120dbffc39ba4f2c053f181891484733d83ae9",
-    "quadratic/fixed/tail": "ee1a3765f158dce9352cc9021da2840ba476a98e95393b25e44bc2f4cc863e33",
-    "quadratic/pflug": "c704300d5a7691bdac0dbdfe98a70f92e1d20b8871e6e204e568eb032ad3d1c6",
+    "lsa/coupling_adaptive": "5b20e9292d1f8b3b4adab9c2071619b9da251764c19b7dbd6d39f5ad63675824",
+    "lsa/coupling_adaptive/dense": "816e5f524022658f9c170306fb8f940d8b22cccf777446f5c03cd8a6011f525e",
+    "lsa/coupling_adaptive/zero_offset": "a2ef62ed3b8a958de7bf6e278bdadf88659007ebe8c18bfce65819dbffb171a8",
+    "lsa/coupling_static": "ef434fcdb102277e977c59dfebd47fcb3e91b69976bd4e898f56701a13a4a329",
+    "lsa/coupling_static/averaging": "cfa75c687889c598b9236ef54c146e7f4ed7e890017800a745f84adf8f460ef5",
+    "lsa/coupling_static/b0": "4ab63a9b010ca0f561e0869f3a21b684bac6f735acf0126287f409d539fe41ef",
+    "lsa/coupling_static/b0/dense": "5c8dac69a6371435d09c90ed738cd933878f3a798e587a53164fd0c3410a799d",
+    "lsa/distance": "da1f7c63fe945d833f4bb34dcf9f72637c6f630d7fb023f7094d58ca18df8e43",
+    "lsa/fixed": "77bdb231a36671c19b06ef402e2d884239c8a45faf680dcbf27b41e9efd42515",
+    "lsa/pflug": "11b6279b5ed8e2a97daa5965eea1d5a4312b5921058be6c60ceaf1133fbe524b",
+    "quadratic/coupling_adaptive": "483a577e05c2a73cb443e747cafb74a98a96f8d7272fb15239c5b6dcf9acbb66",
+    "quadratic/coupling_adaptive/averaging": "4850849bb68d4a4695d06b93529904e0ad168590579b316f9d62b165bd90995c",
+    "quadratic/coupling_adaptive/dense": "11a5b19ea6960814111ec86d66d963e1ad10b1d6473f25f1fa83959b6d20e756",
+    "quadratic/coupling_static": "d9c21416f85c0d7f37ed8199a717fe1bfdb62c49cd37f131581271c9d4d3f51e",
+    "quadratic/coupling_static/b0": "c4c00571e22b43ce7dc92da502d76a42187523c868483dd802c2fcf7dcbdc3c0",
+    "quadratic/coupling_static/batch3": "1a03808d7a3e200351ab19f51a7bbfe448c608aa4ece082d4a4ecdec925f52a8",
+    "quadratic/coupling_static/diverges": "8d26108c5d001c467bf22387433bec83d07678b0ed7511974b8b62f915df6d56",
+    "quadratic/coupling_static/diverges/dense": "40e137f56d57420545133082111abf6c394a9f97993fd115b0e310a2181927a1",
+    "quadratic/coupling_static/empty": "7da89725ba6fab378ee956a6467636e7e4afac60ec9c3117310a942da458eba3",
+    "quadratic/coupling_static/short": "719c7f7ebc5ae5ddb6369ad7f64a7466c95ac483519f8f3850eba6af82f38b5d",
+    "quadratic/coupling_static/zero_offset": "3ad53c80b605e7b27a0c6b879456347c53a882889e0f0c8b7cc51db5357d3650",
+    "quadratic/distance": "f73b2a985e87c55ebd003f62fa4531434dd5390c7e0f66fbfdedab140625e6db",
+    "quadratic/fixed": "f7881e33dc2d43c6193b7c09a66ffcaf8e7a3506378e4ca7b92d68316a59c1f1",
+    "quadratic/fixed/tail": "6a8bea8f4f0b44d11920d950370924dedbfe77b5a31bc0a42089a3de6aec67f5",
+    "quadratic/pflug": "c654a066f9057017dea125a56f5d4c31eb67d89ae333e0d9244438a54b693ef6",
     "stationary/least_squares": "182bcd1f6450f3201dc5536f189d72a4c2e1e49035a78d590fc533a3bec2da32",
-    "stationary/quadratic": "5e21c127fbd4021384640e58ad556bd561aca9efe5f735dd3e35b5a9329ac9cb",
+    "stationary/quadratic": "4bc09e7ff6156b43993ce630c2c6a8b2afe92f869577d56b359a21c7d988578d",
     "svm/coupling_adaptive": "6ed0c95dc7691b1ff6ef9c259c88578882d06a83e691471e03edd72103209272",
     "svm/coupling_static": "c797da8c8e78f2e8668aeeb2d318062a8c1b28d70ea2805c881ca5fd9ae1c75d",
     "svm/distance": "0ef9a6cdf6b31fd0da0f2680cbfc01a00d10aeb7c5cd6b7d57aca376ee79ad5a",

@@ -1,21 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from csgd import numkit
-from csgd.errors import ConfigError, NonConvergenceError
-from csgd.numkit import (
-    STALL_WINDOW,
-    RngStream,
-    box_muller,
-    gaussian,
-    _graded_start,
-    norm,
-    power_iteration_extreme_eigs,
-    power_iteration_top,
-)
-from csgd.problems import make_problem
+from csgd.errors import ConfigError
+from csgd.numkit import RngStream, box_muller, gaussian, norm, symmetric_eigs
 
 
 # ----------------------------------------------------------------- RngStream
@@ -202,26 +192,27 @@ def test_hot_path_product_forms_match_the_operator_bitwise(d, layout):
 # -------------------------------------------------------------- eigen extremes
 
 
-def test_power_iteration_diagonal():
-    lam_min, lam_max, q = power_iteration_extreme_eigs(np.diag([1.0, 2.0, 3.0]))
-    assert lam_min == pytest.approx(1.0, abs=1e-9)
-    assert lam_max == pytest.approx(3.0, abs=1e-9)
-    assert abs(q[2]) == pytest.approx(1.0, abs=1e-6)
+def test_symmetric_eigs_diagonal():
+    lam_min, lam_max, q = symmetric_eigs(np.diag([1.0, 2.0, 3.0]))
+    assert lam_min == pytest.approx(1.0, abs=1e-12)
+    assert lam_max == pytest.approx(3.0, abs=1e-12)
+    assert q[2] == pytest.approx(1.0, abs=1e-12)  # signed: the largest component is positive
 
 
-def test_power_iteration_identity_degenerate():
-    lam_min, lam_max, q = power_iteration_extreme_eigs(np.eye(4))
+def test_symmetric_eigs_identity_degenerate():
+    lam_min, lam_max, q = symmetric_eigs(np.eye(4))
     assert lam_min == pytest.approx(1.0, abs=1e-12)
     assert lam_max == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(q) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_power_iteration_antidiagonal_symmetry_broken():
-    # all-ones start vector would be trapped in an invariant subspace here
+def test_symmetric_eigs_antidiagonal():
+    # eigenvalues ±1 on the diagonals (1, -1) and (1, 1), away from the axes
     M = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    lam_min, lam_max, _ = power_iteration_extreme_eigs(M)
-    assert lam_min == pytest.approx(-1.0, abs=1e-8)
-    assert lam_max == pytest.approx(1.0, abs=1e-8)
+    lam_min, lam_max, q = symmetric_eigs(M)
+    assert lam_min == pytest.approx(-1.0, abs=1e-12)
+    assert lam_max == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(M @ q - q) < 1e-12
 
 
 def _charpoly_roots(M):
@@ -238,161 +229,65 @@ def _charpoly_roots(M):
     return np.sort(np.roots(coeffs).real)
 
 
-def test_power_iteration_vs_charpoly_roots():
+def test_symmetric_eigs_vs_charpoly_roots():
     rng = RngStream(99, 0)
     A = rng.normals(25).reshape(5, 5)
     M = A @ A.T + 0.5 * np.eye(5)  # SPD
     roots = _charpoly_roots(M)
-    lam_min, lam_max, q = power_iteration_extreme_eigs(M, tol=1e-12)
-    assert lam_min == pytest.approx(roots[0], abs=1e-8)
-    assert lam_max == pytest.approx(roots[-1], abs=1e-8)
-    # q is an eigenvector for lam_max
-    assert np.linalg.norm(M @ q - lam_max * q) < 1e-6
+    lam_min, lam_max, q = symmetric_eigs(M)
+    assert lam_min == pytest.approx(roots[0], abs=1e-12)
+    assert lam_max == pytest.approx(roots[-1], abs=1e-12)
+    # q is a unit eigenvector for lam_max, its largest-magnitude component positive
+    assert np.linalg.norm(M @ q - lam_max * q) < 1e-12
+    assert np.linalg.norm(q) == pytest.approx(1.0, rel=1e-12)
+    assert q[np.argmax(np.abs(q))] > 0
 
 
-def test_power_iteration_requires_symmetry():
-    with pytest.raises(ValueError):
-        power_iteration_extreme_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def _lasso_gram():
-    prob = make_problem("lasso", d=100, n=1000, seed=1)
-    X = prob._X
-    return 2.0 * X.T @ X / X.shape[0]
-
-
-def _random_spd():
-    A = RngStream(99, 0).normals(25).reshape(5, 5)
-    return A @ A.T + 0.5 * np.eye(5)
-
-
-@pytest.mark.parametrize(
-    "make, tol",
-    [
-        (lambda: np.diag([1.0, 2.0, 3.0]), 1e-10),
-        (lambda: np.eye(4), 1e-10),
-        (lambda: np.array([[0.0, -1.0], [-1.0, 0.0]]), 1e-10),
-        (_random_spd, 1e-12),
-        (_lasso_gram, 1e-12),
-    ],
-    ids=["diagonal", "identity", "antidiagonal", "random_spd", "lasso_gram"],
-)
-def test_power_iteration_top_matches_extreme_eigs_bitwise(make, tol):
-    M = make()
-    lam_max, q_max = power_iteration_top(M, tol=tol)
-    _, want_lam, want_q = power_iteration_extreme_eigs(M, tol=tol)
-    assert float(lam_max).hex() == float(want_lam).hex()
-    assert q_max.tobytes() == want_q.tobytes()
-
-
-def test_power_iteration_top_requires_symmetry():
-    with pytest.raises(ValueError):
-        power_iteration_top(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-@pytest.mark.parametrize("power", [power_iteration_top, power_iteration_extreme_eigs])
-def test_power_iteration_requires_a_finite_positive_tol(power, tol):
-    # tol 0 and nan divided by zero, a negative tol took a log of it, and
-    # tol = inf returned λ_max 2.000001 where it is 3
-    with pytest.raises(ValueError, match="tol"):
-        power(np.diag([1.0, 2.0, 3.0]), tol=tol)
-
-
-# ------------------------------------------------ power pass: block vs scalar
-
-
-def _power_top_scalar(M, tol_resid, max_iters):
-    """The per-iteration power loop the block scan must match bit for bit."""
-    v = _graded_start(M.shape[0])
-    checkpoint, check_at = math.inf, 0
-    for i in range(max_iters):
-        w = M @ v
-        lam = float(v @ w)
-        resid = norm(w - lam * v)
-        if resid <= tol_resid:
-            return lam, v
-        if i == check_at:
-            if resid < checkpoint and (
-                (max_iters - i) * math.log(checkpoint / resid)
-                < STALL_WINDOW * math.log(resid / tol_resid)
-            ):
-                raise NonConvergenceError(
-                    f"power iteration stalled at {i} iterations: residual {resid:g} "
-                    f"cannot reach {tol_resid:g} by {max_iters}"
-                )
-            checkpoint, check_at = resid, i + STALL_WINDOW
-        norm_w = norm(w)
-        if norm_w == 0.0:
-            return 0.0, v
-        v = w / norm_w
-    raise NonConvergenceError(
-        f"power iteration did not converge in {max_iters} iterations "
-        f"(residual tolerance {tol_resid:g})"
-    )
-
-
-def _outcome(power_top, M, tol_resid, max_iters):
-    """λ's hex and q's bytes, or the NonConvergenceError text."""
-    try:
-        lam, q = power_top(M, tol_resid, max_iters)
-    except NonConvergenceError as err:
-        return str(err)
-    return float(lam).hex(), q.tobytes()
-
-
-def _passes(monkeypatch, build):
-    """The (M, tol_resid, max_iters) of every power pass that ``build()`` runs."""
-    seen = []
-    real = numkit._power_top
-
-    def spy(M, tol_resid, max_iters):
-        seen.append((M.copy(), tol_resid, max_iters))
-        return real(M, tol_resid, max_iters)
-
-    with monkeypatch.context() as m:
-        m.setattr(numkit, "_power_top", spy)
-        build()
-    assert seen
-    return seen
-
-
-def _clustered_bottom_h():
+def test_symmetric_eigs_clustered_bottom():
+    # a gap of 1e-4 at the bottom of the spectrum; eigh and eigvalsh are
+    # different LAPACK drivers, so they agree to rounding, not bit for bit
     Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 20)))
     spectrum = np.concatenate([[0.01, 0.0101], np.linspace(0.5, 1.0, 18)])
-    return (Q * spectrum) @ Q.T
+    H = (Q * spectrum) @ Q.T
+    lam_min, lam_max, _ = symmetric_eigs(H)
+    want = np.linalg.eigvalsh(H)
+    assert lam_min == pytest.approx(want[0], abs=1e-15)
+    assert lam_max == pytest.approx(want[-1], abs=1e-15)
 
 
-_PASS_BUILDS = {
-    "identity": lambda: power_iteration_extreme_eigs(np.eye(4)),
-    "d1": lambda: power_iteration_extreme_eigs(np.array([[2.5]])),
-    "quadratic_5_s1": lambda: make_problem("quadratic", 5, seed=1),
-    "lsa_5_s1": lambda: make_problem("lsa", 5, seed=1),
-    "logistic_hessians": lambda: make_problem("logistic", 5, n=200, seed=1).mu,
-    "clustered_bottom": lambda: make_problem("quadratic", 20, H=_clustered_bottom_h()),
-    "lasso_gram": lambda: power_iteration_top(_lasso_gram(), tol=1e-12),
-}
+def test_symmetric_eigs_requires_symmetry():
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        symmetric_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("case", sorted(_PASS_BUILDS))
-def test_power_block_scan_matches_the_scalar_loop(monkeypatch, case):
-    passes = _passes(monkeypatch, _PASS_BUILDS[case])
-    wants = [_outcome(_power_top_scalar, *p) for p in passes]
-    assert [_outcome(numkit._power_top, *p) for p in passes] == wants
-    if case == "clustered_bottom":  # the λ_max pass converges, the λ_min pass stalls
-        assert [isinstance(want, str) for want in wants] == [False, True]
+def test_symmetric_eigs_symmetry_tolerance_is_relative():
+    # 1e-12 of max(1, max|Mᵢⱼ|): a 1e-7 asymmetry passes next to 1e6, 1e-5 does not
+    M = np.diag([1e6, 1.0])
+    M[0, 1] = 1e-7
+    assert symmetric_eigs(M)[1] == pytest.approx(1e6)
+    M[0, 1] = 1e-5
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        symmetric_eigs(M)
 
 
-@pytest.mark.parametrize("max_iters", [1, 63, 64, 65])
-def test_power_block_scan_stops_at_max_iters_as_the_scalar_loop(monkeypatch, max_iters):
-    # both quadratic passes need over 900 iterations
-    for M, tol_resid, _ in _passes(monkeypatch, _PASS_BUILDS["quadratic_5_s1"]):
-        want = _outcome(_power_top_scalar, M, tol_resid, max_iters)
-        assert _outcome(numkit._power_top, M, tol_resid, max_iters) == want
+@pytest.mark.parametrize("M, message", [
+    (np.ones(3), "expected 2-D matrix"),
+    (np.ones((2, 3)), "matrix must be square"),
+], ids=["vector", "not_square"])
+def test_symmetric_eigs_rejects_a_bad_shape(M, message):
+    with pytest.raises(ValueError, match=message):
+        symmetric_eigs(M)
 
 
-def test_power_block_scan_on_a_zero_matrix():
-    # ||w|| = 0 ends the block before its divide, which would warn 0/0
-    M = np.zeros((3, 3))
-    want = _outcome(_power_top_scalar, M, 1e-10, 100)
-    assert _outcome(numkit._power_top, M, 1e-10, 100) == want
+@pytest.mark.parametrize("entry, where", [
+    (math.nan, (0, 0)), (math.inf, (0, 0)), (-math.inf, (1, 1)), (math.nan, (0, 1)),
+], ids=["nan", "inf", "minus_inf", "nan_off_diagonal"])
+def test_symmetric_eigs_rejects_a_non_finite_matrix_before_any_arithmetic(entry, where):
+    # the symmetry test alone passes a nan (nan > x is False), and inf - inf
+    # in it warns
+    M = np.diag([1.0, 2.0])
+    M[where] = M[where[::-1]] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            symmetric_eigs(M)

@@ -187,13 +187,13 @@ def test_fuzzed_overrides_fail_with_config_error_or_build(arguments, seed):
 
 def test_logistic_zero_input_zero_gradient():
     prob = LogisticRegression(d=3, n=0, seed=4)
-    g = prob.grad(np.ones(3), (np.zeros(3), 1.0))
+    g = -prob.direction(np.ones(3), (np.zeros(3), 1.0))
     assert np.array_equal(g, np.zeros(3))
 
 
 def test_logistic_sigmoid_half_at_origin():
     prob = LogisticRegression(d=3, n=0, seed=4)
-    g = prob.grad(np.zeros(3), (np.array([1.0, 0.0, 0.0]), 1.0))
+    g = -prob.direction(np.zeros(3), (np.array([1.0, 0.0, 0.0]), 1.0))
     assert g == pytest.approx([-0.5, 0.0, 0.0])
 
 
@@ -202,8 +202,8 @@ def test_logistic_batch_average_linearity():
     rng = RngStream(6, 0)
     idx = rng.integers(16, 500)
     theta = rng.normals(4)
-    batch_g = prob.grad(theta, (prob._X[idx], prob._y[idx]))
-    singles = np.mean([prob.grad(theta, (prob._X[i], prob._y[i])) for i in idx], axis=0)
+    batch_g = -prob.direction(theta, (prob._X[idx], prob._y[idx]))
+    singles = np.mean([-prob.direction(theta, (prob._X[i], prob._y[i])) for i in idx], axis=0)
     assert np.allclose(batch_g, singles, atol=1e-14)
 
 
@@ -226,13 +226,13 @@ def test_logistic_streaming_reference_is_planted():
 def test_ls_fixed_point_no_noise():
     prob = LeastSquares(d=3, n=0, seed=9, noise_sigma=0.0)
     x = RngStream(10, 0).normals(3)
-    g = prob.grad(prob.theta_star, (x, float(x @ prob.theta_star)))
+    g = -prob.direction(prob.theta_star, (x, float(x @ prob.theta_star)))
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
 def test_ls_single_sample_direct():
     prob = LeastSquares(d=2, n=0, seed=11)
-    g = prob.grad(np.zeros(2), (np.array([1.0, 0.0]), 2.0))
+    g = -prob.direction(np.zeros(2), (np.array([1.0, 0.0]), 2.0))
     assert g == pytest.approx([-2.0, 0.0])
 
 
@@ -268,7 +268,7 @@ def test_svm_inactive_hinge():
     i = 0
     prob._X[i] = x
     prob._y[i] = 1.0  # margin 5 > 1
-    g = prob.grad(theta, (prob._X[i], prob._y[i]))
+    g = -prob.direction(theta, (prob._X[i], prob._y[i]))
     assert np.allclose(g, prob.lam_reg * theta)
 
 
@@ -276,7 +276,7 @@ def test_svm_active_hinge_at_origin():
     prob = Svm(d=3, n=200, seed=15, lam_reg=0.1)
     prob._X[1] = np.array([1.0, 0.0, 0.0])
     prob._y[1] = 1.0
-    g = prob.grad(np.zeros(3), (prob._X[1], prob._y[1]))
+    g = -prob.direction(np.zeros(3), (prob._X[1], prob._y[1]))
     assert g == pytest.approx([-1.0, 0.0, 0.0])
 
 
@@ -285,7 +285,7 @@ def test_svm_margin_tie_takes_ridge_branch():
     prob._X[2] = np.array([1.0, 0.0])
     prob._y[2] = 1.0
     theta = np.array([1.0, 3.0])  # margin exactly 1
-    g = prob.grad(theta, (prob._X[2], prob._y[2]))
+    g = -prob.direction(theta, (prob._X[2], prob._y[2]))
     assert np.allclose(g, prob.lam_reg * theta)
 
 
@@ -320,7 +320,7 @@ def test_lasso_zero_at_kink():
     prob = Lasso(d=3, n=100, seed=20, lam_reg=0.1, sparsity=2)
     prob._X[0] = np.zeros(3)
     prob._y[0] = 0.0
-    g = prob.grad(np.zeros(3), (prob._X[0], prob._y[0]))
+    g = -prob.direction(np.zeros(3), (prob._X[0], prob._y[0]))
     assert np.array_equal(g, np.zeros(3))
 
 
@@ -329,7 +329,7 @@ def test_lasso_sign_subgradient():
     theta = np.array([1.0, -1.0])
     prob._X[0] = np.zeros(2)
     prob._y[0] = 0.0  # zero residual contribution
-    g = prob.grad(theta, (prob._X[0], prob._y[0]))
+    g = -prob.direction(theta, (prob._X[0], prob._y[0]))
     assert np.allclose(g, 0.3 * np.array([1.0, -1.0]))
 
 
@@ -355,14 +355,14 @@ def test_lasso_reference_prox_residual():
 
 def test_uconvex_zero_gradient_at_origin():
     prob = UniformlyConvex(d=3, seed=25, noise_scale=0.0)
-    g = prob.grad(np.zeros(3), np.zeros(3))
+    g = -prob.direction(np.zeros(3), np.zeros(3))
     assert np.array_equal(g, np.zeros(3))
 
 
 def test_uconvex_unit_vector():
     prob = UniformlyConvex(d=3, seed=26, p_exp=2.5, noise_scale=0.0)
     e1 = np.array([1.0, 0.0, 0.0])
-    assert prob.grad(e1, np.zeros(3)) == pytest.approx(e1)
+    assert -prob.direction(e1, np.zeros(3)) == pytest.approx(e1)
 
 
 def test_uconvex_finite_difference_gradient():
@@ -394,7 +394,7 @@ def test_uconvex_reference_is_origin():
 def test_quadratic_identity_hessian():
     prob = QuadraticSemiStochastic(d=3, seed=30, H=np.eye(3), noise_diag=0.0)
     v = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(prob.grad(v, np.zeros(3)), v)
+    assert np.allclose(-prob.direction(v, np.zeros(3)), v)
 
 
 def test_quadratic_coupling_identity():
@@ -403,7 +403,7 @@ def test_quadratic_coupling_identity():
     rng = RngStream(32, 0)
     t1, t2 = rng.normals(4), rng.normals(4)
     token = prob.next_token(rng, None)[0]
-    diff = prob.grad(t1, token) - prob.grad(t2, token)
+    diff = prob.direction(t2, token) - prob.direction(t1, token)
     assert np.allclose(diff, prob.H @ (t1 - t2), atol=1e-12)
 
 
@@ -419,7 +419,7 @@ def test_quadratic_unbiased():
 
 
 def test_quadratic_mu_on_a_clustered_bottom_spectrum():
-    # the two smallest eigenvalues 1% apart stall the power pass for λ_min
+    # the two smallest eigenvalues 1% apart: μ is the smaller one
     Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 20)))
     spectrum = np.concatenate([[0.01, 0.0101], np.linspace(0.5, 1.0, 18)])
     prob = make_problem("quadratic", 20, H=(Q * spectrum) @ Q.T)
@@ -565,8 +565,8 @@ def test_noise_sharing_same_token_identical():
         rng = RngStream(55, 0)
         token = prob.next_token(rng, None)[0]
         theta = np.array([0.5, -1.0, 0.25])
-        g1 = prob.grad(theta, token)
-        g2 = prob.grad(theta, token)
+        g1 = prob.direction(theta, token)
+        g2 = prob.direction(theta, token)
         assert np.array_equal(g1, g2), prob.kind
 
 

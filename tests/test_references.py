@@ -1,9 +1,11 @@
 """Golden digests of reference solutions, certified constants and oracle values.
 
 SHA-256 digests of the bits each value is made of (array bytes, float hex),
-taken before the reference solvers and the eigen path were sped up.  Any
-change in a reference θ*, f*, residual, constant or closed-form series
-changes a digest.  The svm solver is also pinned to the row-by-row
+taken before the reference solvers were sped up.  The lasso, logistic, lsa
+and oracle digests were re-taken when L, μ, the lasso step and q_max moved
+from power iteration to one ``eigh`` call, in their last bits.  Any change
+in a reference θ*, f*, residual, constant or closed-form series changes a
+digest.  The svm solver is also pinned to the row-by-row
 coordinate loop it replaced, kept here as a reference implementation.  The
 restarted FISTA lasso solve is pinned to a plain reference loop and checked
 against proximal gradient (ISTA), the solve it replaced, within the bound
@@ -22,7 +24,7 @@ import pytest
 
 from csgd.errors import NonConvergenceError
 from csgd import problems
-from csgd.numkit import RngStream, norm, power_iteration_top
+from csgd.numkit import RngStream, norm, symmetric_eigs
 from csgd.oracle import dk_closed_form_series, proximity_ratio_quadratic
 from csgd.problems import _fista_lasso, _svm_dual_coordinate_ascent, make_problem
 
@@ -71,25 +73,25 @@ CASES = {
         "e881b9e62a7549afad434d89b35328fba45ca847ee8718a1a7c33ac54cff1dc0"),
     "lasso_100_1000_s1": (
         lambda: _reference("lasso", 100, 1000, 1),
-        "5e51b3e43ddac24b40d791701be19e39f58c2d37bdd6534d7b3cd70402d9b590"),
+        "f911afd8f0b15cebcbd78e7588b5346a122d76ca3cb233a9a2fbbe3ecdbdb9df"),
     "lasso_100_300_s3": (
         lambda: _reference("lasso", 100, 300, 3),
-        "a973c6a7046d9ec497ec6aa51cc8cf7f0b5b2bd08ce697323a6206933c845516"),
+        "e0d1050a877ec8f12c590048a2e48944e2f53a83ab91e3eddc85ba107835d786"),
     "logistic_10_1000_s1": (
         lambda: _constants(10, 1000, 1),
-        "7af964ee2479e17321f25c2cd701f2eebe9f16fe933631fa400222baa28ef28b"),
+        "711bfed85d65d99e2681dad2ab5feb5ddcc06596c0edc9e745b4a18b7e613e1c"),
     "logistic_stream_10": (
         lambda: _constants(10, 0, 0),
-        "e77dd27636654e47e2c9037010d8ab2aa9e747881cae0740af3bbae0d60b3d1b"),
+        "d840a18e0c36589ee568057d363ae7a0e98f5dcc98784ba8e60d8c69ed4691e4"),
     "lsa_5_s0": (
         lambda: _lsa(0),
-        "747cfdb47bb16191c35a546528407197a8c008f3c8bb0551adab28ffacc1a8d1"),
+        "28f4ca2d68103ce6b7d93642a32262100edb937ad785647f167f951fd250c8aa"),
     "lsa_5_s17": (
         lambda: _lsa(17),
-        "e55eb4237c40f7bc3dfc6c44cbfca8122ac5d97ff6d2f9a14ddea3aaf4e76a6b"),
+        "f6dec915017a860134f9e21c1dd21fbf3f797f930e9303069d8237609ab674f8"),
     "oracle_quadratic_5": (
         _oracle,
-        "d06b1209e888b3e83cd634bbe88d1c0b95d2f62b02e7544ed4981b4b56c8b44c"),
+        "addb6eb88f531732f6896ce366169274d4ae424774ee5a69abfd37d470038586"),
 }
 
 
@@ -213,7 +215,7 @@ def _fista_reference_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     """The restarted FISTA loop ``_fista_lasso`` must match bit for bit, written
     plainly: a prox_grad closure, then the restart test or the momentum step."""
     gram, lin = _lasso_gram(X, y)
-    lam_max, _ = power_iteration_top(gram, tol=1e-12)
+    _, lam_max, _ = symmetric_eigs(gram)
     t_step = 1.0 / lam_max
 
     def prox_grad(v):
@@ -243,7 +245,7 @@ def _fista_reference_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
 def _ista_loop(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     """Plain proximal gradient (ISTA) with the same step and stopping rule."""
     gram, lin = _lasso_gram(X, y)
-    lam_max, _ = power_iteration_top(gram, tol=1e-12)
+    _, lam_max, _ = symmetric_eigs(gram)
     t_step = 1.0 / lam_max
     theta = np.zeros(X.shape[1])
     tol = tol_rel * max(1.0, norm(lin))
