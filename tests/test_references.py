@@ -5,8 +5,8 @@ taken before the reference solvers were sped up.  The lasso, logistic, lsa
 and oracle digests were re-taken when L, μ, the lasso step and q_max moved
 from power iteration to one ``eigh`` call, in their last bits.  Any change
 in a reference θ*, f*, residual, constant or closed-form series changes a
-digest.  The svm solver is also pinned to the row-by-row
-coordinate loop it replaced, kept here as a reference implementation.  The
+digest.  The svm solver is also pinned to the row-by-row coordinate loop
+it replaced, kept here as a reference implementation.  The
 restarted FISTA lasso solve is pinned to a plain reference loop and checked
 against proximal gradient (ISTA), the solve it replaced, within the bound
 its stopping rule implies.
