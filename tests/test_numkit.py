@@ -6,6 +6,8 @@ import pytest
 
 from csgd.errors import ConfigError
 from csgd.numkit import RngStream, box_muller, gaussian, norm, symmetric_eigs
+from csgd.oracle import proximity_ratio_quadratic
+from csgd.problems import make_problem
 
 
 # ----------------------------------------------------------------- RngStream
@@ -190,23 +192,24 @@ def test_hot_path_product_forms_match_the_operator_bitwise(d, layout):
 
 
 # -------------------------------------------------------------- eigen extremes
+# The power-iteration tests that still apply keep their names on symmetric_eigs.
 
 
-def test_symmetric_eigs_diagonal():
+def test_power_iteration_diagonal():
     lam_min, lam_max, q = symmetric_eigs(np.diag([1.0, 2.0, 3.0]))
     assert lam_min == pytest.approx(1.0, abs=1e-12)
     assert lam_max == pytest.approx(3.0, abs=1e-12)
     assert q[2] == pytest.approx(1.0, abs=1e-12)  # signed: the largest component is positive
 
 
-def test_symmetric_eigs_identity_degenerate():
+def test_power_iteration_identity_degenerate():
     lam_min, lam_max, q = symmetric_eigs(np.eye(4))
     assert lam_min == pytest.approx(1.0, abs=1e-12)
     assert lam_max == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(q) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_symmetric_eigs_antidiagonal():
+def test_power_iteration_antidiagonal_symmetry_broken():
     # eigenvalues ±1 on the diagonals (1, -1) and (1, 1), away from the axes
     M = np.array([[0.0, -1.0], [-1.0, 0.0]])
     lam_min, lam_max, q = symmetric_eigs(M)
@@ -229,7 +232,7 @@ def _charpoly_roots(M):
     return np.sort(np.roots(coeffs).real)
 
 
-def test_symmetric_eigs_vs_charpoly_roots():
+def test_power_iteration_vs_charpoly_roots():
     rng = RngStream(99, 0)
     A = rng.normals(25).reshape(5, 5)
     M = A @ A.T + 0.5 * np.eye(5)  # SPD
@@ -255,9 +258,51 @@ def test_symmetric_eigs_clustered_bottom():
     assert lam_max == pytest.approx(want[-1], abs=1e-15)
 
 
-def test_symmetric_eigs_requires_symmetry():
+def test_power_iteration_requires_symmetry():
     with pytest.raises(ValueError, match="matrix must be symmetric"):
         symmetric_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _lasso_gram():
+    prob = make_problem("lasso", d=100, n=1000, seed=1)
+    X = prob._X
+    return 2.0 * X.T @ X / X.shape[0]
+
+
+def _random_spd():
+    A = RngStream(99, 0).normals(25).reshape(5, 5)
+    return A @ A.T + 0.5 * np.eye(5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.diag([1.0, 2.0, 3.0]),
+        lambda: np.eye(4),
+        lambda: np.array([[0.0, -1.0], [-1.0, 0.0]]),
+        _random_spd,
+        _lasso_gram,
+    ],
+    ids=["diagonal", "identity", "antidiagonal", "random_spd", "lasso_gram"],
+)
+def test_power_iteration_top_matches_extreme_eigs_bitwise(make):
+    # the top pair is eigh's last eigenpair, bit for bit, signed so that the
+    # largest-magnitude component of q_max is positive
+    M = make()
+    lam_min, lam_max, q_max = symmetric_eigs(M)
+    lams, Q = np.linalg.eigh(M)
+    want_q = Q[:, -1] if Q[np.argmax(np.abs(Q[:, -1])), -1] > 0 else -Q[:, -1]
+    assert float(lam_min).hex() == float(lams[0]).hex()
+    assert float(lam_max).hex() == float(lams[-1]).hex()
+    assert q_max.tobytes() == want_q.tobytes()
+
+
+def test_power_iteration_top_requires_symmetry():
+    # the top eigenvector of I - γH in proximity_ratio_quadratic goes
+    # through the same check
+    H = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        proximity_ratio_quadratic(H, 0.1, np.ones(2), 3)
 
 
 def test_symmetric_eigs_symmetry_tolerance_is_relative():
