@@ -309,11 +309,12 @@ def resolve_schedule(kind: str, *constants):
         return lambda k: C / math.sqrt(k)
     if kind == "inv_mu_k":
         (mu,) = constants
+        mu = float(mu)
         return lambda k: 1.0 / (mu * k)
     if kind == "uniform_opt":
         tau, *rest = constants
         scale = float(rest[0] if rest else 1.0)
-        power = -1.0 / (tau + 1.0)
+        power = -1.0 / (float(tau) + 1.0)
         return lambda k: scale * k**power
     raise ConfigError(f"unknown schedule kind {kind!r}")
 

@@ -57,10 +57,12 @@ class RngStream:
 
     The generator state is fully determined by ``(seed, stream_id, counter)``
     where ``counter`` counts raw 64-bit words consumed; seed and stream id are
-    integers in [0, 2⁶⁴) and the counter is >= 0, else ConfigError.  Gaussian
-    draws use a fixed-consumption Box-Muller transform — exactly
-    ``2*ceil(n/2)`` raw words per ``normals(n)`` call, nothing cached — so
-    interleaving calls never shifts the mapping from counter to output.
+    integers in [0, 2⁶⁴) and the counter is >= 0, else ConfigError.  A draw's
+    count must be an integer >= 0 and the bound of :meth:`integers` one >= 1,
+    else ConfigError before the counter moves.  Gaussian draws use a
+    fixed-consumption Box-Muller transform — exactly ``2*ceil(n/2)`` raw
+    words per ``normals(n)`` call, nothing cached — so interleaving calls
+    never shifts the mapping from counter to output.
 
     Chunk contract: every decode here is a pure function of its raw words
     (:func:`box_muller`, :func:`uniforms_from`, :func:`integers_from`), so a
@@ -99,6 +101,7 @@ class RngStream:
 
     def raw(self, n: int) -> np.ndarray:
         """n raw 64-bit words; advances the counter by n."""
+        check_int("n", n, 0)
         self.counter += int(n)
         return self._bg.random_raw(int(n))
 
@@ -108,8 +111,7 @@ class RngStream:
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform on [0, bound); one raw word each."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        check_int("bound", bound, 1)
         return integers_from(self.raw(n), bound)
 
     def normals(self, n: int) -> np.ndarray:
@@ -118,6 +120,7 @@ class RngStream:
         Consumes exactly 2*ceil(n/2) raw words; odd-n calls discard the
         second member of the final pair rather than caching it.
         """
+        check_int("n", n, 0)
         if n == 0:
             return np.empty(0)
         return box_muller(self.raw(normal_words(n)))[:n]

@@ -8,9 +8,12 @@ Each problem kind exposes the same surface:
   two evaluations with the same token consume identical noise.  That
   property is what makes coupled runs share their per-iteration
   randomness.
-- ``full_grad`` / ``loss``: the deterministic objective the stochastic
+- ``losses``: each kind's one statement of the deterministic objective the
   oracle is unbiased for (empirical mean for dataset-backed kinds,
-  population form for streaming kinds).
+  population form for streaming kinds), at each row of a (reps, d) stack,
+  each row's bits its own; ``loss`` is its one-row case.  ``full_grad`` is
+  its gradient (lsa: minus the mean field), on the GLM kinds minus the
+  full-batch oracle.
 - certified constants ``L`` and ``mu`` (and ``R_sq``, the trace of the
   input covariance, on the GLM kinds) and a lazily solved
   :class:`ReferenceSolution`.
@@ -104,6 +107,11 @@ def _sigmoid_scalar(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
+
+
+def _gemv_rows(A, rows: np.ndarray) -> np.ndarray:
+    """``A @ row`` per row of a (reps, d) stack, one gemv each as ``A.dot(row)``; A may be per row."""
+    return np.matmul(A, rows[:, :, None])[:, :, 0]
 
 
 def token_rows(block) -> list:
@@ -200,11 +208,12 @@ class Problem:
         raise NotImplementedError
 
     def loss(self, theta: np.ndarray) -> float:
-        raise NotImplementedError
+        """The objective at one iterate: the one-row case of :meth:`losses`."""
+        return float(self.losses(theta[None])[0])
 
     def losses(self, thetas: np.ndarray) -> np.ndarray:
-        """:meth:`loss` of each row of a (reps, d) stack, bit for bit; here a row loop."""
-        return np.array([self.loss(t) for t in thetas])
+        """The objective at each row of a (reps, d) stack; each row's bits are its own."""
+        raise NotImplementedError
 
     # --- reference & constants --------------------------------------------
 
@@ -240,6 +249,9 @@ class _GlmBase(Problem):
     and the planted parameter a N(0, I) draw fixed by the seed.  A subclass
     may fix either to one value for every coordinate instead: svm takes
     h_j = 1 and θ_planted = 0, lasso θ_planted = 0.
+
+    Each subclass states its objective once, as ``losses``; ``full_grad``
+    is minus the full-batch oracle, ``direction`` over ``_calibration_data``.
     """
 
     def __init__(self, d, n, seed, h_diag=None, theta_planted=None):
@@ -274,6 +286,14 @@ class _GlmBase(Problem):
     def _labels(self, margins: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Streaming labels (count, batch) from the margins ⟨x, θ_planted⟩ and label words."""
         raise NotImplementedError
+
+    def full_grad(self, theta):
+        return -self.direction(theta, self._calibration_data)
+
+    @property
+    def _calibration_data(self):
+        """The (X, y) the objective averages over: the data set."""
+        return self._X, self._y
 
     def _materialize_inputs(self, count: int, stream_id: int = _DATA_STREAM):
         """``count`` input rows N(0, H) from stream ``stream_id``, and that stream after them."""
@@ -320,14 +340,9 @@ class LogisticRegression(_GlmBase):
         coef = y * _sigmoid(-y * (X @ theta))
         return X.T @ coef / X.shape[0]
 
-    def full_grad(self, theta):
+    def losses(self, thetas):
         X, y = self._calibration_data
-        coef = -y * _sigmoid(-y * (X @ theta))
-        return X.T @ coef / X.shape[0]
-
-    def loss(self, theta):
-        X, y = self._calibration_data
-        return float(np.logaddexp(0.0, -y * (X @ theta)).mean())
+        return np.logaddexp(0.0, -y * _gemv_rows(X, thetas)).mean(axis=1)
 
     @cached_property
     def _calibration_data(self):
@@ -457,15 +472,15 @@ class LeastSquares(_GlmBase):
         return resid[:, None] * X
 
     def full_grad(self, theta):
-        # population gradient H(θ - θ_planted)
-        return self.h_diag * (theta - self.theta_planted)
-
-    def loss(self, theta):
         if self.n > 0:
-            r = self._y - self._X @ theta
-            return float(0.5 * (r @ r) / self.n)
-        diff = theta - self.theta_planted
-        return float(0.5 * (self.h_diag @ diff**2) + 0.5 * self.noise_sigma**2)
+            return super().full_grad(theta)
+        return self.h_diag * (theta - self.theta_planted)  # population gradient H(θ - θ_planted)
+
+    def losses(self, thetas):
+        if self.n > 0:
+            return 0.5 * row_sq(self._y - _gemv_rows(self._X, thetas)) / self.n
+        diff = thetas - self.theta_planted
+        return 0.5 * np.vecdot(self.h_diag, diff**2) + 0.5 * self.noise_sigma**2
 
     def _solve_reference(self):
         if self.n == 0:
@@ -476,7 +491,7 @@ class LeastSquares(_GlmBase):
             theta_star=theta,
             f_star=self.loss(theta),
             provenance="closed-form",
-            grad_norm=norm(self._X.T @ (self._X @ theta - self._y) / self.n),
+            grad_norm=norm(self.full_grad(theta)),
         )
 
     def default_gamma0(self):
@@ -520,17 +535,9 @@ class Svm(_GlmBase):
         hinge = (np.where(active, y, 0.0) @ X) / X.shape[0]
         return hinge - self.lam_reg * theta
 
-    def full_grad(self, theta):
-        active = self._y * (self._X @ theta) < 1.0
-        hinge = -(np.where(active, self._y, 0.0)[:, None] * self._X).sum(axis=0) / self.n
-        return self.lam_reg * theta + hinge
-
-    def loss(self, theta):
-        margins = self._y * (self._X @ theta)
-        return float(
-            np.maximum(0.0, 1.0 - margins).mean()
-            + 0.5 * self.lam_reg * float(theta @ theta)
-        )
+    def losses(self, thetas):
+        margins = self._y * _gemv_rows(self._X, thetas)
+        return np.maximum(0.0, 1.0 - margins).mean(axis=1) + 0.5 * self.lam_reg * row_sq(thetas)
 
     def _solve_reference(self):
         theta, gap = _svm_dual_coordinate_ascent(self._X, self._y, self.lam_reg)
@@ -631,13 +638,9 @@ class Lasso(_GlmBase):
         smooth = 2.0 * (X.T @ resid) / X.shape[0]
         return smooth - self.lam_reg * np.sign(theta)  # sign(0) = 0
 
-    def full_grad(self, theta):
-        resid = self._y - self._X @ theta
-        return -2.0 * self._X.T @ resid / self.n + self.lam_reg * np.sign(theta)
-
-    def loss(self, theta):
-        resid = self._y - self._X @ theta
-        return float((resid @ resid) / self.n + self.lam_reg * np.abs(theta).sum())
+    def losses(self, thetas):
+        resid = self._y - _gemv_rows(self._X, thetas)
+        return row_sq(resid) / self.n + self.lam_reg * np.abs(thetas).sum(axis=1)
 
     def _solve_reference(self):
         theta, resid_norm = _fista_lasso(self._X, self._y, self.lam_reg)
@@ -737,8 +740,9 @@ class UniformlyConvex(Problem):
             return np.zeros(self.d)
         return r ** (self.p_exp - 2.0) * theta
 
-    def loss(self, theta):
-        return norm(theta) ** self.p_exp / self.p_exp
+    def losses(self, thetas):
+        # a Python float power per row: np.power can round the last bit differently
+        return np.array([r ** self.p_exp for r in np.sqrt(row_sq(thetas)).tolist()]) / self.p_exp
 
     def _solve_reference(self):
         return ReferenceSolution(np.zeros(self.d), 0.0, provenance="closed-form")
@@ -802,18 +806,13 @@ class QuadraticSemiStochastic(Problem):
         return self._neg_H.dot(theta) - token
 
     def step_directions(self, thetas, tokens):
-        # one gemv per row, as (-H).dot(θ) makes
-        return np.matmul(self._neg_H, thetas[:, :, None])[:, :, 0] - tokens
+        return _gemv_rows(self._neg_H, thetas) - tokens
 
     def full_grad(self, theta):
         return self.H @ theta
 
-    def loss(self, theta):
-        return float(0.5 * theta @ (self.H @ theta))
-
     def losses(self, thetas):
-        # one gemv and one ddot per row, as loss makes
-        return np.vecdot(0.5 * thetas, np.matmul(self.H, thetas[:, :, None])[:, :, 0])
+        return np.vecdot(0.5 * thetas, _gemv_rows(self.H, thetas))
 
     _solve_reference = UniformlyConvex._solve_reference  # θ* = 0 and f* = 0
 
@@ -924,24 +923,19 @@ class LinearStochasticApprox(Problem):
         return self.A_table[state].dot(theta) + self.b_table[state]
 
     def step_directions(self, thetas, states):
-        # one gemv per row, as A(x).dot(θ) makes
-        return np.matmul(self.A_table[states], thetas[:, :, None])[:, :, 0] + self.b_table[states]
+        return _gemv_rows(self.A_table[states], thetas) + self.b_table[states]
 
     def full_grad(self, theta):
+        """Minus the mean field Āθ + b̄; not the gradient of :meth:`losses`."""
         return -(self.A_bar @ theta + self.b_bar)
 
-    def loss(self, theta):
-        """Squared residual of the averaged fixed-point equation."""
-        r = self.A_bar @ theta + self.b_bar
-        return float(r @ r)
-
     def losses(self, thetas):
-        # one gemv and one ddot per row, as loss makes
-        return row_sq(np.matmul(self.A_bar, thetas[:, :, None])[:, :, 0] + self.b_bar)
+        """Squared residual of the averaged fixed-point equation."""
+        return row_sq(_gemv_rows(self.A_bar, thetas) + self.b_bar)
 
     def _solve_reference(self):
         theta = np.linalg.solve(self.A_bar, -self.b_bar)
-        resid = norm(self.A_bar @ theta + self.b_bar)
+        resid = norm(self.full_grad(theta))
         if resid > 1e-10:
             raise NonConvergenceError(f"lsa fixed point residual {resid:g}")
         return ReferenceSolution(

@@ -378,6 +378,22 @@ def test_fixed_schedule_values():
     assert resolve_schedule("uniform_opt", tau)(8) == pytest.approx(8 ** (-1.0 / 1.2))
 
 
+@pytest.mark.parametrize(
+    "kind, formula",
+    [("constant", lambda c, k: c), ("inv_sqrt", lambda c, k: c / math.sqrt(k)),
+     ("inv_mu_k", lambda c, k: 1.0 / (c * k)), ("uniform_opt", lambda c, k: k ** (-1.0 / (c + 1.0)))],
+    ids=["constant", "inv_sqrt", "inv_mu_k", "uniform_opt"],
+)
+def test_schedules_convert_float32_constants_once(kind, formula):
+    # a float32 μ or τ once gave float32 stepsizes: 0.47619045 from inv_mu_k(0.3) at k = 7
+    c = np.float32(0.3)
+    schedule = resolve_schedule(kind, c)
+    for k in (1, 7, 100):
+        got = schedule(k)
+        assert type(got) is float
+        assert got == formula(float(c), k)
+
+
 def test_fixed_schedule_k_zero_rejected():
     ctrl = FixedScheduleController(ControllerParams(kind="fixed", schedule=("inv_sqrt", 1.0)))
     with pytest.raises(ValueError):

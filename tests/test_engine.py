@@ -20,7 +20,7 @@ from csgd.oracle import dk_closed_form_series
 from collections import deque
 from csgd.engine import CoupledState, reinit_auxiliary
 from csgd.oracle import gamma0_bound, theorem1_floor
-from csgd.problems import token_columns, token_rows
+from csgd.problems import _KIND_CLASSES, Problem, token_columns, token_rows
 from csgd import engine
 from csgd.engine import RunTrace
 
@@ -678,17 +678,87 @@ def _iterate(prob, n_steps=50):
     return theta
 
 
-@pytest.mark.parametrize("name", sorted(PROBLEMS) + ["quadratic/d100", "lsa/d50"])
+# The objective of each kind at one iterate, as it was written before the
+# stacked ``losses`` became each kind's one statement of it; the reference
+# the stacked form is held to, bit for bit.
+
+
+def _logistic_loss(prob, theta):
+    X, y = prob._calibration_data
+    return float(np.logaddexp(0.0, -y * (X @ theta)).mean())
+
+
+def _least_squares_loss(prob, theta):
+    if prob.n > 0:
+        r = prob._y - prob._X @ theta
+        return float(0.5 * (r @ r) / prob.n)
+    diff = theta - prob.theta_planted
+    return float(0.5 * (prob.h_diag @ diff**2) + 0.5 * prob.noise_sigma**2)
+
+
+def _svm_loss(prob, theta):
+    margins = prob._y * (prob._X @ theta)
+    return float(np.maximum(0.0, 1.0 - margins).mean() + 0.5 * prob.lam_reg * float(theta @ theta))
+
+
+def _lasso_loss(prob, theta):
+    resid = prob._y - prob._X @ theta
+    return float((resid @ resid) / prob.n + prob.lam_reg * np.abs(theta).sum())
+
+
+def _uniformly_convex_loss(prob, theta):
+    return math.sqrt(theta.dot(theta)) ** prob.p_exp / prob.p_exp
+
+
+def _quadratic_loss(prob, theta):
+    return float(0.5 * theta @ (prob.H @ theta))
+
+
+def _lsa_loss(prob, theta):
+    r = prob.A_bar @ theta + prob.b_bar
+    return float(r @ r)
+
+
+REFERENCE_LOSS = {
+    "logistic": _logistic_loss,
+    "least_squares": _least_squares_loss,
+    "svm": _svm_loss,
+    "lasso": _lasso_loss,
+    "uniformly_convex": _uniformly_convex_loss,
+    "quadratic": _quadratic_loss,
+    "lsa": _lsa_loss,
+}
+# every kind at a second size; the dataset kinds at (d, n) = (10, 1000) and (100, 1000)
+LOSS_SIZES = ["logistic/d20", "least_squares/d100", "uniformly_convex/d100", "quadratic/d100",
+              "lsa/d50"] + [f"{kind}/d{d}n1000" for kind in ("logistic", "least_squares", "svm",
+                                                             "lasso") for d in (10, 100)]
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS) + LOSS_SIZES)
 def test_stacked_losses_match_loss_bitwise(name):
     kind, _, size = name.partition("/d")
-    prob = make_problem(kind, d=int(size), seed=5) if size else problem(name)
+    if size:
+        d, _, n = size.partition("n")
+        extra = {"sparsity": 5} if kind == "lasso" and int(d) < 60 else {}
+        prob = make_problem(kind, d=int(d), n=int(n or 0), seed=5, **extra)
+    else:
+        prob = problem(name)
     gen = np.random.default_rng(prob.d)
     iterate = _iterate(prob)
-    stack = np.vstack([np.zeros(prob.d), iterate, 1e6 * iterate,
-                       gen.standard_normal((6, prob.d)) * 10.0 ** gen.uniform(-3, 3, (6, 1))])
+    # 60 random rows: np.power rounds a float power differently in a few percent of them
+    stack = np.vstack([np.zeros(prob.d), prob.theta_star, iterate, 1e6 * iterate,
+                       gen.standard_normal((60, prob.d)) * 10.0 ** gen.uniform(-3, 3, (60, 1))])
     got = prob.losses(stack)
     assert got.shape == (len(stack),)
-    assert [float(v).hex() for v in got] == [float(prob.loss(t)).hex() for t in stack]
+    want = [float(REFERENCE_LOSS[prob.kind](prob, t)).hex() for t in stack]
+    assert [float(v).hex() for v in got] == want
+    assert [float(prob.loss(t)).hex() for t in stack] == want
+
+
+def test_no_kind_overrides_loss():
+    # loss is the one-row case of losses, the one place each kind states its objective
+    for cls in _KIND_CLASSES.values():
+        assert cls.loss is Problem.loss, cls.__name__
 
 
 class _DecaysAtFive(FixedScheduleController):

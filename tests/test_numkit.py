@@ -98,6 +98,23 @@ def test_stream_takes_every_64_bit_seed_and_stream_id(seed, stream_id):
     assert np.array_equal(s.raw(4), RngStream(int(seed), int(stream_id)).raw(4))
 
 
+@pytest.mark.parametrize(
+    "draw, args",
+    [("raw", (-3,)), ("uniforms", (-2,)), ("normals", (2.7,)), ("uniforms", (1.5,)),
+     ("normals", (-1,)), ("raw", (True,)), ("integers", (3, 2.5)), ("integers", (3, True)),
+     ("integers", (3, 0)), ("integers", (-1, 4))],
+)
+def test_stream_draw_rejects_a_bad_count_before_the_counter_moves(draw, args):
+    # raw(-3) once moved the counter to -3, normals(2.7) drew 2 words before
+    # failing, uniforms(1.5) drew 1 and integers(3, 2.5) drew with bound 2
+    s = RngStream(42, 7)
+    s.raw(5)
+    with pytest.raises(ConfigError):
+        getattr(s, draw)(*args)
+    assert s.counter == 5
+    assert np.array_equal(s.raw(4), RngStream(42, 7, counter=5).raw(4))
+
+
 def test_box_muller_block_matches_row_draws():
     # the chunk contract: one decode over a block of rows gives the bits of
     # one normals() call per row

@@ -365,23 +365,6 @@ def test_uconvex_unit_vector():
     assert -prob.direction(e1, np.zeros(3)) == pytest.approx(e1)
 
 
-def test_uconvex_finite_difference_gradient():
-    prob = UniformlyConvex(d=4, seed=27, p_exp=2.5)
-    rng = RngStream(28, 0)
-    h = 1e-6
-    for _ in range(100):
-        theta = rng.normals(4)
-        if np.linalg.norm(theta) < 0.1:
-            continue
-        g = prob.full_grad(theta)
-        fd = np.empty(4)
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = h
-            fd[j] = (prob.loss(theta + e) - prob.loss(theta - e)) / (2 * h)
-        assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
-
-
 def test_uconvex_reference_is_origin():
     prob = UniformlyConvex(d=7, seed=29)
     assert np.array_equal(prob.theta_star, np.zeros(7))
@@ -553,6 +536,32 @@ def test_unbiasedness_logistic_dataset():
     se = per.std(axis=0, ddof=1) / np.sqrt(m)
     full = prob.full_grad(theta)
     assert np.all(np.abs(per.mean(axis=0) - full) <= 4 * se + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, n, extra",
+    [("logistic", 0, {}), ("logistic", 300, {}), ("least_squares", 0, {}),
+     ("least_squares", 300, {}), ("svm", 300, {}), ("lasso", 300, {"sparsity": 3}),
+     ("quadratic", 0, {}), ("uniformly_convex", 0, {})],
+    ids=["logistic", "logistic_data", "least_squares", "least_squares_data", "svm", "lasso",
+         "quadratic", "uniformly_convex"],
+)
+def test_full_grad_is_the_gradient_of_loss(kind, n, extra):
+    # lsa is left out: its full_grad is the mean field of a map that is not a gradient
+    prob = make_problem(kind, d=5, n=n, seed=3, **extra)
+    rng = RngStream(61, 0)
+    h = 1e-6
+    for _ in range(20):
+        theta = rng.normals(5)
+        # central differences away from the kinks: svm's hinge at margin 1, lasso's θⱼ = 0
+        if kind == "svm":
+            assert np.abs(1.0 - prob._y * (prob._X @ theta)).min() > 1e-4
+        if kind == "lasso":
+            assert np.abs(theta).min() > 1e-4
+        fd = np.array([(prob.loss(theta + e) - prob.loss(theta - e)) / (2 * h)
+                       for e in h * np.eye(5)])
+        g = prob.full_grad(theta)
+        assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
 
 def test_noise_sharing_same_token_identical():
