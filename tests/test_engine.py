@@ -32,6 +32,8 @@ from csgd.engine import RunTrace
 # in the number of raw words it consumes, changes a digest.  The quadratic
 # and lsa digests were re-taken when L and μ moved to one eigh call; DECISIONS
 # below shows that no restart, divergence or stream position moved with them.
+# The svm digests were re-taken when the active-set finish moved the svm θ*;
+# SVM_TRAJECTORIES below shows that only the error columns moved.
 
 PROBLEMS = {
     "logistic": dict(d=4, n=0, seed=11),
@@ -236,11 +238,11 @@ GOLDEN = {
     "quadratic/pflug": "c654a066f9057017dea125a56f5d4c31eb67d89ae333e0d9244438a54b693ef6",
     "stationary/least_squares": "182bcd1f6450f3201dc5536f189d72a4c2e1e49035a78d590fc533a3bec2da32",
     "stationary/quadratic": "4bc09e7ff6156b43993ce630c2c6a8b2afe92f869577d56b359a21c7d988578d",
-    "svm/coupling_adaptive": "6ed0c95dc7691b1ff6ef9c259c88578882d06a83e691471e03edd72103209272",
-    "svm/coupling_static": "c797da8c8e78f2e8668aeeb2d318062a8c1b28d70ea2805c881ca5fd9ae1c75d",
-    "svm/distance": "0ef9a6cdf6b31fd0da0f2680cbfc01a00d10aeb7c5cd6b7d57aca376ee79ad5a",
-    "svm/fixed": "0340df1e524e1c439a1916ccf5d6f3f4597b03eeebb9b8f36ce2547c6a7c32c0",
-    "svm/pflug": "d5049cfbdbc4869453e1bc2684e84be539e667b158baf83ea7f9273ee4d2a197",
+    "svm/coupling_adaptive": "126f82c69d043f37e2bd91b5a91a068ad8b7c72e71ee699426f0d1efc5fb6b53",
+    "svm/coupling_static": "7ae0bc6b1355a181214ed9884854cd7f62085cd5ff698eaa385ea959c79a29be",
+    "svm/distance": "3fc8ba4e75529c550d05a5c8cb4518fc6c5650d8676088aeb4f829257d810150",
+    "svm/fixed": "996e838e90ba13d904bf23a755870611fcf634df6dad700c711ed6fc803e65ef",
+    "svm/pflug": "0a7c318074754e4ded2da5d9cea5ac8689fc3a7fcb58d1aabd5a50b03288b764",
     "uniformly_convex/coupling_adaptive": "0071ae655155105ec0cb435733d2bb1f030f0f8abfb916e53c52c1bde351665c",
     "uniformly_convex/coupling_static": "e9baf9c9a3694370d54af079481d90039e71b06267a9067e26162cbd8a553b68",
     "uniformly_convex/coupling_static/batch3": "42dcda6f02a9c6a5504a0c1621ee7afbee244f13927e86e07a5f134b012240ae",
@@ -291,6 +293,23 @@ LASSO_TRAJECTORIES = {
 def test_lasso_runs_do_not_depend_on_the_reference_solve(case, monkeypatch):
     monkeypatch.setitem(globals(), "trace_digest", theta_star_free_digest)
     assert CASES[case]() == LASSO_TRAJECTORIES.get(case)
+
+
+# Taken with the dual coordinate ascent stopped at a 1e-9 gap, before the
+# active-set finish moved θ* (by 4.4e-9 here): no svm run reads θ* either.
+SVM_TRAJECTORIES = {
+    "svm/coupling_adaptive": "a06208d039b2e18d8742a4a87b9111d3ea10d4a450c4fde5da2fd95de300fdfa",
+    "svm/coupling_static": "4e0ec1dee3949b4c0c27fdf11a575a7519bbf1649a70f70b18e001e1500da538",
+    "svm/distance": "4225e7974d2fe00786a0ae3e5e0bdc5509478ba57ef25baee9b450c82f0ff5d6",
+    "svm/fixed": "c249c5ab5d86c43ff925d138e65224b4f985f35880345aabb00627828d954b56",
+    "svm/pflug": "ddb7ba9dc4f9989c0e3e7d19cd5924fc5beca6f7681e0df994de482fec5d8a88",
+}
+
+
+@pytest.mark.parametrize("case", [case for case in sorted(CASES) if case.startswith("svm/")])
+def test_svm_runs_do_not_depend_on_the_reference_solve(case, monkeypatch):
+    monkeypatch.setitem(globals(), "trace_digest", theta_star_free_digest)
+    assert CASES[case]() == SVM_TRAJECTORIES.get(case)
 
 
 def decision_digest(trace, rng):

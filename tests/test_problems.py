@@ -308,7 +308,8 @@ def test_svm_reference_duality_gap():
 
 @pytest.mark.parametrize("seed", [4, 7])
 def test_svm_reference_converges_on_slow_seeds(seed):
-    # these two need about 2000 and 800 epochs of dual coordinate ascent
+    # dual coordinate ascent alone needs about 2000 and 800 epochs here to
+    # reach the 1e-9 gap; with the active-set finish, 25 and 39
     ref = make_problem("svm", d=10, n=200, seed=seed).reference
     assert ref.grad_norm <= 1e-9 * max(1.0, abs(ref.f_star))  # the solver's gap_tol_rel
 

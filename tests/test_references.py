@@ -5,8 +5,13 @@ taken before the reference solvers were sped up.  The lasso, logistic, lsa
 and oracle digests were re-taken when L, μ, the lasso step and q_max moved
 from power iteration to one ``eigh`` call, in their last bits.  Any change
 in a reference θ*, f*, residual, constant or closed-form series changes a
-digest.  The svm solver is also pinned to the row-by-row coordinate loop
-it replaced, kept here as a reference implementation.  The
+digest.  The two svm digests were re-taken when an active-set solve began
+to finish the dual coordinate ascent: θ* moved from the point the 1e-9
+duality gap certified (within √(2·gap/λ) ≈ 1.4e-4 of the optimum) to the
+optimum itself, by 1.1e-6 and 2.0e-7, and the gap fell to rounding.  The
+svm scan is also pinned, epoch by epoch, to the row-by-row coordinate loop
+it replaced, kept here as a reference implementation, and θ* is checked
+to be a KKT point.  The
 restarted FISTA lasso solve is pinned to a plain reference loop and checked
 against proximal gradient (ISTA), the solve it replaced, within the bound
 its stopping rule implies.
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csgd.errors import NonConvergenceError
+from csgd.errors import ConfigError, NonConvergenceError
 from csgd import problems
 from csgd.numkit import RngStream, norm, symmetric_eigs
 from csgd.oracle import dk_closed_form_series, proximity_ratio_quadratic
@@ -67,10 +72,14 @@ def _oracle():
 CASES = {
     "svm_10_1000_s1": (
         lambda: _reference("svm", 10, 1000, 1),
-        "72be0c17d4de9ee21e6f36b5bdfc3783eefd132247eb75db0f507ed43a750d0a"),
+        "abe74239bdd410177a89e8ce80c0e8fcd359c2d826e918d34b61e171903970ee"),
     "svm_20_500_s2": (
         lambda: _reference("svm", 20, 500, 2),
-        "e881b9e62a7549afad434d89b35328fba45ca847ee8718a1a7c33ac54cff1dc0"),
+        "f9adb871fcb7d65d5ecaf9d3f04806dc64dafb574d8d5d75a2273f8e090cec07"),
+    # 76 free rows: the largest active-set system of the pinned solves
+    "svm_100_1000_s1": (
+        lambda: _reference("svm", 100, 1000, 1),
+        "b9f76ab39914d7cb5a3126598571400a0dbb911fee8856b6c14f68837d1440e6"),
     "lasso_100_1000_s1": (
         lambda: _reference("lasso", 100, 1000, 1),
         "f911afd8f0b15cebcbd78e7588b5346a122d76ca3cb233a9a2fbbe3ecdbdb9df"),
@@ -102,7 +111,8 @@ def test_reference_digest_is_golden(name):
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-THREAD_CASES = ("lasso_100_1000_s1", "lasso_100_300_s3", "logistic_10_1000_s1")
+THREAD_CASES = ("svm_10_1000_s1", "svm_20_500_s2", "svm_100_1000_s1", "lasso_100_1000_s1",
+                "lasso_100_300_s3", "logistic_10_1000_s1")
 
 
 def _digests_on(threads):
@@ -123,15 +133,16 @@ def test_reference_digests_do_not_depend_on_the_blas_thread_count():
     assert _digests_on(1) == _digests_on(2) == [CASES[name][1] for name in THREAD_CASES]
 
 
-def _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
-    """The per-coordinate dual ascent the block scan must match bit for bit."""
+def _svm_scalar_epochs(X, y, lam):
+    """The per-coordinate dual ascent the block scan must match bit for bit:
+    yields (α, θ) after each epoch."""
     n, d = X.shape
     rows = list(X)
     labels = y.tolist()
     sq = ((X**2).sum(axis=1) / (lam * n)).tolist()
     alpha = [1.0 if sq_i == 0.0 else 0.0 for sq_i in sq]  # a zero row's α/n peaks at α = 1
     theta = np.zeros(d)
-    for _ in range(max_epochs):
+    while True:
         for i, (x, yi, sq_i) in enumerate(zip(rows, labels, sq)):
             m = yi * float(x @ theta)
             if sq_i == 0.0:
@@ -141,9 +152,17 @@ def _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
             if delta != 0.0:
                 theta += (delta * yi / (lam * n)) * x
                 alpha[i] = a_new
+        yield np.array(alpha), theta
+
+
+def _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
+    """The scalar epochs stopped on the relative duality gap, with no active-set finish."""
+    epochs = _svm_scalar_epochs(X, y, lam)
+    for _ in range(max_epochs):
+        alpha, theta = next(epochs)
         margins = y * (X @ theta)
         primal = np.maximum(0.0, 1.0 - margins).mean() + 0.5 * lam * float(theta @ theta)
-        dual = np.array(alpha).mean() - 0.5 * lam * float(theta @ theta)
+        dual = alpha.mean() - 0.5 * lam * float(theta @ theta)
         gap = primal - dual
         if gap <= gap_tol_rel * max(1.0, abs(primal)):
             return theta, gap
@@ -160,26 +179,31 @@ def _svm_data(d, n, seed, zero_rows=()):
 
 
 B = 64  # the cases' edges are drawn on 64-row blocks; 128-row blocks share them
-SVM_CASES = {
-    "n_below_chunk": (10, B - 24, 3, ()),
-    "n_not_a_chunk_multiple": (10, 1000, 1, ()),
-    "d20": (20, 5 * B + 13, 2, ()),
-    "d50": (50, 300, 4, ()),
+SVM_CASES = {  # (d, n, seed, zero rows, the epoch by which the solve stops)
+    "n_below_chunk": (10, B - 24, 3, (), 19),
+    "n_not_a_chunk_multiple": (10, 1000, 1, (), 13),
+    "d20": (20, 5 * B + 13, 2, (), 17),
+    "d50": (50, 300, 4, (), 15),
     # sq_i == 0, which make_problem never produces: first, mid-block, a block start, last
-    "zero_rows": (10, 3 * B + 7, 5, (0, B + 5, 2 * B, 3 * B + 6)),
+    "zero_rows": (10, 3 * B + 7, 5, (0, B + 5, 2 * B, 3 * B + 6), 6),
 }
+
+
+def _assert_scan_matches_the_scalar_loop(X, y, lam, epochs):
+    scan = problems._svm_scan(y[:, None] * X, lam * X.shape[0])
+    scalar = _svm_scalar_epochs(X, y, lam)
+    for _ in range(epochs):
+        (alpha, theta), (want_alpha, want_theta) = next(scan), next(scalar)
+        assert alpha.tobytes() == want_alpha.tobytes()
+        assert theta.tobytes() == want_theta.tobytes()
 
 
 @pytest.mark.parametrize("name", list(SVM_CASES))
 def test_svm_block_scan_matches_the_scalar_loop(name):
-    d, n, seed, zero_rows = SVM_CASES[name]
+    d, n, seed, zero_rows, stop = SVM_CASES[name]
     X, y, lam = _svm_data(d, n, seed, zero_rows)
-    # both converge at the default tolerance, zero rows included: a zero
-    # row's hinge term 1 is matched by its dual term αᵢ = 1
-    want_theta, want_gap = _svm_scalar_loop(X, y, lam)
-    theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
-    assert theta.tobytes() == want_theta.tobytes()
-    assert float(gap).hex() == float(want_gap).hex()
+    _svm_dual_coordinate_ascent(X, y, lam, max_epochs=stop)  # the solve ends by epoch `stop`
+    _assert_scan_matches_the_scalar_loop(X, y, lam, stop)
 
 
 @pytest.mark.parametrize("max_epochs", [1, 3])
@@ -189,19 +213,127 @@ def test_svm_block_scan_fails_to_converge_as_the_scalar_loop(max_epochs):
         _svm_scalar_loop(X, y, lam, max_epochs=max_epochs)
     with pytest.raises(NonConvergenceError) as got:
         _svm_dual_coordinate_ascent(X, y, lam, max_epochs=max_epochs)
+    # the last gap reported is the epoch's own, which the scalar loop computes too
     assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(f"after {max_epochs} epochs")
 
 
 @pytest.mark.parametrize("name", ["n_not_a_chunk_multiple", "zero_rows"])
 @pytest.mark.parametrize("block", [1, 7, 64, 128, "n + 5"])
 def test_svm_scan_bits_do_not_depend_on_the_block_size(name, block, monkeypatch):
-    d, n, seed, zero_rows = SVM_CASES[name]
+    d, n, seed, zero_rows, stop = SVM_CASES[name]
     X, y, lam = _svm_data(d, n, seed, zero_rows)
+    want_theta, want_gap = _svm_dual_coordinate_ascent(X, y, lam)
     monkeypatch.setattr(problems, "SVM_BLOCK", n + 5 if block == "n + 5" else block)
-    want_theta, want_gap = _svm_scalar_loop(X, y, lam)
+    _assert_scan_matches_the_scalar_loop(X, y, lam, stop)
     theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
     assert theta.tobytes() == want_theta.tobytes()
     assert float(gap).hex() == float(want_gap).hex()
+
+
+@pytest.mark.parametrize("name", list(SVM_CASES))
+def test_svm_solve_rejects_a_candidate_that_fails_the_gap_test(name, monkeypatch):
+    # every KKT candidate is θ = α = 0, whose gap is 1: the solve must fall
+    # back to the scan and stop where the scalar loop stops, to the bit
+    d, n, seed, zero_rows, _ = SVM_CASES[name]
+    X, y, lam = _svm_data(d, n, seed, zero_rows)
+    calls = []
+
+    def zero_point(Xy, c, alpha):
+        calls.append(len(alpha))
+        return np.zeros(len(alpha)), np.zeros(d), np.zeros(len(alpha))
+
+    monkeypatch.setattr(problems, "_svm_kkt_point", zero_point)
+    want_theta, want_gap = _svm_scalar_loop(X, y, lam)
+    theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
+    assert calls
+    assert theta.tobytes() == want_theta.tobytes()
+    assert float(gap).hex() == float(want_gap).hex()
+
+
+def _svm_primal(X, y, lam, theta):
+    return np.maximum(0.0, 1.0 - y * (X @ theta)).mean() + 0.5 * lam * float(theta @ theta)
+
+
+KKT_CASES = {name: case[:4] for name, case in SVM_CASES.items()}
+KKT_CASES.update({
+    "svm_20_500_s2": (20, 500, 2, ()),  # svm_10_1000_s1 is n_not_a_chunk_multiple
+    # the scalar loop needs thousands of epochs to a 1e-15 gap on these two
+    "slow_s4": (10, 200, 4, ()),
+    "slow_s7": (10, 200, 7, ()),
+})
+
+
+@pytest.mark.parametrize("name", list(KKT_CASES))
+def test_svm_reference_is_a_kkt_point(name):
+    """θ* = c·Σ αᵢyᵢxᵢ (c = 1/λn) for some α ∈ [0, 1]ⁿ that is 1 where the
+    margin is below 1 and 0 where it is above, and the duality gap is at
+    rounding.  Rows within 1e-9 of margin 1 take the α that least squares
+    finds for them, clipped to [0, 1]."""
+    d, n, seed, zero_rows = KKT_CASES[name]
+    X, y, lam = _svm_data(d, n, seed, zero_rows)
+    theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
+    c = 1.0 / (lam * n)
+    Xy = y[:, None] * X
+    margins = Xy @ theta
+    near = np.abs(margins - 1.0) <= 1e-9
+    alpha = np.where(margins < 1.0, 1.0, 0.0)
+    rest = theta / c - alpha[~near] @ Xy[~near]
+    alpha[near] = np.clip(np.linalg.lstsq(Xy[near].T, rest)[0], 0.0, 1.0)
+    assert norm(theta - c * (alpha @ Xy)) <= 1e-12 * norm(theta)
+    assert abs(gap) <= 1e-12 * max(1.0, abs(_svm_primal(X, y, lam, theta)))
+    if not name.startswith("slow"):
+        exact, _ = _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-15)
+        assert norm(theta - exact) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["n_not_a_chunk_multiple", "svm_20_500_s2"])
+@pytest.mark.parametrize("moved", [None, "free_to_one", "zero_to_one"])
+def test_svm_kkt_point_moves_a_row_back_to_its_side(name, moved):
+    """Started from θ*'s partition, the active-set solve returns θ* to the bit:
+    its last round solves on the same partition.  Started with a free row, or
+    the zero-set row of least margin, put at one, it must move rows back.
+    Not every wrong start comes back; a row of A put at zero makes a
+    partition repeat here, and the scan goes on."""
+    d, n, seed, zero_rows = KKT_CASES[name]
+    X, y, lam = _svm_data(d, n, seed, zero_rows)
+    theta, _ = _svm_dual_coordinate_ascent(X, y, lam)
+    Xy = y[:, None] * X
+    margins = Xy @ theta
+    free = np.abs(margins - 1.0) <= 1e-9
+    alpha = np.where(free, 0.5, np.where(margins < 1.0, 1.0, 0.0))
+    if moved == "free_to_one":
+        alpha[np.flatnonzero(free)[0]] = 1.0
+    elif moved == "zero_to_one":
+        alpha[np.argmin(np.where(alpha == 0.0, margins, np.inf))] = 1.0
+    got_alpha, got_theta, got_margins = problems._svm_kkt_point(Xy, 1.0 / (lam * n), alpha)
+    assert got_theta.tobytes() == theta.tobytes()
+    assert np.array_equal((got_alpha > 0.0) & (got_alpha < 1.0), free)
+    assert got_margins.tobytes() == margins.tobytes()
+
+
+def test_svm_doubled_rows_take_the_gap_fallback(monkeypatch):
+    """Each free row and its copy make c·X_F X_Fᵀ singular, so every
+    active-set attempt gives up and the scan runs to the 1e-9 gap.  The doubled data set has
+    the objective of the original, which is λ-strongly convex, so its θ* lies
+    within √(2·gap/λ) of the original's."""
+    X, y, lam = _svm_data(10, 1000, 1)
+    exact, _ = _svm_dual_coordinate_ascent(X, y, lam)
+    points = []
+    kkt_point = problems._svm_kkt_point
+    monkeypatch.setattr(problems, "_svm_kkt_point",
+                        lambda *args: points.append(kkt_point(*args)) or points[-1])
+    X2, y2 = np.vstack([X, X]), np.concatenate([y, y])
+    theta, gap = _svm_dual_coordinate_ascent(X2, y2, lam)
+    assert points and all(point is None for point in points)
+    assert 0.0 <= gap <= 1e-9 * max(1.0, _svm_primal(X2, y2, lam, theta))
+    assert norm(theta - exact) <= math.sqrt(2.0 * gap / lam)
+
+
+def test_svm_solve_needs_an_epoch():
+    X, y, lam = _svm_data(10, 40, 3)
+    with pytest.raises(ConfigError, match="max_epochs"):
+        _svm_dual_coordinate_ascent(X, y, lam, max_epochs=0)
 
 
 def _lasso_gram(X, y):
@@ -326,6 +458,12 @@ def test_fista_agrees_with_ista_within_the_stopping_bound(name):
     mu = np.linalg.eigvalsh(0.5 * (gram + gram.T))[0]
     tol = 1e-11 * max(1.0, norm(lin))
     assert norm(theta - want) <= 4.0 * tol / mu
+
+
+def test_fista_needs_an_iteration():
+    X, y, lam = _lasso_data(*LASSO_CASES["d20_s5"])
+    with pytest.raises(ConfigError, match="max_iters"):
+        _fista_lasso(X, y, lam, max_iters=0)
 
 
 def test_fista_accelerates():
