@@ -91,10 +91,11 @@ class ControllerParams:
 
     def _validate_schedule(self):
         """Known name, right arity, finite positive constants (τ >= 0 for uniform_opt)."""
-        if not self.schedule:
-            raise ConfigError("fixed controller needs a schedule")
+        if not isinstance(self.schedule, (tuple, list)) or not self.schedule:
+            raise ConfigError(f"fixed controller needs a (name, *constants) schedule, "
+                              f"got {self.schedule!r}")
         name, *constants = self.schedule
-        if name not in SCHEDULE_ARITY:
+        if not isinstance(name, str) or name not in SCHEDULE_ARITY:
             raise ConfigError(f"unknown schedule kind {name!r}")
         if not 1 <= len(constants) <= SCHEDULE_ARITY[name]:
             raise ConfigError(

@@ -38,6 +38,7 @@ def gamma0_bound(L: float, mu: float) -> float:
 
 def theorem1_floor(gamma: float, L: float, mu: float, k: int) -> float:
     """Lower-bound factor ϱ^k with ϱ = 1 - 2γL + γ²μ² for the coupled distance."""
+    check_int("k", k, 0)
     if not 0.0 < gamma <= gamma0_bound(L, mu):
         raise ValueError(f"gamma={gamma} outside (0, {gamma0_bound(L, mu)}]")
     varrho = 1.0 - 2.0 * gamma * L + gamma**2 * mu**2
@@ -51,6 +52,7 @@ def dk_closed_form(H, gamma: float, D0, k: int) -> float:
     squared norm, which is stable whenever every (1 - γλ) lies in (-1, 1];
     the precondition γ ∈ (0, 1/λ_max) guarantees that.
     """
+    check_int("k", k, 0)
     return dk_closed_form_series(H, gamma, D0, [k])[0]
 
 
@@ -62,6 +64,8 @@ def dk_closed_form_series(H, gamma: float, D0, ks) -> list[float]:
     if not 0.0 < gamma < 1.0 / lam_max:
         raise ValueError(f"gamma={gamma} outside (0, 1/L) with L={lam_max}")
     ks = list(ks)
+    for i, k in enumerate(ks):
+        check_int(f"ks[{i}]", k, 0)
     if any(b < a for a, b in zip(ks, ks[1:])):
         raise ValueError("iteration list must be ascending")
     out = []
@@ -97,6 +101,7 @@ def lemma1_check(L: float, mu: float, grid_size: int = 10_000) -> Lemma1Report:
     """
     if not (0.0 < mu <= L):
         raise ValueError("need 0 < mu <= L")
+    check_int("grid_size", grid_size, 2)  # a grid over [0, γ0] holds both ends
     gamma0 = gamma0_bound(L, mu)
     k0 = 4.0 * L / mu
     gammas = np.linspace(0.0, gamma0, grid_size)

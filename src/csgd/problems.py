@@ -77,12 +77,6 @@ _CALIB_STREAM = 0xCA11B
 BALL_RADIUS = 4.0  # uniformly_convex: L is certified on the ball ||θ|| <= BALL_RADIUS
 PERTURB_SCALE = 0.5  # lsa: the first scale of the per-state perturbations S(x)
 
-# rows per svm-scan block; the solve's bits do not depend on it.  The solve
-# now ends within 10-40 epochs, and the first ones, where most rows move, set
-# its time.  On a 2-core Xeon with 1 BLAS thread, 64 ran the whole solve 7%
-# faster than 128 for (d, n) = (10, 1000) and 11% faster for (100, 1000)
-# (median of 30 paired runs each); 32-48 were within 3% of 64
-SVM_BLOCK = 64
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -114,6 +108,35 @@ def _sigmoid_scalar(z: float) -> float:
 def _gemv_rows(A, rows: np.ndarray) -> np.ndarray:
     """``A @ row`` per row of a (reps, d) stack, one gemv each as ``A.dot(row)``; A may be per row."""
     return np.matmul(A, rows[:, :, None])[:, :, 0]
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """AᵀA, one gemv per column: a dgemm's summation order varies with the BLAS threads."""
+    return np.stack([A.T @ A[:, j] for j in range(A.shape[1])], axis=1)
+
+
+def _fista(x, step, grad, prox):
+    """Yield (x, mom − x) after each step of FISTA with gradient restart.
+
+    Accelerated proximal gradient (Beck & Teboulle, SIAM J. Imaging Sci.
+    2009): each prox step ``prox(mom − step·grad(mom))`` is taken from the
+    momentum point, and mom − x is the gradient mapping there times ``step``.
+    The momentum restarts (O'Donoghue & Candès, FoCM 2015) when the step
+    x_new − x points against that mapping, (mom − x_new)·(x_new − x) > 0.
+    """
+    mom, t_acc = x, 1.0
+    while True:
+        x_new = prox(mom - step * grad(mom))
+        mapped = mom - x_new
+        yield x_new, mapped
+        move = x_new - x
+        if move.dot(mapped) > 0.0:  # restart
+            mom, t_acc = x_new, 1.0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
+            mom = x_new + ((t_acc - 1.0) / t_new) * move
+            t_acc = t_new
+        x = x_new
 
 
 def token_rows(block) -> list:
@@ -388,7 +411,7 @@ class LogisticRegression(_GlmBase):
             # the planted parameter itself
             theta = self.theta_planted.copy()
             return ReferenceSolution(theta, self.loss(theta), provenance="closed-form")
-        theta, grad_norm = _newton_logistic(self._X, self._y)
+        theta, grad_norm = _newton_logistic(self)
         return ReferenceSolution(
             theta_star=theta,
             f_star=self.loss(theta),
@@ -400,33 +423,29 @@ class LogisticRegression(_GlmBase):
         return 4.0 / self.R_sq
 
 
-def _newton_logistic(X, y, gtol_rel=1e-11, max_iters=200):
-    """Damped Newton on the full-batch logistic loss to tiny gradient norm."""
+def _newton_logistic(problem, gtol_rel=1e-11, max_iters=200):
+    """Damped Newton on the problem's full-batch logistic loss to tiny gradient norm."""
+    X, y = problem._X, problem._y
     n, d = X.shape
     theta = np.zeros(d)
-    margins = X @ theta
-
-    def value(m):
-        return float(np.logaddexp(0.0, -y * m).mean())
-
-    g0 = norm(X.T @ (-y * _sigmoid(-y * margins))) / n
-    gtol = gtol_rel * max(1.0, g0)
-    f_cur = value(margins)
+    gtol = gtol_rel * max(1.0, norm(problem.full_grad(theta)))
+    f_cur = problem.loss(theta)
     for _ in range(max_iters):
-        s = _sigmoid(-y * margins)
-        grad = X.T @ (-y * s) / n
+        grad = problem.full_grad(theta)
         gnorm = norm(grad)
         if gnorm <= gtol:
             return theta, gnorm
+        # σ(−y·m) weights: the values of `_hessian`'s σ(m) form, with other bits of θ*
+        s = _sigmoid(-y * (X @ theta))
         w = s * (1.0 - s)
         hess = X.T @ (w[:, None] * X) / n
         step = np.linalg.solve(hess + 1e-12 * np.eye(d), grad)
         t = 1.0
         for _ in range(60):
             cand = theta - t * step
-            m_cand = X @ cand
-            if value(m_cand) <= f_cur - 1e-4 * t * float(grad @ step):
-                theta, margins, f_cur = cand, m_cand, value(m_cand)
+            f_cand = problem.loss(cand)
+            if f_cand <= f_cur - 1e-4 * t * float(grad @ step):
+                theta, f_cur = cand, f_cand
                 break
             t *= 0.5
         else:
@@ -510,8 +529,7 @@ class Svm(_GlmBase):
     N(0, 1) noise.  Margin ties (exactly 1) take the zero-hinge subgradient
     so runs stay deterministic.  Strong convexity comes from the ridge
     term: mu = λ exactly.  The reference's ``grad_norm`` is the duality gap of
-    :func:`_svm_dual_coordinate_ascent`, at rounding when its KKT point is
-    accepted.
+    :func:`_svm_dual_fista`, at rounding when its KKT point is accepted.
     """
 
     kind = "svm"
@@ -544,7 +562,7 @@ class Svm(_GlmBase):
         return np.maximum(0.0, 1.0 - margins).mean(axis=1) + 0.5 * self.lam_reg * row_sq(thetas)
 
     def _solve_reference(self):
-        theta, gap = _svm_dual_coordinate_ascent(self._X, self._y, self.lam_reg)
+        theta, gap = _svm_dual_fista(self._X, self._y, self.lam_reg)
         return ReferenceSolution(
             theta_star=theta,
             f_star=self.loss(theta),
@@ -556,65 +574,40 @@ class Svm(_GlmBase):
         return 4.0 / self.R_sq
 
 
-def _svm_dual_coordinate_ascent(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
-    """Cyclic dual coordinate ascent for hinge + ridge, finished by an active-set solve.
+def _svm_dual_fista(X, y, lam, gap_tol_rel=1e-9, max_iters=4000):
+    """The svm dual by restarted FISTA, finished by an active-set solve.
 
-    Primal θ = (1/λn) Σ αᵢ yᵢ xᵢ with α ∈ [0, 1]ⁿ.  Each epoch is one pass of
-    :func:`_svm_scan`; after it, :func:`_svm_kkt_point` looks for the exact
-    optimum on the scan's partition of the rows.  The relative duality gap is
-    the only acceptance rule: the KKT point is tried first, then the epoch's
-    own (θ, α).  The gap is returned with θ; it sits at rounding when the KKT
-    point is accepted.
+    With c = 1/(λn), the dual is min over α ∈ [0, 1]ⁿ of
+    (c/2)‖Σ αᵢyᵢxᵢ‖² − Σ αᵢ, and θ = c·Σ αᵢyᵢxᵢ.  :func:`_fista` solves it
+    with a clip to [0, 1] as prox: the gradient is the margins at θ minus
+    one, the step 1/(c·λ_max) of the gram.  After each step,
+    :func:`_svm_kkt_point` looks for the exact optimum from the iterate's
+    partition of the rows; partitions tried once are not tried again.  The
+    relative duality gap is the only acceptance rule: the KKT point is tried
+    first, then the iterate's own (θ, α).  The gap is returned with θ; it
+    sits at rounding when the KKT point is accepted.
     """
-    check_int("max_epochs", max_epochs, 1)
-    lam_n = lam * X.shape[0]
+    check_int("max_iters", max_iters, 1)
+    c = 1.0 / (lam * X.shape[0])
     # yᵢ = ±1, so the ddot of the row yᵢxᵢ is yᵢ·(xᵢ·θ) to the bit
     Xy = y[:, None] * X
-    scan = _svm_scan(Xy, lam_n)
-    for _ in range(max_epochs):
-        alpha, theta = next(scan)
-        point = _svm_kkt_point(Xy, 1.0 / lam_n, alpha)
+    _, lam_max, _ = symmetric_eigs(_gram(Xy))
+    seen = set()
+    steps = _fista(np.zeros(X.shape[0]), 1.0 / (c * lam_max),
+                   lambda a: Xy @ (c * (a @ Xy)) - 1.0, lambda a: np.clip(a, 0.0, 1.0))
+    for _, (alpha, _) in zip(range(max_iters), steps):
+        point = _svm_kkt_point(Xy, c, alpha, seen)
         if point is not None:
             gap, tol = _svm_gap(lam, *point, gap_tol_rel)
             if gap <= tol:
                 return point[1], gap
+        theta = c * (alpha @ Xy)
         gap, tol = _svm_gap(lam, alpha, theta, Xy @ theta, gap_tol_rel)
         if gap <= tol:
             return theta, gap
     raise NonConvergenceError(
-        f"svm dual coordinate ascent: duality gap {gap:g} after {max_epochs} epochs"
+        f"svm dual FISTA: duality gap {gap:g} after {max_iters} iterations"
     )
-
-
-def _svm_scan(Xy, lam_n):
-    """Yield (α, θ), updated in place, after each epoch of exact 1-D dual maximizations.
-
-    Rows yᵢxᵢ are scanned in blocks of ``SVM_BLOCK``: one ddot per row from
-    the current θ, as ``x.dot(θ)`` makes, and elementwise clips give the
-    row-by-row loop's bits up to the first row that moves; that one update is
-    applied alone and the scan resumes after it.
-    """
-    n, d = Xy.shape
-    sq = (Xy**2).sum(axis=1) / lam_n
-    sq[sq == 0.0] = np.inf  # a zero row's step (1 - m)/inf is 0: it never moves
-    alpha = np.where(np.isinf(sq), 1.0, 0.0)  # a zero row's dual term α/n peaks at α = 1
-    theta = np.zeros(d)
-    vecdot, minimum, maximum, not_equal = np.vecdot, np.minimum, np.maximum, np.not_equal
-    while True:
-        i = 0
-        while i < n:
-            j = min(i + SVM_BLOCK, n)
-            a_old = alpha[i:j]
-            a_new = minimum(1.0, maximum(0.0, a_old + (1.0 - vecdot(Xy[i:j], theta)) / sq[i:j]))
-            moved = not_equal(a_new, a_old)
-            first = int(moved.argmax())  # the first True, or 0 when none is
-            if moved[first]:
-                k = i + first
-                theta += ((a_new[first] - alpha[k]) / lam_n) * Xy[k]
-                alpha[k] = a_new[first]
-                j = k + 1
-            i = j
-        yield alpha, theta
 
 
 def _svm_gap(lam, alpha, theta, margins, gap_tol_rel):
@@ -624,7 +617,7 @@ def _svm_gap(lam, alpha, theta, margins, gap_tol_rel):
     return primal - (alpha.mean() - reg), gap_tol_rel * max(1.0, abs(primal))
 
 
-def _svm_kkt_point(Xy, c, alpha):
+def _svm_kkt_point(Xy, c, alpha, seen):
     """The svm optimum by a primal–dual active-set solve from α's partition.
 
     Rows are free (F, 0 < α < 1), at one (A) or at zero.  Each round solves
@@ -633,13 +626,14 @@ def _svm_kkt_point(Xy, c, alpha):
     row with α_F ≤ 0 goes to zero and one with α_F ≥ 1 to A, and a row of A with
     margin > 1 or at zero with margin < 1 becomes free (Hintermüller, Ito &
     Kunisch, SIAM J. Optim. 2002).  Returns (α, θ, margins) once no sign is
-    violated, or None when a partition repeats, more than d rows are free or
-    the system is singular.
+    violated, or None when a partition is already in ``seen``, more than d
+    rows are free or the system is singular.  Each partition solved on is
+    added to ``seen``: the rounds from a partition are fixed, so one that
+    failed once fails again.
     """
     d = Xy.shape[1]
     free = (alpha > 0.0) & (alpha < 1.0)
     ones = alpha == 1.0
-    seen = set()
     while True:
         key = free.tobytes() + ones.tobytes()
         if np.count_nonzero(free) > d or key in seen:
@@ -675,8 +669,7 @@ class Lasso(_GlmBase):
     """(1/n) Σ (y - ⟨x, θ⟩)² + λ||θ||₁ with an s-sparse planted vector.
 
     Outputs are y = ⟨x, θ_sparse⟩ + N(0, 1).  The reference θ* comes from
-    FISTA with the gradient restart of O'Donoghue & Candès
-    (:func:`_fista_lasso`).
+    restarted FISTA with the soft threshold as prox (:func:`_fista_lasso`).
     """
 
     kind = "lasso"
@@ -730,44 +723,26 @@ class Lasso(_GlmBase):
 
 
 def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
-    """FISTA with gradient restart and gradient-mapping stopping for the lasso reference solve.
+    """The lasso reference solve: :func:`_fista` with the soft threshold as prox.
 
-    Accelerated proximal gradient (Beck & Teboulle, SIAM J. Imaging Sci.
-    2009) with step 1/λ_max of the gram matrix.  Each prox step is taken
-    from the momentum point; the loop stops once the gradient mapping
-    ‖mom − θ_new‖/t there is within ``tol_rel``·max(1, ‖lin‖).  The
-    momentum restarts (O'Donoghue & Candès, FoCM 2015) when the step
-    θ_new − θ points against the gradient mapping at the old momentum point,
-    (mom − θ_new)·(θ_new − θ) > 0.
+    The step is 1/λ_max of the gram matrix.  The loop stops once the gradient
+    mapping ‖mom − θ‖/step at the momentum point is within
+    ``tol_rel``·max(1, ‖lin‖).
     """
     check_int("max_iters", max_iters, 1)
     n, d = X.shape
-    # one gemv per column: a dgemm's summation order, so θ*, varies with BLAS threads
-    gram = 2.0 * np.stack([X.T @ X[:, j] for j in range(d)], axis=1) / n
+    gram = 2.0 * _gram(X) / n
     lin = 2.0 * X.T @ y / n
     _, lam_max, _ = symmetric_eigs(gram)
     t_step = 1.0 / lam_max
     shrink = t_step * lam
-    gram_dot, sign, maximum, absolute = gram.dot, np.sign, np.maximum, np.abs
-
-    theta = mom = np.zeros(d)
-    t_acc = 1.0
     tol = tol_rel * max(1.0, norm(lin))
-    for _ in range(max_iters):
-        z = mom - t_step * (gram_dot(mom) - lin)
-        theta_new = sign(z) * maximum(absolute(z) - shrink, 0.0)
-        mapped = mom - theta_new
+    steps = _fista(np.zeros(d), t_step, lambda v: gram.dot(v) - lin,
+                   lambda z: np.sign(z) * np.maximum(np.abs(z) - shrink, 0.0))
+    for _, (theta, mapped) in zip(range(max_iters), steps):
         resid = norm(mapped) / t_step
         if resid <= tol:
-            return theta_new, resid
-        step = theta_new - theta
-        if step.dot(mapped) > 0.0:  # restart
-            mom, t_acc = theta_new, 1.0
-        else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            mom = theta_new + ((t_acc - 1.0) / t_new) * step
-            t_acc = t_new
-        theta = theta_new
+            return theta, resid
     raise NonConvergenceError(f"lasso reference: gradient mapping {resid:g} > {tol:g}")
 
 
@@ -1050,7 +1025,7 @@ _KIND_CLASSES = {
 
 def make_problem(kind: str, d: int, n: int = 0, seed: int = 0, **overrides) -> Problem:
     """Build a problem by kind name; overrides are kind-specific params."""
-    if kind not in _KIND_CLASSES:
+    if not isinstance(kind, str) or kind not in _KIND_CLASSES:
         raise ConfigError(f"unknown problem kind {kind!r}; one of {sorted(_KIND_CLASSES)}")
     try:
         return _KIND_CLASSES[kind](d=d, n=n, seed=seed, **overrides)

@@ -66,9 +66,14 @@ def test_params_validated():
         dict(gamma0=0.1, eta=None),
         dict(gamma0=0.1, beta0=True),
         dict(gamma0=True),
+        # a schedule that is no sequence, or whose name is unhashable, raised TypeError
+        dict(kind="fixed", schedule=5),
+        dict(kind="fixed", schedule=(["constant"], 0.1)),
     ]:
         with pytest.raises(ConfigError):
             ControllerParams(**bad).validate()
+    with pytest.raises(ConfigError, match="schedule"):
+        make_controller(ControllerParams(kind="fixed", schedule=5))
 
 
 def test_controller_without_gamma0_fails_with_config_error():

@@ -297,6 +297,8 @@ def test_lasso_runs_do_not_depend_on_the_reference_solve(case, monkeypatch):
 
 # Taken with the dual coordinate ascent stopped at a 1e-9 gap, before the
 # active-set finish moved θ* (by 4.4e-9 here): no svm run reads θ* either.
+# The dual FISTA solve that replaced the ascent reaches the same finish, to
+# the bit, after 17 iterations.
 SVM_TRAJECTORIES = {
     "svm/coupling_adaptive": "a06208d039b2e18d8742a4a87b9111d3ea10d4a450c4fde5da2fd95de300fdfa",
     "svm/coupling_static": "4e0ec1dee3949b4c0c27fdf11a575a7519bbf1649a70f70b18e001e1500da538",

@@ -103,6 +103,16 @@ def test_dk_series_matches_single_calls():
         assert dk_closed_form(H, gamma, D0, k) == pytest.approx(v, rel=1e-12)
 
 
+@pytest.mark.parametrize("ks, name", [([1.5], r"ks\[0\]"), ([0, 1.5], r"ks\[1\]"),
+                                      ([-1], r"ks\[0\]")])
+def test_dk_series_iterations_are_counts(ks, name):
+    # 1.5 raised a TypeError, and k = -1 returned ‖D0‖² as if it were 0
+    with pytest.raises(ConfigError, match=name):
+        dk_closed_form_series(np.eye(2), 0.1, np.ones(2), ks)
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        dk_closed_form(np.eye(2), 0.1, np.ones(2), ks[-1])
+
+
 def test_dk_sandwich_random_instances():
     # (1-γλmax)^{2k} ||D0||² <= value <= (1-γλmin)^{2k} ||D0||², exactly
     for i in range(20):
@@ -127,6 +137,13 @@ def test_lemma1_boundary_gamma_zero():
     # γ = 0 gives both sides equal to 1
     lhs = (1.0 - 0.0 * 0.1) ** rep.k0
     assert lhs == 1.0
+
+
+@pytest.mark.parametrize("grid_size", [0, 1, 1.5, True])
+def test_lemma1_grid_size_is_an_integer_of_two_or_more(grid_size):
+    # 0 raised NumPy's "argmin of an empty sequence" and 1.5 a TypeError
+    with pytest.raises(ConfigError, match="grid_size"):
+        lemma1_check(1.0, 0.5, grid_size=grid_size)
 
 
 def test_lemma1_example_small():
@@ -169,6 +186,13 @@ def test_theorem1_floor_quarter_L():
 def test_theorem1_floor_domain():
     with pytest.raises(ValueError):
         theorem1_floor(1.0, 1.0, 0.1, 3)  # above gamma0
+
+
+@pytest.mark.parametrize("k", [-1, 1.5])
+def test_theorem1_floor_k_is_a_count(k):
+    # k = -1 returned 1.246, a "floor" above 1
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        theorem1_floor(0.1, 1.0, 0.5, k)
 
 
 def test_theorem1_chain_inequality_grid():

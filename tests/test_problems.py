@@ -50,6 +50,7 @@ _ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])
 # (kind, make_problem arguments, text the ConfigError must contain)
 BAD_ARGUMENTS = {
     "unknown_kind": ("nope", dict(d=3), "unknown problem kind"),
+    "unhashable_kind": (["quadratic"], dict(d=3), "unknown problem kind"),
     "svm_without_data": ("svm", dict(d=5, n=0), "finite dataset"),
     # the settings that are constants now
     "logistic_h_diag": ("logistic", dict(d=2, h_diag=np.ones(2)), "bad overrides"),
@@ -308,8 +309,9 @@ def test_svm_reference_duality_gap():
 
 @pytest.mark.parametrize("seed", [4, 7])
 def test_svm_reference_converges_on_slow_seeds(seed):
-    # dual coordinate ascent alone needs about 2000 and 800 epochs here to
-    # reach the 1e-9 gap; with the active-set finish, 25 and 39
+    # dual coordinate ascent alone needed about 2000 and 800 epochs here to
+    # reach the 1e-9 gap; the dual FISTA solve reaches its accepted
+    # active-set finish after 158 and 215 iterations
     ref = make_problem("svm", d=10, n=200, seed=seed).reference
     assert ref.grad_norm <= 1e-9 * max(1.0, abs(ref.f_star))  # the solver's gap_tol_rel
 

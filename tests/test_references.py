@@ -6,15 +6,15 @@ and oracle digests were re-taken when L, μ, the lasso step and q_max moved
 from power iteration to one ``eigh`` call, in their last bits.  Any change
 in a reference θ*, f*, residual, constant or closed-form series changes a
 digest.  The two svm digests were re-taken when an active-set solve began
-to finish the dual coordinate ascent: θ* moved from the point the 1e-9
-duality gap certified (within √(2·gap/λ) ≈ 1.4e-4 of the optimum) to the
-optimum itself, by 1.1e-6 and 2.0e-7, and the gap fell to rounding.  The
-svm scan is also pinned, epoch by epoch, to the row-by-row coordinate loop
-it replaced, kept here as a reference implementation, and θ* is checked
-to be a KKT point.  The
-restarted FISTA lasso solve is pinned to a plain reference loop and checked
-against proximal gradient (ISTA), the solve it replaced, within the bound
-its stopping rule implies.
+to finish the dual solve: θ* moved from the point the 1e-9 duality gap
+certified (within √(2·gap/λ) ≈ 1.4e-4 of the optimum) to the optimum
+itself, by 1.1e-6 and 2.0e-7, and the gap fell to rounding.  θ* is checked
+to be a KKT point and to match a row-by-row coordinate ascent run to a
+1e-15 gap.  The svm dual and the lasso share one restarted FISTA loop.
+With no active-set point accepted, the svm solve is pinned to a plain svm
+dual FISTA loop.  The lasso solve is pinned to a plain reference loop and
+checked against proximal gradient (ISTA), the solve it replaced, within
+the bound its stopping rule implies.
 """
 
 import hashlib
@@ -31,7 +31,7 @@ from csgd.errors import ConfigError, NonConvergenceError
 from csgd import problems
 from csgd.numkit import RngStream, norm, symmetric_eigs
 from csgd.oracle import dk_closed_form_series, proximity_ratio_quadratic
-from csgd.problems import _fista_lasso, _svm_dual_coordinate_ascent, make_problem
+from csgd.problems import _fista_lasso, _svm_dual_fista, make_problem
 
 
 def _bits(value):
@@ -133,16 +133,16 @@ def test_reference_digests_do_not_depend_on_the_blas_thread_count():
     assert _digests_on(1) == _digests_on(2) == [CASES[name][1] for name in THREAD_CASES]
 
 
-def _svm_scalar_epochs(X, y, lam):
-    """The per-coordinate dual ascent the block scan must match bit for bit:
-    yields (α, θ) after each epoch."""
+def _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
+    """Per-coordinate dual ascent, one exact 1-D maximization per row, stopped on
+    the relative duality gap: the exact θ* to compare with at a 1e-15 gap."""
     n, d = X.shape
     rows = list(X)
     labels = y.tolist()
     sq = ((X**2).sum(axis=1) / (lam * n)).tolist()
     alpha = [1.0 if sq_i == 0.0 else 0.0 for sq_i in sq]  # a zero row's α/n peaks at α = 1
     theta = np.zeros(d)
-    while True:
+    for _ in range(max_epochs):
         for i, (x, yi, sq_i) in enumerate(zip(rows, labels, sq)):
             m = yi * float(x @ theta)
             if sq_i == 0.0:
@@ -152,22 +152,54 @@ def _svm_scalar_epochs(X, y, lam):
             if delta != 0.0:
                 theta += (delta * yi / (lam * n)) * x
                 alpha[i] = a_new
-        yield np.array(alpha), theta
-
-
-def _svm_scalar_loop(X, y, lam, gap_tol_rel=1e-9, max_epochs=4000):
-    """The scalar epochs stopped on the relative duality gap, with no active-set finish."""
-    epochs = _svm_scalar_epochs(X, y, lam)
-    for _ in range(max_epochs):
-        alpha, theta = next(epochs)
         margins = y * (X @ theta)
         primal = np.maximum(0.0, 1.0 - margins).mean() + 0.5 * lam * float(theta @ theta)
-        dual = alpha.mean() - 0.5 * lam * float(theta @ theta)
+        dual = np.mean(alpha) - 0.5 * lam * float(theta @ theta)
         gap = primal - dual
         if gap <= gap_tol_rel * max(1.0, abs(primal)):
             return theta, gap
     raise NonConvergenceError(
         f"svm dual coordinate ascent: duality gap {gap:g} after {max_epochs} epochs"
+    )
+
+
+def _svm_fista_reference_loop(X, y, lam, gap_tol_rel=1e-9, max_iters=4000):
+    """The restarted FISTA loop on the svm dual that ``_svm_dual_fista`` must
+    match bit for bit when it accepts no active-set point, written plainly as
+    ``_fista_reference_loop`` is: min over α ∈ [0, 1]ⁿ of (c/2)‖Σ αᵢyᵢxᵢ‖² − Σ αᵢ,
+    stopped on the relative duality gap of α and θ = c·Σ αᵢyᵢxᵢ."""
+    n, d = X.shape
+    c = 1.0 / (lam * n)
+    Xy = y[:, None] * X
+    _, lam_max, _ = symmetric_eigs(np.stack([Xy.T @ Xy[:, j] for j in range(d)], axis=1))
+    t_step = 1.0 / (c * lam_max)
+
+    def prox_grad(a):
+        margins = Xy @ (c * (a @ Xy))
+        return np.clip(a - t_step * (margins - 1.0), 0.0, 1.0)
+
+    alpha = np.zeros(n)
+    mom = alpha.copy()
+    t_acc = 1.0
+    for _ in range(max_iters):
+        alpha_new = prox_grad(mom)
+        theta = c * (alpha_new @ Xy)
+        margins = Xy @ theta
+        primal = np.maximum(0.0, 1.0 - margins).mean() + 0.5 * lam * float(theta @ theta)
+        dual = alpha_new.mean() - 0.5 * lam * float(theta @ theta)
+        gap = primal - dual
+        if gap <= gap_tol_rel * max(1.0, abs(primal)):
+            return theta, gap
+        if (mom - alpha_new).dot(alpha_new - alpha) > 0.0:  # gradient restart
+            mom = alpha_new.copy()
+            t_acc = 1.0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
+            mom = alpha_new + ((t_acc - 1.0) / t_new) * (alpha_new - alpha)
+            t_acc = t_new
+        alpha = alpha_new
+    raise NonConvergenceError(
+        f"svm dual FISTA: duality gap {gap:g} after {max_iters} iterations"
     )
 
 
@@ -178,84 +210,55 @@ def _svm_data(d, n, seed, zero_rows=()):
     return X, prob._y, prob.lam_reg
 
 
-B = 64  # the cases' edges are drawn on 64-row blocks; 128-row blocks share them
-SVM_CASES = {  # (d, n, seed, zero rows, the epoch by which the solve stops)
-    "n_below_chunk": (10, B - 24, 3, (), 19),
-    "n_not_a_chunk_multiple": (10, 1000, 1, (), 13),
-    "d20": (20, 5 * B + 13, 2, (), 17),
-    "d50": (50, 300, 4, (), 15),
-    # sq_i == 0, which make_problem never produces: first, mid-block, a block start, last
-    "zero_rows": (10, 3 * B + 7, 5, (0, B + 5, 2 * B, 3 * B + 6), 6),
+SVM_CASES = {  # (d, n, seed, zero rows); the names recall the 64-row blocks of an earlier solve
+    "n_below_chunk": (10, 40, 3, ()),
+    "n_not_a_chunk_multiple": (10, 1000, 1, ()),
+    "d20": (20, 333, 2, ()),
+    "d50": (50, 300, 4, ()),
+    # zero rows, which make_problem never produces: first, inner and last
+    "zero_rows": (10, 199, 5, (0, 69, 128, 198)),
 }
-
-
-def _assert_scan_matches_the_scalar_loop(X, y, lam, epochs):
-    scan = problems._svm_scan(y[:, None] * X, lam * X.shape[0])
-    scalar = _svm_scalar_epochs(X, y, lam)
-    for _ in range(epochs):
-        (alpha, theta), (want_alpha, want_theta) = next(scan), next(scalar)
-        assert alpha.tobytes() == want_alpha.tobytes()
-        assert theta.tobytes() == want_theta.tobytes()
-
-
-@pytest.mark.parametrize("name", list(SVM_CASES))
-def test_svm_block_scan_matches_the_scalar_loop(name):
-    d, n, seed, zero_rows, stop = SVM_CASES[name]
-    X, y, lam = _svm_data(d, n, seed, zero_rows)
-    _svm_dual_coordinate_ascent(X, y, lam, max_epochs=stop)  # the solve ends by epoch `stop`
-    _assert_scan_matches_the_scalar_loop(X, y, lam, stop)
-
-
-@pytest.mark.parametrize("max_epochs", [1, 3])
-def test_svm_block_scan_fails_to_converge_as_the_scalar_loop(max_epochs):
-    X, y, lam = _svm_data(10, 1000, 1)
-    with pytest.raises(NonConvergenceError) as want:
-        _svm_scalar_loop(X, y, lam, max_epochs=max_epochs)
-    with pytest.raises(NonConvergenceError) as got:
-        _svm_dual_coordinate_ascent(X, y, lam, max_epochs=max_epochs)
-    # the last gap reported is the epoch's own, which the scalar loop computes too
-    assert str(got.value) == str(want.value)
-    assert str(got.value).endswith(f"after {max_epochs} epochs")
-
-
-@pytest.mark.parametrize("name", ["n_not_a_chunk_multiple", "zero_rows"])
-@pytest.mark.parametrize("block", [1, 7, 64, 128, "n + 5"])
-def test_svm_scan_bits_do_not_depend_on_the_block_size(name, block, monkeypatch):
-    d, n, seed, zero_rows, stop = SVM_CASES[name]
-    X, y, lam = _svm_data(d, n, seed, zero_rows)
-    want_theta, want_gap = _svm_dual_coordinate_ascent(X, y, lam)
-    monkeypatch.setattr(problems, "SVM_BLOCK", n + 5 if block == "n + 5" else block)
-    _assert_scan_matches_the_scalar_loop(X, y, lam, stop)
-    theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
-    assert theta.tobytes() == want_theta.tobytes()
-    assert float(gap).hex() == float(want_gap).hex()
 
 
 @pytest.mark.parametrize("name", list(SVM_CASES))
 def test_svm_solve_rejects_a_candidate_that_fails_the_gap_test(name, monkeypatch):
     # every KKT candidate is θ = α = 0, whose gap is 1: the solve must fall
-    # back to the scan and stop where the scalar loop stops, to the bit
-    d, n, seed, zero_rows, _ = SVM_CASES[name]
-    X, y, lam = _svm_data(d, n, seed, zero_rows)
+    # back to the FISTA iterates and stop where the plain loop stops, to the
+    # bit, within the strong-convexity bound of the exact θ*
+    X, y, lam = _svm_data(*SVM_CASES[name])
+    exact, _ = _svm_dual_fista(X, y, lam)
     calls = []
 
-    def zero_point(Xy, c, alpha):
+    def zero_point(Xy, c, alpha, seen):
         calls.append(len(alpha))
-        return np.zeros(len(alpha)), np.zeros(d), np.zeros(len(alpha))
+        return np.zeros(len(alpha)), np.zeros(X.shape[1]), np.zeros(len(alpha))
 
     monkeypatch.setattr(problems, "_svm_kkt_point", zero_point)
-    want_theta, want_gap = _svm_scalar_loop(X, y, lam)
-    theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
+    want_theta, want_gap = _svm_fista_reference_loop(X, y, lam)
+    theta, gap = _svm_dual_fista(X, y, lam)
     assert calls
     assert theta.tobytes() == want_theta.tobytes()
     assert float(gap).hex() == float(want_gap).hex()
+    assert norm(theta - exact) <= math.sqrt(2.0 * gap / lam)
+
+
+@pytest.mark.parametrize("max_iters", [1, 3])
+def test_svm_fista_fails_to_converge_as_its_reference_loop(max_iters):
+    X, y, lam = _svm_data(10, 1000, 1)
+    with pytest.raises(NonConvergenceError) as want:
+        _svm_fista_reference_loop(X, y, lam, max_iters=max_iters)
+    with pytest.raises(NonConvergenceError) as got:
+        _svm_dual_fista(X, y, lam, max_iters=max_iters)
+    # the last gap reported is the iterate's own, which the plain loop computes too
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(f"after {max_iters} iterations")
 
 
 def _svm_primal(X, y, lam, theta):
     return np.maximum(0.0, 1.0 - y * (X @ theta)).mean() + 0.5 * lam * float(theta @ theta)
 
 
-KKT_CASES = {name: case[:4] for name, case in SVM_CASES.items()}
+KKT_CASES = dict(SVM_CASES)
 KKT_CASES.update({
     "svm_20_500_s2": (20, 500, 2, ()),  # svm_10_1000_s1 is n_not_a_chunk_multiple
     # the scalar loop needs thousands of epochs to a 1e-15 gap on these two
@@ -272,7 +275,7 @@ def test_svm_reference_is_a_kkt_point(name):
     finds for them, clipped to [0, 1]."""
     d, n, seed, zero_rows = KKT_CASES[name]
     X, y, lam = _svm_data(d, n, seed, zero_rows)
-    theta, gap = _svm_dual_coordinate_ascent(X, y, lam)
+    theta, gap = _svm_dual_fista(X, y, lam)
     c = 1.0 / (lam * n)
     Xy = y[:, None] * X
     margins = Xy @ theta
@@ -294,10 +297,10 @@ def test_svm_kkt_point_moves_a_row_back_to_its_side(name, moved):
     its last round solves on the same partition.  Started with a free row, or
     the zero-set row of least margin, put at one, it must move rows back.
     Not every wrong start comes back; a row of A put at zero makes a
-    partition repeat here, and the scan goes on."""
+    partition repeat here, and the FISTA iterates go on."""
     d, n, seed, zero_rows = KKT_CASES[name]
     X, y, lam = _svm_data(d, n, seed, zero_rows)
-    theta, _ = _svm_dual_coordinate_ascent(X, y, lam)
+    theta, _ = _svm_dual_fista(X, y, lam)
     Xy = y[:, None] * X
     margins = Xy @ theta
     free = np.abs(margins - 1.0) <= 1e-9
@@ -306,34 +309,52 @@ def test_svm_kkt_point_moves_a_row_back_to_its_side(name, moved):
         alpha[np.flatnonzero(free)[0]] = 1.0
     elif moved == "zero_to_one":
         alpha[np.argmin(np.where(alpha == 0.0, margins, np.inf))] = 1.0
-    got_alpha, got_theta, got_margins = problems._svm_kkt_point(Xy, 1.0 / (lam * n), alpha)
+    got_alpha, got_theta, got_margins = problems._svm_kkt_point(
+        Xy, 1.0 / (lam * n), alpha, set())
     assert got_theta.tobytes() == theta.tobytes()
     assert np.array_equal((got_alpha > 0.0) & (got_alpha < 1.0), free)
     assert got_margins.tobytes() == margins.tobytes()
 
 
+def test_svm_kkt_point_skips_a_partition_it_has_seen(monkeypatch):
+    """The rounds from a partition are fixed, so a second call from one in
+    ``seen`` returns None without solving."""
+    X, y, lam = _svm_data(*SVM_CASES["n_not_a_chunk_multiple"])
+    theta, _ = _svm_dual_fista(X, y, lam)
+    Xy = y[:, None] * X
+    margins = Xy @ theta
+    alpha = np.where(np.abs(margins - 1.0) <= 1e-9, 0.5, np.where(margins < 1.0, 1.0, 0.0))
+    seen = set()
+    assert problems._svm_kkt_point(Xy, 1.0 / (lam * len(y)), alpha, seen) is not None
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    assert problems._svm_kkt_point(Xy, 1.0 / (lam * len(y)), alpha, seen) is None
+    assert seen and not solves
+
+
 def test_svm_doubled_rows_take_the_gap_fallback(monkeypatch):
     """Each free row and its copy make c·X_F X_Fᵀ singular, so every
-    active-set attempt gives up and the scan runs to the 1e-9 gap.  The doubled data set has
-    the objective of the original, which is λ-strongly convex, so its θ* lies
-    within √(2·gap/λ) of the original's."""
+    active-set attempt gives up and FISTA runs to the 1e-9 gap.  The doubled
+    data set has the objective of the original, which is λ-strongly convex,
+    so its θ* lies within √(2·gap/λ) of the original's."""
     X, y, lam = _svm_data(10, 1000, 1)
-    exact, _ = _svm_dual_coordinate_ascent(X, y, lam)
+    exact, _ = _svm_dual_fista(X, y, lam)
     points = []
     kkt_point = problems._svm_kkt_point
     monkeypatch.setattr(problems, "_svm_kkt_point",
                         lambda *args: points.append(kkt_point(*args)) or points[-1])
     X2, y2 = np.vstack([X, X]), np.concatenate([y, y])
-    theta, gap = _svm_dual_coordinate_ascent(X2, y2, lam)
+    theta, gap = _svm_dual_fista(X2, y2, lam)
     assert points and all(point is None for point in points)
     assert 0.0 <= gap <= 1e-9 * max(1.0, _svm_primal(X2, y2, lam, theta))
     assert norm(theta - exact) <= math.sqrt(2.0 * gap / lam)
 
 
-def test_svm_solve_needs_an_epoch():
+def test_svm_solve_needs_an_iteration():
     X, y, lam = _svm_data(10, 40, 3)
-    with pytest.raises(ConfigError, match="max_epochs"):
-        _svm_dual_coordinate_ascent(X, y, lam, max_epochs=0)
+    with pytest.raises(ConfigError, match="max_iters"):
+        _svm_dual_fista(X, y, lam, max_iters=0)
 
 
 def _lasso_gram(X, y):
