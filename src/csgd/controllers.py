@@ -20,14 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDiagnosticError, check_int, check_real
 
-CONTROLLER_KINDS = (
-    "coupling_static",
-    "coupling_adaptive",
-    "pflug",
-    "distance",
-    "fixed",
-)
-
 D0_FLOOR = 1e-300  # positivity floor for the coupled-distance reference
 RELAXATION_CAP = 10_000
 SLOPE_THRESHOLD = 0.5  # distance: decay below this log-log slope
@@ -108,16 +100,18 @@ class ControllerParams:
 
 
 class Controller:
-    """Base: fixed stepsize, never decays."""
+    """Base: fixed stepsize, never decays; ``mu_hint`` is the problem's μ or None."""
 
     needs_coupling = False
+    reads_mu = False  # make_controller asks for the problem's μ (it may take solves) only if set
 
-    def __init__(self, params: ControllerParams):
+    def __init__(self, params: ControllerParams, mu_hint: float | None = None):
         params.validate()
         if params.gamma0 is None:
             raise ConfigError("gamma0 unset; make_controller fills it from a problem")
-        if params.burn_in is None and params.kind != "pflug":
-            params = replace(params, burn_in=0)
+        if params.burn_in is None:
+            burn_in = relaxation_steps(params.gamma0, mu_hint) if params.kind == "pflug" else 0
+            params = replace(params, burn_in=burn_in)
         self.params = params
         self.phase_index = 0
 
@@ -160,8 +154,8 @@ class CouplingController(Controller):
 
     needs_coupling = True
 
-    def __init__(self, params: ControllerParams):
-        super().__init__(params)
+    def __init__(self, params: ControllerParams, mu_hint: float | None = None):
+        super().__init__(params, mu_hint)
         self.d0_sq: float | None = None
         self._phase_start = 0
 
@@ -198,10 +192,10 @@ class PflugController(Controller):
     picks 2/(γμ) capped at 1e4 from the problem's certified curvature.
     """
 
+    reads_mu = True
+
     def __init__(self, params: ControllerParams, mu_hint: float | None = None):
-        super().__init__(params)
-        if params.burn_in is None:
-            self.params = replace(params, burn_in=relaxation_steps(params.gamma0, mu_hint))
+        super().__init__(params, mu_hint)
         self._sum = 0.0
         self._count = 0
         self._phase_start = 0
@@ -243,8 +237,10 @@ class DistanceController(Controller):
     relaxed, and a slope read earlier measures step noise.
     """
 
+    reads_mu = True
+
     def __init__(self, params: ControllerParams, mu_hint: float | None = None):
-        super().__init__(params)
+        super().__init__(params, mu_hint)
         self._mu_hint = mu_hint
         self._anchor: np.ndarray | None = None
         self._phase_start = 0
@@ -323,11 +319,11 @@ def resolve_schedule(kind: str, *constants):
 class FixedScheduleController(Controller):
     """Wraps a deterministic stepsize schedule, resolved once; never decays."""
 
-    def __init__(self, params: ControllerParams):
+    def __init__(self, params: ControllerParams, mu_hint: float | None = None):
         # gamma0 is irrelevant here but the base class wants positivity
         if params.gamma0 is None:
             params = replace(params, gamma0=1.0)
-        super().__init__(params)
+        super().__init__(params, mu_hint)
         self._schedule = resolve_schedule(*params.schedule)
 
     def stepsize(self, k: int) -> float:
@@ -336,26 +332,25 @@ class FixedScheduleController(Controller):
         return self._schedule(k)
 
 
-def make_controller(
-    params: ControllerParams,
-    problem=None,
-) -> Controller:
-    """Instantiate a controller, filling problem-derived defaults.
+CONTROLLERS = {
+    "coupling_static": CouplingController,
+    "coupling_adaptive": CouplingController,
+    "pflug": PflugController,
+    "distance": DistanceController,
+    "fixed": FixedScheduleController,
+}
+CONTROLLER_KINDS = tuple(CONTROLLERS)
 
-    ``gamma0=None`` takes the problem's conventional initial stepsize.
-    The problem's certified curvature ``mu`` goes to Pflug, for its
-    ``burn_in=None``, and to distance, for its per-phase burn-in.
+
+def make_controller(params: ControllerParams, problem=None) -> Controller:
+    """Validate, look up the kind's class, fill ``gamma0`` unless the kind is ``fixed``, build.
+
+    ``gamma0=None`` takes the problem's conventional initial stepsize, and a
+    class that ``reads_mu`` (Pflug, distance) gets the problem's curvature ``mu``.
     """
+    cls = CONTROLLERS[params.validate().kind]
     if params.gamma0 is None and params.kind != "fixed":
         if problem is None:
             raise ConfigError("gamma0 unset and no problem to derive it from")
         params = replace(params, gamma0=problem.default_gamma0())
-    if params.kind in ("coupling_static", "coupling_adaptive"):
-        return CouplingController(params)
-    if params.kind == "pflug":
-        return PflugController(params, mu_hint=getattr(problem, "mu", None))
-    if params.kind == "distance":
-        return DistanceController(params, mu_hint=getattr(problem, "mu", None))
-    if params.kind == "fixed":
-        return FixedScheduleController(params)
-    raise ConfigError(f"unknown controller kind {params.kind!r}")
+    return cls(params, mu_hint=getattr(problem, "mu", None) if cls.reads_mu else None)

@@ -11,7 +11,8 @@ stepsize, then let the controller observe, which returns the statistic.
 If the controller's ``phase_index`` went up, that was a decay: the next
 step runs at the controller's new ``gamma``, and for a controller that
 ``needs_coupling`` the auxiliary iterate is re-initialized and the
-controller re-armed before that step begins.
+controller re-armed before that step begins, by :func:`reinit_auxiliary`,
+which also makes the run's first arm.
 
 There is one loop, :func:`run_replicates`; :func:`run` is that loop with
 one stream.  The number of streams picks the data shape:
@@ -51,10 +52,11 @@ threshold are the rows' norms computed.
 A record keeps θ1 and the running average by reference, since the loop
 rebinds both at every step and writes neither in place.  :class:`RunTrace`
 fills the error and loss columns of ``CHUNK`` such records at a time in one
-stacked pass, with their bits, and those of the rest in ``summarize``.  The
-tail accumulator keeps its steps' θ1 the same way and folds them into each
-chain's sum once per block, and before a divergence stops a chain, adding
-them in step order so the sum has the bits of a per-step ``+=``.
+stacked pass, with their bits, and those of the rest in ``summarize``, which
+reads the final errors from the last record (a run records its last step).
+The tail accumulator keeps its steps' θ1 the same way and folds them into
+each chain's sum once per block, and before a divergence stops a chain,
+adding them in step order so the sum has the bits of a per-step ``+=``.
 """
 
 from __future__ import annotations
@@ -166,24 +168,22 @@ class RunTrace:
             self.avg_fgaps.extend((problem.losses(avgs) - problem.f_star).tolist())
 
     def summarize(self, problem, cfg: EngineConfig, k: int, final_gamma: float,
-                  theta1: np.ndarray, avg1: np.ndarray | None, tail_sum: float,
-                  tail_count: int) -> None:
-        """Fill the kept records' error columns, then ``summary`` from the run's end state."""
+                  tail_sum: float, tail_count: int) -> None:
+        """Fill the kept records' error columns, then ``summary``; its final errors are
+        the last record's, or with no step ||0 - θ*||² = θ*·θ*."""
         if self._kept:
             self._fill(problem)
-        theta_star = problem.theta_star
-        final_diff = theta1 - theta_star
+        start_err = float(problem.theta_star @ problem.theta_star)
         self.summary = {
             "k": k,
             "final_gamma": final_gamma,
-            "final_err": float(final_diff @ final_diff),
+            "final_err": self.errs[-1] if self.errs else start_err,
             "n_restarts": len(self.restart_log),
             "first_restart_k": self.restart_log[0].k if self.restart_log else None,
             "diverged": self.failure is not None,
         }
-        if avg1 is not None:
-            adiff = avg1 - theta_star
-            self.summary["final_avg_err"] = float(adiff @ adiff)
+        if cfg.averaging:
+            self.summary["final_avg_err"] = self.avg_errs[-1] if self.avg_errs else start_err
         if cfg.tail_from is not None:  # nan when no step reached the tail
             self.summary["tail_mean_err"] = tail_sum / tail_count if tail_count else math.nan
 
@@ -253,20 +253,24 @@ def coupled_step(state: CoupledState, problem, gamma: float, token):
     return u1, d_sq
 
 
-def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: float,
-                    tokens: TokenStreams, returned: int = 0) -> tuple[float, bool]:
-    """Set θ2, restart its history and return ``(d0_sq, perturbed)``.
+def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenStreams,
+                     returned: int = 0) -> tuple[float, bool]:
+    """Reset θ2 to its value b steps back, restart its history and return ``(d0_sq, perturbed)``.
 
-    ``d0_sq`` is the new reference ||θ1 - θ2||².  If the difference is
-    degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is instead perturbed off θ1
-    by √γ·N(0, I) — the scale of the stationary fluctuation radius — so the
-    diagnostic stays well defined, and ``perturbed`` is True.  The
-    perturbation is drawn out of band from the run's one stream (a coupled
-    run has one), after it is resynced, which gives back the ``returned``
-    tokens of its block not yet used; the caller then takes a new block.  If
-    ``REARM_DRAWS`` draws all stay within the floor (γ too small for it),
-    DegenerateDiagnosticError is raised.
+    Uses the oldest stored iterate when fewer than b are available; the run's
+    first arm seeds the history with θ1 + ``init_offset_scale``·N(0, I) alone
+    and comes here too.  ``d0_sq`` is the new reference ||θ1 - θ2||².  If the
+    difference is degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is instead
+    perturbed off θ1 by √γ·N(0, I) — the scale of the stationary fluctuation
+    radius — so the diagnostic stays well defined, and ``perturbed`` is True.
+    The perturbation is drawn out of band from the run's one stream (a
+    coupled run has one), after it is resynced, which gives back the
+    ``returned`` tokens of its block not yet used; the caller then takes a
+    new block.  If ``REARM_DRAWS`` draws all stay within the floor (γ too
+    small for it), DegenerateDiagnosticError is raised.
     """
+    hist = state.history
+    theta2 = hist[0 if len(hist) <= b else len(hist) - 1 - b].copy()
     diff = state.theta1 - theta2
     d0_sq = float(diff @ diff)
     floor = D0_REARM_FLOOR_REL * max(1.0, float(state.theta1 @ state.theta1))
@@ -285,18 +289,6 @@ def rearm_auxiliary(state: CoupledState, theta2: np.ndarray, b: int, gamma: floa
     state.theta2 = theta2
     state.history = deque([theta2], maxlen=b + 1)
     return d0_sq, perturbed
-
-
-def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenStreams,
-                     returned: int = 0) -> tuple[float, bool]:
-    """Reset θ2 to its value b steps back and re-arm the distance reference.
-
-    Uses the oldest stored iterate when fewer than b are available; returns
-    ``(d0_sq, perturbed)`` as :func:`rearm_auxiliary` does.
-    """
-    hist = state.history
-    idx = 0 if len(hist) <= b else len(hist) - 1 - b
-    return rearm_auxiliary(state, hist[idx].copy(), b, gamma, tokens, returned)
 
 
 def run(problem, controller: Controller, cfg: EngineConfig, rng: RngStream) -> RunTrace:
@@ -359,9 +351,9 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     theta_star = problem.theta_star
     state = CoupledState(theta1=np.zeros(d if single else (len(rngs), d)), theta2=None)
     tokens = TokenStreams(problem, rngs, cfg.batch_size)
-    if coupled:
-        offset = cfg.init_offset_scale * rngs[0].normals(d)
-        d0_sq, _ = rearm_auxiliary(state, state.theta1 + offset, b, controller.stepsize(1), tokens)
+    if coupled:  # the first arm re-arms from a history of the offset start alone
+        state.history = deque([state.theta1 + cfg.init_offset_scale * rngs[0].normals(d)])
+        d0_sq, _ = reinit_auxiliary(state, b, controller.stepsize(1), tokens)
         controller.rearm(d0_sq)
     avg1 = state.theta1 if cfg.averaging else None
     tokens.sampler_states = [problem.init_sampler(rng) for rng in rngs]
@@ -398,8 +390,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                         trace = traces[active[row]]
                         trace.failure = f"divergence at k={k} (||theta1||^2={norms[row]:g})"
                         trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq)
-                        trace.summarize(problem, cfg, k, controller.stepsize(k), rows[row],
-                                        avgs[row], float(tail_sum[row]), tail_count)
+                        trace.summarize(problem, cfg, k, controller.stepsize(k),
+                                        float(tail_sum[row]), tail_count)
                         tokens.resync(active[row], count - 1 - i)
                     keep = np.flatnonzero(~diverged)
                     active = [active[row] for row in keep]
@@ -440,8 +432,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 break
         tail_sum = _fold_tail(tail_sum, tail_thetas, theta_star)
 
-    rows, avgs = _rows(state.theta1, avg1, len(active))
     for row, r in enumerate(active):
-        traces[r].summarize(problem, cfg, k, controller.stepsize(max(k, 1)), rows[row],
-                            avgs[row], float(tail_sum[row]), tail_count)
+        traces[r].summarize(problem, cfg, k, controller.stepsize(max(k, 1)),
+                            float(tail_sum[row]), tail_count)
     return traces

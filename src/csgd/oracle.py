@@ -170,7 +170,8 @@ def stationary_error_estimate(
     ``gamma`` in (0, 2/L) and a real ``tail_frac`` in (0, 1) that leaves at
     least one step in the tail, or raises ConfigError; and a horizon long
     enough that the certified contraction rate flushes the transient before
-    the tail starts, or raises HorizonTooShortError.
+    the tail starts, or raises HorizonTooShortError.  A chain that diverges
+    raises ConfigError naming the first failed chain's stream and failure.
     """
     from .controllers import ControllerParams, make_controller
     from .engine import EngineConfig, run_replicates
@@ -204,6 +205,10 @@ def stationary_error_estimate(
     )
     rngs = [RngStream(seed, STREAM_BASE + rep) for rep in range(reps)]
     traces = run_replicates(problem, controller, cfg, rngs)
+    for rep, trace in enumerate(traces):
+        if trace.failure is not None:
+            raise ConfigError(f"chain {rep} (stream {STREAM_BASE + rep:#x} of seed {seed}) "
+                              f"failed at gamma={gamma:g}: {trace.failure}")
     per_rep = [trace.summary["tail_mean_err"] for trace in traces]
     arr = np.asarray(per_rep)
     mean = float(arr.mean())

@@ -74,6 +74,9 @@ def test_params_validated():
             ControllerParams(**bad).validate()
     with pytest.raises(ConfigError, match="schedule"):
         make_controller(ControllerParams(kind="fixed", schedule=5))
+    # with no problem, an unknown kind raised "gamma0 unset" before its kind was checked
+    with pytest.raises(ConfigError, match="unknown controller kind"):
+        make_controller(ControllerParams(kind="who"))
 
 
 def test_controller_without_gamma0_fails_with_config_error():
@@ -381,6 +384,11 @@ def test_fixed_schedule_values():
     # p = 2.5 gives τ = 0.2 and exponent -1/1.2
     tau = 1.0 - 2.0 / 2.5
     assert resolve_schedule("uniform_opt", tau)(8) == pytest.approx(8 ** (-1.0 / 1.2))
+
+
+def test_resolve_schedule_rejects_an_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown schedule kind"):
+        resolve_schedule("who", 1.0)
 
 
 @pytest.mark.parametrize(

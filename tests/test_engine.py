@@ -13,7 +13,7 @@ from csgd.numkit import RngStream, normal_words
 from csgd.oracle import stationary_error_estimate
 from csgd.problems import make_problem
 from csgd.engine import CHUNK, TokenStreams
-from csgd.errors import ConfigError
+from csgd.errors import ConfigError, DegenerateDiagnosticError
 from csgd.controllers import FixedScheduleController
 from csgd.engine import run_replicates
 from csgd.oracle import dk_closed_form_series
@@ -545,6 +545,16 @@ def test_reinit_restores_the_iterate_b_steps_back(stored, b, want):
     assert len(state.history) == 1 and state.history[0] is state.theta2
     assert state.history.maxlen == b + 1
     assert rng.counter == 0  # a non-degenerate re-arm draws nothing
+
+
+def test_rearm_gives_up_after_its_draws():
+    # θ2 starts on θ1 = 0, and √γ·N(0, I) at γ = 1e-14 stays within the
+    # 1e-12 floor on every one of the REARM_DRAWS draws of the first arm
+    prob = make_problem("quadratic", 5, seed=1)
+    ctrl = make_controller(ControllerParams(kind="coupling_static", gamma0=1e-14), prob)
+    cfg = EngineConfig(n_iters=10, init_offset_scale=0.0)
+    with pytest.raises(DegenerateDiagnosticError, match="re-arm: 100 perturbations"):
+        run(prob, ctrl, cfg, RngStream(0, 0))
 
 
 # ---------------------------------------------------------------- lockstep

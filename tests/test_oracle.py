@@ -113,6 +113,11 @@ def test_dk_series_iterations_are_counts(ks, name):
         dk_closed_form(np.eye(2), 0.1, np.ones(2), ks[-1])
 
 
+def test_dk_series_iterations_are_ascending():
+    with pytest.raises(ValueError, match="ascending"):
+        dk_closed_form_series(np.eye(2), 0.1, np.ones(2), [3, 1])
+
+
 def test_dk_sandwich_random_instances():
     # (1-γλmax)^{2k} ||D0||² <= value <= (1-γλmin)^{2k} ||D0||², exactly
     for i in range(20):
@@ -144,6 +149,11 @@ def test_lemma1_grid_size_is_an_integer_of_two_or_more(grid_size):
     # 0 raised NumPy's "argmin of an empty sequence" and 1.5 a TypeError
     with pytest.raises(ConfigError, match="grid_size"):
         lemma1_check(1.0, 0.5, grid_size=grid_size)
+
+
+def test_lemma1_rejects_mu_above_L():
+    with pytest.raises(ValueError, match="mu <= L"):
+        lemma1_check(0.5, 1.0)
 
 
 def test_lemma1_example_small():
@@ -354,3 +364,13 @@ def test_stationary_keeps_the_contraction_range_message_for_a_large_gamma():
     prob = make_problem("quadratic", d=5, seed=4)
     with pytest.raises(ValueError, match=r"outside \(0, 2/L\)"):
         stationary_error_estimate(prob, 2.0 / prob.L, horizon=2000, reps=2)
+
+
+def test_stationary_rejects_a_diverged_chain_with_config_error():
+    # γ = 1 lies in (0, 2/L) = (0, 2), yet 9 of the 10 chains diverge; the mean
+    # was nan, and chain 5, stopped at k = 169, gave a partial tail mean
+    prob = make_problem("least_squares", 5, seed=1)
+    assert prob.L == pytest.approx(1.0)
+    with pytest.raises(ConfigError, match=r"chain 0 \(stream 0x5ea7 of seed 0\) failed "
+                                          r"at gamma=1: divergence at k=141"):
+        stationary_error_estimate(prob, 1.0, horizon=200, reps=10, seed=0)

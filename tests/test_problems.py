@@ -78,6 +78,11 @@ BAD_ARGUMENTS = {
     "lasso_sparsity_above_d": ("lasso", dict(d=10, n=100, sparsity=60), "sparsity"),
     "lasso_fraction_sparsity": ("lasso", dict(d=4, n=10, sparsity=2.5), "sparsity"),
     "lasso_bool_sparsity": ("lasso", dict(d=4, n=10, sparsity=True), "sparsity"),
+    # data shape: lasso and svm need a data set, the population kinds take none
+    "lasso_streaming": ("lasso", dict(d=5, n=0), "finite dataset"),
+    "uniformly_convex_dataset": ("uniformly_convex", dict(d=5, n=10), "streaming-only"),
+    "quadratic_dataset": ("quadratic", dict(d=5, n=10), "streaming-only"),
+    "lsa_dataset": ("lsa", dict(d=5, n=10), "streaming-only"),
     # seeds: a float or a bool used to build the seed-1 problem, "abc" raised a
     # bare ValueError and None a ConfigError that blamed the overrides
     "seed_fraction": ("quadratic", dict(d=5, seed=1.5), "seed must be an integer >= 0"),

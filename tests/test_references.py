@@ -334,10 +334,11 @@ def test_svm_kkt_point_skips_a_partition_it_has_seen(monkeypatch):
 
 
 def test_svm_doubled_rows_take_the_gap_fallback(monkeypatch):
-    """Each free row and its copy make c·X_F X_Fᵀ singular, so every
-    active-set attempt gives up and FISTA runs to the 1e-9 gap.  The doubled
-    data set has the objective of the original, which is λ-strongly convex,
-    so its θ* lies within √(2·gap/λ) of the original's."""
+    """Each free row comes with its copy, so every active-set attempt starts
+    with more than d free rows and gives up before any solve, and FISTA runs
+    to the 1e-9 gap.  The doubled data set has the objective of the original,
+    which is λ-strongly convex, so its θ* lies within √(2·gap/λ) of the
+    original's."""
     X, y, lam = _svm_data(10, 1000, 1)
     exact, _ = _svm_dual_fista(X, y, lam)
     points = []
