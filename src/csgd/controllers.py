@@ -3,12 +3,13 @@
 Each controller is a state machine that the engine shows every
 iteration once, as ``observe(k, theta1, d_sq, direction)``; ``observe``
 returns the step's statistic (nan when there is none).  A decay is a new
-phase: ``observe`` raises ``phase_index`` by one, and the engine, seeing
-it go up, moves to the stepsize ``gamma`` and, for a controller that
-``needs_coupling``, re-initializes θ2.  The stepsize after m decays is
-``gamma0 * r**m``, computed once as the phase starts, and the threshold
-``beta0 * eta**m``; neither comes from cumulative multiplication, so phase
-algebra is exact.
+phase, started by ``_decay(k)`` at the step k that fires it: it raises
+``phase_index`` by one, computes the phase's stepsize ``gamma`` and
+restarts the phase clock at k.  The engine, seeing ``phase_index`` go up,
+moves to ``gamma`` and, for a controller that ``needs_coupling``,
+re-initializes θ2.  The stepsize after m decays is ``gamma0 * r**m``, and
+the coupling threshold ``beta0 * eta**m``; neither comes from cumulative
+multiplication, so phase algebra is exact.
 """
 
 from __future__ import annotations
@@ -113,17 +114,15 @@ class Controller:
             burn_in = relaxation_steps(params.gamma0, mu_hint) if params.kind == "pflug" else 0
             params = replace(params, burn_in=burn_in)
         self.params = params
-        self.phase_index = 0
+        self.phase_index = 0  # decays so far
+        self.gamma = params.gamma0
+        self._phase_start = 0  # the k the current phase started at
 
-    @property
-    def phase_index(self) -> int:
-        """Decays so far; setting it computes the phase's ``gamma``, once."""
-        return self._phase_index
-
-    @phase_index.setter
-    def phase_index(self, m: int) -> None:
-        self._phase_index = m
-        self.gamma = self.params.gamma0 * self.params.r**m
+    def _decay(self, k: int) -> None:
+        """Start the next phase at step k: its index, its stepsize, its clock."""
+        self.phase_index += 1
+        self.gamma = self.params.gamma0 * self.params.r**self.phase_index
+        self._phase_start = k
 
     def stepsize(self, k: int) -> float:
         """Stepsize to use for iteration k (1-based)."""
@@ -133,8 +132,7 @@ class Controller:
                 direction: np.ndarray | None) -> float:
         """See step k: θ1 after it, ||θ1 - θ2||² when coupled, the update direction.
 
-        Returns the statistic, nan when there is none; a decay raises
-        ``phase_index`` by one.
+        Returns the statistic, nan when there is none; a decay calls ``_decay(k)``.
         """
         return math.nan
 
@@ -157,13 +155,12 @@ class CouplingController(Controller):
     def __init__(self, params: ControllerParams, mu_hint: float | None = None):
         super().__init__(params, mu_hint)
         self.d0_sq: float | None = None
-        self._phase_start = 0
+        self.beta = params.beta0
 
-    @Controller.phase_index.setter
-    def phase_index(self, m: int) -> None:
-        Controller.phase_index.fset(self, m)  # and the phase's threshold, once
-        adaptive = self.params.kind == "coupling_adaptive"
-        self.beta = self.params.beta0 * (self.params.eta**m if adaptive else 1.0)
+    def _decay(self, k: int) -> None:
+        super()._decay(k)  # and the adaptive threshold, once
+        if self.params.kind == "coupling_adaptive":
+            self.beta = self.params.beta0 * self.params.eta**self.phase_index
 
     def rearm(self, d0_sq: float) -> None:
         self.d0_sq = d0_sq
@@ -175,8 +172,7 @@ class CouplingController(Controller):
             )
         stat = d_sq / self.d0_sq
         if k - self._phase_start > self.params.burn_in and stat < self.beta:
-            self.phase_index += 1
-            self._phase_start = k
+            self._decay(k)
         return stat
 
 
@@ -198,7 +194,6 @@ class PflugController(Controller):
         super().__init__(params, mu_hint)
         self._sum = 0.0
         self._count = 0
-        self._phase_start = 0
         self._prev: np.ndarray | None = None
 
     def observe(self, k, theta1, d_sq, direction):
@@ -210,10 +205,9 @@ class PflugController(Controller):
         self._count += 1
         stat = self._sum / self._count
         if k - self._phase_start > self.params.burn_in and stat < 0.0:
-            self.phase_index += 1
+            self._decay(k)
             self._sum = 0.0
             self._count = 0
-            self._phase_start = k
         return stat
 
 
@@ -243,7 +237,6 @@ class DistanceController(Controller):
         super().__init__(params, mu_hint)
         self._mu_hint = mu_hint
         self._anchor: np.ndarray | None = None
-        self._phase_start = 0
         self._restart_ladder()
 
     def _restart_ladder(self) -> None:
@@ -283,9 +276,8 @@ class DistanceController(Controller):
         )
         self._prev = (k_rel, omega)
         if slope < SLOPE_THRESHOLD:
-            self.phase_index += 1
+            self._decay(k)
             self._anchor = theta1.copy()
-            self._phase_start = k
             self._restart_ladder()
         return slope
 

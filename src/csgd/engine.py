@@ -115,7 +115,7 @@ class CoupledState:
 
     theta1: np.ndarray
     theta2: np.ndarray | None
-    history: deque | None = None  # last b+1 auxiliary iterates, newest last
+    history: deque | None = None  # ring of b+1 auxiliary iterates, newest last; oldest b steps back
 
 
 @dataclass
@@ -257,10 +257,11 @@ def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenStr
                      returned: int = 0) -> tuple[float, bool]:
     """Reset θ2 to its value b steps back, restart its history and return ``(d0_sq, perturbed)``.
 
-    Uses the oldest stored iterate when fewer than b are available; the run's
-    first arm seeds the history with θ1 + ``init_offset_scale``·N(0, I) alone
-    and comes here too.  ``d0_sq`` is the new reference ||θ1 - θ2||².  If the
-    difference is degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is instead
+    The history is a ring of b+1 entries, so that value is its oldest entry,
+    the oldest stored when fewer are; the run's first arm seeds the history
+    with θ1 + ``init_offset_scale``·N(0, I) alone and comes here too.
+    ``d0_sq`` is the new reference ||θ1 - θ2||².  If the difference is
+    degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is instead
     perturbed off θ1 by √γ·N(0, I) — the scale of the stationary fluctuation
     radius — so the diagnostic stays well defined, and ``perturbed`` is True.
     The perturbation is drawn out of band from the run's one stream (a
@@ -269,8 +270,7 @@ def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenStr
     new block.  If ``REARM_DRAWS`` draws all stay within the floor (γ too
     small for it), DegenerateDiagnosticError is raised.
     """
-    hist = state.history
-    theta2 = hist[0 if len(hist) <= b else len(hist) - 1 - b].copy()
+    theta2 = state.history[0].copy()
     diff = state.theta1 - theta2
     d0_sq = float(diff @ diff)
     floor = D0_REARM_FLOOR_REL * max(1.0, float(state.theta1 @ state.theta1))

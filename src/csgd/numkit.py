@@ -42,13 +42,11 @@ def row_sq(rows: np.ndarray) -> np.ndarray:
     return np.vecdot(rows, rows)
 
 
-def as_mat(x, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Coerce to a 2-D float64 array, optionally checking the shape."""
+def as_mat(x) -> np.ndarray:
+    """Coerce to a 2-D float64 array."""
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected 2-D matrix, got shape {m.shape}")
-    if shape is not None and m.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {m.shape}")
     return m
 
 

@@ -23,11 +23,11 @@ STREAM_BASE = 0x5EA7  # stationary_error_estimate: the stream id of its first ch
 def contraction_rate(gamma: float, mu: float, L: float) -> float:
     """Per-step contraction factor 1 - 2γμ(1 - γL/2) of the iterate law.
 
-    Valid for γ in (0, 2/L); strictly below 1 there whenever μ > 0, and
-    minimized at γ = 1/L.
+    Valid for γ in (0, 2/L), else ConfigError; strictly below 1 there
+    whenever μ > 0, and minimized at γ = 1/L.
     """
     if not 0.0 < gamma < 2.0 / L:
-        raise ValueError(f"gamma={gamma} outside (0, 2/L) with L={L}")
+        raise ConfigError(f"gamma={gamma} outside (0, 2/L) with L={L}")
     return 1.0 - 2.0 * gamma * mu * (1.0 - gamma * L / 2.0)
 
 
@@ -188,10 +188,7 @@ def stationary_error_estimate(
     if burn >= horizon:
         raise ConfigError(f"tail_frac={tail_frac!r} leaves no step of the {horizon}-step "
                           "horizon in the tail")
-    try:
-        rho = contraction_rate(gamma, problem.mu, problem.L)
-    except ValueError as exc:  # γ >= 2/L, with contraction_rate's message
-        raise ConfigError(str(exc)) from None
+    rho = contraction_rate(gamma, problem.mu, problem.L)
     if rho ** max(burn, 1) >= 1e-3:
         raise HorizonTooShortError(
             f"rho={rho:.6g} over {burn} burn-in iterations leaves "

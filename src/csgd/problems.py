@@ -16,7 +16,8 @@ Each problem kind exposes the same surface:
   full-batch oracle.
 - certified constants ``L`` and ``mu`` (and ``R_sq``, the trace of the
   input covariance, on the GLM kinds) and a lazily solved
-  :class:`ReferenceSolution`.
+  :class:`ReferenceSolution`: each kind's ``_solve_reference`` gives θ* and
+  its residual, and ``reference`` computes f* = ``loss(θ*)`` from them, once.
 
 :func:`make_problem` builds a kind from ``d``, ``n``, ``seed`` and nine
 kind-specific overrides, each checked as the problem is built (ConfigError):
@@ -80,12 +81,15 @@ PERTURB_SCALE = 0.5  # lsa: the scale of the per-state perturbations S(x)
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Minimizer of the objective the runs are scored against."""
+    """Minimizer of the objective the runs are scored against.
+
+    ``f_star`` is ``loss(theta_star)``, computed once, by ``Problem.reference``;
+    ``grad_norm`` is the solve's residual, 0.0 for a closed form.
+    """
 
     theta_star: np.ndarray
     f_star: float
-    provenance: str  # "closed-form" | "high-accuracy-solve"
-    grad_norm: float = 0.0
+    grad_norm: float
 
 
 def _sigmoid(z):
@@ -244,9 +248,11 @@ class Problem:
 
     @cached_property
     def reference(self) -> ReferenceSolution:
-        return self._solve_reference()
+        theta, residual = self._solve_reference()
+        return ReferenceSolution(theta, self.loss(theta), residual)
 
-    def _solve_reference(self) -> ReferenceSolution:
+    def _solve_reference(self) -> tuple[np.ndarray, float]:
+        """θ* and the solve's residual."""
         raise NotImplementedError
 
     @property
@@ -409,15 +415,8 @@ class LogisticRegression(_GlmBase):
         if self.n == 0:
             # the population optimum of a well-specified logistic model is
             # the planted parameter itself
-            theta = self.theta_planted.copy()
-            return ReferenceSolution(theta, self.loss(theta), provenance="closed-form")
-        theta, grad_norm = _newton_logistic(self)
-        return ReferenceSolution(
-            theta_star=theta,
-            f_star=self.loss(theta),
-            provenance="high-accuracy-solve",
-            grad_norm=grad_norm,
-        )
+            return self.theta_planted.copy(), 0.0
+        return _newton_logistic(self)
 
     def default_gamma0(self):
         return 4.0 / self.R_sq
@@ -505,15 +504,9 @@ class LeastSquares(_GlmBase):
 
     def _solve_reference(self):
         if self.n == 0:
-            theta = self.theta_planted.copy()
-            return ReferenceSolution(theta, self.loss(theta), provenance="closed-form")
+            return self.theta_planted.copy(), 0.0
         theta = np.linalg.solve(self._X.T @ self._X, self._X.T @ self._y)
-        return ReferenceSolution(
-            theta_star=theta,
-            f_star=self.loss(theta),
-            provenance="closed-form",
-            grad_norm=norm(self.full_grad(theta)),
-        )
+        return theta, norm(self.full_grad(theta))
 
     def default_gamma0(self):
         return 1.0 / (2.0 * self.R_sq)
@@ -562,13 +555,7 @@ class Svm(_GlmBase):
         return np.maximum(0.0, 1.0 - margins).mean(axis=1) + 0.5 * self.lam_reg * row_sq(thetas)
 
     def _solve_reference(self):
-        theta, gap = _svm_dual_fista(self._X, self._y, self.lam_reg)
-        return ReferenceSolution(
-            theta_star=theta,
-            f_star=self.loss(theta),
-            provenance="high-accuracy-solve",
-            grad_norm=gap,  # the duality gap, the natural residual here
-        )
+        return _svm_dual_fista(self._X, self._y, self.lam_reg)
 
     def default_gamma0(self):
         return 4.0 / self.R_sq
@@ -712,13 +699,7 @@ class Lasso(_GlmBase):
         return row_sq(resid) / self.n + self.lam_reg * np.abs(thetas).sum(axis=1)
 
     def _solve_reference(self):
-        theta, resid_norm = _fista_lasso(self._X, self._y, self.lam_reg)
-        return ReferenceSolution(
-            theta_star=theta,
-            f_star=self.loss(theta),
-            provenance="high-accuracy-solve",
-            grad_norm=resid_norm,
-        )
+        return _fista_lasso(self._X, self._y, self.lam_reg)
 
     def default_gamma0(self):
         return 1.0 / (2.0 * self.R_sq)
@@ -797,7 +778,7 @@ class UniformlyConvex(Problem):
         return np.array([r ** self.p_exp for r in np.sqrt(row_sq(thetas)).tolist()]) / self.p_exp
 
     def _solve_reference(self):
-        return ReferenceSolution(np.zeros(self.d), 0.0, provenance="closed-form")
+        return np.zeros(self.d), 0.0
 
     def default_gamma0(self):
         return 1.0 / (4.0 * self.L)
@@ -981,9 +962,7 @@ class LinearStochasticApprox(Problem):
         resid = norm(self.full_grad(theta))
         if resid > 1e-10:
             raise NonConvergenceError(f"lsa fixed point residual {resid:g}")
-        return ReferenceSolution(
-            theta_star=theta, f_star=0.0, provenance="closed-form", grad_norm=resid
-        )
+        return theta, resid
 
     def default_gamma0(self):
         return 1.0 / (2.0 * self.L)

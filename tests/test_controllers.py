@@ -150,7 +150,9 @@ def test_fuzzed_configs_fail_with_a_package_error_or_run(params, cfg, seed):
 @settings(max_examples=30, deadline=None)
 def test_phase_algebra_exact_powers(m):
     ctrl = coupling(adaptive=True, gamma0=0.7, r=0.5, eta=0.75)
-    ctrl.phase_index = m
+    for k in range(1, m + 1):
+        ctrl._decay(k)
+    assert ctrl.phase_index == m
     assert ctrl.gamma == 0.7 * 0.5**m  # exact power form, no drift
     assert ctrl.beta == 1e-2 * 0.75**m
 

@@ -531,16 +531,20 @@ def test_coupled_statistic_stays_above_the_theorem1_floor(kind, seed):
     "stored, b, want", [(10, 3, 6), (5, 0, 4), (4, 3, 0), (3, 3, 0), (2, 5, 0)]
 )
 def test_reinit_restores_the_iterate_b_steps_back(stored, b, want):
-    # history[i] is (i + 1)·1, newest last: with more than b stored θ2 is
-    # the iterate b steps back from the newest, with b or fewer the oldest
+    # iterate i is (i + 1)·1, appended in order to a ring of b + 1 as
+    # coupled_step does: with more than b stored θ2 is the iterate b steps
+    # back from the newest, with b or fewer the oldest
     prob = problem("quadratic")
-    history = deque(np.full(prob.d, i + 1.0) for i in range(stored))
+    history = deque(maxlen=b + 1)
+    for i in range(stored):
+        history.append(np.full(prob.d, i + 1.0))
+    oldest = history[0]
     state = CoupledState(theta1=np.full(prob.d, 0.5), theta2=history[-1], history=history)
     rng = RngStream(9, 0)
     d0_sq, perturbed = reinit_auxiliary(state, b, 0.1, TokenStreams(prob, [rng], batch=1))
     assert perturbed is False
     assert np.array_equal(state.theta2, np.full(prob.d, want + 1.0))
-    assert state.theta2 is not history[want]
+    assert state.theta2 is not oldest
     assert d0_sq == prob.d * (want + 0.5) ** 2  # ||θ1 - θ2||², exact here
     assert len(state.history) == 1 and state.history[0] is state.theta2
     assert state.history.maxlen == b + 1
@@ -795,7 +799,7 @@ def test_no_kind_overrides_loss():
 class _DecaysAtFive(FixedScheduleController):
     def observe(self, k, theta1, d_sq, direction):
         if k == 5:
-            self.phase_index += 1
+            self._decay(k)
         return super().observe(k, theta1, d_sq, direction)
 
 

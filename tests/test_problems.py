@@ -218,7 +218,6 @@ def test_logistic_reference_gradient_norm():
     ref = prob.reference
     g0 = np.linalg.norm(prob.full_grad(np.zeros(5)))
     assert ref.grad_norm <= 1e-8 * max(1.0, g0)
-    assert ref.provenance == "high-accuracy-solve"
 
 
 def test_logistic_streaming_reference_is_planted():
@@ -570,6 +569,24 @@ def test_full_grad_is_the_gradient_of_loss(kind, n, extra):
                        for e in h * np.eye(5)])
         g = prob.full_grad(theta)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, np.linalg.norm(g))
+
+
+@pytest.mark.parametrize(
+    "kind, n, extra",
+    [("logistic", 300, {}), ("least_squares", 0, {}), ("svm", 300, {}),
+     ("lasso", 300, {"sparsity": 3}), ("uniformly_convex", 0, {}), ("quadratic", 0, {}),
+     ("lsa", 0, {})],
+    ids=["logistic", "least_squares", "svm", "lasso", "uniformly_convex", "quadratic", "lsa"],
+)
+def test_f_star_is_the_objective_at_theta_star(kind, n, extra):
+    # f* is loss(θ*) bit for bit on every kind: on lsa the squared residual
+    # of the fixed-point solve, a rounding-sized positive number, not 0
+    for seed in range(3):
+        prob = make_problem(kind, d=5, n=n, seed=seed, **extra)
+        ref = prob.reference
+        assert float(ref.f_star).hex() == float(prob.loss(ref.theta_star)).hex()
+        if kind in ("uniformly_convex", "quadratic"):  # θ* = 0 in closed form
+            assert float(ref.f_star).hex() == (0.0).hex()
 
 
 def test_noise_sharing_same_token_identical():
