@@ -49,14 +49,19 @@ record, and the others go on.  Each step makes one ddot over the whole
 stack, the sum of the chains' ||θ1||²; only when that comes near the
 threshold are the rows' norms computed.
 
-A record keeps θ1 and the running average by reference, since the loop
-rebinds both at every step and writes neither in place.  :class:`RunTrace`
-fills the error and loss columns of ``CHUNK`` such records at a time in one
-stacked pass, with their bits, and those of the rest in ``summarize``, which
-reads the final errors from the last record (a run records its last step).
-The tail accumulator keeps its steps' θ1 the same way and folds them into
-each chain's sum once per block, and before a divergence stops a chain,
-adding them in step order so the sum has the bits of a per-step ``+=``.
+A step allocates θ1, θ2, the running average, the two directions, the
+products γ·u and the difference θ1 - θ2.  The average's temporary is
+updated in place: θ1 - θ̄ is divided by k and θ̄ added into it, which adds
+the operands of ``θ̄ + (θ1 - θ̄)/k`` in the other order, and IEEE addition
+rounds both alike.  No step writes into an array it did not just make, so a
+record keeps θ1 and the running average by reference, and the history ring
+keeps θ2.  :class:`RunTrace` fills the error and loss columns of ``CHUNK``
+such records at a time in one stacked pass, with their bits, and those of
+the rest in ``summarize``, which reads the final errors from the last
+record (a run records its last step).  The tail accumulator keeps its
+steps' θ1 the same way and folds them into each chain's sum once per block,
+and before a divergence stops a chain, adding them in step order so the sum
+has the bits of a per-step ``+=``.
 """
 
 from __future__ import annotations
@@ -139,13 +144,16 @@ class RunTrace:
     summary: dict = field(default_factory=dict)
     failure: str | None = None
     _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # the restart log's length at the last record
+    _n_logged: int = field(default=0, init=False, repr=False, compare=False)
 
     def record(self, problem, k: int, gamma: float, stat: float, theta1: np.ndarray,
                avg1: np.ndarray | None, d_sq: float | None = None) -> None:
         """Append one record of the iterate and, when kept, its running average; its
-        restart flag is set when the restart log's last event came after the last record."""
-        log = self.restart_log
-        restarted = bool(log) and (not self.ks or log[-1].k > self.ks[-1])
+        restart flag is set when the restart log grew since the last record."""
+        n_logged = len(self.restart_log)
+        restarted = n_logged > self._n_logged
+        self._n_logged = n_logged
         self.ks.append(k)
         self.gammas.append(gamma)
         self.stats.append(stat)
@@ -240,6 +248,10 @@ def coupled_step(state: CoupledState, problem, gamma: float, token):
     Returns θ1's update direction and ||θ1 - θ2||² after the step (None
     when uncoupled).  The same token feeds both oracle evaluations, so for
     additive-noise quadratics the difference contracts deterministically.
+    Allocates the new θ1 and θ2, both directions, the two products γ·u and
+    the difference, and writes into none of its inputs: the returned
+    direction is kept by reference (Pflug's ``observe`` keeps it), and so
+    are the old iterates, by records and the history ring.
     """
     u1 = problem.step_direction(state.theta1, token)
     state.theta1 = state.theta1 + gamma * u1
@@ -374,12 +386,15 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
             gamma = controller.stepsize(k)
             direction, d_sq = coupled_step(state, problem, gamma, steps[i])
             theta1 = state.theta1
-            if avg1 is not None:  # rebound, so a record may keep it by reference
-                avg1 = avg1 + (theta1 - avg1) / k
+            if avg1 is not None:  # a new array, so a record may keep the old one by reference
+                new_avg = theta1 - avg1
+                new_avg /= k
+                new_avg += avg1
+                avg1 = new_avg
 
             # one ddot over the stack sums the rows' squared norms, so no row
             # passes the threshold until the sum comes within rounding of it
-            flat = theta1.ravel()
+            flat = theta1 if single else theta1.ravel()
             if not flat.dot(flat) <= DIVERGENCE_THRESHOLD * (1.0 - 1e-9):
                 norms = row_sq(theta1.reshape(-1, d))
                 diverged = ~(norms <= DIVERGENCE_THRESHOLD)  # nan diverges too

@@ -7,7 +7,8 @@ Each problem kind exposes the same surface:
   all randomness, so the call is a pure function of ``(theta, token)`` and
   two evaluations with the same token consume identical noise.  That
   property is what makes coupled runs share their per-iteration
-  randomness.
+  randomness.  The result is a fresh array that shares no memory with θ,
+  the token or the problem: the engine and Pflug's controller keep it.
 - ``losses``: each kind's one statement of the deterministic objective the
   oracle is unbiased for (empirical mean for dataset-backed kinds,
   population form for streaming kinds), at each row of a (reps, d) stack,
@@ -915,6 +916,8 @@ class LinearStochasticApprox(Problem):
         _, lam_max_sym, _ = symmetric_eigs(0.5 * (self.A_bar + self.A_bar.T))
         self.b_table = prm.normals(N * d).reshape(N, d)
         self.b_bar = self.pi_chain @ self.b_table
+        self._A_rows = list(self.A_table)  # a list index is faster than an ndarray one
+        self._b_rows = list(self.b_table)
 
         self.mu = -lam_max_sym
         _, self.L, _ = symmetric_eigs(M)
@@ -944,7 +947,7 @@ class LinearStochasticApprox(Problem):
         """Per-state update direction A(x)θ + b(x)."""
         if not 0 <= state < self.n_states:
             raise ValueError(f"invalid chain state {state}")
-        return self.A_table[state].dot(theta) + self.b_table[state]
+        return self._A_rows[state].dot(theta) + self._b_rows[state]
 
     def step_directions(self, thetas, states):
         return _gemv_rows(self.A_table[states], thetas) + self.b_table[states]

@@ -905,12 +905,20 @@ def _check_record_order(trace):
     assert len(trace.avg_errs) == len(trace.avg_fgaps) in (0, n)
 
 
+def _restart_flags_by_definition(trace):
+    """A record is flagged iff some restart k' lies in (the previous record's k, its k]."""
+    restarts = [event.k for event in trace.restart_log]
+    return [any(lo < k <= hi for k in restarts) for lo, hi in zip([0] + trace.ks[:-1], trace.ks)]
+
+
 RECORD_CASES = {
     "dense/averaging": ("quadratic", "coupling_adaptive", dict(trace_stride=1, averaging=True)),
     "dense": ("lsa", "coupling_adaptive", dict(trace_stride=1)),
     "stride7/averaging": ("lasso", "distance", dict(trace_stride=7, averaging=True)),
     # the golden diverging case: k = 294, in the second block
     "diverges/dense/averaging": ("quadratic", "diverges", dict(trace_stride=1, averaging=True)),
+    # restarts at k = 62 and 93 both fall between the records at 50 and 100
+    "stride50/two_restarts": ("lsa", "pflug", dict(trace_stride=50)),
 }
 
 
@@ -931,6 +939,10 @@ def test_run_records_keep_the_column_contract(case, monkeypatch):
     # a record that completes a block of CHUNK fills it; summarize fills the rest
     filled = [i for i, events in enumerate(trace.calls) if ("extend", "errs") in events]
     assert filled == list(range(CHUNK - 1, len(trace.ks), CHUNK))
+    assert trace.restart_flags == _restart_flags_by_definition(trace)
+    if case == "stride50/two_restarts":
+        assert [event.k for event in trace.restart_log if 50 < event.k <= 100] == [62, 93]
+        assert trace.restart_flags[:4] == [True, True, True, False]
 
 
 @pytest.mark.parametrize("averaging", [False, True])
@@ -950,3 +962,67 @@ def test_lockstep_records_keep_the_column_contract(case, averaging, monkeypatch)
     assert any(t.failure is not None for t in traces)
     for trace in traces:
         _check_record_order(trace)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_restart_flags_follow_the_log(case, monkeypatch):
+    made = []
+
+    class _KeptTrace(RunTrace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(engine, "RunTrace", _KeptTrace)
+    CASES[case]()
+    assert made
+    for trace in made:
+        assert trace.restart_flags == _restart_flags_by_definition(trace)
+
+
+# ------------------------------------------------------------------- steps
+
+
+def _snapshot(value):
+    """A copy of an iterate, a direction or a token, its arrays copied."""
+    if isinstance(value, tuple):
+        return tuple(_snapshot(part) for part in value)
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
+def _same_bits(a, b):
+    if isinstance(a, tuple):
+        return all(_same_bits(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@pytest.mark.parametrize("mode", ["coupled", "uncoupled", "lockstep"])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_a_step_leaves_the_arrays_it_keeps_alone(name, mode):
+    # records, the history ring and Pflug's observe keep arrays by reference
+    # across steps, so a step may write only into arrays it has just made:
+    # every earlier iterate, history entry, direction and token keeps its bits
+    prob = problem(name)
+    reps = 3 if mode == "lockstep" else 1
+    rngs = [RngStream(7, 400 + r) for r in range(reps)]
+    block, _ = prob.draw_tokens(rngs, [prob.init_sampler(rng) for rng in rngs], 20)
+    steps = token_rows(block if mode == "lockstep" else token_columns(block, 0))
+    gen = np.random.default_rng(0)
+    state = CoupledState(theta1=gen.standard_normal((reps, prob.d) if reps > 1 else prob.d),
+                         theta2=None)
+    if mode == "coupled":
+        state.theta2 = state.theta1 + gen.standard_normal(prob.d)
+        state.history = deque([state.theta2], maxlen=4)
+    gamma = 0.5 * prob.default_gamma0()
+    kept = []  # (array, its bits when kept)
+    for token in steps:
+        want = prob.step_direction(state.theta1.copy(), _snapshot(token))
+        arrays = [state.theta1, token, *(state.history or ())]
+        if state.theta2 is not None:
+            arrays.append(state.theta2)
+        kept += [(a, _snapshot(a)) for a in arrays]
+        direction, _ = engine.coupled_step(state, prob, gamma, token)
+        kept.append((direction, want))
+        assert all(_same_bits(a, bits) for a, bits in kept)

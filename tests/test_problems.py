@@ -1,4 +1,5 @@
 import math
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -650,6 +651,43 @@ def test_draw_tokens_match_single_draws(name, batch):
     assert block_state == state
     assert block_rng.counter == single_rng.counter
     assert block_rng.counter - (1 if prob.kind == "lsa" else 0) == count * prob.words_per_token(batch)
+
+
+def _arrays(value):
+    """The ndarrays in ``value`` and in its lists, tuples, dicts and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        yield from _arrays(list(value.values()))
+    elif is_dataclass(value):
+        yield from _arrays(vars(value))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["rows", "stacked"])
+@pytest.mark.parametrize(
+    "name, batch",
+    [(name, batch) for batch in (1, 3) for name in TOKEN_FACTORIES if (name, batch) != ("lsa", 3)],
+)
+def test_step_direction_returns_a_fresh_array(name, batch, stacked):
+    # the engine and Pflug's observe keep an oracle's result, and a coupled
+    # step calls the oracle twice, so each result is a fresh array: it shares
+    # no memory with the iterate, the token or any array the problem keeps
+    prob = TOKEN_FACTORIES[name]()
+    prob.reference  # solved and cached, so θ* is among the arrays kept
+    reps = 3
+    rng = RngStream(71, 0)
+    block, _ = prob.draw_tokens([rng], [prob.init_sampler(rng)], reps, batch)
+    block = token_columns(block, 0)
+    thetas = RngStream(72, 0).normals(reps * prob.d).reshape(reps, prob.d)
+    calls = [(thetas, block)] if stacked else zip(thetas, token_rows(block))
+    kept = [thetas, *_arrays(block), *_arrays(vars(prob))]
+    assert len(kept) > 2
+    for theta, token in calls:
+        result = prob.step_direction(theta, token)
+        assert not any(np.shares_memory(result, a) for a in kept)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
