@@ -9,7 +9,8 @@ restarts the phase clock at k.  The engine, seeing ``phase_index`` go up,
 moves to ``gamma`` and, for a controller that ``needs_coupling``,
 re-initializes θ2.  The stepsize after m decays is ``gamma0 * r**m``, and
 the coupling threshold ``beta0 * eta**m``; neither comes from cumulative
-multiplication, so phase algebra is exact.
+multiplication, so phase algebra is exact.  The ``fixed`` kind follows one
+of the ``SCHEDULES`` instead.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ D0_FLOOR = 1e-300  # positivity floor for the coupled-distance reference
 RELAXATION_CAP = 10_000
 SLOPE_THRESHOLD = 0.5  # distance: decay below this log-log slope
 CHECKPOINT_RATIO = 1.5  # distance: geometric checkpoint spacing
-
-# fixed schedules and the most constants each takes; each takes at least
-# one (see resolve_schedule)
-SCHEDULE_ARITY = {"constant": 1, "inv_sqrt": 1, "inv_mu_k": 1, "uniform_opt": 2}
 
 
 def relaxation_steps(gamma: float, mu: float | None) -> int:
@@ -79,25 +76,11 @@ class ControllerParams:
         if self.burn_in is not None:
             check_int("burn_in", self.burn_in, 0)
         if self.kind == "fixed":
-            self._validate_schedule()
+            if not isinstance(self.schedule, (tuple, list)) or not self.schedule:
+                raise ConfigError(f"fixed controller needs a (name, *constants) schedule, "
+                                  f"got {self.schedule!r}")
+            resolve_schedule(*self.schedule)
         return self
-
-    def _validate_schedule(self):
-        """Known name, right arity, finite positive constants (τ >= 0 for uniform_opt)."""
-        if not isinstance(self.schedule, (tuple, list)) or not self.schedule:
-            raise ConfigError(f"fixed controller needs a (name, *constants) schedule, "
-                              f"got {self.schedule!r}")
-        name, *constants = self.schedule
-        if not isinstance(name, str) or name not in SCHEDULE_ARITY:
-            raise ConfigError(f"unknown schedule kind {name!r}")
-        if not 1 <= len(constants) <= SCHEDULE_ARITY[name]:
-            raise ConfigError(
-                f"schedule {name!r} takes 1 to {SCHEDULE_ARITY[name]} constants, "
-                f"got {len(constants)}"
-            )
-        for i, c in enumerate(constants):
-            tau = name == "uniform_opt" and i == 0
-            check_real(f"schedule {name!r} constant {i}", c, 0.0, strict=not tau)
 
 
 class Controller:
@@ -282,30 +265,33 @@ class DistanceController(Controller):
         return slope
 
 
-def resolve_schedule(kind: str, *constants):
-    """The schedule as a function of k >= 1, its constants converted once.
+# fixed schedules: name -> factory of the function of k >= 1 from the float
+# constants, the first required and the rest optional (see resolve_schedule)
+SCHEDULES = {
+    "constant": lambda gamma: lambda k: gamma,
+    "inv_sqrt": lambda C: lambda k: C / math.sqrt(k),
+    "inv_mu_k": lambda mu: lambda k: 1.0 / (mu * k),
+    "uniform_opt": lambda tau, scale=1.0: lambda k: scale * k ** (-1.0 / (tau + 1.0)),
+}
+
+
+def resolve_schedule(name: str, *constants):
+    """The schedule ``name`` as a function of k >= 1, its constants converted once.
 
     constant(γ); inv_sqrt(C): C/√k; inv_mu_k(μ): 1/(μk);
-    uniform_opt(τ[, scale]): scale·k^(-1/(τ+1)).
+    uniform_opt(τ[, scale]): scale·k^(-1/(τ+1)).  ConfigError unless ``name``
+    is in ``SCHEDULES`` with 1 to as many constants as its factory takes,
+    each finite and > 0 (τ >= 0).
     """
-    if kind == "constant":
-        (gamma,) = constants
-        gamma = float(gamma)
-        return lambda k: gamma
-    if kind == "inv_sqrt":
-        (C,) = constants
-        C = float(C)
-        return lambda k: C / math.sqrt(k)
-    if kind == "inv_mu_k":
-        (mu,) = constants
-        mu = float(mu)
-        return lambda k: 1.0 / (mu * k)
-    if kind == "uniform_opt":
-        tau, *rest = constants
-        scale = float(rest[0] if rest else 1.0)
-        power = -1.0 / (float(tau) + 1.0)
-        return lambda k: scale * k**power
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+    if not isinstance(name, str) or name not in SCHEDULES:
+        raise ConfigError(f"unknown schedule kind {name!r}")
+    most = SCHEDULES[name].__code__.co_argcount
+    if not 1 <= len(constants) <= most:
+        raise ConfigError(f"schedule {name!r} takes 1 to {most} constants, got {len(constants)}")
+    for i, c in enumerate(constants):
+        tau = name == "uniform_opt" and i == 0
+        check_real(f"schedule {name!r} constant {i}", c, 0.0, strict=not tau)
+    return SCHEDULES[name](*map(float, constants))
 
 
 class FixedScheduleController(Controller):
@@ -320,7 +306,7 @@ class FixedScheduleController(Controller):
 
     def stepsize(self, k: int) -> float:
         if k < 1:
-            raise ValueError("schedules are defined for k >= 1")
+            raise ConfigError("schedules are defined for k >= 1")
         return self._schedule(k)
 
 

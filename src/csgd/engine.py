@@ -2,9 +2,9 @@
 
 Advances one or two iterates; when coupled, both evaluations of an
 iteration share a single token, i.e. the same minibatch or noise draw.
-Maintains the ring buffer of recent auxiliary iterates for backward
-re-initialization, applies each decay atomically between steps, and
-records a :class:`RunTrace`.
+θ1 is a loop local.  θ2 lives only in a ring of its last b+1 values: the
+newest entry is θ2, and the backward re-initialization restarts from the
+oldest.  Decays apply atomically between steps; a :class:`RunTrace` records.
 
 Order of events inside iteration k: step both iterates with the current
 stepsize, then let the controller observe, which returns the statistic.
@@ -37,25 +37,25 @@ all of them, into parts with a leading (count, R) shape (see
 :mod:`csgd.problems`); one stream steps on column 0.  Each problem kind
 spends a fixed number of raw words per token, so a run sees the same tokens
 as if it drew them one by one, and no stream is drawn past the last
-iteration.  Where a chain leaves the token sequence in mid-block (the
-degenerate re-arm draw, a divergence stop) it gives the rest of its block
-back and its stream is resynced: it goes back to the counter that
-token-by-token drawing would have reached, and ``rng.counter`` on return is
-that counter.  After a re-arm that perturbed θ2 the loop takes a new block.
+iteration.  Divergence and a re-arm that perturbs θ2 leave a block one
+way: after step k every active stream gives the rest of its block back and
+is resynced to the counter token-by-token drawing reaches (``rng.counter``
+on return), and the chains that go on take a new block, which redraws the
+same tokens from the same counter and sampler state; none is re-sliced.
 
 Divergence is checked per stream: a chain stops once ||θ1||² exceeds
 ``DIVERGENCE_THRESHOLD`` or is not finite, gets a failure text and a final
-record, and the others go on.  Each step makes one ddot over the whole
-stack, the sum of the chains' ||θ1||²; only when that comes near the
-threshold are the rows' norms computed.
+record, and the others finish step k and go on from a new block.  Each
+step makes one ddot over the whole stack, the sum of the chains' ||θ1||²;
+only when that comes near the threshold are the rows' norms computed.
 
 A step allocates θ1, θ2, the running average, the two directions, the
 products γ·u and the difference θ1 - θ2.  The average's temporary is
 updated in place: θ1 - θ̄ is divided by k and θ̄ added into it, which adds
 the operands of ``θ̄ + (θ1 - θ̄)/k`` in the other order, and IEEE addition
 rounds both alike.  No step writes into an array it did not just make, so a
-record keeps θ1 and the running average by reference, and the history ring
-keeps θ2.  :class:`RunTrace` fills the error and loss columns of ``CHUNK``
+record keeps θ1 and the running average by reference, and the ring keeps
+θ2.  :class:`RunTrace` fills the error and loss columns of ``CHUNK``
 such records at a time in one stacked pass, with their bits, and those of
 the rest in ``summarize``, which reads the final errors from the last
 record (a run records its last step).  The tail accumulator keeps its
@@ -112,15 +112,6 @@ class RestartEvent:
     old_gamma: float
     new_gamma: float
     statistic: float
-
-
-@dataclass
-class CoupledState:
-    """Mutable loop state; exclusively owned by one run."""
-
-    theta1: np.ndarray
-    theta2: np.ndarray | None
-    history: deque | None = None  # ring of b+1 auxiliary iterates, newest last; oldest b steps back
 
 
 @dataclass
@@ -215,8 +206,8 @@ class TokenStreams:
 
     def take(self, active: list[int], count: int):
         """The next ``count`` tokens of each stream in ``active``, stacked: column j
-        of each part is stream ``active[j]``'s.  All count as used; a chain that
-        stops in mid-block gives the rest of its block back with :meth:`resync`."""
+        of each part is stream ``active[j]``'s.  All count as used; the loop leaves
+        a block in mid-block by giving the rest back with :meth:`resync`."""
         rngs, states = self.rngs, self.sampler_states
         self._starts = [(rng.counter, state) for rng, state in zip(rngs, states)]
         self._count = count
@@ -231,7 +222,7 @@ class TokenStreams:
 
         The stream goes back to the block's start and redraws the tokens used,
         so its counter and sampler state end where drawing only those would
-        have left them, ready for an out-of-band draw.
+        have left them, ready for an out-of-band draw or the next block.
         """
         rng = self.rngs[r]
         if returned:
@@ -242,64 +233,66 @@ class TokenStreams:
         return rng
 
 
-def coupled_step(state: CoupledState, problem, gamma: float, token):
-    """Advance the pair by one iteration with shared noise.
+def coupled_step(problem, gamma: float, token, theta1: np.ndarray, history: deque | None):
+    """Advance the pair by one iteration with shared noise; returns ``(theta1, u1, d_sq)``.
 
-    Returns θ1's update direction and ||θ1 - θ2||² after the step (None
-    when uncoupled).  The same token feeds both oracle evaluations, so for
+    θ2 is the newest entry of the ring ``history``, which gets the new θ2,
+    and ``d_sq`` is ||θ1 - θ2||² after the step; both are None when
+    uncoupled.  The same token feeds both oracle evaluations, so for
     additive-noise quadratics the difference contracts deterministically.
     Allocates the new θ1 and θ2, both directions, the two products γ·u and
     the difference, and writes into none of its inputs: the returned
     direction is kept by reference (Pflug's ``observe`` keeps it), and so
-    are the old iterates, by records and the history ring.
+    are the old iterates, by records and the ring.
     """
-    u1 = problem.step_direction(state.theta1, token)
-    state.theta1 = state.theta1 + gamma * u1
+    u1 = problem.step_direction(theta1, token)
+    theta1 = theta1 + gamma * u1
     d_sq = None
-    if state.theta2 is not None:
-        u2 = problem.step_direction(state.theta2, token)
-        state.theta2 = state.theta2 + gamma * u2
-        state.history.append(state.theta2)
-        diff = state.theta1 - state.theta2
+    if history is not None:
+        theta2 = history[-1]
+        u2 = problem.step_direction(theta2, token)
+        theta2 = theta2 + gamma * u2
+        history.append(theta2)
+        diff = theta1 - theta2
         d_sq = float(diff.dot(diff))
-    return u1, d_sq
+    return theta1, u1, d_sq
 
 
-def reinit_auxiliary(state: CoupledState, b: int, gamma: float, tokens: TokenStreams,
+def reinit_auxiliary(theta1: np.ndarray, history: deque, gamma: float, tokens: TokenStreams,
                      returned: int = 0) -> tuple[float, bool]:
-    """Reset θ2 to its value b steps back, restart its history and return ``(d0_sq, perturbed)``.
+    """Re-arm θ2's ring in place from its value b steps back; returns ``(d0_sq, perturbed)``.
 
-    The history is a ring of b+1 entries, so that value is its oldest entry,
-    the oldest stored when fewer are; the run's first arm seeds the history
-    with θ1 + ``init_offset_scale``·N(0, I) alone and comes here too.
-    ``d0_sq`` is the new reference ||θ1 - θ2||².  If the difference is
-    degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is instead
+    ``history`` has ``maxlen`` b+1, so that value is its oldest entry, the
+    oldest stored when fewer are; afterwards it holds the new θ2 alone.  The
+    run's first arm builds it from θ1 + ``init_offset_scale``·N(0, I) and
+    comes here too.  ``d0_sq`` is the new reference ||θ1 - θ2||².  If the
+    difference is degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is instead
     perturbed off θ1 by √γ·N(0, I) — the scale of the stationary fluctuation
     radius — so the diagnostic stays well defined, and ``perturbed`` is True.
     The perturbation is drawn out of band from the run's one stream (a
     coupled run has one), after it is resynced, which gives back the
     ``returned`` tokens of its block not yet used; the caller then takes a
-    new block.  If ``REARM_DRAWS`` draws all stay within the floor (γ too
-    small for it), DegenerateDiagnosticError is raised.
+    new block, as after a divergence.  If ``REARM_DRAWS`` draws all stay
+    within the floor (γ too small for it), DegenerateDiagnosticError is raised.
     """
-    theta2 = state.history[0].copy()
-    diff = state.theta1 - theta2
+    theta2 = history[0].copy()
+    diff = theta1 - theta2
     d0_sq = float(diff @ diff)
-    floor = D0_REARM_FLOOR_REL * max(1.0, float(state.theta1 @ state.theta1))
+    floor = D0_REARM_FLOOR_REL * max(1.0, float(theta1 @ theta1))
     perturbed = d0_sq <= floor
     if perturbed:
         rng = tokens.resync(0, returned)
         for _ in range(REARM_DRAWS):
-            theta2 = state.theta1 + math.sqrt(gamma) * rng.normals(state.theta1.shape[0])
-            diff = state.theta1 - theta2
+            theta2 = theta1 + math.sqrt(gamma) * rng.normals(theta1.shape[0])
+            diff = theta1 - theta2
             d0_sq = float(diff @ diff)
             if d0_sq > floor:
                 break
         else:
             raise DegenerateDiagnosticError(
                 f"re-arm: {REARM_DRAWS} perturbations at gamma={gamma:g} stay within {floor:g}")
-    state.theta2 = theta2
-    state.history = deque([theta2], maxlen=b + 1)
+    history.clear()
+    history.append(theta2)
     return d0_sq, perturbed
 
 
@@ -361,13 +354,14 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                           f"got controller {kind!r} with track_coupling={coupled}")
     n_iters, d, b, tail_from = cfg.n_iters, problem.d, controller.params.b, cfg.tail_from
     theta_star = problem.theta_star
-    state = CoupledState(theta1=np.zeros(d if single else (len(rngs), d)), theta2=None)
+    theta1 = np.zeros(d if single else (len(rngs), d))
     tokens = TokenStreams(problem, rngs, cfg.batch_size)
-    if coupled:  # the first arm re-arms from a history of the offset start alone
-        state.history = deque([state.theta1 + cfg.init_offset_scale * rngs[0].normals(d)])
-        d0_sq, _ = reinit_auxiliary(state, b, controller.stepsize(1), tokens)
+    history = None  # the ring of θ2, newest last; None when uncoupled
+    if coupled:  # the first arm re-arms from a ring of the offset start alone
+        history = deque([theta1 + cfg.init_offset_scale * rngs[0].normals(d)], maxlen=b + 1)
+        d0_sq, _ = reinit_auxiliary(theta1, history, controller.stepsize(1), tokens)
         controller.rearm(d0_sq)
-    avg1 = state.theta1 if cfg.averaging else None
+    avg1 = theta1 if cfg.averaging else None
     tokens.sampler_states = [problem.init_sampler(rng) for rng in rngs]
 
     traces = [RunTrace() for _ in rngs]
@@ -384,13 +378,13 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
         for i in range(count):
             k += 1
             gamma = controller.stepsize(k)
-            direction, d_sq = coupled_step(state, problem, gamma, steps[i])
-            theta1 = state.theta1
+            theta1, direction, d_sq = coupled_step(problem, gamma, steps[i], theta1, history)
             if avg1 is not None:  # a new array, so a record may keep the old one by reference
                 new_avg = theta1 - avg1
                 new_avg /= k
                 new_avg += avg1
                 avg1 = new_avg
+            refill = False  # the chains leave their block after this step
 
             # one ddot over the stack sums the rows' squared norms, so no row
             # passes the threshold until the sum comes within rounding of it
@@ -407,20 +401,19 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                         trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq)
                         trace.summarize(problem, cfg, k, controller.stepsize(k),
                                         float(tail_sum[row]), tail_count)
-                        tokens.resync(active[row], count - 1 - i)
+                    for r in active:  # every chain gives the rest of its block back
+                        tokens.resync(r, count - 1 - i)
                     keep = np.flatnonzero(~diverged)
                     active = [active[row] for row in keep]
                     if not active:
                         break
-                    theta1 = state.theta1 = theta1[keep]
+                    theta1 = theta1[keep]
                     tail_sum = tail_sum[keep]
                     if avg1 is not None:
                         avg1 = avg1[keep]
-                    block = token_columns(block, keep)
-                    steps = token_rows(block)
+                    refill = True
 
             stat = controller.observe(k, theta1, d_sq, direction)
-            refill = False
             if controller.phase_index != phase:
                 if not single:
                     raise ConfigError(
@@ -429,7 +422,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 phase = controller.phase_index
                 new_gamma = controller.gamma
                 if controller.needs_coupling:  # a perturbed re-arm gave the rest back
-                    d0_sq, refill = reinit_auxiliary(state, b, new_gamma, tokens, count - 1 - i)
+                    d0_sq, refill = reinit_auxiliary(theta1, history, new_gamma, tokens,
+                                                     count - 1 - i)
                     controller.rearm(d0_sq)
                 traces[0].restart_log.append(RestartEvent(k, gamma, new_gamma, stat))
 

@@ -5,7 +5,7 @@ import numbers
 
 
 class ConfigError(ValueError):
-    """A configuration file or parameter block failed validation."""
+    """A parameter or argument failed validation."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -40,34 +40,27 @@ def theorem1_floor(gamma: float, L: float, mu: float, k: int) -> float:
     """Lower-bound factor ϱ^k with ϱ = 1 - 2γL + γ²μ² for the coupled distance."""
     check_int("k", k, 0)
     if not 0.0 < gamma <= gamma0_bound(L, mu):
-        raise ValueError(f"gamma={gamma} outside (0, {gamma0_bound(L, mu)}]")
+        raise ConfigError(f"gamma={gamma} outside (0, {gamma0_bound(L, mu)}]")
     varrho = 1.0 - 2.0 * gamma * L + gamma**2 * mu**2
     return varrho**k
 
 
-def dk_closed_form(H, gamma: float, D0, k: int) -> float:
-    """Deterministic coupled-distance value D0ᵀ(I - γH)^{2k} D0.
-
-    Computed by k repeated applications of (I - γH) to D0 followed by a
-    squared norm, which is stable whenever every (1 - γλ) lies in (-1, 1];
-    the precondition γ ∈ (0, 1/λ_max) guarantees that.
-    """
-    check_int("k", k, 0)
-    return dk_closed_form_series(H, gamma, D0, [k])[0]
-
-
 def dk_closed_form_series(H, gamma: float, D0, ks) -> list[float]:
-    """``dk_closed_form`` evaluated incrementally at ascending iterations."""
+    """Deterministic coupled-distance values D0ᵀ(I - γH)^{2k} D0 at ascending iterations ``ks``.
+
+    (I - γH) is applied to D0 once per step, stable for γ ∈ (0, 1/λ_max);
+    another γ, a k not an integer >= 0 or a descending ``ks`` is a ConfigError.
+    """
     Hm = as_mat(H)
     v = as_vec(D0, Hm.shape[0]).copy()
     _, lam_max, _ = symmetric_eigs(Hm)
     if not 0.0 < gamma < 1.0 / lam_max:
-        raise ValueError(f"gamma={gamma} outside (0, 1/L) with L={lam_max}")
+        raise ConfigError(f"gamma={gamma} outside (0, 1/L) with L={lam_max}")
     ks = list(ks)
     for i, k in enumerate(ks):
         check_int(f"ks[{i}]", k, 0)
     if any(b < a for a, b in zip(ks, ks[1:])):
-        raise ValueError("iteration list must be ascending")
+        raise ConfigError("iteration list must be ascending")
     out = []
     prev = 0
     for k in ks:
@@ -100,7 +93,7 @@ def lemma1_check(L: float, mu: float, grid_size: int = 10_000) -> Lemma1Report:
     are implemented as written.
     """
     if not (0.0 < mu <= L):
-        raise ValueError("need 0 < mu <= L")
+        raise ConfigError("need 0 < mu <= L")
     check_int("grid_size", grid_size, 2)  # a grid over [0, γ0] holds both ends
     gamma0 = gamma0_bound(L, mu)
     k0 = 4.0 * L / mu
@@ -130,6 +123,7 @@ def proximity_ratio_quadratic(H, gamma: float, D0, k: int) -> float:
     when D0 is (numerically) orthogonal to that direction, where the ratio
     is undefined.
     """
+    check_int("k", k, 0)
     Hm = as_mat(H)
     D0v = as_vec(D0, Hm.shape[0])
     d = Hm.shape[0]
@@ -139,7 +133,7 @@ def proximity_ratio_quadratic(H, gamma: float, D0, k: int) -> float:
         raise DegenerateDirectionError(
             "initial difference vector is orthogonal to the top eigendirection"
         )
-    return dk_closed_form(Hm, gamma, D0v, k) / proj**2
+    return dk_closed_form_series(Hm, gamma, D0v, [k])[0] / proj**2
 
 
 @dataclass
@@ -168,7 +162,9 @@ def stationary_error_estimate(
     across chains.
     Requires a strongly convex problem, an integer ``horizon`` >= 1, a real
     ``gamma`` in (0, 2/L) and a real ``tail_frac`` in (0, 1) that leaves at
-    least one step in the tail, or raises ConfigError; and a horizon long
+    least one step in the tail, or raises ConfigError; on streaming least
+    squares, also a γ at which the second moment has a fixed point (see the
+    check below), else ConfigError before any draw; and a horizon long
     enough that the certified contraction rate flushes the transient before
     the tail starts, or raises HorizonTooShortError.  A chain that diverges
     raises ConfigError naming the first failed chain's stream and failure.
@@ -189,6 +185,14 @@ def stationary_error_estimate(
         raise ConfigError(f"tail_frac={tail_frac!r} leaves no step of the {horizon}-step "
                           "horizon in the tail")
     rho = contraction_rate(gamma, problem.mu, problem.L)
+    if problem.kind == "least_squares" and problem.n == 0:
+        # x ~ N(0, H), H = diag(h), at batch 1: E||θ - θ*||² has a fixed point only
+        # when every γh_i < 1 and a = Σ γh_i / (2(1 - γh_i)) < 1 (Défossez & Bach, 2015)
+        gh = gamma * problem.h_diag
+        a = float((gh / (2.0 * (1.0 - gh))).sum()) if (gh < 1.0).all() else math.inf
+        if not a < 1.0:
+            raise ConfigError(f"gamma={gamma:g} makes the second moment of streaming least "
+                              f"squares diverge: sum gamma*h/(2(1 - gamma*h)) = {a:.6g} >= 1")
     if rho ** max(burn, 1) >= 1e-3:
         raise HorizonTooShortError(
             f"rho={rho:.6g} over {burn} burn-in iterations leaves "

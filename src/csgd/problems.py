@@ -152,7 +152,7 @@ def token_rows(block) -> list:
 
 
 def token_columns(block, index):
-    """The stream column ``index`` (an int, or an index array) of a stacked block."""
+    """The stream column ``index`` of a stacked block; the engine takes column 0 only."""
     if isinstance(block, tuple):
         return tuple(part[:, index] for part in block)
     return block[:, index]

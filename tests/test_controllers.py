@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from csgd import errors
 from csgd.controllers import (
     CONTROLLER_KINDS,
-    SCHEDULE_ARITY,
+    SCHEDULES,
     ControllerParams,
     CouplingController,
     DistanceController,
@@ -121,7 +121,7 @@ def _fuzz_problem():
         beta0=_real(0.0, 1.0),
         eta=_real(0.0, 1.0),
         burn_in=st.one_of(st.none(), _count(0, 60)),
-        schedule=st.tuples(st.sampled_from(sorted(SCHEDULE_ARITY)), _real(0.0, 10.0)),
+        schedule=st.tuples(st.sampled_from(sorted(SCHEDULES)), _real(0.0, 10.0)),
     ),
     cfg=st.fixed_dictionaries(dict(
         n_iters=_count(0, 50),
@@ -411,7 +411,7 @@ def test_schedules_convert_float32_constants_once(kind, formula):
 
 def test_fixed_schedule_k_zero_rejected():
     ctrl = FixedScheduleController(ControllerParams(kind="fixed", schedule=("inv_sqrt", 1.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ctrl.stepsize(0)
 
 

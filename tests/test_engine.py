@@ -18,7 +18,7 @@ from csgd.controllers import FixedScheduleController
 from csgd.engine import run_replicates
 from csgd.oracle import dk_closed_form_series
 from collections import deque
-from csgd.engine import CoupledState, reinit_auxiliary
+from csgd.engine import reinit_auxiliary
 from csgd.oracle import gamma0_bound, theorem1_floor
 from csgd.problems import _KIND_CLASSES, Problem, token_columns, token_rows
 from csgd import engine
@@ -415,16 +415,16 @@ def test_degenerate_reinit_resyncs_the_stream_and_reports_perturbed(name):
     for _ in range(5):
         _, sampler_state = prob.next_token(twin, sampler_state)
     theta1, gamma = np.full(prob.d, 0.5), 0.1
-    state = CoupledState(theta1=theta1, theta2=theta1.copy(), history=deque([theta1.copy()]))
-    d0_sq, perturbed = reinit_auxiliary(state, 0, gamma, tokens, CHUNK - 5)
+    history = deque([theta1.copy()], maxlen=1)
+    d0_sq, perturbed = reinit_auxiliary(theta1, history, gamma, tokens, CHUNK - 5)
     assert perturbed is True
     assert rng.counter == start + 5 * prob.words_per_token(1) + normal_words(prob.d)
     assert tokens.sampler_states[0] == sampler_state
     want = theta1 + math.sqrt(gamma) * twin.normals(prob.d)
     assert rng.counter == twin.counter
-    assert np.array_equal(state.theta2, want)
+    (theta2,) = history  # the ring holds the new θ2 alone
+    assert np.array_equal(theta2, want)
     assert d0_sq == float((theta1 - want) @ (theta1 - want))
-    assert list(state.history) == [state.theta2]
 
 
 @pytest.mark.parametrize("reps", [1, 3])
@@ -508,6 +508,29 @@ def test_coupled_distance_follows_the_closed_form_on_quadratic():
     assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-12
 
 
+def test_coupled_distance_follows_the_closed_form_across_phases():
+    # with b = 0 a re-arm that does not perturb restarts θ2 from itself, so
+    # D = θ1 - θ2 runs on through every decay with only γ changed: step k
+    # applies I - γ0·r^m·H, m the decays logged before k, to D_0, minus the
+    # initial offset.  m comes from the restart log, not from trace.gammas,
+    # so a step that ran at another stepsize than the log says shows
+    prob = make_problem("quadratic", 5, seed=1)
+    params = ControllerParams(kind="coupling_static", b=0, beta0=0.1, r=0.5)
+    controller = make_controller(params, prob)
+    trace = run(prob, controller, EngineConfig(n_iters=1500, trace_stride=1), RngStream(7, 40))
+    assert trace.failure is None and len(trace.restart_log) >= 5
+    assert trace.ks == list(range(1, 1501))
+    decays = [event.k for event in trace.restart_log]
+    gamma0, r = controller.params.gamma0, controller.params.r
+    D = -RngStream(7, 40).normals(prob.d)
+    worst = 0.0
+    for k, d_sq in zip(trace.ks, trace.d_sqs):
+        m = sum(k_decay < k for k_decay in decays)
+        D = D - gamma0 * r**m * (prob.H @ D)
+        worst = max(worst, abs(d_sq - D @ D) / (D @ D))
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [16, 3])
 @pytest.mark.parametrize("kind", ["coupling_static", "coupling_adaptive"])
 def test_coupled_statistic_stays_above_the_theorem1_floor(kind, seed):
@@ -539,15 +562,15 @@ def test_reinit_restores_the_iterate_b_steps_back(stored, b, want):
     for i in range(stored):
         history.append(np.full(prob.d, i + 1.0))
     oldest = history[0]
-    state = CoupledState(theta1=np.full(prob.d, 0.5), theta2=history[-1], history=history)
     rng = RngStream(9, 0)
-    d0_sq, perturbed = reinit_auxiliary(state, b, 0.1, TokenStreams(prob, [rng], batch=1))
+    d0_sq, perturbed = reinit_auxiliary(np.full(prob.d, 0.5), history, 0.1,
+                                        TokenStreams(prob, [rng], batch=1))
     assert perturbed is False
-    assert np.array_equal(state.theta2, np.full(prob.d, want + 1.0))
-    assert state.theta2 is not oldest
+    (theta2,) = history  # re-armed in place: the new θ2 alone
+    assert np.array_equal(theta2, np.full(prob.d, want + 1.0))
+    assert theta2 is not oldest
     assert d0_sq == prob.d * (want + 0.5) ** 2  # ||θ1 - θ2||², exact here
-    assert len(state.history) == 1 and state.history[0] is state.theta2
-    assert state.history.maxlen == b + 1
+    assert history.maxlen == b + 1
     assert rng.counter == 0  # a non-degenerate re-arm draws nothing
 
 
@@ -1010,19 +1033,16 @@ def test_a_step_leaves_the_arrays_it_keeps_alone(name, mode):
     block, _ = prob.draw_tokens(rngs, [prob.init_sampler(rng) for rng in rngs], 20)
     steps = token_rows(block if mode == "lockstep" else token_columns(block, 0))
     gen = np.random.default_rng(0)
-    state = CoupledState(theta1=gen.standard_normal((reps, prob.d) if reps > 1 else prob.d),
-                         theta2=None)
-    if mode == "coupled":
-        state.theta2 = state.theta1 + gen.standard_normal(prob.d)
-        state.history = deque([state.theta2], maxlen=4)
+    theta1 = gen.standard_normal((reps, prob.d) if reps > 1 else prob.d)
+    history = None
+    if mode == "coupled":  # θ2 is the ring's newest entry
+        history = deque([theta1 + gen.standard_normal(prob.d)], maxlen=4)
     gamma = 0.5 * prob.default_gamma0()
     kept = []  # (array, its bits when kept)
     for token in steps:
-        want = prob.step_direction(state.theta1.copy(), _snapshot(token))
-        arrays = [state.theta1, token, *(state.history or ())]
-        if state.theta2 is not None:
-            arrays.append(state.theta2)
+        want = prob.step_direction(theta1.copy(), _snapshot(token))
+        arrays = [theta1, token, *(history or ())]
         kept += [(a, _snapshot(a)) for a in arrays]
-        direction, _ = engine.coupled_step(state, prob, gamma, token)
+        theta1, direction, _ = engine.coupled_step(prob, gamma, token, theta1, history)
         kept.append((direction, want))
         assert all(_same_bits(a, bits) for a, bits in kept)

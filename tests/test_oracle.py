@@ -7,7 +7,6 @@ from csgd.errors import ConfigError, DegenerateDirectionError, HorizonTooShortEr
 from csgd.numkit import RngStream
 from csgd.oracle import (
     contraction_rate,
-    dk_closed_form,
     dk_closed_form_series,
     gamma0_bound,
     lemma1_check,
@@ -66,13 +65,13 @@ def test_contraction_rate_below_one_and_minimized_at_inv_L():
 def test_dk_k0_is_norm():
     H = np.diag([0.5, 1.0])
     D0 = np.array([1.0, 2.0])
-    assert dk_closed_form(H, 0.3, D0, 0) == pytest.approx(5.0)
+    assert dk_closed_form_series(H, 0.3, D0, [0])[0] == pytest.approx(5.0)
 
 
 def test_dk_isotropic_one_step():
     # H = I, γ = 0.1, ||D0||² = 4 → 0.81 * 4
     D0 = np.array([2.0, 0.0])
-    assert dk_closed_form(np.eye(2), 0.1, D0, 1) == pytest.approx(3.24, rel=1e-12)
+    assert dk_closed_form_series(np.eye(2), 0.1, D0, [1])[0] == pytest.approx(3.24, rel=1e-12)
 
 
 def test_dk_matches_spectral_brute_force():
@@ -84,23 +83,13 @@ def test_dk_matches_spectral_brute_force():
     proj = Q.T @ D0
     for k in (1, 3, 20):
         spectral = float(((1.0 - gamma * lams) ** (2 * k) * proj**2).sum())
-        assert dk_closed_form(H, gamma, D0, k) == pytest.approx(spectral, rel=1e-10)
+        assert dk_closed_form_series(H, gamma, D0, [k])[0] == pytest.approx(spectral, rel=1e-10)
 
 
 def test_dk_gamma_domain():
     H = np.eye(3)
-    with pytest.raises(ValueError):
-        dk_closed_form(H, 1.5, np.ones(3), 4)
-
-
-def test_dk_series_matches_single_calls():
-    H = _random_spd(3, 4)
-    D0 = RngStream(4, 0).normals(4)
-    gamma = 0.4 / np.linalg.eigvalsh(H).max()
-    ks = [0, 1, 2, 7, 11]
-    series = dk_closed_form_series(H, gamma, D0, ks)
-    for k, v in zip(ks, series):
-        assert dk_closed_form(H, gamma, D0, k) == pytest.approx(v, rel=1e-12)
+    with pytest.raises(ConfigError):
+        dk_closed_form_series(H, 1.5, np.ones(3), [4])
 
 
 @pytest.mark.parametrize("ks, name", [([1.5], r"ks\[0\]"), ([0, 1.5], r"ks\[1\]"),
@@ -109,12 +98,10 @@ def test_dk_series_iterations_are_counts(ks, name):
     # 1.5 raised a TypeError, and k = -1 returned ‖D0‖² as if it were 0
     with pytest.raises(ConfigError, match=name):
         dk_closed_form_series(np.eye(2), 0.1, np.ones(2), ks)
-    with pytest.raises(ConfigError, match="k must be an integer"):
-        dk_closed_form(np.eye(2), 0.1, np.ones(2), ks[-1])
 
 
 def test_dk_series_iterations_are_ascending():
-    with pytest.raises(ValueError, match="ascending"):
+    with pytest.raises(ConfigError, match="ascending"):
         dk_closed_form_series(np.eye(2), 0.1, np.ones(2), [3, 1])
 
 
@@ -152,7 +139,7 @@ def test_lemma1_grid_size_is_an_integer_of_two_or_more(grid_size):
 
 
 def test_lemma1_rejects_mu_above_L():
-    with pytest.raises(ValueError, match="mu <= L"):
+    with pytest.raises(ConfigError, match="mu <= L"):
         lemma1_check(0.5, 1.0)
 
 
@@ -194,7 +181,7 @@ def test_theorem1_floor_quarter_L():
 
 
 def test_theorem1_floor_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         theorem1_floor(1.0, 1.0, 0.1, 3)  # above gamma0
 
 
@@ -233,6 +220,12 @@ def test_proximity_ratio_orthogonal_rejected():
     D0 = np.array([0.0, 1.0, 0.0])  # orthogonal to e1
     with pytest.raises(DegenerateDirectionError):
         proximity_ratio_quadratic(H, 0.5, D0, 3)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5])
+def test_proximity_ratio_k_is_a_count(k):
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        proximity_ratio_quadratic(np.diag([0.2, 0.7, 1.0]), 0.5, np.ones(3), k)
 
 
 def test_proximity_ratio_lower_bound_random():
@@ -367,10 +360,33 @@ def test_stationary_keeps_the_contraction_range_message_for_a_large_gamma():
 
 
 def test_stationary_rejects_a_diverged_chain_with_config_error():
-    # γ = 1 lies in (0, 2/L) = (0, 2), yet 9 of the 10 chains diverge; the mean
-    # was nan, and chain 5, stopped at k = 169, gave a partial tail mean
-    prob = make_problem("least_squares", 5, seed=1)
+    # γ = 1 lies in (0, 2/L) = (0, 2), yet 9 of the 10 chains diverge, chains 2
+    # and 4 in the tail (k = 168, 166).  On a data set: streaming least squares
+    # rejects this γ before any draw
+    prob = make_problem("least_squares", 5, n=100, seed=1)
     assert prob.L == pytest.approx(1.0)
     with pytest.raises(ConfigError, match=r"chain 0 \(stream 0x5ea7 of seed 0\) failed "
-                                          r"at gamma=1: divergence at k=141"):
+                                          r"at gamma=1: divergence at k=156"):
         stationary_error_estimate(prob, 1.0, horizon=200, reps=10, seed=0)
+
+
+@pytest.mark.parametrize("gamma, runs", [(0.52, True), (0.5446, False), (1.0, False)])
+def test_stationary_rejects_a_diverging_second_moment_before_any_draw(gamma, runs,
+                                                                      monkeypatch):
+    # streaming least squares, h = (1, 1/2, ..., 1/5): Σ γh/(2(1 - γh)) reaches 1 at
+    # γ ≈ 0.53395.  At 0.5446 (sum 1.036) the estimate returned a mean of 38.0, and
+    # at 1.0 it failed only after the whole run
+    from csgd import engine
+
+    prob = make_problem("least_squares", 5, seed=1)
+    calls = []
+    run_replicates = engine.run_replicates
+    monkeypatch.setattr(engine, "run_replicates",
+                        lambda *args: calls.append(args) or run_replicates(*args))
+    if runs:
+        est = stationary_error_estimate(prob, gamma, horizon=200, reps=2, seed=0)
+        assert math.isfinite(est.mean) and len(calls) == 1
+    else:
+        with pytest.raises(ConfigError, match=f"gamma={gamma:g} makes the second moment"):
+            stationary_error_estimate(prob, gamma, horizon=200, reps=2, seed=0)
+        assert calls == []
