@@ -34,7 +34,9 @@ Tokens come from a :class:`TokenStreams` cursor over the run's streams.
 Each block takes ``min(CHUNK, n_iters - k)`` tokens from every active
 stream: one raw call per stream and one ``Problem.draw_tokens`` decode for
 all of them, into parts with a leading (count, R) shape (see
-:mod:`csgd.problems`); one stream steps on column 0.  Each problem kind
+:mod:`csgd.problems`), which ``take`` splits into step tokens, one stream's
+from column 0.  Sampler states start as None, so a stream's first block
+starts its chain.  Each problem kind
 spends a fixed number of raw words per token, so a run sees the same tokens
 as if it drew them one by one, and no stream is drawn past the last
 iteration.  Divergence and a re-arm that perturbs θ2 leave a block one
@@ -190,9 +192,8 @@ class RunTrace:
 class TokenStreams:
     """The run's streams and their sampler states, drawn one stacked block at a time.
 
-    Set ``sampler_states`` from ``init_sampler`` before the first block.  A
-    batch size the problem cannot draw raises ConfigError here, before any
-    draw.
+    Each sampler state starts as None, a chain not yet started.  A batch size
+    the problem cannot draw raises ConfigError here, before any draw.
     """
 
     def __init__(self, problem, rngs: list[RngStream], batch: int):
@@ -204,10 +205,10 @@ class TokenStreams:
         self._starts = []  # each stream's (counter, sampler state) at the block's start
         self._count = 0  # tokens per stream in the block
 
-    def take(self, active: list[int], count: int):
-        """The next ``count`` tokens of each stream in ``active``, stacked: column j
-        of each part is stream ``active[j]``'s.  All count as used; the loop leaves
-        a block in mid-block by giving the rest back with :meth:`resync`."""
+    def take(self, active: list[int], count: int) -> list:
+        """The next ``count`` step tokens: the one stream's, or those of each stream in
+        ``active`` stacked, row j stream ``active[j]``'s.  All count as used; the loop
+        leaves a block in mid-block by giving the rest back with :meth:`resync`."""
         rngs, states = self.rngs, self.sampler_states
         self._starts = [(rng.counter, state) for rng, state in zip(rngs, states)]
         self._count = count
@@ -215,7 +216,7 @@ class TokenStreams:
             [rngs[r] for r in active], [states[r] for r in active], count, self.batch)
         for r, state in zip(active, after):
             states[r] = state
-        return block
+        return token_rows(token_columns(block, 0) if len(rngs) == 1 else block)
 
     def resync(self, r: int, returned: int) -> RngStream:
         """Give back the last ``returned`` tokens of stream r's block; returns the stream.
@@ -362,7 +363,6 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
         d0_sq, _ = reinit_auxiliary(theta1, history, controller.stepsize(1), tokens)
         controller.rearm(d0_sq)
     avg1 = theta1 if cfg.averaging else None
-    tokens.sampler_states = [problem.init_sampler(rng) for rng in rngs]
 
     traces = [RunTrace() for _ in rngs]
     active = list(range(len(rngs)))  # the stream of each row of θ1
@@ -373,8 +373,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     k = 0
     while k < n_iters and active:
         count = min(CHUNK, n_iters - k)
-        block = tokens.take(active, count)
-        steps = token_rows(token_columns(block, 0) if single else block)
+        steps = tokens.take(active, count)
         for i in range(count):
             k += 1
             gamma = controller.stepsize(k)

@@ -16,14 +16,6 @@ class DegenerateDiagnosticError(RuntimeError):
     """The coupled-distance reference fell below the positivity floor."""
 
 
-class DegenerateDirectionError(ValueError):
-    """The initial difference vector is orthogonal to the required eigendirection."""
-
-
-class HorizonTooShortError(ValueError):
-    """Requested horizon cannot flush the transient for the certified rate."""
-
-
 def check_int(name: str, value, least: int, most: int | None = None) -> None:
     """Raise ConfigError unless ``value`` is an integer, not a bool, >= ``least`` and,
     given ``most``, <= ``most``."""

@@ -21,12 +21,12 @@ _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
 
-def as_vec(x, d: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D float64 array, optionally checking the length."""
+def as_vec(x, d: int) -> np.ndarray:
+    """Coerce to a 1-D float64 array of length ``d``."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected 1-D vector, got shape {v.shape}")
-    if d is not None and v.shape[0] != d:
+    if v.shape[0] != d:
         raise ValueError(f"expected length {d}, got {v.shape[0]}")
     return v
 
@@ -74,7 +74,6 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
         check_int("seed", seed, 0, _MASK64)
         check_int("stream_id", stream_id, 0, _MASK64)
-        check_int("counter", counter, 0)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.seek(counter)
@@ -87,6 +86,7 @@ class RngStream:
 
     def seek(self, counter: int) -> None:
         """Reposition the stream so the next raw word is word ``counter``."""
+        check_int("counter", counter, 0)
         self._bg = np.random.Philox(
             key=np.array([self.seed, self.stream_id], dtype=np.uint64)
         )

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateDirectionError, HorizonTooShortError, check_int,
-                     check_real)
+from .errors import ConfigError, check_int, check_real
 from .numkit import as_mat, as_vec, norm, symmetric_eigs
 
 D0_PROJECTION_FLOOR = 1e-12
@@ -120,8 +119,8 @@ def proximity_ratio_quadratic(H, gamma: float, D0, k: int) -> float:
 
     The normalizer is (D0ᵀ q_max)² where q_max is the top eigenvector of
     I - γH, i.e. the eigenvector for the smallest eigenvalue of H.  Raises
-    when D0 is (numerically) orthogonal to that direction, where the ratio
-    is undefined.
+    ConfigError when D0 is (numerically) orthogonal to that direction, where
+    the ratio is undefined.
     """
     check_int("k", k, 0)
     Hm = as_mat(H)
@@ -130,7 +129,7 @@ def proximity_ratio_quadratic(H, gamma: float, D0, k: int) -> float:
     _, _, q_max = symmetric_eigs(np.eye(d) - gamma * Hm)
     proj = float(D0v @ q_max)
     if abs(proj) <= D0_PROJECTION_FLOOR * norm(D0v):
-        raise DegenerateDirectionError(
+        raise ConfigError(
             "initial difference vector is orthogonal to the top eigendirection"
         )
     return dk_closed_form_series(Hm, gamma, D0v, [k])[0] / proj**2
@@ -166,7 +165,7 @@ def stationary_error_estimate(
     squares, also a γ at which the second moment has a fixed point (see the
     check below), else ConfigError before any draw; and a horizon long
     enough that the certified contraction rate flushes the transient before
-    the tail starts, or raises HorizonTooShortError.  A chain that diverges
+    the tail starts, or raises ConfigError.  A chain that diverges
     raises ConfigError naming the first failed chain's stream and failure.
     """
     from .controllers import ControllerParams, make_controller
@@ -194,7 +193,7 @@ def stationary_error_estimate(
             raise ConfigError(f"gamma={gamma:g} makes the second moment of streaming least "
                               f"squares diverge: sum gamma*h/(2(1 - gamma*h)) = {a:.6g} >= 1")
     if rho ** max(burn, 1) >= 1e-3:
-        raise HorizonTooShortError(
+        raise ConfigError(
             f"rho={rho:.6g} over {burn} burn-in iterations leaves "
             f"{rho**burn:.3g} > 1e-3 of the transient"
         )

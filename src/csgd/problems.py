@@ -39,7 +39,8 @@ and the words of all of them are decoded together into one columnar token
 block.  That is one array per token part, each with a leading (count, R)
 shape: ``(X, y)`` for the GLM kinds, a (count, R, d) noise array for
 ``quadratic`` and ``uniformly_convex``, and an int array of chain states for
-``lsa``, which walks each stream's chain on its own.  Streaming labels are
+``lsa``, which walks each stream's chain on its own, from a start state it
+draws (one word) when the sampler state is None.  Streaming labels are
 one ``np.matmul`` per block, one ddot per sample at batch 1 as ``x.dot(θ)``
 makes.  :func:`token_columns` takes stream r's (count, …) block out of a
 stacked one, and :func:`token_rows` splits a block into tokens, 1-D parts
@@ -172,10 +173,6 @@ class Problem:
         self.seed = int(seed)
 
     # --- sampling ---------------------------------------------------------
-
-    def init_sampler(self, rng: RngStream):
-        """Per-run sampling state; None for i.i.d. kinds."""
-        return None
 
     def words_per_token(self, batch: int = 1) -> int:
         """Raw words one token of ``batch`` samples consumes; fixed per kind."""
@@ -423,14 +420,14 @@ class LogisticRegression(_GlmBase):
         return 4.0 / self.R_sq
 
 
-def _newton_logistic(problem, gtol_rel=1e-11, max_iters=200):
+def _newton_logistic(problem):
     """Damped Newton on the problem's full-batch logistic loss to tiny gradient norm."""
     X, y = problem._X, problem._y
     n, d = X.shape
     theta = np.zeros(d)
-    gtol = gtol_rel * max(1.0, norm(problem.full_grad(theta)))
+    gtol = 1e-11 * max(1.0, norm(problem.full_grad(theta)))
     f_cur = problem.loss(theta)
-    for _ in range(max_iters):
+    for _ in range(200):
         grad = problem.full_grad(theta)
         gnorm = norm(grad)
         if gnorm <= gtol:
@@ -469,7 +466,8 @@ class LeastSquares(_GlmBase):
         self.mu = float(self.h_diag.min())
         if n > 0:
             self._X, data = self._materialize_inputs(n)
-            self._y = self._X @ self.theta_planted + self.noise_sigma * data.normals(n)
+            self._y = self._labels((self._X @ self.theta_planted)[None],
+                                   data.raw(normal_words(n))[None])[0]
 
     def _label_words(self, batch):
         return normal_words(batch)  # label noise
@@ -562,7 +560,7 @@ class Svm(_GlmBase):
         return 4.0 / self.R_sq
 
 
-def _svm_dual_fista(X, y, lam, gap_tol_rel=1e-9, max_iters=4000):
+def _svm_dual_fista(X, y, lam, max_iters=4000):
     """The svm dual by restarted FISTA, finished by an active-set solve.
 
     With c = 1/(λn), the dual is min over α ∈ [0, 1]ⁿ of
@@ -570,10 +568,10 @@ def _svm_dual_fista(X, y, lam, gap_tol_rel=1e-9, max_iters=4000):
     with a clip to [0, 1] as prox: the gradient is the margins at θ minus
     one, the step 1/(c·λ_max) of the gram.  After each step,
     :func:`_svm_kkt_point` looks for the exact optimum from the iterate's
-    partition of the rows; partitions tried once are not tried again.  The
-    relative duality gap is the only acceptance rule: the KKT point is tried
-    first, then the iterate's own (θ, α).  The gap is returned with θ; it
-    sits at rounding when the KKT point is accepted.
+    partition of the rows; partitions tried once are not tried again.  A
+    duality gap within 1e-9·max(1, |primal|) is the only acceptance rule:
+    the KKT point is tried first, then the iterate's own (θ, α).  The gap is
+    returned with θ; it sits at rounding when the KKT point is accepted.
     """
     check_int("max_iters", max_iters, 1)
     c = 1.0 / (lam * X.shape[0])
@@ -586,11 +584,11 @@ def _svm_dual_fista(X, y, lam, gap_tol_rel=1e-9, max_iters=4000):
     for _, (alpha, _) in zip(range(max_iters), steps):
         point = _svm_kkt_point(Xy, c, alpha, seen)
         if point is not None:
-            gap, tol = _svm_gap(lam, *point, gap_tol_rel)
+            gap, tol = _svm_gap(lam, *point)
             if gap <= tol:
                 return point[1], gap
         theta = c * (alpha @ Xy)
-        gap, tol = _svm_gap(lam, alpha, theta, Xy @ theta, gap_tol_rel)
+        gap, tol = _svm_gap(lam, alpha, theta, Xy @ theta)
         if gap <= tol:
             return theta, gap
     raise NonConvergenceError(
@@ -598,11 +596,11 @@ def _svm_dual_fista(X, y, lam, gap_tol_rel=1e-9, max_iters=4000):
     )
 
 
-def _svm_gap(lam, alpha, theta, margins, gap_tol_rel):
+def _svm_gap(lam, alpha, theta, margins):
     """The duality gap of (θ, α) and the tolerance it must meet."""
     reg = 0.5 * lam * float(theta @ theta)
     primal = np.maximum(0.0, 1.0 - margins).mean() + reg
-    return primal - (alpha.mean() - reg), gap_tol_rel * max(1.0, abs(primal))
+    return primal - (alpha.mean() - reg), 1e-9 * max(1.0, abs(primal))
 
 
 def _svm_kkt_point(Xy, c, alpha, seen):
@@ -706,12 +704,11 @@ class Lasso(_GlmBase):
         return 1.0 / (2.0 * self.R_sq)
 
 
-def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
+def _fista_lasso(X, y, lam, max_iters=200_000):
     """The lasso reference solve: :func:`_fista` with the soft threshold as prox.
 
     The step is 1/λ_max of the gram matrix.  The loop stops once the gradient
-    mapping ‖mom − θ‖/step at the momentum point is within
-    ``tol_rel``·max(1, ‖lin‖).
+    mapping ‖mom − θ‖/step at the momentum point is within 1e-11·max(1, ‖lin‖).
     """
     check_int("max_iters", max_iters, 1)
     n, d = X.shape
@@ -720,7 +717,7 @@ def _fista_lasso(X, y, lam, tol_rel=1e-11, max_iters=200_000):
     _, lam_max, _ = symmetric_eigs(gram)
     t_step = 1.0 / lam_max
     shrink = t_step * lam
-    tol = tol_rel * max(1.0, norm(lin))
+    tol = 1e-11 * max(1.0, norm(lin))
     steps = _fista(np.zeros(d), t_step, lambda v: gram.dot(v) - lin,
                    lambda z: np.sign(z) * np.maximum(np.abs(z) - shrink, 0.0))
     for _, (theta, mapped) in zip(range(max_iters), steps):
@@ -901,8 +898,6 @@ class LinearStochasticApprox(Problem):
         # Dirichlet(1,...,1) rows via normalized exponentials
         expo = -np.log(1.0 - prm.uniforms(N * N).reshape(N, N))
         self.P = expo / expo.sum(axis=1, keepdims=True)
-        if np.abs(self.P.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ConfigError("transition rows failed to normalize")
         if not np.all(np.linalg.matrix_power(self.P, N) > 0.0):
             raise ConfigError("chain is not irreducible and aperiodic")
         self.pi_chain = _stationary_distribution(self.P)
@@ -922,19 +917,19 @@ class LinearStochasticApprox(Problem):
         self.mu = -lam_max_sym
         _, self.L, _ = symmetric_eigs(M)
 
-    def init_sampler(self, rng: RngStream):
-        return int(rng.integers(1, self.n_states)[0])
-
     def words_per_token(self, batch=1):
         if batch != 1:
             raise ConfigError("lsa follows one Markov chain; batch_size must be 1")
         return 1  # one uniform per transition
 
     def draw_tokens(self, rngs, sampler_states, count, batch=1):
-        """Each stream's chain walks its next ``count`` states on its own; stacked as (count, R)."""
+        """Each stream's chain walks its next ``count`` states on its own; stacked as (count, R).
+        A state of None starts the chain at a uniform state, one word."""
         w = self.words_per_token(batch)
         blocks, states = [], []
         for rng, state in zip(rngs, sampler_states):
+            if state is None:
+                state = int(rng.integers(1, self.n_states)[0])
             walk = []
             for u in uniforms_from(rng.raw(count * w)).tolist():
                 walk.append(state)
@@ -972,30 +967,22 @@ class LinearStochasticApprox(Problem):
 
 
 def _stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Left fixed vector of a row-stochastic matrix by direct linear solve."""
+    """Left fixed vector of an irreducible row-stochastic matrix, so positive, by one solve."""
     N = P.shape[0]
     A = P.T - np.eye(N)
     A[-1, :] = 1.0
     rhs = np.zeros(N)
     rhs[-1] = 1.0
     pi = np.linalg.solve(A, rhs)
-    if np.any(pi < -1e-12):
-        raise ConfigError("stationary distribution has negative mass")
     return np.maximum(pi, 0.0) / pi.sum()
 
 
 # ------------------------------------------------------------------ factory
 
 
-_KIND_CLASSES = {
-    "logistic": LogisticRegression,
-    "least_squares": LeastSquares,
-    "svm": Svm,
-    "lasso": Lasso,
-    "uniformly_convex": UniformlyConvex,
-    "quadratic": QuadraticSemiStochastic,
-    "lsa": LinearStochasticApprox,
-}
+_KIND_CLASSES = {cls.kind: cls for cls in (LogisticRegression, LeastSquares, Svm, Lasso,
+                                           UniformlyConvex, QuadraticSemiStochastic,
+                                           LinearStochasticApprox)}
 
 
 def make_problem(kind: str, d: int, n: int = 0, seed: int = 0, **overrides) -> Problem:

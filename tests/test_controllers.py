@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csgd import errors
 from csgd.controllers import (
-    CONTROLLER_KINDS,
+    CONTROLLERS,
     SCHEDULES,
     ControllerParams,
     CouplingController,
@@ -114,7 +114,7 @@ def _fuzz_problem():
 @given(
     params=st.builds(
         ControllerParams,
-        kind=st.sampled_from(CONTROLLER_KINDS),
+        kind=st.sampled_from(tuple(CONTROLLERS)),
         gamma0=st.one_of(st.none(), _real(0.0, 10.0)),
         r=_real(0.0, 1.0),
         b=_count(0, 20),

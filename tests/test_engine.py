@@ -372,10 +372,9 @@ def test_resync_ends_where_single_draws_end(name):
     prob = problem(name)
     rng, single_rng = RngStream(8, 0), RngStream(8, 0)
     tokens = TokenStreams(prob, [rng], batch=1)
-    tokens.sampler_states = [prob.init_sampler(rng)]
-    state = prob.init_sampler(single_rng)
+    state = None
     for used in (5, CHUNK - 5, 1):  # resync mid-block, then across a refill
-        rows = token_rows(token_columns(tokens.take([0], CHUNK), 0))
+        rows = tokens.take([0], CHUNK)
         assert len(rows) == CHUNK
         for token in rows[:used]:
             single, state = prob.next_token(single_rng, state)
@@ -391,25 +390,25 @@ def test_resync_ends_where_single_draws_end(name):
 @pytest.mark.parametrize("name", ["least_squares", "lsa"])
 def test_streams_stop_at_the_last_iteration(name, n_iters, reps):
     # no block is drawn past n_iters: each stream spends exactly its tokens'
-    # words, plus the one word of lsa's init_sampler
+    # words, plus the one start-state word of an lsa chain that draws any
     prob = problem(name)
     controller = make_controller(
         ControllerParams(kind="fixed", schedule=("constant", prob.default_gamma0())))
     rngs = [RngStream(8, s) for s in range(reps)]
     run_replicates(prob, controller, EngineConfig(n_iters=n_iters), rngs)
-    want = n_iters * prob.words_per_token(1) + (1 if name == "lsa" else 0)
+    want = n_iters * prob.words_per_token(1) + (1 if name == "lsa" and n_iters else 0)
     assert [rng.counter for rng in rngs] == [want] * reps
 
 
 @pytest.mark.parametrize("name", ["least_squares", "lsa"])
 def test_degenerate_reinit_resyncs_the_stream_and_reports_perturbed(name):
     # θ2's history equals θ1, so the re-arm perturbs θ2 out of band: the
-    # stream gives back all but 5 tokens of its block, then makes one draw
+    # stream gives back all but 5 tokens of its block (and lsa's start word
+    # with them), then makes one draw
     prob = problem(name)
     rng, twin = RngStream(9, 0), RngStream(9, 0)
     tokens = TokenStreams(prob, [rng], batch=1)
-    tokens.sampler_states = [prob.init_sampler(rng)]
-    sampler_state = prob.init_sampler(twin)
+    sampler_state = None
     start = rng.counter
     tokens.take([0], CHUNK)
     for _ in range(5):
@@ -418,7 +417,8 @@ def test_degenerate_reinit_resyncs_the_stream_and_reports_perturbed(name):
     history = deque([theta1.copy()], maxlen=1)
     d0_sq, perturbed = reinit_auxiliary(theta1, history, gamma, tokens, CHUNK - 5)
     assert perturbed is True
-    assert rng.counter == start + 5 * prob.words_per_token(1) + normal_words(prob.d)
+    start_word = 1 if name == "lsa" else 0
+    assert rng.counter == start + start_word + 5 * prob.words_per_token(1) + normal_words(prob.d)
     assert tokens.sampler_states[0] == sampler_state
     want = theta1 + math.sqrt(gamma) * twin.normals(prob.d)
     assert rng.counter == twin.counter
@@ -440,8 +440,8 @@ def test_stacked_token_block_matches_per_stream_draws(name, batch, reps):
     count = 11
     rngs = [RngStream(8, s) for s in range(reps)]
     singles = [RngStream(8, s) for s in range(reps)]
-    states = [prob.init_sampler(rng) for rng in rngs]
-    single_states = [prob.init_sampler(rng) for rng in singles]
+    states = [None] * reps
+    single_states = [None] * reps
     for _ in range(2):
         block, states = prob.draw_tokens(rngs, states, count, batch)
         for r, rng in enumerate(singles):
@@ -720,7 +720,7 @@ def test_stacked_oracle_matches_rows_bitwise(name, d):
     for trial in range(20):
         theta = gen.standard_normal((reps, d)) * 10.0 ** gen.uniform(-3, 3, (reps, 1))
         rng = RngStream(trial, d)
-        stack, _ = prob.draw_tokens([rng], [prob.init_sampler(rng)], reps)
+        stack, _ = prob.draw_tokens([rng], [None], reps)
         stack = token_columns(stack, 0)
         rows = np.stack([prob.step_direction(t, tok) for t, tok in zip(theta, token_rows(stack))])
         assert np.array_equal(prob.step_direction(theta, stack), rows)
@@ -730,7 +730,7 @@ def _iterate(prob, n_steps=50):
     """θ after a few SGD steps from 0 at the default stepsize."""
     theta, gamma = np.zeros(prob.d), prob.default_gamma0()
     rng = RngStream(3, 0)
-    tokens, _ = prob.draw_tokens([rng], [prob.init_sampler(rng)], n_steps)
+    tokens, _ = prob.draw_tokens([rng], [None], n_steps)
     for token in token_rows(token_columns(tokens, 0)):
         theta = theta + gamma * prob.step_direction(theta, token)
     return theta
@@ -1030,7 +1030,7 @@ def test_a_step_leaves_the_arrays_it_keeps_alone(name, mode):
     prob = problem(name)
     reps = 3 if mode == "lockstep" else 1
     rngs = [RngStream(7, 400 + r) for r in range(reps)]
-    block, _ = prob.draw_tokens(rngs, [prob.init_sampler(rng) for rng in rngs], 20)
+    block, _ = prob.draw_tokens(rngs, [None] * len(rngs), 20)
     steps = token_rows(block if mode == "lockstep" else token_columns(block, 0))
     gen = np.random.default_rng(0)
     theta1 = gen.standard_normal((reps, prob.d) if reps > 1 else prob.d)

@@ -90,6 +90,18 @@ def test_stream_rejects_a_bad_counter_with_config_error(bad):
         RngStream(3, 4, counter=bad)
 
 
+@pytest.mark.parametrize("bad", [-5, 1.5, True, "3"])
+def test_seek_rejects_a_bad_counter_and_leaves_the_stream_as_it_was(bad):
+    # seek(-5) once left counter -5 on a wrapped Philox position, and 1.5,
+    # True and "3" became the counters 1, 1 and 3
+    s = RngStream(1, 2)
+    s.raw(6)
+    with pytest.raises(ConfigError, match="counter"):
+        s.seek(bad)
+    assert s.counter == 6
+    assert np.array_equal(s.raw(4), RngStream(1, 2, counter=6).raw(4))
+
+
 @pytest.mark.parametrize(
     "seed, stream_id", [(0, 0), (2**64 - 1, 2**64 - 1), (np.uint64(5), np.int64(6))])
 def test_stream_takes_every_64_bit_seed_and_stream_id(seed, stream_id):
