@@ -17,13 +17,14 @@ which also makes the run's first arm.
 There is one loop, :func:`run_replicates`; :func:`run` is that loop with
 one stream.  The number of streams picks the data shape:
 
-- one stream: θ1 (and θ2 when coupled) is a 1-D iterate and each token a
-  row of its block, the one column of the stacked draw below, so the
-  oracle sees exactly what a lone run gives it;
+- one stream: θ1 (and θ2 when coupled) is a 1-D iterate and each step
+  token the stream's own, so the oracle sees exactly what a lone run gets;
 - several streams: the chains run in lockstep as one (reps, d) stack of θ1
-  updated once per step.  They share one fixed-schedule controller, asked
-  for each stepsize once and shown the whole stack once per step; a decay
-  or coupling raises ConfigError, since it cannot apply to one chain alone.
+  updated once per step on stacked step tokens, until divergence leaves one
+  chain, which goes on as a lone run.  They share one fixed-schedule
+  controller, asked for each stepsize once and shown the whole stack once
+  per step; a decay or coupling raises ConfigError, since it cannot apply to
+  one chain alone.
   The stacked arithmetic is per-row arithmetic: elementwise operations,
   and one BLAS call per row (``np.vecdot`` for a ddot, a stacked
   ``np.matmul`` for a gemv), as ``x.dot(θ)`` and ``H.dot(θ)`` make for one
@@ -31,14 +32,12 @@ one stream.  The number of streams picks the data shape:
   ``run`` returns for its stream.
 
 Tokens come from a :class:`TokenStreams` cursor over the run's streams.
-Each block takes ``min(CHUNK, n_iters - k)`` tokens from every active
-stream: one raw call per stream and one ``Problem.draw_tokens`` decode for
-all of them, into parts with a leading (count, R) shape (see
-:mod:`csgd.problems`), which ``take`` splits into step tokens, one stream's
-from column 0.  Sampler states start as None, so a stream's first block
-starts its chain.  Each problem kind
-spends a fixed number of raw words per token, so a run sees the same tokens
-as if it drew them one by one, and no stream is drawn past the last
+Each block takes ``min(CHUNK, n_iters - k)`` step tokens of the active
+streams from one ``Problem.draw_tokens``: one raw call per stream, one decode
+for all, laid out and split in :mod:`csgd.problems` alone.  Sampler states
+start as None, so a stream's first block starts its chain.  Each problem
+kind spends a fixed number of raw words per token, so a run sees the same
+tokens as if it drew them one by one, and no stream is drawn past the last
 iteration.  Divergence and a re-arm that perturbs θ2 leave a block one
 way: after step k every active stream gives the rest of its block back and
 is resynced to the counter token-by-token drawing reaches (``rng.counter``
@@ -77,7 +76,6 @@ import numpy as np
 from .controllers import Controller
 from .errors import ConfigError, DegenerateDiagnosticError, check_bool, check_int, check_real
 from .numkit import RngStream, row_sq
-from .problems import token_columns, token_rows
 
 D0_REARM_FLOOR_REL = 1e-12
 REARM_DRAWS = 100  # perturbation draws before a re-arm gives up
@@ -206,17 +204,18 @@ class TokenStreams:
         self._count = 0  # tokens per stream in the block
 
     def take(self, active: list[int], count: int) -> list:
-        """The next ``count`` step tokens: the one stream's, or those of each stream in
-        ``active`` stacked, row j stream ``active[j]``'s.  All count as used; the loop
-        leaves a block in mid-block by giving the rest back with :meth:`resync`."""
+        """The next ``count`` step tokens of the streams in ``active``, as
+        ``Problem.draw_tokens`` gives them: one stream's own, or several stacked,
+        row j stream ``active[j]``'s.  All count as used; the loop leaves a block
+        in mid-block by giving the rest back with :meth:`resync`."""
         rngs, states = self.rngs, self.sampler_states
         self._starts = [(rng.counter, state) for rng, state in zip(rngs, states)]
         self._count = count
-        block, after = self.problem.draw_tokens(
+        steps, after = self.problem.draw_tokens(
             [rngs[r] for r in active], [states[r] for r in active], count, self.batch)
         for r, state in zip(active, after):
             states[r] = state
-        return token_rows(token_columns(block, 0) if len(rngs) == 1 else block)
+        return steps
 
     def resync(self, r: int, returned: int) -> RngStream:
         """Give back the last ``returned`` tokens of stream r's block; returns the stream.
@@ -331,8 +330,8 @@ def _rows(theta1: np.ndarray, avg1: np.ndarray | None, n: int):
 def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> list[RunTrace]:
     """Run one chain per stream, in lockstep; the one loop, behind :func:`run`.
 
-    One stream steps 1-D iterates on row tokens, several an (R, d) stack
-    on stacked token blocks; both take whole blocks from one
+    One stream steps 1-D iterates, several an (R, d) stack, until one chain
+    is left; both take whole blocks of step tokens from one
     :class:`TokenStreams` and gate the per-row divergence check on one ddot
     (see the module docstring).  Returns one trace per stream, each equal to what
     :func:`run` returns for that stream alone, and leaves each stream's
@@ -406,15 +405,17 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                     active = [active[row] for row in keep]
                     if not active:
                         break
-                    theta1 = theta1[keep]
                     tail_sum = tail_sum[keep]
+                    single = len(active) == 1  # the last chain's tokens come unstacked
+                    kept = keep[0] if single else keep
+                    theta1 = theta1[kept]
                     if avg1 is not None:
-                        avg1 = avg1[keep]
+                        avg1 = avg1[kept]
                     refill = True
 
             stat = controller.observe(k, theta1, d_sq, direction)
             if controller.phase_index != phase:
-                if not single:
+                if len(rngs) > 1:
                     raise ConfigError(
                         f"controller decayed at k={k}; lockstep replicates share one schedule"
                     )
@@ -432,7 +433,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
 
             if k % cfg.trace_stride == 0 or k == n_iters:
                 if single:  # directly: the row loop costs ~3% of a step on dense traces
-                    traces[0].record(problem, k, gamma, stat, theta1, avg1, d_sq)
+                    traces[active[0]].record(problem, k, gamma, stat, theta1, avg1, d_sq)
                 else:
                     for r, row, avg_row in zip(active, *_rows(theta1, avg1, len(active))):
                         traces[r].record(problem, k, gamma, stat, row, avg_row)

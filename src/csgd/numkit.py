@@ -15,19 +15,19 @@ import math
 
 import numpy as np
 
-from .errors import check_int
+from .errors import ConfigError, check_int
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
 
 def as_vec(x, d: int) -> np.ndarray:
-    """Coerce to a 1-D float64 array of length ``d``."""
+    """Coerce to a 1-D float64 array of length ``d``, else ConfigError."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
-        raise ValueError(f"expected 1-D vector, got shape {v.shape}")
+        raise ConfigError(f"expected 1-D vector, got shape {v.shape}")
     if v.shape[0] != d:
-        raise ValueError(f"expected length {d}, got {v.shape[0]}")
+        raise ConfigError(f"expected length {d}, got {v.shape[0]}")
     return v
 
 
@@ -43,10 +43,10 @@ def row_sq(rows: np.ndarray) -> np.ndarray:
 
 
 def as_mat(x) -> np.ndarray:
-    """Coerce to a 2-D float64 array."""
+    """Coerce to a 2-D float64 array, else ConfigError."""
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError(f"expected 2-D matrix, got shape {m.shape}")
+        raise ConfigError(f"expected 2-D matrix, got shape {m.shape}")
     return m
 
 
@@ -119,8 +119,6 @@ class RngStream:
         second member of the final pair rather than caching it.
         """
         check_int("n", n, 0)
-        if n == 0:
-            return np.empty(0)
         return box_muller(self.raw(normal_words(n)))[:n]
 
 
@@ -181,16 +179,16 @@ def symmetric_eigs(M):
     call, where ``q_max`` is a unit eigenvector for ``lam_max`` signed so
     that its largest-magnitude component is positive.  M must be 2-D,
     square, finite and symmetric to 1e-12 relative to max(1, max|Mᵢⱼ|),
-    else ValueError; ``eigh`` reads its lower triangle.
+    else ConfigError; ``eigh`` reads its lower triangle.
     """
     Mm = as_mat(M)
     if Mm.shape[0] != Mm.shape[1]:
-        raise ValueError("matrix must be square")
+        raise ConfigError("matrix must be square")
     if not np.isfinite(Mm).all():
-        raise ValueError("matrix must be finite")
+        raise ConfigError("matrix must be finite")
     scale = max(1.0, float(np.abs(Mm).max()))
     if np.abs(Mm - Mm.T).max() > 1e-12 * scale:
-        raise ValueError("matrix must be symmetric")
+        raise ConfigError("matrix must be symmetric")
     lams, Q = np.linalg.eigh(Mm)
     q_max = Q[:, -1].copy()
     if q_max[np.argmax(np.abs(q_max))] < 0:

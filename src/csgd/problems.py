@@ -35,19 +35,18 @@ fresh pairs from the run's stream.  The oracle cannot tell the two apart.
 Every token costs a fixed number of raw words, ``words_per_token(batch)``.
 There is one draw, ``draw_tokens(rngs, sampler_states, count, batch)``: each
 of R streams makes one raw call of ``count * words_per_token(batch)`` words,
-and the words of all of them are decoded together into one columnar token
-block.  That is one array per token part, each with a leading (count, R)
-shape: ``(X, y)`` for the GLM kinds, a (count, R, d) noise array for
-``quadratic`` and ``uniformly_convex``, and an int array of chain states for
-``lsa``, which walks each stream's chain on its own, from a start state it
-draws (one word) when the sampler state is None.  Streaming labels are
-one ``np.matmul`` per block, one ddot per sample at batch 1 as ``x.dot(θ)``
-makes.  :func:`token_columns` takes stream r's (count, …) block out of a
-stacked one, and :func:`token_rows` splits a block into tokens, 1-D parts
-as Python scalars; token i of column r is bit for bit the i-th of ``count``
-single draws from stream r, and ``next_token`` is the R = 1, ``count = 1``
-case.  An oracle makes one BLAS call per product, through ``.dot`` or
-``np.vecdot``.
+the words of all of them are decoded together, and the draw returns ``count``
+step tokens.  With one stream, step token i is its i-th token: ``(x, y)`` for
+the GLM kinds (``y`` a Python float at batch 1), a (d,) noise array for
+``quadratic`` and ``uniformly_convex``, a Python int chain state for ``lsa``.
+With R > 1 it is the R streams' i-th tokens stacked, row r stream r's.  Each
+is bit for bit the i-th of ``count`` single draws, ``next_token`` is the
+R = 1, ``count = 1`` case, and the decoded block and its split into steps
+stay in this module.  ``lsa`` walks each stream's chain on its own, from a
+start state it draws (one word) when the sampler state is None.  Streaming
+labels are one ``np.matmul`` per block, one ddot per sample at batch 1 as
+``x.dot(θ)`` makes.  An oracle makes one BLAS call per product, through
+``.dot`` or ``np.vecdot``.
 """
 
 from __future__ import annotations
@@ -145,18 +144,11 @@ def _fista(x, step, grad, prox):
         x = x_new
 
 
-def token_rows(block) -> list:
+def _token_rows(block) -> list:
     """A token block as a list of tokens, one per row; 1-D parts give Python scalars."""
     if isinstance(block, tuple):
-        return list(zip(*map(token_rows, block)))
+        return list(zip(*map(_token_rows, block)))
     return block.tolist() if block.ndim == 1 else list(block)
-
-
-def token_columns(block, index):
-    """The stream column ``index`` of a stacked block; the engine takes column 0 only."""
-    if isinstance(block, tuple):
-        return tuple(part[:, index] for part in block)
-    return block[:, index]
 
 
 class Problem:
@@ -183,26 +175,28 @@ class Problem:
         raise NotImplementedError
 
     def draw_tokens(self, rngs, sampler_states, count: int, batch: int = 1):
-        """Blocks of ``count`` tokens from each of R streams, stacked along a stream axis.
+        """The next ``count`` step tokens of R streams, and their sampler states after them.
 
-        Each stream makes one raw call of ``count * words_per_token(batch)``
-        words, and the words of all of them are decoded in one call, so each
-        part has a leading (count, R) shape; column r is stream r's block.
-        Returns the block and the sampler states after it, one per stream.
+        Step token i is the one stream's i-th token, or the R streams' i-th
+        tokens stacked, row r stream r's (see the module docstring): one raw
+        call per stream, one decode for all.
         """
-        w = self.words_per_token(batch)
-        words = [rng.raw(count * w).reshape(count, 1, w) for rng in rngs]
-        words = words[0] if len(words) == 1 else np.concatenate(words, axis=1)  # one: no copy
-        block = self.decode_tokens(words.reshape(count * len(rngs), w), batch)
-        shape = (count, len(rngs))
-        if isinstance(block, tuple):
-            return tuple(p.reshape(shape + p.shape[1:]) for p in block), sampler_states
-        return block.reshape(shape + block.shape[1:]), sampler_states
+        w, reps = self.words_per_token(batch), len(rngs)
+        if reps == 1:  # no copy, and (count, …) parts
+            words = rngs[0].raw(count * w)
+        else:
+            words = np.concatenate([rng.raw(count * w).reshape(count, 1, w) for rng in rngs], axis=1)
+        block = self.decode_tokens(words.reshape(count * reps, w), batch)
+        if reps > 1:  # (count·R, …) parts to (count, R, …)
+            shape = (count, reps)
+            block = (tuple(p.reshape(shape + p.shape[1:]) for p in block) if isinstance(block, tuple)
+                     else block.reshape(shape + block.shape[1:]))
+        return _token_rows(block), sampler_states
 
     def next_token(self, rng: RngStream, sampler_state, batch: int = 1):
-        """One token from one stream, and the sampler state after it."""
-        block, (sampler_state,) = self.draw_tokens([rng], [sampler_state], 1, batch)
-        return token_rows(token_columns(block, 0))[0], sampler_state
+        """One step token from one stream, and the sampler state after it."""
+        steps, (sampler_state,) = self.draw_tokens([rng], [sampler_state], 1, batch)
+        return steps[0], sampler_state
 
     # --- oracle -----------------------------------------------------------
 
@@ -223,13 +217,11 @@ class Problem:
     def step_directions(self, thetas: np.ndarray, tokens) -> np.ndarray:
         """Directions of a (reps, d) stack of iterates, one row per iterate.
 
-        ``tokens`` has a leading reps axis (a tuple of such arrays for tuple
-        tokens).  Each row is bit for bit what :meth:`direction` gives that
-        iterate and its token.  Here by a row loop; kinds with a stacked
-        form override it.
+        ``tokens`` is a stacked step token, row r iterate r's.  Each row is bit
+        for bit what :meth:`direction` gives that iterate and its token.  Here
+        by a row loop; kinds with a stacked form override it.
         """
-        rows = zip(*tokens) if isinstance(tokens, tuple) else tokens
-        return np.stack([self.direction(t, tok) for t, tok in zip(thetas, rows)])
+        return np.stack([self.direction(t, tok) for t, tok in zip(thetas, _token_rows(tokens))])
 
     def full_grad(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -895,11 +887,10 @@ class LinearStochasticApprox(Problem):
         prm = RngStream(self.seed, _PARAM_STREAM)
         N = self.n_states
 
-        # Dirichlet(1,...,1) rows via normalized exponentials
+        # Dirichlet(1,...,1) rows via normalized exponentials; an entry is 0 only
+        # for a uniform of exactly 0, so P is positive, or primitive with one zero
         expo = -np.log(1.0 - prm.uniforms(N * N).reshape(N, N))
         self.P = expo / expo.sum(axis=1, keepdims=True)
-        if not np.all(np.linalg.matrix_power(self.P, N) > 0.0):
-            raise ConfigError("chain is not irreducible and aperiodic")
         self.pi_chain = _stationary_distribution(self.P)
         self._cum_P = [row.tolist() for row in np.cumsum(self.P, axis=1)]
 
@@ -923,10 +914,11 @@ class LinearStochasticApprox(Problem):
         return 1  # one uniform per transition
 
     def draw_tokens(self, rngs, sampler_states, count, batch=1):
-        """Each stream's chain walks its next ``count`` states on its own; stacked as (count, R).
-        A state of None starts the chain at a uniform state, one word."""
+        """Each stream's chain walks its next ``count`` states on its own; one stream's
+        walk is its step tokens.  A state of None starts the chain at a uniform state,
+        one word."""
         w = self.words_per_token(batch)
-        blocks, states = [], []
+        walks, states = [], []
         for rng, state in zip(rngs, sampler_states):
             if state is None:
                 state = int(rng.integers(1, self.n_states)[0])
@@ -934,14 +926,16 @@ class LinearStochasticApprox(Problem):
             for u in uniforms_from(rng.raw(count * w)).tolist():
                 walk.append(state)
                 state = min(bisect_right(self._cum_P[state], u), self.n_states - 1)
-            blocks.append(walk)
+            walks.append(walk)
             states.append(state)
-        return np.array(blocks, dtype=int).T, states
+        if len(walks) == 1:
+            return walks[0], states
+        return _token_rows(np.array(walks, dtype=int).T), states
 
     def direction(self, theta, state: int):
         """Per-state update direction A(x)θ + b(x)."""
         if not 0 <= state < self.n_states:
-            raise ValueError(f"invalid chain state {state}")
+            raise ConfigError(f"invalid chain state {state}")
         return self._A_rows[state].dot(theta) + self._b_rows[state]
 
     def step_directions(self, thetas, states):

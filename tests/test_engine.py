@@ -20,7 +20,7 @@ from csgd.oracle import dk_closed_form_series
 from collections import deque
 from csgd.engine import reinit_auxiliary
 from csgd.oracle import gamma0_bound, theorem1_floor
-from csgd.problems import _KIND_CLASSES, Problem, token_columns, token_rows
+from csgd.problems import _KIND_CLASSES, Problem
 from csgd import engine
 from csgd.engine import RunTrace
 
@@ -427,15 +427,28 @@ def test_degenerate_reinit_resyncs_the_stream_and_reports_perturbed(name):
     assert d0_sq == float((theta1 - want) @ (theta1 - want))
 
 
+def _stream_token(step, r):
+    """Stream r's token in a stacked step token: row r of each part."""
+    return tuple(part[r] for part in step) if isinstance(step, tuple) else step[r]
+
+
+def _by_part(tokens):
+    """A list of step tokens as one array per part, stacked along the steps."""
+    if isinstance(tokens[0], tuple):
+        return tuple(np.array(part) for part in zip(*tokens))
+    return (np.array(tokens),)
+
+
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize(
     "name, batch",
     [(n, 1) for n in sorted(PROBLEMS)] + [(n, 3) for n in BATCHED + ("logistic_data",)],
 )
 def test_stacked_token_block_matches_per_stream_draws(name, batch, reps):
-    # column r of each stacked block is stream r's own block, and every
-    # stream and sampler state ends where its own draws leave it; two
-    # blocks, so the second starts from the states the first left
+    # row r of each stacked step token is stream r's own token at that step
+    # (one stream's steps are its own tokens), and every stream and sampler
+    # state ends where its own draws leave it; two blocks, so the second
+    # starts from the states the first left
     prob = problem(name)
     count = 11
     rngs = [RngStream(8, s) for s in range(reps)]
@@ -443,11 +456,12 @@ def test_stacked_token_block_matches_per_stream_draws(name, batch, reps):
     states = [None] * reps
     single_states = [None] * reps
     for _ in range(2):
-        block, states = prob.draw_tokens(rngs, states, count, batch)
+        steps, states = prob.draw_tokens(rngs, states, count, batch)
+        assert len(steps) == count
         for r, rng in enumerate(singles):
             want, (single_states[r],) = prob.draw_tokens([rng], [single_states[r]], count, batch)
-            want, got = token_columns(want, 0), token_columns(block, r)
-            parts = list(zip(*(t if isinstance(t, tuple) else (t,) for t in (got, want))))
+            got = steps if reps == 1 else [_stream_token(step, r) for step in steps]
+            parts = list(zip(_by_part(got), _by_part(want)))
             assert parts and all(a.dtype == b.dtype and a.shape == b.shape
                                  and np.array_equal(a, b) for a, b in parts)
             assert rngs[r].counter == rng.counter
@@ -646,6 +660,16 @@ def test_lockstep_divergence_is_per_replicate(case):
     assert len({t.summary["k"] for t in traces}) > 1
 
 
+def test_lockstep_left_with_one_chain_goes_on_as_its_lone_run():
+    # streams 104 and 105 diverge at k = 16 and 13 and stream 100 runs on;
+    # one stream's step tokens come unstacked, and a batch of 3 has a row
+    # loop, so the last chain must step as the 1-D iterate a lone run steps
+    params = fixed("least_squares", "inv_sqrt", 8.0)
+    traces = lockstep_matches_run("least_squares", params, (104, 105, 100), n_iters=600,
+                                  batch_size=3, averaging=True, tail_from=11)
+    assert [t.failure is not None for t in traces] == [True, True, False]
+
+
 def test_divergence_precheck_firing_on_the_stack_alone_stops_no_chain(monkeypatch):
     # θ* = 0 here, so errs is ||θ1||²; with the threshold just above every
     # chain's largest, the stack's flat sum of squares passes it while no
@@ -719,10 +743,11 @@ def test_stacked_oracle_matches_rows_bitwise(name, d):
     reps = 9
     for trial in range(20):
         theta = gen.standard_normal((reps, d)) * 10.0 ** gen.uniform(-3, 3, (reps, 1))
-        rng = RngStream(trial, d)
-        stack, _ = prob.draw_tokens([rng], [None], reps)
-        stack = token_columns(stack, 0)
-        rows = np.stack([prob.step_direction(t, tok) for t, tok in zip(theta, token_rows(stack))])
+        # one step token of reps streams, stacked and one stream at a time
+        (stack,), _ = prob.draw_tokens([RngStream(trial, d + r) for r in range(reps)],
+                                       [None] * reps, 1)
+        singles = [prob.next_token(RngStream(trial, d + r), None)[0] for r in range(reps)]
+        rows = np.stack([prob.step_direction(t, tok) for t, tok in zip(theta, singles)])
         assert np.array_equal(prob.step_direction(theta, stack), rows)
 
 
@@ -731,7 +756,7 @@ def _iterate(prob, n_steps=50):
     theta, gamma = np.zeros(prob.d), prob.default_gamma0()
     rng = RngStream(3, 0)
     tokens, _ = prob.draw_tokens([rng], [None], n_steps)
-    for token in token_rows(token_columns(tokens, 0)):
+    for token in tokens:
         theta = theta + gamma * prob.step_direction(theta, token)
     return theta
 
@@ -1030,8 +1055,7 @@ def test_a_step_leaves_the_arrays_it_keeps_alone(name, mode):
     prob = problem(name)
     reps = 3 if mode == "lockstep" else 1
     rngs = [RngStream(7, 400 + r) for r in range(reps)]
-    block, _ = prob.draw_tokens(rngs, [None] * len(rngs), 20)
-    steps = token_rows(block if mode == "lockstep" else token_columns(block, 0))
+    steps, _ = prob.draw_tokens(rngs, [None] * len(rngs), 20)
     gen = np.random.default_rng(0)
     theta1 = gen.standard_normal((reps, prob.d) if reps > 1 else prob.d)
     history = None

@@ -59,10 +59,10 @@ def test_uniforms_in_unit_interval():
 
 
 def test_normals_fixed_consumption():
-    for n, spent in [(1, 2), (2, 2), (3, 4), (4, 4), (7, 8)]:
+    for n, spent in [(0, 0), (1, 2), (2, 2), (3, 4), (4, 4), (7, 8)]:
         s = RngStream(11, 0)
         z = s.normals(n)
-        assert len(z) == n
+        assert len(z) == n and z.dtype == np.float64
         assert s.counter == spent
 
 

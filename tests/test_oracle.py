@@ -100,6 +100,17 @@ def test_dk_series_iterations_are_counts(ks, name):
         dk_closed_form_series(np.eye(2), 0.1, np.ones(2), ks)
 
 
+@pytest.mark.parametrize("H, D0, message", [
+    (np.eye(2), np.ones(3), "expected length 2, got 3"),
+    (np.ones((2, 3)), np.ones(2), "matrix must be square"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2), "matrix must be symmetric"),
+], ids=["d0_length", "not_square", "asymmetric"])
+def test_dk_series_rejects_a_bad_shape_with_config_error(H, D0, message):
+    # numkit's shared checks raised a plain ValueError
+    with pytest.raises(ConfigError, match=message):
+        dk_closed_form_series(H, 0.1, D0, [1])
+
+
 def test_dk_series_iterations_are_ascending():
     with pytest.raises(ConfigError, match="ascending"):
         dk_closed_form_series(np.eye(2), 0.1, np.ones(2), [3, 1])

@@ -18,9 +18,8 @@ from csgd.problems import (
     UniformlyConvex,
     _sigmoid,
     _sigmoid_scalar,
+    _svm_kkt_point,
     make_problem,
-    token_columns,
-    token_rows,
 )
 
 
@@ -321,6 +320,21 @@ def test_svm_reference_converges_on_slow_seeds(seed):
     assert ref.grad_norm <= 1e-9 * max(1.0, abs(ref.f_star))  # the solver's relative gap tolerance
 
 
+def test_svm_kkt_point_gives_up_on_a_singular_gram(monkeypatch):
+    # α makes the zero row free, so the free rows' gram is exactly singular
+    # and the solve raises; the partition is kept in seen, so a second call
+    # gives up before solving again
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    Xy = np.array([[1.0, 0.5], [0.0, 0.0], [-0.3, 2.0]])
+    alpha, seen = np.array([0.5, 0.5, 0.0]), set()
+    assert _svm_kkt_point(Xy, 0.1, alpha, seen) is None
+    assert len(seen) == 1 and len(solves) == 1
+    assert _svm_kkt_point(Xy, 0.1, alpha, seen) is None
+    assert len(seen) == 1 and len(solves) == 1
+
+
 # ---------------------------------------------------------------------- lasso
 
 
@@ -459,15 +473,15 @@ def test_lsa_occupancy_matches_stationary(lsa):
     rng = RngStream(38, 0)
     steps = 1_000_000
     states, _ = lsa.draw_tokens([rng], [None], steps)
-    states = token_columns(states, 0)
     counts = np.bincount(states, minlength=lsa.n_states)
     tv = 0.5 * np.abs(counts / steps - lsa.pi_chain).sum()
     assert tv < 0.01, tv
 
 
 def test_lsa_invalid_state(lsa):
-    with pytest.raises(ValueError):
-        lsa.direction(np.zeros(5), 99)
+    for state in (99, -1):  # each was a plain ValueError
+        with pytest.raises(ConfigError, match="invalid chain state"):
+            lsa.direction(np.zeros(5), state)
 
 
 # -------------------------------------------------- spot-check property tests
@@ -640,10 +654,8 @@ def test_draw_tokens_match_single_draws(name, batch):
     count = 11
     block_rng, single_rng = RngStream(69, 1), RngStream(69, 1)
     state = None
-    block, (block_state,) = prob.draw_tokens([block_rng], [state], count, batch)
-    block = token_columns(block, 0)
-    assert all(len(part) == count for part in (block if isinstance(block, tuple) else (block,)))
-    rows = token_rows(block)
+    rows, (block_state,) = prob.draw_tokens([block_rng], [state], count, batch)
+    assert len(rows) == count
     for i in range(count):
         single, state = prob.next_token(single_rng, state, batch)
         assert _same_token(rows[i], single)
@@ -676,13 +688,16 @@ def test_step_direction_returns_a_fresh_array(name, batch, stacked):
     # no memory with the iterate, the token or any array the problem keeps
     prob = TOKEN_FACTORIES[name]()
     prob.reference  # solved and cached, so θ* is among the arrays kept
+    # one step token per iterate from each of reps streams: stacked, or one by one
     reps = 3
-    rng = RngStream(71, 0)
-    block, _ = prob.draw_tokens([rng], [None], reps, batch)
-    block = token_columns(block, 0)
+    rngs = [RngStream(71, r) for r in range(reps)]
     thetas = RngStream(72, 0).normals(reps * prob.d).reshape(reps, prob.d)
-    calls = [(thetas, block)] if stacked else zip(thetas, token_rows(block))
-    kept = [thetas, *_arrays(block), *_arrays(vars(prob))]
+    if stacked:
+        steps, _ = prob.draw_tokens(rngs, [None] * reps, 1, batch)
+        calls = [(thetas, steps[0])]
+    else:
+        calls = [(theta, prob.next_token(rng, None, batch)[0]) for theta, rng in zip(thetas, rngs)]
+    kept = [thetas, *_arrays([token for _, token in calls]), *_arrays(vars(prob))]
     assert len(kept) > 2
     for theta, token in calls:
         result = prob.step_direction(theta, token)

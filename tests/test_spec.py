@@ -47,7 +47,7 @@ from csgd.engine import (
 )
 from csgd.errors import DegenerateDiagnosticError
 from csgd.numkit import RngStream, normal_words
-from csgd.problems import make_problem, token_columns, token_rows
+from csgd.problems import make_problem
 
 COLUMNS = ("ks", "gammas", "stats", "errs", "d_sqs", "avg_errs", "avg_fgaps", "restart_flags")
 
@@ -103,8 +103,8 @@ def spec_run(problem, controller, cfg: EngineConfig, rng: RngStream) -> dict:
     k = 0
     while k < cfg.n_iters:
         k += 1
-        block, (state,) = problem.draw_tokens([rng], [state], 1, cfg.batch_size)
-        token = token_rows(token_columns(block, 0))[0]
+        steps, (state,) = problem.draw_tokens([rng], [state], 1, cfg.batch_size)
+        token = steps[0]
         gamma = controller.stepsize(k)
         u1 = problem.direction(theta1, token)
         theta1 = theta1 + gamma * u1
