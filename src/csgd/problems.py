@@ -1,22 +1,23 @@
-"""Synthetic stochastic objectives with certified constants and references.
+"""Synthetic stochastic objectives with their constants and references.
 
 Each problem kind exposes the same surface:
 
-- ``direction(theta, token)``: the update direction u in θ ← θ + γu, minus
-  a stochastic (sub)gradient for the gradient kinds.  The token carries
-  all randomness, so the call is a pure function of ``(theta, token)`` and
-  two evaluations with the same token consume identical noise.  That
-  property is what makes coupled runs share their per-iteration
-  randomness.  The result is a fresh array that shares no memory with θ,
-  the token or the problem: the engine and Pflug's controller keep it.
+- ``step_direction(theta, token)``, each kind's one oracle: the update
+  direction u in θ ← θ + γu (minus a stochastic (sub)gradient) at one
+  iterate, or at each row of a (reps, d) stack by a stacked form, with no
+  Python loop over the rows.  The token carries all randomness, so the call
+  is a pure function of ``(theta, token)``: coupled runs share their
+  per-iteration noise.  The result is a fresh array that shares no memory
+  with θ, the token or the problem: the engine and Pflug's controller keep it.
 - ``losses``: each kind's one statement of the deterministic objective the
   oracle is unbiased for (empirical mean for dataset-backed kinds,
   population form for streaming kinds), at each row of a (reps, d) stack,
   each row's bits its own; ``loss`` is its one-row case.  ``full_grad`` is
   its gradient (lsa: minus the mean field), on the GLM kinds minus the
   full-batch oracle.
-- certified constants ``L`` and ``mu`` (and ``R_sq``, the trace of the
-  input covariance, on the GLM kinds) and a lazily solved
+- constants ``L`` and ``mu`` (and ``R_sq``, the trace of the input
+  covariance, on the GLM kinds), certified except logistic's estimated μ
+  and svm's and lasso's surrogate L; and a lazily solved
   :class:`ReferenceSolution`: each kind's ``_solve_reference`` gives θ* and
   its residual, and ``reference`` computes f* = ``loss(θ*)`` from them, once.
 
@@ -30,7 +31,8 @@ GLM samples are ``(x, y)`` pairs, ``x`` of shape (d,) and ``y`` a float,
 or (batch, d) and (batch,) for a minibatch.  Dataset-backed kinds
 materialize ``X`` (n×d) and ``y`` from the problem seed and decode each
 drawn row index into its row's pair; streaming kinds (``n == 0``) draw
-fresh pairs from the run's stream.  The oracle cannot tell the two apart.
+fresh pairs from the run's stream.  The oracle cannot tell the two apart: it
+is one template, u = c(y, ⟨x, θ⟩)·x − ∇penalty(θ), for all four GLM kinds.
 
 Every token costs a fixed number of raw words, ``words_per_token(batch)``.
 There is one draw, ``draw_tokens(rngs, sampler_states, count, batch)``: each
@@ -108,6 +110,11 @@ def _sigmoid_scalar(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
+
+
+def _sigmoid_rows(z: np.ndarray) -> np.ndarray:
+    """:func:`_sigmoid_scalar` per entry, so ``math.exp``: ``np.exp`` rounds otherwise."""
+    return np.array([_sigmoid_scalar(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def _gemv_rows(A, rows: np.ndarray) -> np.ndarray:
@@ -200,28 +207,13 @@ class Problem:
 
     # --- oracle -----------------------------------------------------------
 
-    def direction(self, theta: np.ndarray, token) -> np.ndarray:
-        """Update direction u in θ ← θ + γu; gradient kinds return -grad."""
-        raise NotImplementedError
-
     def step_direction(self, theta: np.ndarray, token) -> np.ndarray:
-        """:meth:`direction` of one iterate, or of a (reps, d) stack of them.
+        """The one oracle: update direction u in θ ← θ + γu (gradient kinds: −grad).
 
-        A stack goes to :meth:`step_directions`, so the engine loop reaches
-        the oracle through this one entry with one stream or several.
+        θ is one iterate, or a (reps, d) stack of them with a stacked step
+        token, row r iterate r's; each row has the bits of its iterate alone.
         """
-        if theta.ndim == 2:
-            return self.step_directions(theta, token)
-        return self.direction(theta, token)
-
-    def step_directions(self, thetas: np.ndarray, tokens) -> np.ndarray:
-        """Directions of a (reps, d) stack of iterates, one row per iterate.
-
-        ``tokens`` is a stacked step token, row r iterate r's.  Each row is bit
-        for bit what :meth:`direction` gives that iterate and its token.  Here
-        by a row loop; kinds with a stacked form override it.
-        """
-        return np.stack([self.direction(t, tok) for t, tok in zip(thetas, _token_rows(tokens))])
+        raise NotImplementedError
 
     def full_grad(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -271,9 +263,16 @@ class _GlmBase(Problem):
     may fix either to one value for every coordinate instead: svm takes
     h_j = 1 and θ_planted = 0, lasso θ_planted = 0.
 
-    Each subclass states its objective once, as ``losses``; ``full_grad``
-    is minus the full-batch oracle, ``direction`` over ``_calibration_data``.
+    Each subclass states its objective once, as ``losses``, and its oracle
+    once: the coefficient c(y, m) of a sample's margin m = ⟨x, θ⟩, as
+    ``_coef1`` on Python floats (None: no data term) and ``_coefs`` on
+    arrays, and ``_penalty_step`` = −∇penalty (None: none), which the one
+    template :meth:`step_direction` combines.  ``full_grad`` is minus the
+    full-batch oracle over ``_calibration_data``.  Streaming kinds give
+    ``_label_words(batch)`` and ``_labels(margins, words)``.
     """
+
+    _penalty_step = None  # −∇penalty(θ), at one iterate or each row of a stack
 
     def __init__(self, d, n, seed, h_diag=None, theta_planted=None):
         super().__init__(d, n, seed)
@@ -301,15 +300,33 @@ class _GlmBase(Problem):
             y = self._labels(np.matmul(X, self.theta_planted), words[:, split:])
         return (X[:, 0], y[:, 0]) if batch == 1 else (X, y)
 
-    def _label_words(self, batch: int) -> int:
-        raise NotImplementedError
+    def step_direction(self, theta, token):
+        """u = c·x − ∇penalty(θ), c·x averaged over a minibatch, per row of a stack.
 
-    def _labels(self, margins: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Streaming labels (count, batch) from the margins ⟨x, θ_planted⟩ and label words."""
-        raise NotImplementedError
+        Margins are one ddot per sample (``x.dot(θ)``, ``np.vecdot`` per row) or
+        one gemv per minibatch, and Xᵀc one gemv, so a row has its iterate's
+        bits.  Svm's stacked rows at rest are 0·x − λθ where one iterate gives
+        −λθ: a zero of θ may get the other sign, which θ + γu cannot keep.
+        """
+        X, y = token
+        step = self._penalty_step
+        if X.ndim == 1:  # one sample at one iterate
+            c = self._coef1(y, float(X.dot(theta)))
+            if c is None:  # no data term: the penalty alone
+                return step(theta)
+            u = c * X
+        elif theta.ndim == 1:  # a minibatch
+            u = X.T @ self._coefs(y, X @ theta) / X.shape[0]
+        elif X.ndim == 2:  # a stack, one sample per iterate
+            u = self._coefs(y, np.vecdot(X, theta), one_sample=True)[:, None] * X
+        else:  # a stack, a batch per iterate
+            u = _gemv_rows(X.transpose(0, 2, 1), self._coefs(y, _gemv_rows(X, theta))) / X.shape[1]
+        if step is not None:
+            u += step(theta)
+        return u
 
     def full_grad(self, theta):
-        return -self.direction(theta, self._calibration_data)
+        return -self.step_direction(theta, self._calibration_data)
 
     @property
     def _calibration_data(self):
@@ -326,9 +343,11 @@ class LogisticRegression(_GlmBase):
     """Streaming or finite-sample logistic loss log(1 + exp(-y⟨x, θ⟩)).
 
     Labels follow the logistic model at a planted parameter drawn once from
-    N(0, I) and fixed by the seed.  The population loss is only locally
-    strongly convex, so ``mu`` is certified numerically on the ball
-    ||θ - θ*|| <= 2||θ*|| (twice the distance from the zero init).
+    N(0, I) and fixed by the seed; c(y, m) = y·σ(−y m).  The population loss
+    is only locally strongly convex, and ``mu`` is an estimate, not a bound:
+    0.8 times the smallest Hessian eigenvalue at 8 sampled points, θ*, 0 and
+    six points on the sphere ||θ - θ*|| = 2||θ*|| (twice the distance from
+    the zero init).  Points inside that ball can curve less.
     """
 
     kind = "logistic"
@@ -348,18 +367,15 @@ class LogisticRegression(_GlmBase):
         return batch  # one uniform per label
 
     def _labels(self, margins, words):
-        if margins.shape[1] == 1:  # single samples keep math.exp; np.exp rounds otherwise
-            probs = np.array([_sigmoid_scalar(m) for m in margins[:, 0].tolist()])[:, None]
-        else:
-            probs = _sigmoid(margins)
+        probs = (_sigmoid_rows if margins.shape[1] == 1 else _sigmoid)(margins)
         return np.where(uniforms_from(words) < probs, 1.0, -1.0)
 
-    def direction(self, theta, token):
-        X, y = token
-        if X.ndim == 1:  # single-sample fast path
-            return (y * _sigmoid_scalar(-y * float(X.dot(theta)))) * X
-        coef = y * _sigmoid(-y * (X @ theta))
-        return X.T @ coef / X.shape[0]
+    def _coef1(self, y, m):
+        return y * _sigmoid_scalar(-y * m)
+
+    def _coefs(self, y, m, one_sample=False):
+        # one sample per iterate keeps math.exp, as _coef1 does
+        return y * (_sigmoid_rows if one_sample else _sigmoid)(-y * m)
 
     def losses(self, thetas):
         X, y = self._calibration_data
@@ -381,25 +397,19 @@ class LogisticRegression(_GlmBase):
     @cached_property
     def L(self) -> float:
         X, _ = self._calibration_data
-        gram = X.T @ X / X.shape[0]
-        _, lam_max, _ = symmetric_eigs(gram)
-        return lam_max / 4.0
+        return symmetric_eigs(X.T @ X / X.shape[0])[1] / 4.0
 
     @cached_property
     def mu(self) -> float:
         theta_star = self.theta_star
         radius = 2.0 * norm(theta_star)
         prm = RngStream(self.seed, _PARAM_STREAM + 1)
-        lam_mins = []
         points = [theta_star, np.zeros(self.d)]
         for _ in range(6):
             u = prm.normals(self.d)
             u /= norm(u)
             points.append(theta_star + radius * u)
-        for p in points:
-            lam, _, _ = symmetric_eigs(self._hessian(p))
-            lam_mins.append(lam)
-        return 0.8 * min(lam_mins)  # 0.8 guards the between-sample minimum
+        return 0.8 * min(symmetric_eigs(self._hessian(p))[0] for p in points)
 
     def _solve_reference(self):
         if self.n == 0:
@@ -445,7 +455,7 @@ def _newton_logistic(problem):
 
 
 class LeastSquares(_GlmBase):
-    """Least squares 0.5 E(y - ⟨x, θ⟩)² with y = ⟨x, θ*⟩ + N(0, σ²) outputs."""
+    """Least squares 0.5 E(y - ⟨x, θ⟩)², y = ⟨x, θ*⟩ + N(0, σ²); c(y, m) = y − m."""
 
     kind = "least_squares"
 
@@ -467,20 +477,10 @@ class LeastSquares(_GlmBase):
     def _labels(self, margins, words):
         return margins + self.noise_sigma * box_muller(words)[:, : margins.shape[1]]
 
-    def direction(self, theta, token):
-        X, y = token
-        if X.ndim == 1:  # single-sample fast path
-            return (y - float(X.dot(theta))) * X
-        resid = y - X @ theta
-        return X.T @ resid / X.shape[0]
+    def _coefs(self, y, m, one_sample=False):
+        return y - m
 
-    def step_directions(self, thetas, tokens):
-        X, y = tokens
-        if X.ndim == 3:  # a batch per iterate: the row loop
-            return super().step_directions(thetas, tokens)
-        # one sample per iterate: one ddot per row, as x.dot(θ) makes
-        resid = y - np.vecdot(X, thetas)
-        return resid[:, None] * X
+    _coef1 = _coefs  # the same formula on Python floats
 
     def full_grad(self, theta):
         if self.n > 0:
@@ -510,8 +510,9 @@ class Svm(_GlmBase):
     """Hinge loss plus ridge: E max(0, 1 - y⟨x, θ⟩) + (λ/2)||θ||².
 
     Inputs are N(0, I); labels are the sign of the first coordinate plus
-    N(0, 1) noise.  Margin ties (exactly 1) take the zero-hinge subgradient
-    so runs stay deterministic.  Strong convexity comes from the ridge
+    N(0, 1) noise; c(y, m) = y·1{y m < 1} and the penalty's gradient is λθ.
+    Margin ties (exactly 1) take the zero-hinge subgradient so runs stay
+    deterministic.  Strong convexity comes from the ridge
     term: mu = λ exactly.  The reference's ``grad_norm`` is the duality gap of
     :func:`_svm_dual_fista`, at rounding when its KKT point is accepted.
     """
@@ -527,19 +528,16 @@ class Svm(_GlmBase):
         self._X, data = self._materialize_inputs(n)
         self._y = np.where(self._X[:, 0] + data.normals(n) >= 0.0, 1.0, -1.0)
         self.mu = self.lam_reg
-        # surrogate smoothness scale for schedule defaults; the hinge itself
-        # is nonsmooth
-        self.L = self.lam_reg + self.R_sq
+        self.L = self.lam_reg + self.R_sq  # a surrogate scale: the hinge is nonsmooth
 
-    def direction(self, theta, token):
-        X, y = token
-        if X.ndim == 1:
-            if y * float(X.dot(theta)) < 1.0:
-                return y * X - self.lam_reg * theta
-            return -self.lam_reg * theta
-        active = y * (X @ theta) < 1.0
-        hinge = (np.where(active, y, 0.0) @ X) / X.shape[0]
-        return hinge - self.lam_reg * theta
+    def _coef1(self, y, m):
+        return y if y * m < 1.0 else None  # None: the hinge is at rest
+
+    def _coefs(self, y, m, one_sample=False):
+        return np.where(y * m < 1.0, y, 0.0)
+
+    def _penalty_step(self, theta):
+        return -self.lam_reg * theta
 
     def losses(self, thetas):
         margins = self._y * _gemv_rows(self._X, thetas)
@@ -648,7 +646,8 @@ def _svm_kkt_point(Xy, c, alpha, seen):
 class Lasso(_GlmBase):
     """(1/n) Σ (y - ⟨x, θ⟩)² + λ||θ||₁ with an s-sparse planted vector.
 
-    Outputs are y = ⟨x, θ_sparse⟩ + N(0, 1).  The reference θ* comes from
+    Outputs are y = ⟨x, θ_sparse⟩ + N(0, 1); c(y, m) = 2(y − m) and the
+    penalty's subgradient is λ·sign θ, sign(0) = 0.  The reference θ* comes from
     restarted FISTA with the soft threshold as prox (:func:`_fista_lasso`).
     """
 
@@ -677,13 +676,13 @@ class Lasso(_GlmBase):
         self.mu = 2.0 * float(self.h_diag.min())
         self.L = 2.0 * float(self.h_diag.max()) + self.lam_reg  # surrogate scale
 
-    def direction(self, theta, token):
-        X, y = token
-        if X.ndim == 1:
-            return (2.0 * (y - float(X.dot(theta)))) * X - self.lam_reg * np.sign(theta)
-        resid = y - X @ theta
-        smooth = 2.0 * (X.T @ resid) / X.shape[0]
-        return smooth - self.lam_reg * np.sign(theta)  # sign(0) = 0
+    def _coefs(self, y, m, one_sample=False):
+        return 2.0 * (y - m)
+
+    _coef1 = _coefs  # the same formula on Python floats
+
+    def _penalty_step(self, theta):
+        return -self.lam_reg * np.sign(theta)
 
     def losses(self, thetas):
         resid = self._y - _gemv_rows(self._X, thetas)
@@ -754,18 +753,21 @@ class UniformlyConvex(Problem):
         z = box_muller(words)[:, : self.d * batch].reshape(len(words), batch, self.d)
         return self.noise_scale * (z[:, 0] if batch == 1 else z.mean(axis=1))
 
-    def direction(self, theta, token):
+    def step_direction(self, theta, token):
+        if theta.ndim == 2:
+            return -(self._norm_powers(theta, self.p_exp - 2.0)[:, None] * theta) - token
         return -self.full_grad(theta) - token
 
     def full_grad(self, theta):
-        r = norm(theta)
-        if r == 0.0:
-            return np.zeros(self.d)
-        return r ** (self.p_exp - 2.0) * theta
+        return norm(theta) ** (self.p_exp - 2.0) * theta
 
     def losses(self, thetas):
-        # a Python float power per row: np.power can round the last bit differently
-        return np.array([r ** self.p_exp for r in np.sqrt(row_sq(thetas)).tolist()]) / self.p_exp
+        return self._norm_powers(thetas, self.p_exp) / self.p_exp
+
+    @staticmethod
+    def _norm_powers(thetas, e):
+        """||θ||ᵉ per row by a Python float power: np.power can round the last bit apart."""
+        return np.array([r ** e for r in np.sqrt(row_sq(thetas)).tolist()])
 
     def _solve_reference(self):
         return np.zeros(self.d), 0.0
@@ -825,11 +827,10 @@ class QuadraticSemiStochastic(Problem):
         xi = z[..., : self.d] * self._sqrt_noise  # (count, batch, d)
         return xi[:, 0] if batch == 1 else xi.mean(axis=1)
 
-    def direction(self, theta, token):
+    def step_direction(self, theta, token):
+        if theta.ndim == 2:
+            return _gemv_rows(self._neg_H, theta) - token
         return self._neg_H.dot(theta) - token
-
-    def step_directions(self, thetas, tokens):
-        return _gemv_rows(self._neg_H, thetas) - tokens
 
     def full_grad(self, theta):
         return self.H @ theta
@@ -932,14 +933,13 @@ class LinearStochasticApprox(Problem):
             return walks[0], states
         return _token_rows(np.array(walks, dtype=int).T), states
 
-    def direction(self, theta, state: int):
-        """Per-state update direction A(x)θ + b(x)."""
+    def step_direction(self, theta, state):
+        """Per-state update direction A(x)θ + b(x); a stack takes an array of states."""
+        if theta.ndim == 2:
+            return _gemv_rows(self.A_table[state], theta) + self.b_table[state]
         if not 0 <= state < self.n_states:
             raise ConfigError(f"invalid chain state {state}")
         return self._A_rows[state].dot(theta) + self._b_rows[state]
-
-    def step_directions(self, thetas, states):
-        return _gemv_rows(self.A_table[states], thetas) + self.b_table[states]
 
     def full_grad(self, theta):
         """Minus the mean field Āθ + b̄; not the gradient of :meth:`losses`."""

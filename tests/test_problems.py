@@ -188,18 +188,114 @@ def test_fuzzed_overrides_fail_with_config_error_or_build(arguments, seed):
     assert np.isfinite(prob.theta_star).all()
 
 
+# --------------------------------------------------------------- GLM template
+
+# Each GLM kind's oracle as it was written before the coefficient template,
+# one body per kind for one sample and for a minibatch: the reference the
+# template is held to, bit for bit.
+
+
+def _logistic_direction(prob, theta, token):
+    X, y = token
+    if X.ndim == 1:  # single-sample fast path
+        return (y * _sigmoid_scalar(-y * float(X.dot(theta)))) * X
+    coef = y * _sigmoid(-y * (X @ theta))
+    return X.T @ coef / X.shape[0]
+
+
+def _least_squares_direction(prob, theta, token):
+    X, y = token
+    if X.ndim == 1:  # single-sample fast path
+        return (y - float(X.dot(theta))) * X
+    resid = y - X @ theta
+    return X.T @ resid / X.shape[0]
+
+
+def _svm_direction(prob, theta, token):
+    X, y = token
+    if X.ndim == 1:
+        if y * float(X.dot(theta)) < 1.0:
+            return y * X - prob.lam_reg * theta
+        return -prob.lam_reg * theta
+    active = y * (X @ theta) < 1.0
+    hinge = (np.where(active, y, 0.0) @ X) / X.shape[0]
+    return hinge - prob.lam_reg * theta
+
+
+def _lasso_direction(prob, theta, token):
+    X, y = token
+    if X.ndim == 1:
+        return (2.0 * (y - float(X.dot(theta)))) * X - prob.lam_reg * np.sign(theta)
+    resid = y - X @ theta
+    smooth = 2.0 * (X.T @ resid) / X.shape[0]
+    return smooth - prob.lam_reg * np.sign(theta)  # sign(0) = 0
+
+
+# name: (reference, make_problem arguments)
+GLM_REFERENCES = {
+    "logistic": (_logistic_direction, dict(d=10)),
+    "logistic/data": (_logistic_direction, dict(d=10, n=200)),
+    "least_squares": (_least_squares_direction, dict(d=10)),
+    "least_squares/data": (_least_squares_direction, dict(d=10, n=200)),
+    "svm": (_svm_direction, dict(d=10, n=200)),
+    "lasso": (_lasso_direction, dict(d=100, n=200, sparsity=5)),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("name", sorted(GLM_REFERENCES))
+def test_glm_template_matches_the_reference_oracles(name, batch):
+    # one iterate and each row of a stack give the reference's bytes, on
+    # iterates whose coordinates are often exactly 0: lasso's sign(0), and
+    # svm's −λθ at rest, where the hinge is inactive.  Svm's stacked rows at
+    # rest are 0·x − λθ, which may carry the other sign on a zero of θ and
+    # on nothing else: that sign cannot reach a trace, since θ starts at +0,
+    # changes only by θ + γu (+0 + ±0 = +0), and a lockstep stack runs only
+    # the fixed schedule, which never reads the direction.
+    kind, _, data = name.partition("/")
+    reference, args = GLM_REFERENCES[name]
+    prob = make_problem(kind, seed=batch, **args)
+    reps, count = 8, 25
+    gen = np.random.default_rng(batch)
+    steps, _ = prob.draw_tokens([RngStream(90, r) for r in range(reps)], [None] * reps, count, batch)
+    branches = set()
+    for stack in steps:
+        thetas = gen.standard_normal((reps, prob.d)) * 10.0 ** gen.uniform(-3, 1, (reps, 1))
+        thetas[gen.random((reps, prob.d)) < 0.3] = 0.0
+        rows = []
+        for theta, token in zip(thetas, [tuple(part[r] for part in stack) for r in range(reps)]):
+            if batch == 1:
+                token = (token[0], float(token[1]))  # as next_token gives it
+                if kind == "svm":
+                    branches.add(token[1] * float(token[0].dot(theta)) < 1.0)
+            want = reference(prob, theta, token)
+            assert prob.step_direction(theta, token).tobytes() == want.tobytes()
+            rows.append(want)
+        got, rows = prob.step_direction(thetas, stack), np.array(rows)
+        if kind == "svm":  # + 0.0 makes each zero +0 and keeps every other bit
+            assert np.array_equal(got, rows)
+            got, rows = got + 0.0, rows + 0.0
+        assert got.tobytes() == rows.tobytes()
+    if kind == "svm" and batch == 1:
+        assert branches == {True, False}  # both hinge branches were met
+    if data:
+        theta = thetas[0]
+        want = -reference(prob, theta, (prob._X, prob._y))
+        assert prob.full_grad(theta).tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------------- logistic
 
 
 def test_logistic_zero_input_zero_gradient():
     prob = LogisticRegression(d=3, n=0, seed=4)
-    g = -prob.direction(np.ones(3), (np.zeros(3), 1.0))
+    g = -prob.step_direction(np.ones(3), (np.zeros(3), 1.0))
     assert np.array_equal(g, np.zeros(3))
 
 
 def test_logistic_sigmoid_half_at_origin():
     prob = LogisticRegression(d=3, n=0, seed=4)
-    g = -prob.direction(np.zeros(3), (np.array([1.0, 0.0, 0.0]), 1.0))
+    g = -prob.step_direction(np.zeros(3), (np.array([1.0, 0.0, 0.0]), 1.0))
     assert g == pytest.approx([-0.5, 0.0, 0.0])
 
 
@@ -208,8 +304,8 @@ def test_logistic_batch_average_linearity():
     rng = RngStream(6, 0)
     idx = rng.integers(16, 500)
     theta = rng.normals(4)
-    batch_g = -prob.direction(theta, (prob._X[idx], prob._y[idx]))
-    singles = np.mean([-prob.direction(theta, (prob._X[i], prob._y[i])) for i in idx], axis=0)
+    batch_g = -prob.step_direction(theta, (prob._X[idx], prob._y[idx]))
+    singles = np.mean([-prob.step_direction(theta, (prob._X[i], prob._y[i])) for i in idx], axis=0)
     assert np.allclose(batch_g, singles, atol=1e-14)
 
 
@@ -231,13 +327,13 @@ def test_logistic_streaming_reference_is_planted():
 def test_ls_fixed_point_no_noise():
     prob = LeastSquares(d=3, n=0, seed=9, noise_sigma=0.0)
     x = RngStream(10, 0).normals(3)
-    g = -prob.direction(prob.theta_star, (x, float(x @ prob.theta_star)))
+    g = -prob.step_direction(prob.theta_star, (x, float(x @ prob.theta_star)))
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
 def test_ls_single_sample_direct():
     prob = LeastSquares(d=2, n=0, seed=11)
-    g = -prob.direction(np.zeros(2), (np.array([1.0, 0.0]), 2.0))
+    g = -prob.step_direction(np.zeros(2), (np.array([1.0, 0.0]), 2.0))
     assert g == pytest.approx([-2.0, 0.0])
 
 
@@ -273,7 +369,7 @@ def test_svm_inactive_hinge():
     i = 0
     prob._X[i] = x
     prob._y[i] = 1.0  # margin 5 > 1
-    g = -prob.direction(theta, (prob._X[i], prob._y[i]))
+    g = -prob.step_direction(theta, (prob._X[i], prob._y[i]))
     assert np.allclose(g, prob.lam_reg * theta)
 
 
@@ -281,7 +377,7 @@ def test_svm_active_hinge_at_origin():
     prob = Svm(d=3, n=200, seed=15, lam_reg=0.1)
     prob._X[1] = np.array([1.0, 0.0, 0.0])
     prob._y[1] = 1.0
-    g = -prob.direction(np.zeros(3), (prob._X[1], prob._y[1]))
+    g = -prob.step_direction(np.zeros(3), (prob._X[1], prob._y[1]))
     assert g == pytest.approx([-1.0, 0.0, 0.0])
 
 
@@ -290,7 +386,7 @@ def test_svm_margin_tie_takes_ridge_branch():
     prob._X[2] = np.array([1.0, 0.0])
     prob._y[2] = 1.0
     theta = np.array([1.0, 3.0])  # margin exactly 1
-    g = -prob.direction(theta, (prob._X[2], prob._y[2]))
+    g = -prob.step_direction(theta, (prob._X[2], prob._y[2]))
     assert np.allclose(g, prob.lam_reg * theta)
 
 
@@ -342,7 +438,7 @@ def test_lasso_zero_at_kink():
     prob = Lasso(d=3, n=100, seed=20, lam_reg=0.1, sparsity=2)
     prob._X[0] = np.zeros(3)
     prob._y[0] = 0.0
-    g = -prob.direction(np.zeros(3), (prob._X[0], prob._y[0]))
+    g = -prob.step_direction(np.zeros(3), (prob._X[0], prob._y[0]))
     assert np.array_equal(g, np.zeros(3))
 
 
@@ -351,7 +447,7 @@ def test_lasso_sign_subgradient():
     theta = np.array([1.0, -1.0])
     prob._X[0] = np.zeros(2)
     prob._y[0] = 0.0  # zero residual contribution
-    g = -prob.direction(theta, (prob._X[0], prob._y[0]))
+    g = -prob.step_direction(theta, (prob._X[0], prob._y[0]))
     assert np.allclose(g, 0.3 * np.array([1.0, -1.0]))
 
 
@@ -377,14 +473,14 @@ def test_lasso_reference_prox_residual():
 
 def test_uconvex_zero_gradient_at_origin():
     prob = UniformlyConvex(d=3, seed=25, noise_scale=0.0)
-    g = -prob.direction(np.zeros(3), np.zeros(3))
+    g = -prob.step_direction(np.zeros(3), np.zeros(3))
     assert np.array_equal(g, np.zeros(3))
 
 
 def test_uconvex_unit_vector():
     prob = UniformlyConvex(d=3, seed=26, p_exp=2.5, noise_scale=0.0)
     e1 = np.array([1.0, 0.0, 0.0])
-    assert -prob.direction(e1, np.zeros(3)) == pytest.approx(e1)
+    assert -prob.step_direction(e1, np.zeros(3)) == pytest.approx(e1)
 
 
 def test_uconvex_reference_is_origin():
@@ -399,7 +495,7 @@ def test_uconvex_reference_is_origin():
 def test_quadratic_identity_hessian():
     prob = QuadraticSemiStochastic(d=3, seed=30, H=np.eye(3), noise_diag=0.0)
     v = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(-prob.direction(v, np.zeros(3)), v)
+    assert np.allclose(-prob.step_direction(v, np.zeros(3)), v)
 
 
 def test_quadratic_coupling_identity():
@@ -408,7 +504,7 @@ def test_quadratic_coupling_identity():
     rng = RngStream(32, 0)
     t1, t2 = rng.normals(4), rng.normals(4)
     token = prob.next_token(rng, None)[0]
-    diff = prob.direction(t2, token) - prob.direction(t1, token)
+    diff = prob.step_direction(t2, token) - prob.step_direction(t1, token)
     assert np.allclose(diff, prob.H @ (t1 - t2), atol=1e-12)
 
 
@@ -448,7 +544,7 @@ def lsa():
 def test_lsa_fixed_point(lsa):
     # averaged direction vanishes at θ*
     avg = sum(
-        lsa.pi_chain[s] * lsa.direction(lsa.theta_star, s)
+        lsa.pi_chain[s] * lsa.step_direction(lsa.theta_star, s)
         for s in range(lsa.n_states)
     )
     assert np.allclose(avg, 0.0, atol=1e-10)
@@ -481,7 +577,7 @@ def test_lsa_occupancy_matches_stationary(lsa):
 def test_lsa_invalid_state(lsa):
     for state in (99, -1):  # each was a plain ValueError
         with pytest.raises(ConfigError, match="invalid chain state"):
-            lsa.direction(np.zeros(5), state)
+            lsa.step_direction(np.zeros(5), state)
 
 
 # -------------------------------------------------- spot-check property tests
@@ -614,8 +710,8 @@ def test_noise_sharing_same_token_identical():
         rng = RngStream(55, 0)
         token = prob.next_token(rng, None)[0]
         theta = np.array([0.5, -1.0, 0.25])
-        g1 = prob.direction(theta, token)
-        g2 = prob.direction(theta, token)
+        g1 = prob.step_direction(theta, token)
+        g2 = prob.step_direction(theta, token)
         assert np.array_equal(g1, g2), prob.kind
 
 

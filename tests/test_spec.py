@@ -9,9 +9,9 @@ lockstep stacks.  In the paper's terms:
   ξ ~ N(0, I), the stream's first draw.  The run's first arm re-arms θ₂ from
   that start and hands the controller the reference ‖D₀‖² = ‖θ₁ − θ₂‖².
 - Step k draws one token, the shared noise of the coupling, and moves both
-  iterates with it: θ ← θ + γ_k·u(θ, token), with u the problem's
-  ``direction`` (minus a stochastic gradient).  ``draw_tokens`` from the
-  sampler state None starts lsa's Markov chain.
+  iterates with it: θ ← θ + γ_k·u(θ, token), with u the problem's oracle
+  ``step_direction`` on one iterate (minus a stochastic gradient).
+  ``draw_tokens`` from the sampler state None starts lsa's Markov chain.
 - The controller sees θ₁, the coupled distance ‖D_k‖² and u(θ₁); its
   statistic is S_k = ‖D_k‖²/‖D₀‖² for the coupling kinds.  A decay
   (S_k < β after the burn-in) moves to γ·r and, for a coupling kind, re-arms:
@@ -106,11 +106,11 @@ def spec_run(problem, controller, cfg: EngineConfig, rng: RngStream) -> dict:
         steps, (state,) = problem.draw_tokens([rng], [state], 1, cfg.batch_size)
         token = steps[0]
         gamma = controller.stepsize(k)
-        u1 = problem.direction(theta1, token)
+        u1 = problem.step_direction(theta1, token)
         theta1 = theta1 + gamma * u1
         d_sq = None
         if coupled:
-            theta2 = ring[-1] + gamma * problem.direction(ring[-1], token)
+            theta2 = ring[-1] + gamma * problem.step_direction(ring[-1], token)
             ring.append(theta2)
             d_sq = _sq(theta1 - theta2)
         if avg1 is not None:
