@@ -54,12 +54,18 @@ A step allocates θ1, θ2, the running average, the two directions, the
 products γ·u and the difference θ1 - θ2.  The average's temporary is
 updated in place: θ1 - θ̄ is divided by k and θ̄ added into it, which adds
 the operands of ``θ̄ + (θ1 - θ̄)/k`` in the other order, and IEEE addition
-rounds both alike.  No step writes into an array it did not just make, so a
-record keeps θ1 and the running average by reference, and the ring keeps
-θ2.  :class:`RunTrace` fills the error and loss columns of ``CHUNK``
-such records at a time in one stacked pass, with their bits, and those of
-the rest in ``summarize``, which reads the final errors from the last
-record (a run records its last step).  The tail accumulator keeps its
+rounds both alike.  The arithmetic reads γ and k from two float64 0-d
+arrays per run, overwritten each step (``g0[()] = gamma``): NumPy 2
+converts a Python scalar operand on every ufunc call, which costs more
+than the write.  They hold the same float64 values, so every product and
+quotient keeps its bits; records, the restart log, the summary and the
+controller keep the Python floats, and no kept array references the two.
+No step writes into an array it did not just make, so a record keeps θ1
+and the running average by reference, and the ring keeps θ2.
+:class:`RunTrace` fills the error and loss columns of ``CHUNK`` such
+records at a time in one stacked pass, with their bits, and those of the
+rest in ``summarize``, which reads the final errors from the last record
+(a run records its last step).  The tail accumulator keeps its
 steps' θ1 the same way and folds them into each chain's sum once per block,
 and before a divergence stops a chain, adding them in step order so the sum
 has the bits of a per-step ``+=``.
@@ -233,8 +239,11 @@ class TokenStreams:
         return rng
 
 
-def coupled_step(problem, gamma: float, token, theta1: np.ndarray, history: deque | None):
+def coupled_step(problem, gamma, token, theta1: np.ndarray, history: deque | None):
     """Advance the pair by one iteration with shared noise; returns ``(theta1, u1, d_sq)``.
+
+    ``gamma`` is a float or a float64 0-d array of the same value, with the
+    same bits; the engine passes its 0-d twin, which the products read faster.
 
     θ2 is the newest entry of the ring ``history``, which gets the new θ2,
     and ``d_sq`` is ||θ1 - θ2||² after the step; both are None when
@@ -370,16 +379,19 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     tail_thetas = []  # θ1 of the tail steps not yet folded into tail_sum
     tail_count = 0
     k = 0
+    g0, k0 = np.empty(()), np.empty(())  # γ and k for the arithmetic (module docstring)
     while k < n_iters and active:
         count = min(CHUNK, n_iters - k)
         steps = tokens.take(active, count)
         for i in range(count):
             k += 1
             gamma = controller.stepsize(k)
-            theta1, direction, d_sq = coupled_step(problem, gamma, steps[i], theta1, history)
+            g0[()] = gamma
+            theta1, direction, d_sq = coupled_step(problem, g0, steps[i], theta1, history)
             if avg1 is not None:  # a new array, so a record may keep the old one by reference
+                k0[()] = k
                 new_avg = theta1 - avg1
-                new_avg /= k
+                new_avg /= k0
                 new_avg += avg1
                 avg1 = new_avg
             refill = False  # the chains leave their block after this step

@@ -117,6 +117,13 @@ def _sigmoid_rows(z: np.ndarray) -> np.ndarray:
     return np.array([_sigmoid_scalar(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
+def _const(x: float) -> np.ndarray:
+    """``x`` as a read-only float64 0-d array: one problem serves every run of it."""
+    out = np.array(x, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 def _gemv_rows(A, rows: np.ndarray) -> np.ndarray:
     """``A @ row`` per row of a (reps, d) stack, one gemv each as ``A.dot(row)``; A may be per row."""
     return np.matmul(A, rows[:, :, None])[:, :, 0]
@@ -267,9 +274,12 @@ class _GlmBase(Problem):
     once: the coefficient c(y, m) of a sample's margin m = ⟨x, θ⟩, as
     ``_coef1`` on Python floats (None: no data term) and ``_coefs`` on
     arrays, and ``_penalty_step`` = −∇penalty (None: none), which the one
-    template :meth:`step_direction` combines.  ``full_grad`` is minus the
-    full-batch oracle over ``_calibration_data``.  Streaming kinds give
-    ``_label_words(batch)`` and ``_labels(margins, words)``.
+    template :meth:`step_direction` combines.  A penalty multiplies by −λ
+    held as a read-only float64 0-d array (:func:`_const`), built once: the
+    same bits as the Python float, without its conversion on every call, and
+    safe to share between concurrent runs of one problem.  ``full_grad`` is
+    minus the full-batch oracle over ``_calibration_data``.  Streaming kinds
+    give ``_label_words(batch)`` and ``_labels(margins, words)``.
     """
 
     _penalty_step = None  # −∇penalty(θ), at one iterate or each row of a stack
@@ -525,6 +535,7 @@ class Svm(_GlmBase):
             raise ConfigError("svm needs a finite dataset (n > 0)")
         check_real("lam_reg", lam_reg, 0.0, strict=True)
         self.lam_reg = float(lam_reg)
+        self._neg_lam = _const(-self.lam_reg)
         self._X, data = self._materialize_inputs(n)
         self._y = np.where(self._X[:, 0] + data.normals(n) >= 0.0, 1.0, -1.0)
         self.mu = self.lam_reg
@@ -537,7 +548,7 @@ class Svm(_GlmBase):
         return np.where(y * m < 1.0, y, 0.0)
 
     def _penalty_step(self, theta):
-        return -self.lam_reg * theta
+        return self._neg_lam * theta
 
     def losses(self, thetas):
         margins = self._y * _gemv_rows(self._X, thetas)
@@ -662,6 +673,7 @@ class Lasso(_GlmBase):
             raise ConfigError(f"sparsity s={sparsity} must be in 1..d={d}")
         check_real("lam_reg", lam_reg, 0.0)
         self.lam_reg = float(lam_reg)
+        self._neg_lam = _const(-self.lam_reg)
         self.sparsity = int(sparsity)
         prm = RngStream(self.seed, _PARAM_STREAM + 2)
         order = np.argsort(prm.uniforms(d))
@@ -682,7 +694,7 @@ class Lasso(_GlmBase):
     _coef1 = _coefs  # the same formula on Python floats
 
     def _penalty_step(self, theta):
-        return -self.lam_reg * np.sign(theta)
+        return self._neg_lam * np.sign(theta)
 
     def losses(self, thetas):
         resid = self._y - _gemv_rows(self._X, thetas)

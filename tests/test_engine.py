@@ -1033,6 +1033,47 @@ def test_lockstep_records_keep_the_column_contract(case, averaging, monkeypatch)
         _check_record_order(trace)
 
 
+def _assert_python_floats(trace):
+    """Every kept number of a trace is a Python float, not a buffer the loop reuses."""
+    for name in ("gammas", "stats", "errs", "d_sqs", "avg_errs", "avg_fgaps"):
+        column = getattr(trace, name)
+        assert all(type(v) is float for v in column), (name, {type(v) for v in column})
+    for event in trace.restart_log:
+        for name in ("old_gamma", "new_gamma", "statistic"):
+            assert type(getattr(event, name)) is float, (event, name)
+    for name, v in trace.summary.items():
+        assert type(v) is not np.ndarray and not isinstance(v, np.generic), (name, type(v))
+    for name in ("final_gamma", "final_err", "final_avg_err", "tail_mean_err"):
+        assert type(trace.summary[name]) is float, name
+
+
+@pytest.mark.parametrize("ctl", ["coupling_adaptive", "pflug", "fixed"])
+@pytest.mark.parametrize("name", KINDS)
+def test_a_run_keeps_only_python_floats(name, ctl):
+    # the loop hands its arithmetic γ and k as float64 0-d arrays it overwrites
+    # each step; a kept one would alias them all, so a run keeps Python floats
+    prob = problem(name)
+    cfg = EngineConfig(n_iters=300, trace_stride=1, averaging=True, tail_from=101)
+    trace = run(prob, make_controller(controller_params(ctl, prob), prob), cfg,
+                RngStream(7, 120))
+    assert trace.failure is None and len(trace.ks) == 300
+    if ctl != "fixed":
+        assert trace.restart_log
+    _assert_python_floats(trace)
+
+
+def test_lockstep_with_a_diverging_chain_keeps_only_python_floats():
+    # 7 of 12 chains diverge by k = 66; the others run to the end
+    prob = problem("least_squares")
+    cfg = EngineConfig(n_iters=300, trace_stride=1, averaging=True, tail_from=11)
+    traces = run_replicates(prob, make_controller(fixed("least_squares", "inv_sqrt", 6.0), prob),
+                            cfg, [RngStream(7, s) for s in range(110, 122)])
+    diverged = [t.failure is not None for t in traces]
+    assert any(diverged) and not all(diverged)
+    for trace in traces:
+        _assert_python_floats(trace)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_restart_flags_follow_the_log(case, monkeypatch):
     made = []

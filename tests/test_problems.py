@@ -284,6 +284,23 @@ def test_glm_template_matches_the_reference_oracles(name, batch):
         assert prob.full_grad(theta).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["svm", "lasso"])
+def test_penalty_constant_is_read_only(kind):
+    # −λ is one float64 0-d array per problem, shared by every run of it in
+    # any thread, so no write may reach it
+    prob = make_problem(kind, **GLM_REFERENCES[kind][1])
+    neg_lam = prob._neg_lam
+    assert neg_lam.shape == () and neg_lam.dtype == np.float64
+    assert float(neg_lam) == -prob.lam_reg
+    with pytest.raises(ValueError):
+        neg_lam[()] = 1.0
+    with pytest.raises(ValueError):
+        neg_lam *= 2.0
+    with pytest.raises(ValueError):
+        np.multiply(neg_lam, 2.0, out=neg_lam)
+    assert float(neg_lam) == -prob.lam_reg
+
+
 # ------------------------------------------------------------------- logistic
 
 
