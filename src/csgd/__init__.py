@@ -10,6 +10,7 @@ Modules:
   gradient-inner-product and distance-based baselines, fixed schedules).
 - ``engine``: the coupled SGD loop with shared per-iteration noise.
 - ``oracle``: closed-form theory quantities and brute-force estimators.
+- ``errors``: the shared exception types and the checks raising ConfigError.
 """
 
 __version__ = "0.1.0"

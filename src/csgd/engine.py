@@ -12,7 +12,8 @@ If the controller's ``phase_index`` went up, that was a decay: the next
 step runs at the controller's new ``gamma``, and for a controller that
 ``needs_coupling`` the auxiliary iterate is re-initialized and the
 controller re-armed before that step begins, by :func:`reinit_auxiliary`,
-which also makes the run's first arm.
+which also makes the run's first arm; it perturbs θ2 with draws from word
+``ARM_COUNTER`` on of the token stream's key, which no token reaches.
 
 There is one loop, :func:`run_replicates`; :func:`run` is that loop with
 one stream.  The number of streams picks the data shape:
@@ -38,11 +39,11 @@ for all, laid out and split in :mod:`csgd.problems` alone.  Sampler states
 start as None, so a stream's first block starts its chain.  Each problem
 kind spends a fixed number of raw words per token, so a run sees the same
 tokens as if it drew them one by one, and no stream is drawn past the last
-iteration.  Divergence and a re-arm that perturbs θ2 leave a block one
-way: after step k every active stream gives the rest of its block back and
-is resynced to the counter token-by-token drawing reaches (``rng.counter``
-on return), and the chains that go on take a new block, which redraws the
-same tokens from the same counter and sampler state; none is re-sliced.
+iteration.  Divergence alone leaves a block in mid-block: after step k
+every active stream gives the rest of its block back and is resynced to the
+counter token-by-token drawing reaches (``rng.counter`` on return), and the
+chains that go on take a new block, which redraws the same tokens from the
+same counter and sampler state; none is re-sliced.
 
 Divergence is checked per stream: a chain stops once ||θ1||² exceeds
 ``DIVERGENCE_THRESHOLD`` or is not finite, gets a failure text and a final
@@ -87,6 +88,7 @@ D0_REARM_FLOOR_REL = 1e-12
 REARM_DRAWS = 100  # perturbation draws before a re-arm gives up
 DIVERGENCE_THRESHOLD = 1e12  # a run stops once ||θ1||² exceeds this
 CHUNK = 256  # tokens decoded per raw block, and records per error-column fill
+ARM_COUNTER = 1 << 100  # a coupled run's re-arm draws start at this word of its stream's key
 
 
 @dataclass
@@ -228,7 +230,7 @@ class TokenStreams:
 
         The stream goes back to the block's start and redraws the tokens used,
         so its counter and sampler state end where drawing only those would
-        have left them, ready for an out-of-band draw or the next block.
+        have left them, ready for the next block.
         """
         rng = self.rngs[r]
         if returned:
@@ -267,8 +269,8 @@ def coupled_step(problem, gamma, token, theta1: np.ndarray, history: deque | Non
     return theta1, u1, d_sq
 
 
-def reinit_auxiliary(theta1: np.ndarray, history: deque, gamma: float, tokens: TokenStreams,
-                     returned: int = 0) -> tuple[float, bool]:
+def reinit_auxiliary(theta1: np.ndarray, history: deque, gamma: float,
+                     arm: RngStream) -> tuple[float, bool]:
     """Re-arm θ2's ring in place from its value b steps back; returns ``(d0_sq, perturbed)``.
 
     ``history`` has ``maxlen`` b+1, so that value is its oldest entry, the
@@ -278,11 +280,9 @@ def reinit_auxiliary(theta1: np.ndarray, history: deque, gamma: float, tokens: T
     difference is degenerate (below 1e-12·max(1, ||θ1||²)), θ2 is instead
     perturbed off θ1 by √γ·N(0, I) — the scale of the stationary fluctuation
     radius — so the diagnostic stays well defined, and ``perturbed`` is True.
-    The perturbation is drawn out of band from the run's one stream (a
-    coupled run has one), after it is resynced, which gives back the
-    ``returned`` tokens of its block not yet used; the caller then takes a
-    new block, as after a divergence.  If ``REARM_DRAWS`` draws all stay
-    within the floor (γ too small for it), DegenerateDiagnosticError is raised.
+    The perturbation comes from ``arm``, never the token stream.  If
+    ``REARM_DRAWS`` draws all stay within the floor (γ too small for it),
+    DegenerateDiagnosticError is raised.
     """
     theta2 = history[0].copy()
     diff = theta1 - theta2
@@ -290,9 +290,8 @@ def reinit_auxiliary(theta1: np.ndarray, history: deque, gamma: float, tokens: T
     floor = D0_REARM_FLOOR_REL * max(1.0, float(theta1 @ theta1))
     perturbed = d0_sq <= floor
     if perturbed:
-        rng = tokens.resync(0, returned)
         for _ in range(REARM_DRAWS):
-            theta2 = theta1 + math.sqrt(gamma) * rng.normals(theta1.shape[0])
+            theta2 = theta1 + math.sqrt(gamma) * arm.normals(theta1.shape[0])
             diff = theta1 - theta2
             d0_sq = float(diff @ diff)
             if d0_sq > floor:
@@ -367,8 +366,9 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     tokens = TokenStreams(problem, rngs, cfg.batch_size)
     history = None  # the ring of θ2, newest last; None when uncoupled
     if coupled:  # the first arm re-arms from a ring of the offset start alone
+        arm = RngStream(rngs[0].seed, rngs[0].stream_id, ARM_COUNTER)
         history = deque([theta1 + cfg.init_offset_scale * rngs[0].normals(d)], maxlen=b + 1)
-        d0_sq, _ = reinit_auxiliary(theta1, history, controller.stepsize(1), tokens)
+        d0_sq, _ = reinit_auxiliary(theta1, history, controller.stepsize(1), arm)
         controller.rearm(d0_sq)
     avg1 = theta1 if cfg.averaging else None
 
@@ -394,7 +394,7 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 new_avg /= k0
                 new_avg += avg1
                 avg1 = new_avg
-            refill = False  # the chains leave their block after this step
+            refill = False  # set by a divergence: the chains left take a new block
 
             # one ddot over the stack sums the rows' squared norms, so no row
             # passes the threshold until the sum comes within rounding of it
@@ -433,9 +433,8 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                     )
                 phase = controller.phase_index
                 new_gamma = controller.gamma
-                if controller.needs_coupling:  # a perturbed re-arm gave the rest back
-                    d0_sq, refill = reinit_auxiliary(theta1, history, new_gamma, tokens,
-                                                     count - 1 - i)
+                if controller.needs_coupling:
+                    d0_sq, _ = reinit_auxiliary(theta1, history, new_gamma, arm)
                     controller.rearm(d0_sq)
                 traces[0].restart_log.append(RestartEvent(k, gamma, new_gamma, stat))
 

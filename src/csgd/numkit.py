@@ -158,17 +158,17 @@ def gaussian(rng: RngStream, d: int, cov) -> np.ndarray:
     """Sample from N(0, cov) for isotropic or diagonal covariance.
 
     ``cov`` is either a scalar variance σ² (isotropic σ²I) or a length-d
-    vector of per-coordinate variances.  Always consumes the fixed
-    2*ceil(d/2) raw words, including in the degenerate zero-variance case,
-    so coupled streams stay aligned no matter the covariance.
+    vector of per-coordinate variances, none negative, else ConfigError.
+    Always consumes the fixed 2*ceil(d/2) raw words, including in the
+    degenerate zero-variance case, so coupled streams stay aligned.
     """
     diag = np.asarray(cov, dtype=np.float64)
     if diag.ndim == 0:
         diag = np.full(d, float(diag))
     elif diag.ndim != 1 or diag.shape[0] != d:
-        raise ValueError(f"covariance must be scalar or length-{d} diagonal")
+        raise ConfigError(f"covariance must be scalar or length-{d} diagonal")
     if np.any(diag < 0.0):
-        raise ValueError("negative variance entry in covariance")
+        raise ConfigError("negative variance entry in covariance")
     return rng.normals(d) * np.sqrt(diag)
 
 

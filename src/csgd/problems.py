@@ -10,11 +10,11 @@ Each problem kind exposes the same surface:
   per-iteration noise.  The result is a fresh array that shares no memory
   with θ, the token or the problem: the engine and Pflug's controller keep it.
 - ``losses``: each kind's one statement of the deterministic objective the
-  oracle is unbiased for (empirical mean for dataset-backed kinds,
-  population form for streaming kinds), at each row of a (reps, d) stack,
-  each row's bits its own; ``loss`` is its one-row case.  ``full_grad`` is
-  its gradient (lsa: minus the mean field), on the GLM kinds minus the
-  full-batch oracle.
+  oracle is unbiased for (empirical mean on a data set; streaming logistic
+  scores a frozen 20 000-sample pool, other streaming kinds the population
+  form), at each row of a (reps, d) stack, each row's bits its own; ``loss``
+  is its one-row case.  ``full_grad`` is its gradient (lsa: minus the mean
+  field), on the GLM kinds minus the full-batch oracle.
 - constants ``L`` and ``mu`` (and ``R_sq``, the trace of the input
   covariance, on the GLM kinds), certified except logistic's estimated μ
   and svm's and lasso's surrogate L; and a lazily solved

@@ -18,7 +18,7 @@ from csgd.controllers import FixedScheduleController
 from csgd.engine import run_replicates
 from csgd.oracle import dk_closed_form_series
 from collections import deque
-from csgd.engine import reinit_auxiliary
+from csgd.engine import ARM_COUNTER, reinit_auxiliary
 from csgd.oracle import gamma0_bound, theorem1_floor
 from csgd.problems import _KIND_CLASSES, Problem
 from csgd import engine
@@ -33,7 +33,10 @@ from csgd.engine import RunTrace
 # and lsa digests were re-taken when L and μ moved to one eigh call; DECISIONS
 # below shows that no restart, divergence or stream position moved with them.
 # The svm digests were re-taken when the active-set finish moved the svm θ*;
-# SVM_TRAJECTORIES below shows that only the error columns moved.
+# SVM_TRAJECTORIES below shows that only the error columns moved.  The five
+# runs whose re-arm perturbs θ2 (the b0 and zero_offset cases) were re-taken
+# when the perturbation moved from the token stream to the run's arm range;
+# `tests/test_spec.py` moved with them, and no other run perturbs.
 
 PROBLEMS = {
     "logistic": dict(d=4, n=0, seed=11),
@@ -148,8 +151,8 @@ CASES.update({
     "quadratic/coupling_static/b0": lambda: run_case(
         "quadratic", "coupling_static", 110,
         params=ControllerParams(kind="coupling_static", b=0, beta0=1e-3, r=0.9)),
-    # the same on lsa: three degenerate re-arms in mid-block, on a Markov
-    # token, so the resync must restore the chain state
+    # the same on lsa: three degenerate re-arms in mid-block, between Markov
+    # tokens, whose chain walks on as if no re-arm had drawn
     "lsa/coupling_static/b0": lambda: run_case(
         "lsa", "coupling_static", 118,
         params=ControllerParams(kind="coupling_static", b=0, beta0=1e-3, r=0.9)),
@@ -213,11 +216,11 @@ GOLDEN = {
     "logistic_data/coupling_static/batch3": "842edfc2d2211ffac6b436b1d8e3913d27ea44e7faef1817b2b570c96083609a",
     "lsa/coupling_adaptive": "5b20e9292d1f8b3b4adab9c2071619b9da251764c19b7dbd6d39f5ad63675824",
     "lsa/coupling_adaptive/dense": "816e5f524022658f9c170306fb8f940d8b22cccf777446f5c03cd8a6011f525e",
-    "lsa/coupling_adaptive/zero_offset": "a2ef62ed3b8a958de7bf6e278bdadf88659007ebe8c18bfce65819dbffb171a8",
+    "lsa/coupling_adaptive/zero_offset": "a9a5c7aa5e905ff622b748d09fc701252c1ff966e092d15029a0b4087a320b8a",
     "lsa/coupling_static": "ef434fcdb102277e977c59dfebd47fcb3e91b69976bd4e898f56701a13a4a329",
     "lsa/coupling_static/averaging": "cfa75c687889c598b9236ef54c146e7f4ed7e890017800a745f84adf8f460ef5",
-    "lsa/coupling_static/b0": "4ab63a9b010ca0f561e0869f3a21b684bac6f735acf0126287f409d539fe41ef",
-    "lsa/coupling_static/b0/dense": "5c8dac69a6371435d09c90ed738cd933878f3a798e587a53164fd0c3410a799d",
+    "lsa/coupling_static/b0": "e13ec01e744a83665872c03f4016201d883fbfdb52bd4175af0853f4b05bcc12",
+    "lsa/coupling_static/b0/dense": "0512a824de566b3413638e7f4b8409bfe7f6de9cc2929d24cc7f9af69260beef",
     "lsa/distance": "da1f7c63fe945d833f4bb34dcf9f72637c6f630d7fb023f7094d58ca18df8e43",
     "lsa/fixed": "77bdb231a36671c19b06ef402e2d884239c8a45faf680dcbf27b41e9efd42515",
     "lsa/pflug": "11b6279b5ed8e2a97daa5965eea1d5a4312b5921058be6c60ceaf1133fbe524b",
@@ -225,13 +228,13 @@ GOLDEN = {
     "quadratic/coupling_adaptive/averaging": "4850849bb68d4a4695d06b93529904e0ad168590579b316f9d62b165bd90995c",
     "quadratic/coupling_adaptive/dense": "11a5b19ea6960814111ec86d66d963e1ad10b1d6473f25f1fa83959b6d20e756",
     "quadratic/coupling_static": "d9c21416f85c0d7f37ed8199a717fe1bfdb62c49cd37f131581271c9d4d3f51e",
-    "quadratic/coupling_static/b0": "c4c00571e22b43ce7dc92da502d76a42187523c868483dd802c2fcf7dcbdc3c0",
+    "quadratic/coupling_static/b0": "b136686560e1b4560f03e274610f4eac29e2aa22cca57536f3b46de79314d944",
     "quadratic/coupling_static/batch3": "1a03808d7a3e200351ab19f51a7bbfe448c608aa4ece082d4a4ecdec925f52a8",
     "quadratic/coupling_static/diverges": "8d26108c5d001c467bf22387433bec83d07678b0ed7511974b8b62f915df6d56",
     "quadratic/coupling_static/diverges/dense": "40e137f56d57420545133082111abf6c394a9f97993fd115b0e310a2181927a1",
     "quadratic/coupling_static/empty": "7da89725ba6fab378ee956a6467636e7e4afac60ec9c3117310a942da458eba3",
     "quadratic/coupling_static/short": "719c7f7ebc5ae5ddb6369ad7f64a7466c95ac483519f8f3850eba6af82f38b5d",
-    "quadratic/coupling_static/zero_offset": "3ad53c80b605e7b27a0c6b879456347c53a882889e0f0c8b7cc51db5357d3650",
+    "quadratic/coupling_static/zero_offset": "dc520a37524f6eae77f35cd965c254301aaa46fd57fa879b11563b1d4f18b4ba",
     "quadratic/distance": "f73b2a985e87c55ebd003f62fa4531434dd5390c7e0f66fbfdedab140625e6db",
     "quadratic/fixed": "f7881e33dc2d43c6193b7c09a66ffcaf8e7a3506378e4ca7b92d68316a59c1f1",
     "quadratic/fixed/tail": "6a8bea8f4f0b44d11920d950370924dedbfe77b5a31bc0a42089a3de6aec67f5",
@@ -327,15 +330,18 @@ def decision_digest(trace, rng):
 
 # Taken with L and μ from block power iteration, before one eigh call moved
 # them in their last bits: that moves γ₀ and every float of these runs, but
-# no restart, stream position or divergence may move with it.
+# no restart, stream position or divergence may move with it.  The b0 and
+# zero_offset digests were re-taken when a perturbed re-arm moved to the arm
+# range: restarts after a run's first perturbation could move, and most did,
+# and each counter lost the normal_words(d) that every perturbation spent.
 DECISIONS = {
     "lsa/coupling_adaptive": "7c82b3003a2be4e487ab298bc6ab1108e68eb01c640a85757a9d4a6292b12654",
     "lsa/coupling_adaptive/dense": "c48fcd3b31e273f305177ecb8a10db827fcb617c519eabc6a35a3b1fc239b549",
-    "lsa/coupling_adaptive/zero_offset": "f0ff2aeb51c73c115275cb599d866fc3fe263441a6d34def464b0d319957b05d",
+    "lsa/coupling_adaptive/zero_offset": "1020d0d75a8358462061da8d670e6211dc16f31dd5be697cda2c3cbc38ff6970",
     "lsa/coupling_static": "a0ca08386b2dd400c2944121e3a32dd4d0214243176789c8ad4bffdbea6dce08",
     "lsa/coupling_static/averaging": "770258a5f482ada569997a11ee01453fda0484a67a221c67e465726c6119ae4a",
-    "lsa/coupling_static/b0": "14a84a3c6a33f35f48ed2f7c5b24c5dfebe7ff959f2a3983f376be6e612d5ad7",
-    "lsa/coupling_static/b0/dense": "14a84a3c6a33f35f48ed2f7c5b24c5dfebe7ff959f2a3983f376be6e612d5ad7",
+    "lsa/coupling_static/b0": "a59552bc17d158e91d322004700c8c942e5f26c2a4b92cd65aa7954fefb676ab",
+    "lsa/coupling_static/b0/dense": "a59552bc17d158e91d322004700c8c942e5f26c2a4b92cd65aa7954fefb676ab",
     "lsa/distance": "b538b7c302eaa0c5b82fc378bc628efcf793c461c39da5a2ff16a51244e99799",
     "lsa/fixed": "1a95b595f2c1f97445e08fba7ee9a9abc3a59099bde8b525b1fbfeab9291459d",
     "lsa/pflug": "a86739468a66b42f4a170d216d157a1f9d4d4da9ce06c0a8b828e036ecc09b88",
@@ -343,13 +349,13 @@ DECISIONS = {
     "quadratic/coupling_adaptive/averaging": "8e791996fc04c5c5378a27c3899b4405e31ca93b434264723abf51c46b469df6",
     "quadratic/coupling_adaptive/dense": "1f2cbffa5caaa81d06e7453c156e152e2510cd0c085322f73fcac6d0786807f8",
     "quadratic/coupling_static": "e2bf371407124bf1bd5e41f4b62752a83908785654893dbf5c28c7442c0b9435",
-    "quadratic/coupling_static/b0": "1aa1d579ad0b8645053195ee0cd4a0e89e51930e756fa5634540fd4a5058583f",
+    "quadratic/coupling_static/b0": "ee02fae0e2444da80a0fb75fc22c336db7a99980aa0ebdf979d448f07dd76664",
     "quadratic/coupling_static/batch3": "cb9b0cd001dfe963bdbfaacff7ca16685e46756c8e49915bd315e1b27fed1a6c",
     "quadratic/coupling_static/diverges": "7e14b94ca1a5e12ca65fa1ce39a0135b9a7963c0dc36bc35fbc3078b4dc14cfd",
     "quadratic/coupling_static/diverges/dense": "7e14b94ca1a5e12ca65fa1ce39a0135b9a7963c0dc36bc35fbc3078b4dc14cfd",
     "quadratic/coupling_static/empty": "dd2de7bb96b1d59150115d3e946897622edb26ff5a9ce056cb652f7b5f915d58",
     "quadratic/coupling_static/short": "81a3f1d6c945faa115fe27d245e60dcb849ef8f9b05397b657c4e41eae90bee4",
-    "quadratic/coupling_static/zero_offset": "c169d67dd51cffb94ffcb47b54e3769a51aeb201e2df2e950c5d2cc99e7f4fa8",
+    "quadratic/coupling_static/zero_offset": "41f85b3f4f525df2d473e7b3562edd50836f3d4e5b06c67438f6faded322c3c3",
     "quadratic/distance": "20b85317b0ec404d557e9e8869b2e32069ae7a14c5c86f299cef1af9d8a00c58",
     "quadratic/fixed": "f5def37b57e41b1948f1182f5db9327539674e17c3da762c29c0057e596f08b8",
     "quadratic/fixed/tail": "f5def37b57e41b1948f1182f5db9327539674e17c3da762c29c0057e596f08b8",
@@ -401,30 +407,38 @@ def test_streams_stop_at_the_last_iteration(name, n_iters, reps):
 
 
 @pytest.mark.parametrize("name", ["least_squares", "lsa"])
-def test_degenerate_reinit_resyncs_the_stream_and_reports_perturbed(name):
-    # θ2's history equals θ1, so the re-arm perturbs θ2 out of band: the
-    # stream gives back all but 5 tokens of its block (and lsa's start word
-    # with them), then makes one draw
+def test_degenerate_reinit_draws_from_the_arm_and_leaves_the_block_alone(name):
+    # θ2's history equals θ1, so the re-arm perturbs θ2 with one draw from the
+    # arm stream, in mid-block; the token stream's counter and sampler state
+    # stay as take left them, so the rest of the block is still the stream's
     prob = problem(name)
-    rng, twin = RngStream(9, 0), RngStream(9, 0)
+    rng = RngStream(9, 0)
     tokens = TokenStreams(prob, [rng], batch=1)
-    sampler_state = None
-    start = rng.counter
     tokens.take([0], CHUNK)
-    for _ in range(5):
-        _, sampler_state = prob.next_token(twin, sampler_state)
+    taken = (rng.counter, tokens.sampler_states[0])
     theta1, gamma = np.full(prob.d, 0.5), 0.1
     history = deque([theta1.copy()], maxlen=1)
-    d0_sq, perturbed = reinit_auxiliary(theta1, history, gamma, tokens, CHUNK - 5)
+    arm = RngStream(9, 0, ARM_COUNTER)
+    d0_sq, perturbed = reinit_auxiliary(theta1, history, gamma, arm)
     assert perturbed is True
-    start_word = 1 if name == "lsa" else 0
-    assert rng.counter == start + start_word + 5 * prob.words_per_token(1) + normal_words(prob.d)
-    assert tokens.sampler_states[0] == sampler_state
-    want = theta1 + math.sqrt(gamma) * twin.normals(prob.d)
-    assert rng.counter == twin.counter
+    assert (rng.counter, tokens.sampler_states[0]) == taken
+    want = theta1 + math.sqrt(gamma) * RngStream(9, 0, ARM_COUNTER).normals(prob.d)
+    assert arm.counter == ARM_COUNTER + normal_words(prob.d)
     (theta2,) = history  # the ring holds the new θ2 alone
     assert np.array_equal(theta2, want)
     assert d0_sq == float((theta1 - want) @ (theta1 - want))
+
+
+@pytest.mark.parametrize("case", ["quadratic/coupling_static/b0", "lsa/coupling_static/b0",
+                                  "quadratic/coupling_static/zero_offset"])
+def test_perturbed_rearms_spend_no_token_words(case, monkeypatch):
+    # these runs perturb θ2 at one or more re-arms, yet the token stream ends
+    # where the first arm's offset and the tokens leave it: normal_words(d) +
+    # n_iters words per token, plus lsa's start word
+    monkeypatch.setitem(globals(), "trace_digest", lambda trace, rng: rng.counter)
+    prob = problem(case.split("/")[0])
+    start_word = 1 if case.startswith("lsa") else 0
+    assert CASES[case]() == normal_words(prob.d) + 600 * prob.words_per_token(1) + start_word
 
 
 def _stream_token(step, r):
@@ -576,16 +590,15 @@ def test_reinit_restores_the_iterate_b_steps_back(stored, b, want):
     for i in range(stored):
         history.append(np.full(prob.d, i + 1.0))
     oldest = history[0]
-    rng = RngStream(9, 0)
-    d0_sq, perturbed = reinit_auxiliary(np.full(prob.d, 0.5), history, 0.1,
-                                        TokenStreams(prob, [rng], batch=1))
+    arm = RngStream(9, 0, ARM_COUNTER)
+    d0_sq, perturbed = reinit_auxiliary(np.full(prob.d, 0.5), history, 0.1, arm)
     assert perturbed is False
     (theta2,) = history  # re-armed in place: the new θ2 alone
     assert np.array_equal(theta2, np.full(prob.d, want + 1.0))
     assert theta2 is not oldest
     assert d0_sq == prob.d * (want + 0.5) ** 2  # ||θ1 - θ2||², exact here
     assert history.maxlen == b + 1
-    assert rng.counter == 0  # a non-degenerate re-arm draws nothing
+    assert arm.counter == ARM_COUNTER  # a non-degenerate re-arm draws nothing
 
 
 def test_rearm_gives_up_after_its_draws():

@@ -160,6 +160,15 @@ def test_gaussian_negative_variance_rejected():
         gaussian(RngStream(1), 2, [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("cov", [[1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, -0.5]])
+def test_gaussian_rejects_a_bad_covariance_with_config_error(cov):
+    # a wrong length or shape, and a negative variance, before any draw
+    s = RngStream(1)
+    with pytest.raises(ConfigError):
+        gaussian(s, 2, cov)
+    assert s.counter == 0
+
+
 def test_gaussian_covariance_moments():
     # Monte-Carlo moment check: 1e5 samples, cov=diag(1,4), within 5%.
     s = RngStream(1234, 0)

@@ -74,6 +74,11 @@ def test_dk_isotropic_one_step():
     assert dk_closed_form_series(np.eye(2), 0.1, D0, [1])[0] == pytest.approx(3.24, rel=1e-12)
 
 
+def test_dk_rejects_a_d0_that_is_not_a_vector():
+    with pytest.raises(ConfigError, match="expected 1-D vector"):
+        dk_closed_form_series(np.eye(2), 0.1, np.ones((2, 1)), [1])
+
+
 def test_dk_matches_spectral_brute_force():
     H = _random_spd(7, 5)
     rng = RngStream(8, 1)

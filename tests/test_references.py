@@ -358,6 +358,37 @@ def test_svm_solve_needs_an_iteration():
         _svm_dual_fista(X, y, lam, max_iters=0)
 
 
+# ------------------------------------------------------- solves that give up
+
+
+def test_newton_logistic_gives_up_when_its_line_search_fails():
+    # every step away from 0 costs inf, so no halving of the step is accepted
+    prob = make_problem("logistic", 3, 40, 18)
+    loss = prob.loss
+    prob.loss = lambda theta: loss(theta) if not theta.any() else math.inf
+    with pytest.raises(NonConvergenceError, match="line search failed"):
+        prob.theta_star
+
+
+def test_newton_logistic_gives_up_after_its_iteration_cap():
+    # a gradient that never shrinks, and a loss that drops on every call, so
+    # every line search ends with a step taken and the loop runs out of iterations
+    prob = make_problem("logistic", 3, 40, 18)
+    calls, grads = iter(range(10**6)), []
+    prob.full_grad = lambda theta: grads.append(1) or np.full(3, 1e-3)
+    prob.loss = lambda theta: -float(next(calls))
+    with pytest.raises(NonConvergenceError, match="did not reach gradient norm"):
+        prob.theta_star
+    assert len(grads) == 201  # the tolerance's, then one per iteration
+
+
+def test_lsa_reference_rejects_a_fixed_point_residual():
+    prob = make_problem("lsa", 5, 0, 0)
+    prob.full_grad = lambda theta: np.full(5, 1e-9)
+    with pytest.raises(NonConvergenceError, match="lsa fixed point residual"):
+        prob.theta_star
+
+
 def _lasso_gram(X, y):
     """The lasso solve's gram matrix and linear term, built as ``_fista_lasso`` builds them."""
     n, d = X.shape

@@ -17,8 +17,9 @@ lockstep stacks.  In the paper's terms:
   (S_k < β after the burn-in) moves to γ·r and, for a coupling kind, re-arms:
   θ₂ restarts from its value b steps back, the oldest of the ring of its last
   b + 1 values, and ‖D₀‖² is re-read.  Should θ₂ land within 1e-12 of θ₁,
-  it is perturbed by √γ·ξ, ξ drawn from the stream right after the tokens
-  used so far.
+  it is perturbed by √γ·ξ, ξ drawn from the run's arm range: the stream's
+  key from word ``ARM_COUNTER`` on, which no token reaches, so the tokens
+  run on as if no re-arm had drawn.
 - A record at every ``trace_stride``-th step and at the last computes the
   errors ‖θ₁ − θ*‖² and ‖θ̄ − θ*‖² by ddot and the f-gap f(θ̄) − f* with
   ``loss``; the tail mean adds ‖θ₁ − θ*‖² per step.  A chain whose ‖θ₁‖²
@@ -38,6 +39,7 @@ import pytest
 
 from csgd.controllers import CONTROLLERS, ControllerParams, make_controller
 from csgd.engine import (
+    ARM_COUNTER,
     D0_REARM_FLOOR_REL,
     DIVERGENCE_THRESHOLD,
     REARM_DRAWS,
@@ -57,21 +59,25 @@ def _sq(v: np.ndarray) -> float:
 
 
 def spec_run(problem, controller, cfg: EngineConfig, rng: RngStream) -> dict:
-    """The coupled loop, one token at a time; returns what ``run`` records, as a dict."""
+    """The coupled loop, one token at a time; returns what ``run`` records, as a dict.
+
+    The tokens and the first arm's offset come from ``rng``, a perturbation ξ
+    from the arm range of its key (``ARM_COUNTER`` on)."""
     d, theta_star = problem.d, problem.theta_star
     out = {name: [] for name in COLUMNS}
     out.update(restart_log=[], failure=None, perturbed=0)
     coupled = controller.needs_coupling or cfg.track_coupling
     theta1 = np.zeros(d)
+    arm = RngStream(rng.seed, rng.stream_id, ARM_COUNTER)
 
     def rearm(history, gamma):
         theta2 = history[0].copy()  # b steps back: the ring's oldest entry
         floor = D0_REARM_FLOOR_REL * max(1.0, _sq(theta1))
         d0_sq = _sq(theta1 - theta2)
-        if d0_sq <= floor:  # degenerate: perturb off θ1, drawn in line
+        if d0_sq <= floor:  # degenerate: perturb off θ1, drawn from the arm range
             out["perturbed"] += 1
             for _ in range(REARM_DRAWS):
-                theta2 = theta1 + math.sqrt(gamma) * rng.normals(d)
+                theta2 = theta1 + math.sqrt(gamma) * arm.normals(d)
                 d0_sq = _sq(theta1 - theta2)
                 if d0_sq > floor:
                     break
