@@ -32,22 +32,22 @@ one stream.  The number of streams picks the data shape:
   iterate, so each chain's trace and ``rng.counter`` are bit for bit what
   ``run`` returns for its stream.
 
-Tokens come from a :class:`TokenStreams` cursor over the run's streams.
-Each block takes ``min(CHUNK, n_iters - k)`` step tokens of the active
-streams from one ``Problem.draw_tokens``: one raw call per stream, one decode
-for all, laid out and split in :mod:`csgd.problems` alone.  Sampler states
-start as None, so a stream's first block starts its chain.  Each problem
-kind spends a fixed number of raw words per token, so a run sees the same
-tokens as if it drew them one by one, and no stream is drawn past the last
-iteration.  Divergence alone leaves a block in mid-block: after step k
-every active stream gives the rest of its block back and is resynced to the
-counter token-by-token drawing reaches (``rng.counter`` on return), and the
-chains that go on take a new block, which redraws the same tokens from the
-same counter and sampler state; none is re-sliced.
+Tokens come in blocks of ``min(CHUNK, n_iters - k)`` step tokens of the
+active streams, each from one ``Problem.draw_tokens``: one raw call per
+stream, one decode for all, laid out and split in :mod:`csgd.problems` alone.
+Sampler states start as None, so a stream's first block starts its chain.
+Each problem kind spends a fixed ``words_per_token`` per token, so a run sees
+the same tokens as if it drew them one by one, and no stream is drawn past
+the last iteration.  A block is drawn once, and every chain that stays steps
+it to its end.  Divergence alone leaves a block in mid-block: after step k a
+diverged stream gives back its unused tokens' words, seeking to the counter
+token-by-token drawing reaches (``rng.counter`` on return), and the chains
+that go on step through the rest of the block, cut to their rows by
+``Problem.keep_streams``; nothing is redrawn.
 
 Divergence is checked per stream: a chain stops once ||θ1||² exceeds
 ``DIVERGENCE_THRESHOLD`` or is not finite, gets a failure text and a final
-record, and the others finish step k and go on from a new block.  Each
+record, and the others finish step k and go on.  Each
 step makes one ddot over the whole stack, the sum of the chains' ||θ1||²;
 only when that comes near the threshold are the rows' norms computed.
 
@@ -195,52 +195,6 @@ class RunTrace:
             self.summary["tail_mean_err"] = tail_sum / tail_count if tail_count else math.nan
 
 
-class TokenStreams:
-    """The run's streams and their sampler states, drawn one stacked block at a time.
-
-    Each sampler state starts as None, a chain not yet started.  A batch size
-    the problem cannot draw raises ConfigError here, before any draw.
-    """
-
-    def __init__(self, problem, rngs: list[RngStream], batch: int):
-        problem.words_per_token(batch)
-        self.problem = problem
-        self.rngs = rngs
-        self.batch = batch
-        self.sampler_states = [None] * len(rngs)
-        self._starts = []  # each stream's (counter, sampler state) at the block's start
-        self._count = 0  # tokens per stream in the block
-
-    def take(self, active: list[int], count: int) -> list:
-        """The next ``count`` step tokens of the streams in ``active``, as
-        ``Problem.draw_tokens`` gives them: one stream's own, or several stacked,
-        row j stream ``active[j]``'s.  All count as used; the loop leaves a block
-        in mid-block by giving the rest back with :meth:`resync`."""
-        rngs, states = self.rngs, self.sampler_states
-        self._starts = [(rng.counter, state) for rng, state in zip(rngs, states)]
-        self._count = count
-        steps, after = self.problem.draw_tokens(
-            [rngs[r] for r in active], [states[r] for r in active], count, self.batch)
-        for r, state in zip(active, after):
-            states[r] = state
-        return steps
-
-    def resync(self, r: int, returned: int) -> RngStream:
-        """Give back the last ``returned`` tokens of stream r's block; returns the stream.
-
-        The stream goes back to the block's start and redraws the tokens used,
-        so its counter and sampler state end where drawing only those would
-        have left them, ready for the next block.
-        """
-        rng = self.rngs[r]
-        if returned:
-            counter, state = self._starts[r]
-            rng.seek(counter)
-            _, (self.sampler_states[r],) = self.problem.draw_tokens(
-                [rng], [state], self._count - returned, self.batch)
-        return rng
-
-
 def coupled_step(problem, gamma, token, theta1: np.ndarray, history: deque | None):
     """Advance the pair by one iteration with shared noise; returns ``(theta1, u1, d_sq)``.
 
@@ -339,11 +293,11 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     """Run one chain per stream, in lockstep; the one loop, behind :func:`run`.
 
     One stream steps 1-D iterates, several an (R, d) stack, until one chain
-    is left; both take whole blocks of step tokens from one
-    :class:`TokenStreams` and gate the per-row divergence check on one ddot
-    (see the module docstring).  Returns one trace per stream, each equal to what
-    :func:`run` returns for that stream alone, and leaves each stream's
-    counter where ``run`` leaves it.  With several streams the chains are
+    is left; both step through blocks of step tokens drawn once per stream
+    and gate the per-row divergence check on one ddot (see the module
+    docstring).  Returns one trace per stream, each equal to what :func:`run`
+    returns for that stream alone, and leaves each stream's counter where
+    ``run`` leaves it.  With several streams the chains are
     uncoupled under one fixed schedule: another controller kind or
     ``track_coupling=True`` raises ConfigError before any draw, and so does
     an empty list of streams or one stream object given twice (two distinct
@@ -363,7 +317,9 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     n_iters, d, b, tail_from = cfg.n_iters, problem.d, controller.params.b, cfg.tail_from
     theta_star = problem.theta_star
     theta1 = np.zeros(d if single else (len(rngs), d))
-    tokens = TokenStreams(problem, rngs, cfg.batch_size)
+    batch = cfg.batch_size
+    words = problem.words_per_token(batch)  # a batch the problem cannot draw fails here
+    states = [None] * len(rngs)  # each stream's sampler state; None starts its chain
     history = None  # the ring of θ2, newest last; None when uncoupled
     if coupled:  # the first arm re-arms from a ring of the offset start alone
         arm = RngStream(rngs[0].seed, rngs[0].stream_id, ARM_COUNTER)
@@ -382,7 +338,10 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
     g0, k0 = np.empty(()), np.empty(())  # γ and k for the arithmetic (module docstring)
     while k < n_iters and active:
         count = min(CHUNK, n_iters - k)
-        steps = tokens.take(active, count)
+        steps, after = problem.draw_tokens(
+            [rngs[r] for r in active], [states[r] for r in active], count, batch)
+        for r, state in zip(active, after):
+            states[r] = state
         for i in range(count):
             k += 1
             gamma = controller.stepsize(k)
@@ -394,7 +353,6 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 new_avg /= k0
                 new_avg += avg1
                 avg1 = new_avg
-            refill = False  # set by a divergence: the chains left take a new block
 
             # one ddot over the stack sums the rows' squared norms, so no row
             # passes the threshold until the sum comes within rounding of it
@@ -411,19 +369,19 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                         trace.record(problem, k, gamma, math.nan, rows[row], avgs[row], d_sq)
                         trace.summarize(problem, cfg, k, controller.stepsize(k),
                                         float(tail_sum[row]), tail_count)
-                    for r in active:  # every chain gives the rest of its block back
-                        tokens.resync(r, count - 1 - i)
+                        rng = rngs[active[row]]  # gives back the words of its unused tokens
+                        rng.seek(rng.counter - (count - 1 - i) * words)
                     keep = np.flatnonzero(~diverged)
                     active = [active[row] for row in keep]
                     if not active:
                         break
                     tail_sum = tail_sum[keep]
-                    single = len(active) == 1  # the last chain's tokens come unstacked
+                    single = len(active) == 1  # the last chain goes on with its own tokens
                     kept = keep[0] if single else keep
                     theta1 = theta1[kept]
                     if avg1 is not None:
                         avg1 = avg1[kept]
-                    refill = True
+                    steps[i + 1:] = problem.keep_streams(steps[i + 1:], kept)
 
             stat = controller.observe(k, theta1, d_sq, direction)
             if controller.phase_index != phase:
@@ -448,8 +406,6 @@ def run_replicates(problem, controller: Controller, cfg: EngineConfig, rngs) -> 
                 else:
                     for r, row, avg_row in zip(active, *_rows(theta1, avg1, len(active))):
                         traces[r].record(problem, k, gamma, stat, row, avg_row)
-            if refill:
-                break
         tail_sum = _fold_tail(tail_sum, tail_thetas, theta_star)
 
     for row, r in enumerate(active):

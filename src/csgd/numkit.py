@@ -56,8 +56,8 @@ class RngStream:
     The generator state is fully determined by ``(seed, stream_id, counter)``
     where ``counter`` counts raw 64-bit words consumed; seed and stream id are
     integers in [0, 2⁶⁴) and the counter is >= 0, else ConfigError.  A draw's
-    count must be an integer >= 0 and the bound of :meth:`integers` one >= 1,
-    else ConfigError before the counter moves.  Gaussian draws use a
+    count must be an integer >= 0 and the bound of :meth:`integers` one in
+    [1, 2⁶⁴), else ConfigError before the counter moves.  Gaussian draws use a
     fixed-consumption Box-Muller transform — exactly ``2*ceil(n/2)`` raw
     words per ``normals(n)`` call, nothing cached — so interleaving calls
     never shifts the mapping from counter to output.
@@ -108,8 +108,8 @@ class RngStream:
         return uniforms_from(self.raw(n))
 
     def integers(self, n: int, bound: int) -> np.ndarray:
-        """n integers uniform on [0, bound); one raw word each."""
-        check_int("bound", bound, 1)
+        """n integers uniform on [0, bound), bound in [1, 2⁶⁴); one raw word each."""
+        check_int("bound", bound, 1, _MASK64)
         return integers_from(self.raw(n), bound)
 
     def normals(self, n: int) -> np.ndarray:

@@ -43,12 +43,14 @@ the GLM kinds (``y`` a Python float at batch 1), a (d,) noise array for
 ``quadratic`` and ``uniformly_convex``, a Python int chain state for ``lsa``.
 With R > 1 it is the R streams' i-th tokens stacked, row r stream r's.  Each
 is bit for bit the i-th of ``count`` single draws, ``next_token`` is the
-R = 1, ``count = 1`` case, and the decoded block and its split into steps
-stay in this module.  ``lsa`` walks each stream's chain on its own, from a
-start state it draws (one word) when the sampler state is None.  Streaming
-labels are one ``np.matmul`` per block, one ddot per sample at batch 1 as
-``x.dot(θ)`` makes.  An oracle makes one BLAS call per product, through
-``.dot`` or ``np.vecdot``.
+R = 1, ``count = 1`` case, and ``keep_streams(steps, rows)`` cuts stacked
+steps to some streams' rows, or to one stream's own steps, so the decoded
+block, its split into steps and their cut stay in this module.  ``lsa``
+walks each stream's chain on its own, from a start state it draws (one
+word) when the sampler state is None.  Streaming labels are one
+``np.matmul`` per block, one ddot per sample at batch 1 as ``x.dot(θ)``
+makes.  An oracle makes one BLAS call per product, through ``.dot`` or
+``np.vecdot``.
 """
 
 from __future__ import annotations
@@ -206,6 +208,19 @@ class Problem:
             block = (tuple(p.reshape(shape + p.shape[1:]) for p in block) if isinstance(block, tuple)
                      else block.reshape(shape + block.shape[1:]))
         return _token_rows(block), sampler_states
+
+    def keep_streams(self, steps: list, rows) -> list:
+        """Stacked step tokens cut to the streams at ``rows`` of the stack.
+
+        An index array keeps a stack of those rows; an int gives that one
+        stream's own step tokens, as ``draw_tokens`` draws them: a 0-d part
+        becomes its Python scalar.
+        """
+        def cut(part):
+            part = part[rows]
+            return part.item() if part.ndim == 0 else part
+
+        return [tuple(map(cut, step)) if isinstance(step, tuple) else cut(step) for step in steps]
 
     def next_token(self, rng: RngStream, sampler_state, batch: int = 1):
         """One step token from one stream, and the sampler state after it."""

@@ -12,7 +12,7 @@ from csgd.engine import EngineConfig, run
 from csgd.numkit import RngStream, normal_words
 from csgd.oracle import stationary_error_estimate
 from csgd.problems import make_problem
-from csgd.engine import CHUNK, TokenStreams
+from csgd.engine import CHUNK
 from csgd.errors import ConfigError, DegenerateDiagnosticError
 from csgd.controllers import FixedScheduleController
 from csgd.engine import run_replicates
@@ -373,24 +373,6 @@ def test_quadratic_and_lsa_runs_keep_their_decisions(case, monkeypatch):
 # ------------------------------------------------------------ token buffer
 
 
-@pytest.mark.parametrize("name", ["least_squares", "lsa"])
-def test_resync_ends_where_single_draws_end(name):
-    prob = problem(name)
-    rng, single_rng = RngStream(8, 0), RngStream(8, 0)
-    tokens = TokenStreams(prob, [rng], batch=1)
-    state = None
-    for used in (5, CHUNK - 5, 1):  # resync mid-block, then across a refill
-        rows = tokens.take([0], CHUNK)
-        assert len(rows) == CHUNK
-        for token in rows[:used]:
-            single, state = prob.next_token(single_rng, state)
-            parts = zip(*(t if isinstance(t, tuple) else (t,) for t in (token, single)))
-            assert all(np.array_equal(a, b) for a, b in parts)
-        assert tokens.resync(0, CHUNK - used) is rng
-        assert rng.counter == single_rng.counter
-        assert tokens.sampler_states[0] == state
-
-
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize("n_iters", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
 @pytest.mark.parametrize("name", ["least_squares", "lsa"])
@@ -409,19 +391,18 @@ def test_streams_stop_at_the_last_iteration(name, n_iters, reps):
 @pytest.mark.parametrize("name", ["least_squares", "lsa"])
 def test_degenerate_reinit_draws_from_the_arm_and_leaves_the_block_alone(name):
     # θ2's history equals θ1, so the re-arm perturbs θ2 with one draw from the
-    # arm stream, in mid-block; the token stream's counter and sampler state
-    # stay as take left them, so the rest of the block is still the stream's
+    # arm stream, in mid-block; the token stream's counter stays where the
+    # block's draw left it, so the rest of the block is still the stream's
     prob = problem(name)
     rng = RngStream(9, 0)
-    tokens = TokenStreams(prob, [rng], batch=1)
-    tokens.take([0], CHUNK)
-    taken = (rng.counter, tokens.sampler_states[0])
+    prob.draw_tokens([rng], [None], CHUNK)
+    taken = rng.counter
     theta1, gamma = np.full(prob.d, 0.5), 0.1
     history = deque([theta1.copy()], maxlen=1)
     arm = RngStream(9, 0, ARM_COUNTER)
     d0_sq, perturbed = reinit_auxiliary(theta1, history, gamma, arm)
     assert perturbed is True
-    assert (rng.counter, tokens.sampler_states[0]) == taken
+    assert rng.counter == taken
     want = theta1 + math.sqrt(gamma) * RngStream(9, 0, ARM_COUNTER).normals(prob.d)
     assert arm.counter == ARM_COUNTER + normal_words(prob.d)
     (theta2,) = history  # the ring holds the new θ2 alone
@@ -441,16 +422,19 @@ def test_perturbed_rearms_spend_no_token_words(case, monkeypatch):
     assert CASES[case]() == normal_words(prob.d) + 600 * prob.words_per_token(1) + start_word
 
 
-def _stream_token(step, r):
-    """Stream r's token in a stacked step token: row r of each part."""
-    return tuple(part[r] for part in step) if isinstance(step, tuple) else step[r]
-
-
-def _by_part(tokens):
-    """A list of step tokens as one array per part, stacked along the steps."""
-    if isinstance(tokens[0], tuple):
-        return tuple(np.array(part) for part in zip(*tokens))
-    return (np.array(tokens),)
+def _assert_same_steps(got, want):
+    """Two lists of step tokens alike step by step and part by part: the type of
+    each step and part, and each part's dtype, shape and bytes."""
+    assert len(got) == len(want)
+    for got_step, want_step in zip(got, want):
+        assert type(got_step) is type(want_step)
+        if not isinstance(want_step, tuple):
+            got_step, want_step = (got_step,), (want_step,)
+        assert len(got_step) == len(want_step)
+        for a, b in zip(got_step, want_step):
+            assert type(a) is type(b)
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @pytest.mark.parametrize("reps", [1, 3])
@@ -459,27 +443,30 @@ def _by_part(tokens):
     [(n, 1) for n in sorted(PROBLEMS)] + [(n, 3) for n in BATCHED + ("logistic_data",)],
 )
 def test_stacked_token_block_matches_per_stream_draws(name, batch, reps):
-    # row r of each stacked step token is stream r's own token at that step
-    # (one stream's steps are its own tokens), and every stream and sampler
+    # one stream's steps are its own tokens; a stack cut by keep_streams to
+    # row r is stream r's own steps, Python scalars included, and cut to rows
+    # 0 and 2 a two-stream draw of those streams; every stream and sampler
     # state ends where its own draws leave it; two blocks, so the second
     # starts from the states the first left
     prob = problem(name)
     count = 11
     rngs = [RngStream(8, s) for s in range(reps)]
     singles = [RngStream(8, s) for s in range(reps)]
+    pair = [RngStream(8, 0), RngStream(8, 2)]
     states = [None] * reps
     single_states = [None] * reps
+    pair_states = [None] * 2
     for _ in range(2):
         steps, states = prob.draw_tokens(rngs, states, count, batch)
         assert len(steps) == count
         for r, rng in enumerate(singles):
             want, (single_states[r],) = prob.draw_tokens([rng], [single_states[r]], count, batch)
-            got = steps if reps == 1 else [_stream_token(step, r) for step in steps]
-            parts = list(zip(_by_part(got), _by_part(want)))
-            assert parts and all(a.dtype == b.dtype and a.shape == b.shape
-                                 and np.array_equal(a, b) for a, b in parts)
+            _assert_same_steps(steps if reps == 1 else prob.keep_streams(steps, r), want)
             assert rngs[r].counter == rng.counter
             assert states[r] == single_states[r]
+        if reps == 3:
+            want, pair_states = prob.draw_tokens(pair, pair_states, count, batch)
+            _assert_same_steps(prob.keep_streams(steps, np.array([0, 2])), want)
 
 
 @pytest.mark.parametrize("track", [False, True])

@@ -114,11 +114,12 @@ def test_stream_takes_every_64_bit_seed_and_stream_id(seed, stream_id):
     "draw, args",
     [("raw", (-3,)), ("uniforms", (-2,)), ("normals", (2.7,)), ("uniforms", (1.5,)),
      ("normals", (-1,)), ("raw", (True,)), ("integers", (3, 2.5)), ("integers", (3, True)),
-     ("integers", (3, 0)), ("integers", (-1, 4))],
+     ("integers", (3, 0)), ("integers", (-1, 4)), ("integers", (3, 2**64))],
 )
 def test_stream_draw_rejects_a_bad_count_before_the_counter_moves(draw, args):
     # raw(-3) once moved the counter to -3, normals(2.7) drew 2 words before
-    # failing, uniforms(1.5) drew 1 and integers(3, 2.5) drew with bound 2
+    # failing, uniforms(1.5) drew 1, integers(3, 2.5) drew with bound 2 and
+    # integers(3, 2**64) drew 3 words before its uint64 bound overflowed
     s = RngStream(42, 7)
     s.raw(5)
     with pytest.raises(ConfigError):

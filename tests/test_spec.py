@@ -2,7 +2,7 @@
 
 :func:`spec_run` is the loop of the coupling diagnostic (arXiv 2412.11341)
 written plainly, one token at a time, with none of the engine's fast paths:
-no token blocks or resyncs, no deferred error columns, no folded tail, no
+no token blocks or cut stacks, no deferred error columns, no folded tail, no
 lockstep stacks.  In the paper's terms:
 
 - Two SGD iterates θ₁ and θ₂ start at θ₁ = 0 and θ₂ = θ₁ + ``init_offset_scale``·ξ,
@@ -267,19 +267,31 @@ def test_run_is_the_spec_on_the_edge_cases(case):
         assert spec["counter"] == want
 
 
-@pytest.mark.parametrize("case", ["quadratic/averaging", "least_squares/mixed"])
+# several streams of seed 7 under one fixed schedule: (the schedule, from the
+# problem; the streams; the EngineConfig fields; the streams whose chains
+# diverge, at different steps, while the others run on)
+LOCKSTEP = {
+    "quadratic/averaging": (lambda prob: ("inv_sqrt", prob.default_gamma0()), range(300, 303),
+                            dict(n_iters=300, averaging=True, tail_from=100), ()),
+    "least_squares/mixed": (lambda prob: ("inv_sqrt", 6.0), range(110, 116),
+                            dict(n_iters=300, tail_from=11), (110, 112, 115)),
+    # lsa's int tokens: 11 chains diverge across both block boundaries, and
+    # stream 115 steps on alone through the cut rest of its block
+    "lsa/one_left": (lambda prob: ("constant", 4 * prob.default_gamma0()), range(110, 122),
+                     dict(n_iters=600, averaging=True, tail_from=11),
+                     tuple(s for s in range(110, 122) if s != 115)),
+    # svm's (X, y) tuples: every chain diverges within three steps of the others
+    "svm/all_diverge": (lambda prob: ("constant", 25.0), range(110, 122),
+                        dict(n_iters=300, averaging=True, tail_from=11), tuple(range(110, 122))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP))
 def test_each_lockstep_replicate_is_the_spec(case):
-    # several streams under one fixed schedule; in the mixed case some chains
-    # diverge, at different steps, and the others run on
-    kind = case.split("/")[0]
-    prob = problem(kind)
-    if kind == "quadratic":
-        schedule, streams = ("inv_sqrt", prob.default_gamma0()), range(300, 303)
-        cfg = EngineConfig(n_iters=300, trace_stride=5, averaging=True, tail_from=100)
-    else:
-        schedule, streams = ("inv_sqrt", 6.0), range(110, 116)
-        cfg = EngineConfig(n_iters=300, trace_stride=5, tail_from=11)
-    params = ControllerParams(kind="fixed", schedule=schedule)
+    prob = problem(case.split("/")[0])
+    schedule, streams, fields, want_diverged = LOCKSTEP[case]
+    params = ControllerParams(kind="fixed", schedule=schedule(prob))
+    cfg = EngineConfig(trace_stride=5, **fields)
     rngs = [RngStream(7, s) for s in streams]
     traces = run_replicates(prob, make_controller(params, prob), cfg, rngs)
     specs = [spec_run(prob, make_controller(params, prob), cfg, RngStream(7, s))
@@ -288,5 +300,5 @@ def test_each_lockstep_replicate_is_the_spec(case):
         del spec["perturbed"]
     for trace, rng, spec in zip(traces, rngs, specs):
         assert _hexed(_engine_record(trace, rng)) == _hexed(spec)
-    diverged = [spec["failure"] is not None for spec in specs]
-    assert any(diverged) == (case == "least_squares/mixed") and not all(diverged)
+    diverged = tuple(s for s, spec in zip(streams, specs) if spec["failure"] is not None)
+    assert diverged == want_diverged
