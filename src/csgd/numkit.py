@@ -7,6 +7,8 @@ Randomness goes through :class:`RngStream`, whose state is exactly the
 triple ``(seed, stream_id, counter)``: reconstructing a stream at any
 counter reproduces the tail of the sequence bit-for-bit, and distinct
 stream ids give statistically independent streams from one master seed.
+:func:`box_muller` alone knows how raw words pair into normals: a decoder
+asks it for the normals it keeps, and a dropped normal costs no sine.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import ConfigError, check_int
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+_STREAM_WORDS = 1 << 258  # Philox4x64: 2²⁵⁶ counter blocks of 4 words
 
 
 def as_vec(x, d: int) -> np.ndarray:
@@ -55,12 +58,14 @@ class RngStream:
 
     The generator state is fully determined by ``(seed, stream_id, counter)``
     where ``counter`` counts raw 64-bit words consumed; seed and stream id are
-    integers in [0, 2⁶⁴) and the counter is >= 0, else ConfigError.  A draw's
-    count must be an integer >= 0 and the bound of :meth:`integers` one in
+    integers in [0, 2⁶⁴) and the counter is in [0, 2²⁵⁸], the stream's length,
+    else ConfigError.  A draw's count must be an integer >= 0 that ends the
+    counter at most at 2²⁵⁸, and the bound of :meth:`integers` one in
     [1, 2⁶⁴), else ConfigError before the counter moves.  Gaussian draws use a
     fixed-consumption Box-Muller transform — exactly ``2*ceil(n/2)`` raw
-    words per ``normals(n)`` call, nothing cached — so interleaving calls
-    never shifts the mapping from counter to output.
+    words per ``normals(n)`` call, nothing cached, an odd ``n`` decoding no
+    second member of its last pair — so interleaving calls never shifts the
+    mapping from counter to output.
 
     Chunk contract: every decode here is a pure function of its raw words
     (:func:`box_muller`, :func:`uniforms_from`, :func:`integers_from`), so a
@@ -86,7 +91,7 @@ class RngStream:
 
     def seek(self, counter: int) -> None:
         """Reposition the stream so the next raw word is word ``counter``."""
-        check_int("counter", counter, 0)
+        check_int("counter", counter, 0, _STREAM_WORDS)
         self._bg = np.random.Philox(
             key=np.array([self.seed, self.stream_id], dtype=np.uint64)
         )
@@ -98,8 +103,8 @@ class RngStream:
         self.counter = int(counter)
 
     def raw(self, n: int) -> np.ndarray:
-        """n raw 64-bit words; advances the counter by n."""
-        check_int("n", n, 0)
+        """n raw 64-bit words; advances the counter by n, to at most 2²⁵⁸."""
+        check_int("n", n, 0, _STREAM_WORDS - self.counter)
         self.counter += int(n)
         return self._bg.random_raw(int(n))
 
@@ -115,11 +120,11 @@ class RngStream:
     def normals(self, n: int) -> np.ndarray:
         """n standard normal draws via pairwise Box-Muller.
 
-        Consumes exactly 2*ceil(n/2) raw words; odd-n calls discard the
-        second member of the final pair rather than caching it.
+        Consumes exactly 2*ceil(n/2) raw words; odd-n calls neither decode
+        nor cache the second member of the final pair.
         """
         check_int("n", n, 0)
-        return box_muller(self.raw(normal_words(n)))[:n]
+        return box_muller(self.raw(normal_words(n)), n)
 
 
 def normal_words(n: int) -> int:
@@ -137,20 +142,23 @@ def integers_from(words: np.ndarray, bound: int) -> np.ndarray:
     return (words % np.uint64(bound)).astype(np.int64)
 
 
-def box_muller(words: np.ndarray) -> np.ndarray:
-    """Standard normals from raw words, one per word, paired along the last axis.
+def box_muller(words: np.ndarray, n: int | None = None) -> np.ndarray:
+    """The first ``n`` standard normals of each row of raw words (all, if None).
 
-    Words 2i and 2i+1 of each row give normals 2i and 2i+1; the last axis
-    must have even length.  Every output depends only on its own pair, so
-    decoding a block of rows gives the same bits as decoding each row alone.
+    Words 2i and 2i+1 of a row give normals 2i (a cosine) and 2i+1 (a sine), so
+    a row holds 2*ceil(n/2) words; an odd n evaluates no sine for its last pair.
+    Every output depends only on its own pair, so decoding a block of rows, or
+    fewer normals of a row, gives the bits of decoding each row alone in full.
     """
-    u1 = ((words[..., 0::2] >> np.uint64(11)) + np.uint64(1)) * _INV_2_53  # (0, 1]
-    u2 = (words[..., 1::2] >> np.uint64(11)) * _INV_2_53  # [0, 1)
+    n = words.shape[-1] if n is None else n
+    pairs = words[..., : normal_words(n)]
+    u1 = ((pairs[..., 0::2] >> np.uint64(11)) + np.uint64(1)) * _INV_2_53  # (0, 1]
+    u2 = (pairs[..., 1::2] >> np.uint64(11)) * _INV_2_53  # [0, 1)
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = (2.0 * np.pi) * u2
-    z = np.empty(words.shape)
+    z = np.empty(words.shape[:-1] + (n,))
     z[..., 0::2] = radius * np.cos(angle)
-    z[..., 1::2] = radius * np.sin(angle)
+    z[..., 1::2] = radius[..., : n // 2] * np.sin(angle[..., : n // 2])
     return z
 
 

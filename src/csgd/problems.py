@@ -35,22 +35,22 @@ fresh pairs from the run's stream.  The oracle cannot tell the two apart: it
 is one template, u = c(y, ⟨x, θ⟩)·x − ∇penalty(θ), for all four GLM kinds.
 
 Every token costs a fixed number of raw words, ``words_per_token(batch)``.
-There is one draw, ``draw_tokens(rngs, sampler_states, count, batch)``: each
-of R streams makes one raw call of ``count * words_per_token(batch)`` words,
-the words of all of them are decoded together, and the draw returns ``count``
-step tokens.  With one stream, step token i is its i-th token: ``(x, y)`` for
-the GLM kinds (``y`` a Python float at batch 1), a (d,) noise array for
+There is one draw, ``draw_tokens(rngs, sampler_states, count, batch)``: each of
+R streams makes one raw call of ``count * words_per_token(batch)`` words, the
+words of all of them are decoded together (normals by ``numkit.box_muller``,
+asked for the ones each token keeps), and the draw returns ``count`` step
+tokens.  With one stream, step token i is its i-th token: ``(x, y)`` for the
+GLM kinds (``y`` a Python float at batch 1), a (d,) noise array for
 ``quadratic`` and ``uniformly_convex``, a Python int chain state for ``lsa``.
-With R > 1 it is the R streams' i-th tokens stacked, row r stream r's.  Each
-is bit for bit the i-th of ``count`` single draws, ``next_token`` is the
-R = 1, ``count = 1`` case, and ``keep_streams(steps, rows)`` cuts stacked
-steps to some streams' rows, or to one stream's own steps, so the decoded
-block, its split into steps and their cut stay in this module.  ``lsa``
-walks each stream's chain on its own, from a start state it draws (one
-word) when the sampler state is None.  Streaming labels are one
-``np.matmul`` per block, one ddot per sample at batch 1 as ``x.dot(θ)``
-makes.  An oracle makes one BLAS call per product, through ``.dot`` or
-``np.vecdot``.
+With R > 1 it is the R streams' i-th tokens stacked, row r stream r's.  Each is
+bit for bit the i-th of ``count`` single draws, ``next_token`` is the R = 1,
+``count = 1`` case, and ``keep_streams(steps, rows)`` cuts stacked steps to
+some streams' rows, or to one stream's own steps, so the decoded block, its
+split into steps and their cut stay in this module.  ``lsa`` walks each
+stream's chain on its own, from a start state it draws (one word) when the
+sampler state is None.  Streaming labels are one ``np.matmul`` per block, one
+ddot per sample at batch 1 as ``x.dot(θ)`` makes.  An oracle makes one BLAS
+call per product, through ``.dot`` or ``np.vecdot``.
 """
 
 from __future__ import annotations
@@ -319,8 +319,8 @@ class _GlmBase(Problem):
             X, y = self._X[idx], self._y[idx]
         else:
             split = batch * self._row_words
-            z = box_muller(words[:, :split]).reshape(len(words), batch, self._row_words)
-            X = z[..., : self.d] * self._sqrt_h  # (count, batch, d) inputs N(0, H)
+            rows = words[:, :split].reshape(len(words), batch, self._row_words)
+            X = box_muller(rows, self.d) * self._sqrt_h  # (count, batch, d) inputs N(0, H)
             # ⟨x, θ⟩: one ddot per sample at batch 1, one gemv per token above it
             y = self._labels(np.matmul(X, self.theta_planted), words[:, split:])
         return (X[:, 0], y[:, 0]) if batch == 1 else (X, y)
@@ -500,7 +500,7 @@ class LeastSquares(_GlmBase):
         return normal_words(batch)  # label noise
 
     def _labels(self, margins, words):
-        return margins + self.noise_sigma * box_muller(words)[:, : margins.shape[1]]
+        return margins + self.noise_sigma * box_muller(words, margins.shape[1])
 
     def _coefs(self, y, m, one_sample=False):
         return y - m
@@ -777,7 +777,7 @@ class UniformlyConvex(Problem):
         return normal_words(self.d * batch)  # one normals() call for the batch
 
     def decode_tokens(self, words, batch):
-        z = box_muller(words)[:, : self.d * batch].reshape(len(words), batch, self.d)
+        z = box_muller(words, self.d * batch).reshape(len(words), batch, self.d)
         return self.noise_scale * (z[:, 0] if batch == 1 else z.mean(axis=1))
 
     def step_direction(self, theta, token):
@@ -850,8 +850,8 @@ class QuadraticSemiStochastic(Problem):
         return batch * self._row_words
 
     def decode_tokens(self, words, batch):
-        z = box_muller(words).reshape(len(words), batch, self._row_words)
-        xi = z[..., : self.d] * self._sqrt_noise  # (count, batch, d)
+        z = box_muller(words.reshape(len(words), batch, self._row_words), self.d)
+        xi = z * self._sqrt_noise  # (count, batch, d)
         return xi[:, 0] if batch == 1 else xi.mean(axis=1)
 
     def step_direction(self, theta, token):

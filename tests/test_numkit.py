@@ -84,13 +84,15 @@ def test_stream_rejects_a_bad_seed_or_stream_id_with_config_error(name, bad):
         RngStream(**args)
 
 
-@pytest.mark.parametrize("bad", [-1, 2.0, True, "3", None])
+@pytest.mark.parametrize("bad", [-1, 2.0, True, "3", None, pytest.param(2**258 + 1, id="2**258+1"),
+                                 pytest.param(2**300, id="2**300")])
 def test_stream_rejects_a_bad_counter_with_config_error(bad):
+    # past the stream's 2**258 words, a counter once wrapped to word 0
     with pytest.raises(ConfigError, match="counter"):
         RngStream(3, 4, counter=bad)
 
 
-@pytest.mark.parametrize("bad", [-5, 1.5, True, "3"])
+@pytest.mark.parametrize("bad", [-5, 1.5, True, "3", pytest.param(2**258 + 1, id="2**258+1")])
 def test_seek_rejects_a_bad_counter_and_leaves_the_stream_as_it_was(bad):
     # seek(-5) once left counter -5 on a wrapped Philox position, and 1.5,
     # True and "3" became the counters 1, 1 and 3
@@ -114,18 +116,34 @@ def test_stream_takes_every_64_bit_seed_and_stream_id(seed, stream_id):
     "draw, args",
     [("raw", (-3,)), ("uniforms", (-2,)), ("normals", (2.7,)), ("uniforms", (1.5,)),
      ("normals", (-1,)), ("raw", (True,)), ("integers", (3, 2.5)), ("integers", (3, True)),
-     ("integers", (3, 0)), ("integers", (-1, 4)), ("integers", (3, 2**64))],
+     ("integers", (3, 0)), ("integers", (-1, 4)), ("integers", (3, 2**64)),
+     ("raw", (2**258,)), ("normals", (2**258 - 4,))],
 )
 def test_stream_draw_rejects_a_bad_count_before_the_counter_moves(draw, args):
     # raw(-3) once moved the counter to -3, normals(2.7) drew 2 words before
-    # failing, uniforms(1.5) drew 1, integers(3, 2.5) drew with bound 2 and
-    # integers(3, 2**64) drew 3 words before its uint64 bound overflowed
+    # failing, uniforms(1.5) drew 1, integers(3, 2.5) drew with bound 2,
+    # integers(3, 2**64) drew 3 words before its uint64 bound overflowed, and
+    # a count past the stream's end moved the counter before it failed
     s = RngStream(42, 7)
     s.raw(5)
     with pytest.raises(ConfigError):
         getattr(s, draw)(*args)
     assert s.counter == 5
     assert np.array_equal(s.raw(4), RngStream(42, 7, counter=5).raw(4))
+
+
+def test_stream_ends_at_word_2_258():
+    # Philox4x64 holds 2**256 blocks of 4 words; a raw across the end once
+    # wrapped to word 0 of the stream
+    s = RngStream(1, 2, 2**258 - 3)
+    with pytest.raises(ConfigError):
+        s.raw(4)
+    assert s.counter == 2**258 - 3
+    assert np.array_equal(s.raw(3), RngStream(1, 2, 2**258 - 4).raw(4)[1:])
+    assert s.counter == 2**258 and s.raw(0).size == 0
+    with pytest.raises(ConfigError):
+        s.raw(1)
+    assert s.counter == 2**258
 
 
 def test_box_muller_block_matches_row_draws():
@@ -138,6 +156,40 @@ def test_box_muller_block_matches_row_draws():
     assert np.array_equal(block, single)
     odd = RngStream(12, 3).normals(5)
     assert np.array_equal(odd, single[0, :5])
+
+
+@pytest.mark.parametrize("shape", [(12,), (5, 12), (3, 4, 12)], ids=["1-D", "2-D", "3-D"])
+@pytest.mark.parametrize("n", [0, 7, 10, 12])
+def test_box_muller_count_keeps_the_bits_of_the_full_decode(shape, n):
+    words = RngStream(12, 4).raw(math.prod(shape)).reshape(shape)
+    got, full = box_muller(words, n), box_muller(words)
+    assert got.shape == shape[:-1] + (n,)
+    assert got.tobytes() == full[..., :n].tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, d, batch, cosines, sines",
+    [("least_squares", 5, 1, 4, 2), ("least_squares", 5, 3, 11, 7),
+     ("least_squares", 100, 1, 51, 50), ("quadratic", 5, 1, 3, 2), ("quadratic", 5, 3, 9, 6),
+     ("uniformly_convex", 3, 1, 2, 1), ("uniformly_convex", 3, 3, 5, 4)],
+)
+def test_a_decode_evaluates_a_sine_only_for_a_normal_it_keeps(monkeypatch, kind, d, batch,
+                                                              cosines, sines):
+    # per token; a decode once sliced off normals whose sines it had paid for
+    prob = make_problem(kind, d)
+    words = RngStream(5, 1).raw(256 * prob.words_per_token(batch)).reshape(256, -1)
+    counts = {"cos": 0, "sin": 0}
+
+    def counted(name, ufunc):
+        def wrapper(x):
+            counts[name] += x.size
+            return ufunc(x)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    prob.decode_tokens(words, batch)
+    assert counts == {"cos": 256 * cosines, "sin": 256 * sines}
 
 
 # ------------------------------------------------------------------ gaussian

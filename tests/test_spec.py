@@ -36,6 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgd.controllers import CONTROLLERS, ControllerParams, make_controller
 from csgd.engine import (
@@ -202,14 +204,14 @@ def params_for(ctl, prob):
     return ControllerParams(kind=ctl, **base)
 
 
-def spec_and_engine(kind, ctl, stream, params=None, **cfg):
+def spec_and_engine(kind, ctl, stream, params=None, seed=7, **cfg):
     """The spec's record and ``run``'s, each from a fresh controller and stream, and the
     number of perturbed re-arms, which only the spec counts."""
     prob = problem(kind)
     params = params or params_for(ctl, prob)
     cfg = EngineConfig(**{"n_iters": 300, "trace_stride": 7, **cfg})
-    spec = spec_run(prob, make_controller(params, prob), cfg, RngStream(7, stream))
-    rng = RngStream(7, stream)
+    spec = spec_run(prob, make_controller(params, prob), cfg, RngStream(seed, stream))
+    rng = RngStream(seed, stream)
     got = _engine_record(run(prob, make_controller(params, prob), cfg, rng), rng)
     perturbed = spec.pop("perturbed")
     return spec, got, perturbed
@@ -265,6 +267,40 @@ def test_run_is_the_spec_on_the_edge_cases(case):
         # the coupled first arm's offset draw; lsa starts no chain
         want = normal_words(problem("quadratic").d) if case.startswith("quadratic") else 0
         assert spec["counter"] == want
+
+
+@st.composite
+def drawn_cases(draw):
+    """A ``CASES`` entry: a kind, a controller with drawn parameters, the EngineConfig
+    fields and a stream."""
+    kind = draw(st.sampled_from(sorted(PROBLEMS)))
+    ctl = draw(st.sampled_from(sorted(CONTROLLERS)))
+    # up to 8x the default γ0, so some runs diverge
+    gamma0 = problem(kind).default_gamma0() * draw(st.floats(0.25, 8.0))
+    if ctl == "fixed":
+        params = ControllerParams(kind=ctl, schedule=(
+            draw(st.sampled_from(("constant", "inv_sqrt"))), gamma0))
+    else:
+        params = ControllerParams(kind=ctl, gamma0=gamma0, beta0=draw(st.floats(0.01, 0.9)),
+                                  r=draw(st.floats(0.1, 0.9)), eta=draw(st.floats(0.1, 1.0)),
+                                  b=draw(st.integers(0, 12)), burn_in=draw(st.integers(0, 60)))
+    n_iters = draw(st.integers(0, 400))
+    return dict(
+        kind=kind, ctl=ctl, params=params, seed=draw(st.integers(0, 2**64 - 1)),
+        stream=draw(st.integers(0, 2**64 - 1)), n_iters=n_iters,
+        batch_size=1 if kind == "lsa" else draw(st.integers(1, 3)),
+        trace_stride=draw(st.integers(1, 60)), averaging=draw(st.booleans()),
+        tail_from=draw(st.none() | st.integers(1, n_iters)) if n_iters else None,
+        init_offset_scale=draw(st.sampled_from((0.0, 1e-9)) | st.floats(0.01, 3.0)),
+        track_coupling=draw(st.booleans()))
+
+
+@given(drawn_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_run_is_the_spec_on_drawn_configurations(case):
+    # a failing draw joins CASES above as a named case
+    spec, got, _ = spec_and_engine(**case)
+    assert _hexed(got) == _hexed(spec)
 
 
 # several streams of seed 7 under one fixed schedule: (the schedule, from the
