@@ -65,7 +65,7 @@ class ControllerParams:
     schedule: tuple | None = None  # fixed kind: (name, *constants)
 
     def validate(self):
-        if self.kind not in CONTROLLERS:
+        if not isinstance(self.kind, str) or self.kind not in CONTROLLERS:
             raise ConfigError(f"unknown controller kind {self.kind!r}")
         if self.gamma0 is not None:
             check_real("gamma0", self.gamma0, 0.0, strict=True)

@@ -186,12 +186,14 @@ def symmetric_eigs(M):
     Returns ``(lam_min, lam_max, q_max)`` from one ``numpy.linalg.eigh``
     call, where ``q_max`` is a unit eigenvector for ``lam_max`` signed so
     that its largest-magnitude component is positive.  M must be 2-D,
-    square, finite and symmetric to 1e-12 relative to max(1, max|Mᵢⱼ|),
-    else ConfigError; ``eigh`` reads its lower triangle.
+    square, non-empty, finite and symmetric to 1e-12 relative to
+    max(1, max|Mᵢⱼ|), else ConfigError; ``eigh`` reads its lower triangle.
     """
     Mm = as_mat(M)
     if Mm.shape[0] != Mm.shape[1]:
         raise ConfigError("matrix must be square")
+    if Mm.size == 0:
+        raise ConfigError("matrix must not be empty")
     if not np.isfinite(Mm).all():
         raise ConfigError("matrix must be finite")
     scale = max(1.0, float(np.abs(Mm).max()))

@@ -22,24 +22,34 @@ STREAM_BASE = 0x5EA7  # stationary_error_estimate: the stream id of its first ch
 def contraction_rate(gamma: float, mu: float, L: float) -> float:
     """Per-step contraction factor 1 - 2γμ(1 - γL/2) of the iterate law.
 
-    Valid for γ in (0, 2/L), else ConfigError; strictly below 1 there
-    whenever μ > 0, and minimized at γ = 1/L.
+    Valid for finite L > 0, μ >= 0 and γ in (0, 2/L), else ConfigError;
+    strictly below 1 there whenever μ > 0, and minimized at γ = 1/L.
     """
-    if not 0.0 < gamma < 2.0 / L:
+    check_real("L", L, 0.0, strict=True)
+    check_real("mu", mu, 0.0)
+    check_real("gamma", gamma, 0.0, strict=True)
+    if not gamma < 2.0 / L:
         raise ConfigError(f"gamma={gamma} outside (0, 2/L) with L={L}")
     return 1.0 - 2.0 * gamma * mu * (1.0 - gamma * L / 2.0)
 
 
 def gamma0_bound(L: float, mu: float) -> float:
-    """Stepsize cap min{1/(4L), 2L/μ} under which the coupled lower bound holds."""
+    """Stepsize cap min{1/(4L), 2L/μ} under which the coupled lower bound holds.
+
+    L and μ must be finite and > 0, else ConfigError.
+    """
+    check_real("L", L, 0.0, strict=True)
+    check_real("mu", mu, 0.0, strict=True)
     return min(1.0 / (4.0 * L), 2.0 * L / mu)
 
 
 def theorem1_floor(gamma: float, L: float, mu: float, k: int) -> float:
     """Lower-bound factor ϱ^k with ϱ = 1 - 2γL + γ²μ² for the coupled distance."""
     check_int("k", k, 0)
-    if not 0.0 < gamma <= gamma0_bound(L, mu):
-        raise ConfigError(f"gamma={gamma} outside (0, {gamma0_bound(L, mu)}]")
+    gamma0 = gamma0_bound(L, mu)
+    check_real("gamma", gamma, 0.0, strict=True)
+    if not gamma <= gamma0:
+        raise ConfigError(f"gamma={gamma} outside (0, {gamma0}]")
     varrho = 1.0 - 2.0 * gamma * L + gamma**2 * mu**2
     return varrho**k
 
@@ -53,7 +63,8 @@ def dk_closed_form_series(H, gamma: float, D0, ks) -> list[float]:
     Hm = as_mat(H)
     v = as_vec(D0, Hm.shape[0]).copy()
     _, lam_max, _ = symmetric_eigs(Hm)
-    if not 0.0 < gamma < 1.0 / lam_max:
+    check_real("gamma", gamma, 0.0, strict=True)
+    if not gamma < 1.0 / lam_max:
         raise ConfigError(f"gamma={gamma} outside (0, 1/L) with L={lam_max}")
     ks = list(ks)
     for i, k in enumerate(ks):
@@ -89,9 +100,12 @@ def lemma1_check(L: float, mu: float, grid_size: int = 10_000) -> Lemma1Report:
 
     Note the right-hand side carries γ²μ (first power of μ), matching the
     stated inequality; the coupled-distance floor uses γ²μ² instead.  Both
-    are implemented as written.
+    are implemented as written.  L and μ must be finite, with 0 < μ <= L,
+    else ConfigError.
     """
-    if not (0.0 < mu <= L):
+    check_real("L", L, 0.0, strict=True)
+    check_real("mu", mu, 0.0, strict=True)
+    if not mu <= L:
         raise ConfigError("need 0 < mu <= L")
     check_int("grid_size", grid_size, 2)  # a grid over [0, γ0] holds both ends
     gamma0 = gamma0_bound(L, mu)
@@ -126,6 +140,7 @@ def proximity_ratio_quadratic(H, gamma: float, D0, k: int) -> float:
     Hm = as_mat(H)
     D0v = as_vec(D0, Hm.shape[0])
     d = Hm.shape[0]
+    check_real("gamma", gamma, 0.0, strict=True)
     _, _, q_max = symmetric_eigs(np.eye(d) - gamma * Hm)
     proj = float(D0v @ q_max)
     if abs(proj) <= D0_PROJECTION_FLOOR * norm(D0v):

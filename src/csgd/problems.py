@@ -48,9 +48,10 @@ bit for bit the i-th of ``count`` single draws, ``next_token`` is the R = 1,
 some streams' rows, or to one stream's own steps, so the decoded block, its
 split into steps and their cut stay in this module.  ``lsa`` walks each
 stream's chain on its own, from a start state it draws (one word) when the
-sampler state is None.  Streaming labels are one ``np.matmul`` per block, one
-ddot per sample at batch 1 as ``x.dot(θ)`` makes.  An oracle makes one BLAS
-call per product, through ``.dot`` or ``np.vecdot``.
+sampler state is None.  Streaming labels are one ``np.matmul`` per block (a
+ddot per sample at batch 1, as ``x.dot(θ)``) through the kind's ``_labels``,
+which labels its data set too.  An oracle makes one BLAS call per product,
+through ``.dot`` or ``np.vecdot``.
 """
 
 from __future__ import annotations
@@ -112,11 +113,6 @@ def _sigmoid_scalar(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
-
-
-def _sigmoid_rows(z: np.ndarray) -> np.ndarray:
-    """:func:`_sigmoid_scalar` per entry, so ``math.exp``: ``np.exp`` rounds otherwise."""
-    return np.array([_sigmoid_scalar(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def _const(x: float) -> np.ndarray:
@@ -294,7 +290,8 @@ class _GlmBase(Problem):
     same bits as the Python float, without its conversion on every call, and
     safe to share between concurrent runs of one problem.  ``full_grad`` is
     minus the full-batch oracle over ``_calibration_data``.  Streaming kinds
-    give ``_label_words(batch)`` and ``_labels(margins, words)``.
+    give ``_label_words(batch)`` and ``_labels(margins, words)``, with which
+    :meth:`_sample` labels their data sets and logistic's calibration pool.
     """
 
     _penalty_step = None  # −∇penalty(θ), at one iterate or each row of a stack
@@ -363,6 +360,12 @@ class _GlmBase(Problem):
         data = RngStream(self.seed, stream_id)
         return data.normals(count * self.d).reshape(count, self.d) * self._sqrt_h, data
 
+    def _sample(self, count: int, stream_id: int = _DATA_STREAM):
+        """``count`` inputs and their labels under the planted model, from one stream."""
+        X, data = self._materialize_inputs(count, stream_id)
+        words = data.raw(self._label_words(count))
+        return X, self._labels((X @ self.theta_planted)[None], words[None])[0]
+
 
 class LogisticRegression(_GlmBase):
     """Streaming or finite-sample logistic loss log(1 + exp(-y⟨x, θ⟩)).
@@ -380,27 +383,21 @@ class LogisticRegression(_GlmBase):
     def __init__(self, d, n=0, seed=0):
         super().__init__(d, n, seed)
         if n > 0:
-            self._X, self._y = self._sample(n, _DATA_STREAM)
-
-    def _sample(self, count, stream_id):
-        """``count`` inputs and their labels under the planted model, from one stream."""
-        X, data = self._materialize_inputs(count, stream_id)
-        probs = _sigmoid(X @ self.theta_planted)
-        return X, np.where(data.uniforms(count) < probs, 1.0, -1.0)
+            self._X, self._y = self._sample(n)
 
     def _label_words(self, batch):
         return batch  # one uniform per label
 
     def _labels(self, margins, words):
-        probs = (_sigmoid_rows if margins.shape[1] == 1 else _sigmoid)(margins)
-        return np.where(uniforms_from(words) < probs, 1.0, -1.0)
+        return np.where(uniforms_from(words) < _sigmoid(margins), 1.0, -1.0)
 
     def _coef1(self, y, m):
         return y * _sigmoid_scalar(-y * m)
 
     def _coefs(self, y, m, one_sample=False):
-        # one sample per iterate keeps math.exp, as _coef1 does
-        return y * (_sigmoid_rows if one_sample else _sigmoid)(-y * m)
+        if one_sample:  # one sample per iterate keeps _coef1's math.exp: np.exp rounds otherwise
+            return np.array([self._coef1(a, b) for a, b in zip(y.tolist(), m.tolist())])
+        return y * _sigmoid(-y * m)
 
     def losses(self, thetas):
         X, y = self._calibration_data
@@ -492,9 +489,7 @@ class LeastSquares(_GlmBase):
         self.L = float(self.h_diag.max())
         self.mu = float(self.h_diag.min())
         if n > 0:
-            self._X, data = self._materialize_inputs(n)
-            self._y = self._labels((self._X @ self.theta_planted)[None],
-                                   data.raw(normal_words(n))[None])[0]
+            self._X, self._y = self._sample(n)
 
     def _label_words(self, batch):
         return normal_words(batch)  # label noise

@@ -51,6 +51,7 @@ def test_params_validated():
         dict(gamma0=0.1, eta=1.5),
         dict(gamma0=0.1, b=-1),
         dict(kind="who"),
+        dict(kind=["coupling_static"]),  # unhashable: was a bare TypeError
         dict(kind="fixed", schedule=("inv_sqrt",)),
         dict(kind="fixed", schedule=("uniform_opt",)),
         dict(kind="fixed", schedule=("constant", 0.1, 0.2)),
@@ -75,8 +76,9 @@ def test_params_validated():
     with pytest.raises(ConfigError, match="schedule"):
         make_controller(ControllerParams(kind="fixed", schedule=5))
     # with no problem, an unknown kind raised "gamma0 unset" before its kind was checked
-    with pytest.raises(ConfigError, match="unknown controller kind"):
-        make_controller(ControllerParams(kind="who"))
+    for kind in ["who", ["coupling_static"]]:
+        with pytest.raises(ConfigError, match="unknown controller kind"):
+            make_controller(ControllerParams(kind=kind))
 
 
 def test_controller_without_gamma0_fails_with_config_error():

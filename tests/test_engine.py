@@ -662,8 +662,8 @@ def test_lockstep_divergence_is_per_replicate(case):
 
 def test_lockstep_left_with_one_chain_goes_on_as_its_lone_run():
     # streams 104 and 105 diverge at k = 16 and 13 and stream 100 runs on;
-    # one stream's step tokens come unstacked, and a batch of 3 has a row
-    # loop, so the last chain must step as the 1-D iterate a lone run steps
+    # one stream's step tokens come unstacked, so the last chain must step as
+    # the 1-D iterate a lone run steps
     params = fixed("least_squares", "inv_sqrt", 8.0)
     traces = lockstep_matches_run("least_squares", params, (104, 105, 100), n_iters=600,
                                   batch_size=3, averaging=True, tail_from=11)

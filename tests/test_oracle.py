@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csgd.errors import ConfigError
-from csgd.numkit import RngStream
+from csgd.numkit import RngStream, symmetric_eigs
 from csgd.oracle import (
     contraction_rate,
     dk_closed_form_series,
@@ -217,6 +217,29 @@ def test_theorem1_chain_inequality_grid():
             for k in (1, 2, 5, 17, 60):
                 floor = theorem1_floor(gamma, L, mu, k)
                 assert floor >= (1.0 - gamma * mu) ** (k * tau) - 1e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma0_bound(1.0, 0.0),
+    lambda: theorem1_floor(0.1, 1.0, 0.0, 3),
+    lambda: contraction_rate(0.1, 0.5, 0.0),
+    lambda: contraction_rate(0.1, 0.5, "1"),
+    lambda: contraction_rate("0.1", 0.5, 1.0),
+    lambda: lemma1_check("1", 0.5),
+    lambda: lemma1_check(math.inf, 1.0),
+    lambda: symmetric_eigs(np.zeros((0, 0))),
+    lambda: dk_closed_form_series(np.zeros((0, 0)), 0.1, np.zeros(0), [1]),
+    lambda: dk_closed_form_series(np.eye(2), "0.1", np.ones(2), [1]),
+    lambda: proximity_ratio_quadratic(np.eye(2), "0.1", np.ones(2), 1),
+], ids=["gamma0_bound-mu0", "theorem1_floor-mu0", "contraction_rate-L0",
+        "contraction_rate-L-str", "contraction_rate-gamma-str", "lemma1_check-L-str",
+        "lemma1_check-L-inf", "symmetric_eigs-empty", "dk_closed_form_series-empty-H",
+        "dk_closed_form_series-gamma-str", "proximity_ratio_quadratic-gamma-str"])
+def test_theory_functions_reject_a_bad_constant_with_config_error(call):
+    # μ = 0 and L = 0 divided by zero, a string L or γ raised TypeError, an infinite
+    # L warned and reported worst_margin=nan, and an empty H failed inside NumPy
+    with pytest.raises(ConfigError):
+        call()
 
 
 # ------------------------------------------------------------ proximity ratio

@@ -838,10 +838,8 @@ def test_label_block_matches_scalar_labels(kind, d, batch):
         if kind == "least_squares":
             wants = [margins + prob.noise_sigma * box_muller(label_words[0])[:, :batch]]
         else:
-            if batch == 1:
-                probs = np.array([[_sigmoid_scalar(m)] for m in margins[:, 0].tolist()])
-            else:
-                probs = np.array([_sigmoid(m) for m in margins])
+            # every batch size, batch 1 too, takes np.exp's bits, as a data set does
+            probs = np.array([_sigmoid(m) for m in margins])
             # uniforms on the 2**-53 grid at and just below each probability,
             # where a probability one ulp off flips the label
             k = np.maximum(np.floor(probs * 2.0**53), 1.0).astype(np.uint64)

@@ -322,19 +322,53 @@ LOCKSTEP = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(LOCKSTEP))
-def test_each_lockstep_replicate_is_the_spec(case):
-    prob = problem(case.split("/")[0])
-    schedule, streams, fields, want_diverged = LOCKSTEP[case]
-    params = ControllerParams(kind="fixed", schedule=schedule(prob))
-    cfg = EngineConfig(trace_stride=5, **fields)
-    rngs = [RngStream(7, s) for s in streams]
+def replicates_and_specs(kind, schedule, streams, seed=7, **fields):
+    """``run_replicates``' record of each stream, and the spec's on a fresh stream of that id."""
+    prob = problem(kind)
+    params = ControllerParams(kind="fixed", schedule=schedule)
+    cfg = EngineConfig(**{"trace_stride": 5, **fields})
+    rngs = [RngStream(seed, s) for s in streams]
     traces = run_replicates(prob, make_controller(params, prob), cfg, rngs)
-    specs = [spec_run(prob, make_controller(params, prob), cfg, RngStream(7, s))
+    specs = [spec_run(prob, make_controller(params, prob), cfg, RngStream(seed, s))
              for s in streams]
     for spec in specs:
         del spec["perturbed"]
-    for trace, rng, spec in zip(traces, rngs, specs):
-        assert _hexed(_engine_record(trace, rng)) == _hexed(spec)
+    return [_engine_record(trace, rng) for trace, rng in zip(traces, rngs)], specs
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP))
+def test_each_lockstep_replicate_is_the_spec(case):
+    kind = case.split("/")[0]
+    schedule, streams, fields, want_diverged = LOCKSTEP[case]
+    got, specs = replicates_and_specs(kind, schedule(problem(kind)), streams, **fields)
+    assert _hexed(got) == _hexed(specs)
     diverged = tuple(s for s, spec in zip(streams, specs) if spec["failure"] is not None)
     assert diverged == want_diverged
+
+
+@st.composite
+def drawn_lockstep(draw):
+    """A lockstep case: a kind, one seed's 2-6 distinct streams, a fixed schedule and the
+    EngineConfig fields."""
+    kind = draw(st.sampled_from(sorted(PROBLEMS)))
+    # up to 8x the default γ0, so some chains diverge
+    name = draw(st.sampled_from(("constant", "inv_sqrt")))
+    gamma = problem(kind).default_gamma0() * draw(st.floats(0.25, 8.0))
+    n_iters = draw(st.integers(0, 600))  # past 256, a second token block
+    return dict(
+        kind=kind, schedule=(name, gamma),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        streams=draw(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=6, unique=True)),
+        n_iters=n_iters, batch_size=1 if kind == "lsa" else draw(st.integers(1, 3)),
+        # a logistic record scores θ̄ on the 20 000-sample pool: at most 30 a chain
+        trace_stride=draw(st.integers(20 if kind == "logistic" else 1, 60)),
+        averaging=draw(st.booleans()),
+        tail_from=draw(st.none() | st.integers(1, n_iters)) if n_iters else None)
+
+
+@given(drawn_lockstep())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_each_lockstep_replicate_is_the_spec_on_drawn_configurations(case):
+    # a failing draw joins LOCKSTEP above as a named case
+    got, specs = replicates_and_specs(**case)
+    assert _hexed(got) == _hexed(specs)
